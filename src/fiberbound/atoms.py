@@ -9,14 +9,9 @@ decide membership for every region the engines ever restrict to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ParseError
-
-
-def atom_cmp(a: int, b: int) -> int:
-    """Total order on atoms: -1, 0 or 1 in integer order."""
-    return (a > b) - (a < b)
 
 
 def fresh_atoms(count: int, avoid: Iterable[int]) -> tuple[int, ...]:
@@ -88,11 +83,3 @@ class SetSpec:
     def __str__(self) -> str:
         body = format_atom_set(self.atoms)
         return f"~{body}" if self.complement else body
-
-
-def spec_contains(region: SetSpec, atom: int) -> bool:
-    return atom in region
-
-
-def iter_ascending(atoms: Iterable[int]) -> Iterator[int]:
-    return iter(sorted(atoms))

@@ -7,6 +7,10 @@ hands back a :class:`Violation` with exactly ``k + 1`` witnesses the moment
 any fiber overflows.  A run therefore always ends in one of two auditable
 states: a stream of pairwise distinct constructed witnesses, or a concrete
 finite refutation of the claimed bound.
+
+:class:`WitnessEngine` is the driver both witness engines share: it keeps
+the emitted witnesses, queries the oracle on each of them through the
+ledger, and turns a run into one of those two outcomes as a certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InconsistentOracleError, OverflowGuardError
+from .errors import BadParametersError, InconsistentOracleError, OverflowGuardError
 from .partitions import derangement
 
 BOUND_WINDOW = 100
@@ -45,9 +49,9 @@ def _growth_ok(n: int, k: int, l: int) -> bool:
 
 def compute_bounds(n: int, k: int) -> BoundParams:
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise BadParametersError("n must be non-negative")
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise BadParametersError("k must be at least 1")
     e = 2 * n
     for start in range(_SEARCH_LIMIT):
         window = range(start + 1, start + BOUND_WINDOW + 1)
@@ -78,7 +82,7 @@ class OracleLedger:
 
     def __init__(self, k: int, serialize_input: Callable, serialize_output: Callable):
         if k < 1:
-            raise ValueError("k must be at least 1")
+            raise BadParametersError("k must be at least 1")
         self.k = k
         self._ser_in = serialize_input
         self._ser_out = serialize_output
@@ -101,9 +105,6 @@ class OracleLedger:
         if len(fiber) > self.k:
             return Violation(out_key, tuple(fiber))
         return None
-
-    def max_fiber(self) -> int:
-        return max((len(f) for f in self.fibers.values()), default=0)
 
 
 def moved_set_adapter(oracle: Callable, k: int, n: int) -> tuple[Callable, int]:
@@ -138,3 +139,69 @@ def assemble_certificate(kind: str, n, k, l0, m0, steps: int,
         "violation": violation.as_json() if violation is not None else None,
         "traces": traces,
     }
+
+
+class _Violated(Exception):
+    def __init__(self, violation: Violation):
+        self.violation = violation
+
+
+class _Inconsistent(Exception):
+    """A step found no fresh witness where the counting argument promises one."""
+
+
+class WitnessEngine:
+    """Driver shared by the witness engines.
+
+    A subclass passes its seed factory and ledger serializers to
+    ``__init__`` and supplies the rest: ``_check_output`` (the claimed
+    codomain), ``step`` (one fresh witness, ending in ``_emit``) and
+    ``_certificate`` (its header fields and output serialization).
+    ``kind`` names the certificate of a run that completes every step.
+    """
+
+    kind = ""
+
+    def __init__(self, k: int, oracle: Callable, instance_id: int,
+                 make_seeds: Callable[[int], list], serialize_input: Callable,
+                 serialize_output: Callable):
+        self.k = k
+        self.oracle = oracle
+        self.base = 1000 * (instance_id + 1)
+        self.g: list = list(make_seeds(self.base))
+        self.g_set: set = set(self.g)
+        self.seed_count = len(self.g)
+        self.ledger = OracleLedger(k, serialize_input, serialize_output)
+        self.traces: list[dict] = []
+
+    def _query_all(self) -> list:
+        values = []
+        for x in self.g:
+            out = self.oracle(x)
+            self._check_output(out)
+            violation = self.ledger.record(x, out)
+            if violation is not None:
+                raise _Violated(violation)
+            values.append(out)
+        return values
+
+    def _emit(self, result, trace: dict) -> dict:
+        self.g.append(result)
+        self.g_set.add(result)
+        self.traces.append(trace)
+        return trace
+
+    def run(self, steps: int) -> dict:
+        if steps < 1:
+            raise BadParametersError("steps must be at least 1")
+        kind = self.kind
+        violation = None
+        try:
+            for _ in range(steps):
+                self.step()
+        except _Violated as v:
+            kind = "ledger-violation"
+            violation = v.violation
+        except _Inconsistent:
+            kind = "stuck"
+        return self._certificate(kind, len(self.g) - self.seed_count, violation)

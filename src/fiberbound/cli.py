@@ -14,9 +14,9 @@ import sys
 
 from .atoms import parse_atom_set
 from .auditing import compute_bounds
-from .errors import FiberboundError, ParseError
+from .errors import BadParametersError, FiberboundError, ParseError
 from .fraenkel import SupportConfig, scan
-from .inject import build_tableau, decode, encode
+from .inject import Tableau, decode, encode
 from .oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
 from .partitions import bell
 from .perm_engine import run_perm_diag
@@ -30,11 +30,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _pool_size(spec: str) -> int:
+    """``P`` of a ``pool:P`` oracle spec."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ParseError(f"pool size must be an integer, got {spec!r}") from None
+
+
 def _perm_oracle(spec: str, n: int):
     if spec == "truncate":
         return truncate_oracle(n)
     if spec.startswith("pool:"):
-        return pool_perm_oracle(int(spec.split(":", 1)[1]), n)
+        return pool_perm_oracle(_pool_size(spec), n)
     raise ParseError(f"unknown diag-perm oracle {spec!r} (use truncate or pool:P)")
 
 
@@ -42,12 +50,12 @@ def _set_oracle(spec: str):
     if spec == "min-block":
         return min_block_oracle
     if spec.startswith("pool:"):
-        return pool_set_oracle(int(spec.split(":", 1)[1]))
+        return pool_set_oracle(_pool_size(spec))
     raise ParseError(f"unknown diag-part oracle {spec!r} (use min-block or pool:P)")
 
 
 def _cmd_inject(args) -> dict:
-    tab = build_tableau(args.n, args.m)
+    tab = Tableau(args.n, args.m)
     s = FinPerm.parse(args.perm)
     image, trace = encode(s, tab)
     print(f"image: {image}")
@@ -69,7 +77,7 @@ def _cmd_inject(args) -> dict:
 
 
 def _cmd_decode(args) -> dict:
-    tab = build_tableau(args.n, args.m)
+    tab = Tableau(args.n, args.m)
     s = decode(FinPerm.parse(args.perm), tab)
     print(f"decoded: {s}")
     return {"kind": "decode", "n": args.n, "m": args.m, "perm": args.perm, "decoded": str(s)}
@@ -110,6 +118,8 @@ def _cmd_fraenkel(args) -> dict:
 
 
 def _cmd_bell(args) -> dict:
+    if args.upto < 0:
+        raise BadParametersError("upto must be non-negative")
     values = [bell(i) for i in range(args.upto + 1)]
     print(" ".join(str(v) for v in values))
     return {"kind": "bell", "upto": args.upto, "values": values}

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator, Union
 
+from .atoms import fresh_atoms
 from .errors import BadParametersError, BudgetExceededError
 from .perms import FinPerm
 
@@ -75,16 +76,6 @@ class PreconditionFail:
 ProbeVerdict = Union[MissingMoved, ExtraOutside, ForcedFixedPoint, PreconditionFail]
 
 
-def _least_outside(blocked: set[int], count: int = 1) -> list[int]:
-    out = []
-    a = 0
-    while len(out) < count:
-        if a not in blocked:
-            out.append(a)
-        a += 1
-    return out
-
-
 def classify(s: FinPerm, t: FinPerm, cfg: SupportConfig) -> ProbeVerdict:
     ms, mt, e_set = s.moved, t.moved, cfg.support
     if len(ms) != cfg.n:
@@ -99,7 +90,7 @@ def classify(s: FinPerm, t: FinPerm, cfg: SupportConfig) -> ProbeVerdict:
     missing = sorted(ms - mt)
     if missing:
         a = missing[0]
-        fresh = _least_outside(set(e_set) | mt | ms, 2)
+        fresh = fresh_atoms(2, e_set | mt | ms)
         samples = []
         for b in fresh:
             pi = FinPerm.cycle([a, b])
@@ -109,7 +100,7 @@ def classify(s: FinPerm, t: FinPerm, cfg: SupportConfig) -> ProbeVerdict:
     extra = sorted(mt - (ms | e_set))
     if extra:
         a = extra[0]
-        b = _least_outside(set(e_set) | mt)[0]
+        (b,) = fresh_atoms(1, e_set | mt)
         swap = FinPerm.cycle([a, b])
         return ExtraOutside(a, swap, swap.after(t).after(swap))
 
@@ -131,7 +122,7 @@ def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
     for subset in combinations(pool, count):
         for image in permutations(subset):
             if all(a != b for a, b in zip(subset, image)):
-                yield FinPerm.from_moved_map(dict(zip(subset, image)))
+                yield FinPerm(dict(zip(subset, image)))
 
 
 def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParametersError, NotInImageError, WrongMovedSizeError
+from .errors import BadParametersError, FiberboundError, NotInImageError, WrongMovedSizeError
 from .perms import FinPerm
 
 
@@ -53,10 +53,6 @@ class Tableau:
         return f"Tableau(n={self.n}, m={self.m})"
 
 
-def build_tableau(n: int, m: int) -> Tableau:
-    return Tableau(n, m)
-
-
 @dataclass(frozen=True)
 class EncodeTrace:
     """The intermediate objects of one encoding."""
@@ -84,7 +80,7 @@ def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
         if x in shadows:
             pairs[x] = shadows[x]
             pairs[shadows[x]] = x
-    swap = FinPerm.from_moved_map(pairs)
+    swap = FinPerm(pairs)
     conjugated = swap.after(s).after(swap)
     marker_cycle = FinPerm.cycle(tab.marker_rows[level])
     assert len(conjugated.moved) == tab.n
@@ -112,8 +108,8 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     if any(b in row_set for b in stripped.values()):
         raise NotInImageError("marker atoms entangled with the rest of the map")
     try:
-        conjugated = FinPerm.from_moved_map(stripped)
-    except Exception:
+        conjugated = FinPerm(stripped)
+    except (ValueError, FiberboundError):
         raise NotInImageError("stripping the marker cycle left a non-permutation") from None
     pairs = {}
     for x, shadow in tab.shadow_maps[level].items():
@@ -121,8 +117,8 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
             pairs[x] = shadow
             pairs[shadow] = x
     try:
-        swap = FinPerm.from_moved_map(pairs)
-    except Exception:
+        swap = FinPerm(pairs)
+    except (ValueError, FiberboundError):
         raise NotInImageError("shadow atoms do not form an involution") from None
     s = swap.after(conjugated).after(swap)
     if len(s.moved) != tab.n:

@@ -14,19 +14,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .auditing import OracleLedger, Violation, assemble_certificate
+from .atoms import format_atom_set
+from .auditing import WitnessEngine, _Inconsistent, assemble_certificate
 from .errors import BadParametersError, OracleCodomainError
 from .partitions import (BELL_MAX, FinitaryPartition, bell, build_frame,
                          iter_partitions_ranked, lift)
-
-
-class _Violated(Exception):
-    def __init__(self, violation: Violation):
-        self.violation = violation
-
-
-class _Inconsistent(Exception):
-    """Every lift was stale although the counting argument promises one fresh."""
 
 
 def seed_partitions(k: int, base: int) -> list[FinitaryPartition]:
@@ -36,32 +28,18 @@ def seed_partitions(k: int, base: int) -> list[FinitaryPartition]:
     return [FinitaryPartition([(base, base + 1 + j)]) for j in range(72 * k * k + 1)]
 
 
-class PartitionDiagEngine:
+class PartitionDiagEngine(WitnessEngine):
+    kind = "part-diag"
+
     def __init__(self, k: int, oracle: Callable[[FinitaryPartition], frozenset[int]],
                  instance_id: int = 0):
-        self.k = k
-        self.oracle = oracle
-        self.base = 1000 * (instance_id + 1)
         self.threshold = 72 * k * k
-        self.g: list[FinitaryPartition] = list(seed_partitions(k, self.base))
-        self.g_set: set[FinitaryPartition] = set(self.g)
-        self.seed_count = len(self.g)
-        self.ledger = OracleLedger(
-            k, lambda p: str(p),
-            lambda s: "{" + ",".join(str(a) for a in sorted(s)) + "}")
-        self.traces: list[dict] = []
+        super().__init__(k, oracle, instance_id, lambda base: seed_partitions(k, base),
+                         str, format_atom_set)
 
-    def _query_all(self) -> list[frozenset[int]]:
-        values = []
-        for p in self.g:
-            out = self.oracle(p)
-            if not isinstance(out, frozenset) or not all(isinstance(a, int) and a >= 0 for a in out):
-                raise OracleCodomainError("oracle must return finite sets of atoms")
-            violation = self.ledger.record(p, out)
-            if violation is not None:
-                raise _Violated(violation)
-            values.append(out)
-        return values
+    def _check_output(self, out) -> None:
+        if not isinstance(out, frozenset) or not all(isinstance(a, int) and a >= 0 for a in out):
+            raise OracleCodomainError("oracle must return finite sets of atoms")
 
     def step(self) -> dict:
         m = len(self.g)
@@ -103,28 +81,11 @@ class PartitionDiagEngine:
             "rank_checked": examined,
             "result": str(result),
         }
-        self.g.append(result)
-        self.g_set.add(result)
-        self.traces.append(trace)
-        return trace
+        return self._emit(result, trace)
 
-    def run(self, steps: int) -> dict:
-        if steps < 1:
-            raise BadParametersError("steps must be at least 1")
-        kind = "part-diag"
-        violation = None
-        try:
-            for _ in range(steps):
-                self.step()
-        except _Violated as v:
-            kind = "ledger-violation"
-            violation = v.violation
-        except _Inconsistent:
-            kind = "stuck"
-        return assemble_certificate(
-            kind, None, self.k, None, self.threshold,
-            len(self.g) - self.seed_count,
-            [str(p) for p in self.g], violation, self.traces)
+    def _certificate(self, kind, steps, violation) -> dict:
+        return assemble_certificate(kind, None, self.k, None, self.threshold, steps,
+                                    [str(p) for p in self.g], violation, self.traces)
 
 
 def run_partition_diag(k: int, oracle: Callable[[FinitaryPartition], frozenset[int]],

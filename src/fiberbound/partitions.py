@@ -58,10 +58,6 @@ class FinitaryPartition:
         self._hash = hash(self._blocks)
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "FinitaryPartition":
-        return cls(blocks)
-
-    @classmethod
     def singletons(cls) -> "FinitaryPartition":
         return cls(())
 

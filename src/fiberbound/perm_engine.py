@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .atoms import SetSpec
-from .auditing import OracleLedger, Violation, assemble_certificate, compute_bounds
+from .auditing import WitnessEngine, _Inconsistent, assemble_certificate, compute_bounds
 from .errors import BadParametersError, InfeasibleRunError, OracleCodomainError
 from .perms import FinPerm
 
@@ -47,15 +47,6 @@ class FamilyEntry:
             "t": self.perm.to_cycles(),
             "C": list(self.occupied),
         }
-
-
-class _Violated(Exception):
-    def __init__(self, violation: Violation):
-        self.violation = violation
-
-
-class _Inconsistent(Exception):
-    """Family construction failed where the counting argument forbids it."""
 
 
 def seed_transpositions(count: int, base: int) -> list[FinPerm]:
@@ -137,7 +128,7 @@ def assemble(entries: list[FamilyEntry], indices) -> FinPerm:
         member = entries[idx].perm
         assert not (member.moved & set(mapping)), "family supports must be disjoint"
         mapping.update(member.moved_map)
-    return FinPerm.from_moved_map(mapping)
+    return FinPerm(mapping)
 
 
 def _index_sets(width: int):
@@ -146,14 +137,14 @@ def _index_sets(width: int):
         yield tuple(i for i in range(width) if value >> (width - 1 - i) & 1)
 
 
-class PermDiagEngine:
+class PermDiagEngine(WitnessEngine):
+    kind = "perm-diag"
+
     def __init__(self, n: int, k: int, oracle: Callable[[FinPerm], FinPerm],
                  mode: str = "strict", seed_count: int = 64, instance_id: int = 0):
         if mode not in ("strict", "opportunistic"):
             raise BadParametersError(f"unknown mode {mode!r}")
         self.n = n
-        self.k = k
-        self.oracle = oracle
         self.mode = mode
         self.bounds = compute_bounds(n, k)
         if mode == "strict":
@@ -162,27 +153,16 @@ class PermDiagEngine:
                 raise InfeasibleRunError(
                     f"strict mode needs {seed_count} seeds (m0 = {self.bounds.m0}); "
                     "use opportunistic mode")
-        self.base = 1000 * (instance_id + 1)
-        self.g: list[FinPerm] = list(seed_transpositions(seed_count, self.base))
-        self.g_set: set[FinPerm] = set(self.g)
-        self.seed_count = seed_count
-        self.ledger = OracleLedger(k, lambda s: s.to_cycles(), lambda s: s.to_cycles())
-        self.traces: list[dict] = []
+        super().__init__(k, oracle, instance_id,
+                         lambda base: seed_transpositions(seed_count, base),
+                         lambda s: s.to_cycles(), lambda s: s.to_cycles())
         self._next_fallback = self.base + _FALLBACK_OFFSET
 
-    def _query_all(self) -> list[FinPerm]:
-        values = []
-        for s in self.g:
-            out = self.oracle(s)
-            if not isinstance(out, FinPerm) or len(out.moved) > self.n:
-                raise OracleCodomainError(
-                    f"oracle returned a value moving {len(out.moved) if isinstance(out, FinPerm) else '?'} "
-                    f"points, claimed codomain moves at most {self.n}")
-            violation = self.ledger.record(s, out)
-            if violation is not None:
-                raise _Violated(violation)
-            values.append(out)
-        return values
+    def _check_output(self, out) -> None:
+        if not isinstance(out, FinPerm) or len(out.moved) > self.n:
+            raise OracleCodomainError(
+                f"oracle returned a value moving {len(out.moved) if isinstance(out, FinPerm) else '?'} "
+                f"points, claimed codomain moves at most {self.n}")
 
     def _fresh_fallback(self) -> FinPerm:
         while True:
@@ -235,28 +215,11 @@ class PermDiagEngine:
             assert result is not None
         assert result not in self.g_set
         trace["result"] = result.to_cycles()
-        self.g.append(result)
-        self.g_set.add(result)
-        self.traces.append(trace)
-        return trace
+        return self._emit(result, trace)
 
-    def run(self, steps: int) -> dict:
-        if steps < 1:
-            raise BadParametersError("steps must be at least 1")
-        kind = "perm-diag"
-        violation = None
-        try:
-            for _ in range(steps):
-                self.step()
-        except _Violated as v:
-            kind = "ledger-violation"
-            violation = v.violation
-        except _Inconsistent:
-            kind = "stuck"
-        return assemble_certificate(
-            kind, self.n, self.k, self.bounds.l0, self.bounds.m0,
-            len(self.g) - self.seed_count,
-            [s.to_cycles() for s in self.g], violation, self.traces)
+    def _certificate(self, kind, steps, violation) -> dict:
+        return assemble_certificate(kind, self.n, self.k, self.bounds.l0, self.bounds.m0, steps,
+                                    [s.to_cycles() for s in self.g], violation, self.traces)
 
 
 def run_perm_diag(n: int, k: int, oracle: Callable[[FinPerm], FinPerm], steps: int,

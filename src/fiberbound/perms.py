@@ -63,10 +63,6 @@ class FinPerm:
         return cls({pts[i]: pts[(i + 1) % len(pts)] for i in range(len(pts))})
 
     @classmethod
-    def from_moved_map(cls, mapping: Mapping[int, int]) -> "FinPerm":
-        return cls(mapping)
-
-    @classmethod
     def parse(cls, text: str) -> "FinPerm":
         """Parse cycle notation; inverse of :meth:`to_cycles` on canonical text."""
         if text == "()":
@@ -104,9 +100,6 @@ class FinPerm:
         """Composition applying ``other`` first, then ``self``."""
         support = set(self._map) | set(other._map)
         return FinPerm({a: self(other(a)) for a in support})
-
-    def __mul__(self, other: "FinPerm") -> "FinPerm":
-        return self.after(other)
 
     def inverse(self) -> "FinPerm":
         return FinPerm({b: a for a, b in self._map.items()})
@@ -167,8 +160,3 @@ class FinPerm:
 
     def __hash__(self) -> int:
         return self._hash
-
-
-def compose(g: FinPerm, f: FinPerm) -> FinPerm:
-    """``g`` after ``f`` (apply ``f`` first)."""
-    return g.after(f)

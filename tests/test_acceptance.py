@@ -14,7 +14,7 @@ from fiberbound.auditing import compute_bounds
 from fiberbound.cli import main
 from fiberbound.fraenkel import (ForcedFixedPoint, SupportConfig, classify,
                                  perms_moving_exactly, scan)
-from fiberbound.inject import build_tableau, decode, encode
+from fiberbound.inject import Tableau, decode, encode
 from fiberbound.oracles import min_block_oracle, truncate_oracle
 from fiberbound.partitions import bell, build_frame
 from fiberbound.partition_engine import run_partition_diag
@@ -47,7 +47,7 @@ def test_criterion_1_encode_decode_round_trip():
     with Budget(1, 5, "encode/decode round trip, exhaustive"):
         expected_counts = {(2, 4): 153, (2, 5): 300, (3, 5): 11968}
         for (n, m), expected in expected_counts.items():
-            tab = build_tableau(n, m)
+            tab = Tableau(n, m)
             atoms = sorted(tab.reserved) + list(range(len(tab.reserved),
                                                       len(tab.reserved) + 4))
             pool = list(perms_moving_exactly(iter(atoms), n))
@@ -250,7 +250,7 @@ def test_criterion_10_restriction_operator():
             support = rng.sample(range(20), size)
             image = support[:]
             rng.shuffle(image)
-            s = FinPerm.from_moved_map(dict(zip(support, image)))
+            s = FinPerm(dict(zip(support, image)))
             marked = frozenset(rng.sample(range(20), rng.randint(0, 10)))
             region = SetSpec.cofinite(marked) if rng.random() < 0.5 else SetSpec.finite(marked)
             result = s.deflate(region)

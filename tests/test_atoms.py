@@ -3,24 +3,8 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fiberbound.atoms import (SetSpec, atom_cmp, format_atom_set, fresh_atoms,
-                              parse_atom_set, spec_contains)
+from fiberbound.atoms import SetSpec, format_atom_set, fresh_atoms, parse_atom_set
 from fiberbound.errors import ParseError
-
-
-def test_atom_cmp_examples():
-    assert atom_cmp(0, 1) == -1
-    assert atom_cmp(5, 5) == 0
-    assert atom_cmp(9, 2) == 1
-
-
-@given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
-def test_atom_cmp_total_order(a, b, c):
-    assert atom_cmp(a, b) == -atom_cmp(b, a)
-    if atom_cmp(a, b) <= 0 and atom_cmp(b, c) <= 0:
-        assert atom_cmp(a, c) <= 0
-    if atom_cmp(a, b) == 0:
-        assert a == b
 
 
 def test_fresh_atoms_examples():
@@ -38,9 +22,9 @@ def test_fresh_atoms_properties(count, avoid):
 
 
 def test_spec_contains():
-    assert spec_contains(SetSpec.finite({1, 3}), 3)
-    assert not spec_contains(SetSpec.cofinite({2}), 2)
-    assert spec_contains(SetSpec.cofinite(set()), 42)
+    assert 3 in SetSpec.finite({1, 3})
+    assert 2 not in SetSpec.cofinite({2})
+    assert 42 in SetSpec.cofinite(set())
     assert 7 in SetSpec.universe()
 
 

@@ -68,6 +68,21 @@ def test_unknown_oracle(capsys):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["diag-perm", "--n", "2", "--k", "0"], "error: k must be at least 1"),
+    (["bounds", "--n", "1", "--k", "0"], "error: k must be at least 1"),
+    (["diag-perm", "--n", "2", "--k", "1", "--oracle", "pool:abc"], "pool size"),
+    (["diag-part", "--k", "1", "--oracle", "pool:abc"], "pool size"),
+    (["bell", "--upto", "-1"], "error: upto must be non-negative"),
+], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative"])
+def test_bad_parameters_are_domain_errors(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_diag_perm_certificate(capsys, tmp_path):
     path = tmp_path / "cert.json"
     code, out, _ = run_cli(["diag-perm", "--n", "1", "--k", "1", "--oracle", "truncate",

@@ -3,21 +3,21 @@ import itertools
 import pytest
 
 from fiberbound.errors import BadParametersError, NotInImageError, WrongMovedSizeError
-from fiberbound.inject import build_tableau, decode, encode
+from fiberbound.inject import Tableau, decode, encode
 from fiberbound.perms import FinPerm
 
 
 def test_tableau_shapes():
-    tab = build_tableau(2, 4)
+    tab = Tableau(2, 4)
     assert len(tab.reserved) == 14
     assert [len(tab.levels[i]) for i in range(3)] == [2, 4, 8]
-    assert build_tableau(0, 2).reserved == frozenset({0, 1})
+    assert Tableau(0, 2).reserved == frozenset({0, 1})
     with pytest.raises(BadParametersError):
-        build_tableau(3, 3)
+        Tableau(3, 3)
 
 
 def test_tableau_level_structure():
-    tab = build_tableau(2, 5)
+    tab = Tableau(2, 5)
     width = 3
     for i in range(3):
         markers = set(tab.marker_rows[i])
@@ -29,7 +29,7 @@ def test_tableau_level_structure():
 
 
 def test_encode_fresh_support():
-    tab = build_tableau(2, 4)
+    tab = Tableau(2, 4)
     s = FinPerm.cycle([20, 21])
     image, trace = encode(s, tab)
     assert trace.level == 0
@@ -39,7 +39,7 @@ def test_encode_fresh_support():
 
 
 def test_encode_on_marker_atoms():
-    tab = build_tableau(2, 4)
+    tab = Tableau(2, 4)
     row0 = tab.marker_rows[0]
     s = FinPerm.cycle([row0[0], row0[1]])
     image, trace = encode(s, tab)
@@ -52,13 +52,13 @@ def test_encode_on_marker_atoms():
 
 
 def test_encode_wrong_size():
-    tab = build_tableau(2, 4)
+    tab = Tableau(2, 4)
     with pytest.raises(WrongMovedSizeError):
         encode(FinPerm.identity(), tab)
 
 
 def test_encode_trace_invariants():
-    tab = build_tableau(3, 5)
+    tab = Tableau(3, 5)
     s = FinPerm.cycle([1, 40, 41])
     image, trace = encode(s, tab)
     assert trace.swap == trace.swap.inverse()
@@ -68,7 +68,7 @@ def test_encode_trace_invariants():
 
 
 def test_decode_failures():
-    tab = build_tableau(2, 4)
+    tab = Tableau(2, 4)
     with pytest.raises(NotInImageError):
         decode(FinPerm.identity(), tab)
     row0 = tab.marker_rows[0]
@@ -80,7 +80,7 @@ def test_decode_failures():
 
 
 def test_round_trip_small_exhaustive():
-    tab = build_tableau(2, 4)
+    tab = Tableau(2, 4)
     atoms = sorted(tab.reserved) + [14, 15]
     seen = set()
     for pair in itertools.combinations(atoms, 2):
@@ -93,7 +93,7 @@ def test_round_trip_small_exhaustive():
 
 
 def test_n_zero_round_trip():
-    tab = build_tableau(0, 3)
+    tab = Tableau(0, 3)
     image, trace = encode(FinPerm.identity(), tab)
     assert image == FinPerm.cycle(tab.marker_rows[0])
     assert decode(image, tab) == FinPerm.identity()

@@ -9,8 +9,8 @@ from fiberbound.partitions import FinitaryPartition, build_frame, lift, iter_par
 def test_seed_shapes():
     seeds = seed_partitions(1, 1000)
     assert len(seeds) == 73
-    assert seeds[0] == FinitaryPartition.from_blocks([{1000, 1001}])
-    assert seeds[-1] == FinitaryPartition.from_blocks([{1000, 1073}])
+    assert seeds[0] == FinitaryPartition([{1000, 1001}])
+    assert seeds[-1] == FinitaryPartition([{1000, 1073}])
     assert len(seed_partitions(2, 1000)) == 289
 
 
@@ -42,7 +42,7 @@ def test_min_block_run_handles_huge_class_counts():
 def test_first_constructed_partition_is_single_block():
     engine = PartitionDiagEngine(1, min_block_oracle)
     trace = engine.step()
-    assert trace["result"] == str(FinitaryPartition.from_blocks([set(range(1000, 1074))]))
+    assert trace["result"] == str(FinitaryPartition([set(range(1000, 1074))]))
 
 
 def test_chosen_partition_is_rank_minimal():

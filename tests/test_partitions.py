@@ -24,15 +24,15 @@ def derangement_by_inclusion_exclusion(j):
 
 
 def test_from_blocks_examples():
-    p = FinitaryPartition.from_blocks([{1, 2}, {3}])
+    p = FinitaryPartition([{1, 2}, {3}])
     assert p.exceptional_blocks == frozenset({frozenset({1, 2})})
-    assert FinitaryPartition.from_blocks([]) == FinitaryPartition.singletons()
+    assert FinitaryPartition([]) == FinitaryPartition.singletons()
     with pytest.raises(OverlappingBlocksError):
-        FinitaryPartition.from_blocks([{1, 2}, {2, 3}])
+        FinitaryPartition([{1, 2}, {2, 3}])
 
 
 def test_partition_text():
-    p = FinitaryPartition.from_blocks([{5, 6, 7}, {1, 2}])
+    p = FinitaryPartition([{5, 6, 7}, {1, 2}])
     assert str(p) == "{1,2}{5,6,7}"
     assert str(FinitaryPartition.singletons()) == "{}*"
     assert FinitaryPartition.parse("{1,2}{5,6,7}") == p
@@ -49,12 +49,12 @@ def test_partition_round_trip(blocks):
         if not (b & used):
             flat.append(b)
             used |= b
-    p = FinitaryPartition.from_blocks(flat)
+    p = FinitaryPartition(flat)
     assert FinitaryPartition.parse(str(p)) == p
 
 
 def test_block_of():
-    p = FinitaryPartition.from_blocks([{1, 2}])
+    p = FinitaryPartition([{1, 2}])
     assert p.block_of(1) == frozenset({1, 2})
     assert p.block_of(9) == frozenset({9})
 
@@ -181,9 +181,9 @@ def test_rank_key_orders_like_comparator(l):
 
 def test_lift_examples():
     frame = build_frame([frozenset({1, 2})])
-    assert lift([{0}], frame) == FinitaryPartition.from_blocks([{1, 2}])
+    assert lift([{0}], frame) == FinitaryPartition([{1, 2}])
     two = build_frame([frozenset({1}), frozenset({1, 2})])  # classes {2},{1}
-    assert lift([{0, 1}], two) == FinitaryPartition.from_blocks([{1, 2}])
+    assert lift([{0, 1}], two) == FinitaryPartition([{1, 2}])
     assert lift([{0}, {1}], two) == FinitaryPartition.singletons()
 
 
