@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import BadParametersError, ParseError
 
 
 def fresh_atoms(count: int, avoid: Iterable[int]) -> tuple[int, ...]:
     """The ``count`` smallest atoms outside ``avoid``, ascending."""
     if count < 0:
-        raise ValueError("count must be non-negative")
+        raise BadParametersError("count must be non-negative")
     avoid = set(avoid)
     out = []
     a = 0

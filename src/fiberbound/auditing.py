@@ -16,7 +16,7 @@ ledger, and turns a run into one of those two outcomes as a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import BadParametersError, InconsistentOracleError, OverflowGuardError
 from .partitions import derangement
@@ -78,7 +78,7 @@ class Violation:
 
 
 class OracleLedger:
-    """Audit log of oracle queries keyed by canonical serializations."""
+    """Audit log of oracle queries keyed by value; text only for violations and errors."""
 
     def __init__(self, k: int, serialize_input: Callable, serialize_output: Callable):
         if k < 1:
@@ -86,25 +86,31 @@ class OracleLedger:
         self.k = k
         self._ser_in = serialize_input
         self._ser_out = serialize_output
-        self.queries: dict[str, str] = {}
-        self.fibers: dict[str, list[str]] = {}
+        self.queries: dict = {}
+        self.fibers: dict = {}
 
     def record(self, inp, out) -> Optional[Violation]:
         """Record one query; idempotent on repeats, violation on overflow."""
-        in_key = self._ser_in(inp)
-        out_key = self._ser_out(out)
-        prior = self.queries.get(in_key)
+        prior = self.queries.get(inp)
         if prior is not None:
-            if prior != out_key:
-                raise InconsistentOracleError(
-                    f"input {in_key} mapped to both {prior} and {out_key}")
+            if prior != out:
+                raise InconsistentOracleError(f"input {self._ser_in(inp)} mapped to both "
+                                              f"{self._ser_out(prior)} and {self._ser_out(out)}")
             return None
-        self.queries[in_key] = out_key
-        fiber = self.fibers.setdefault(out_key, [])
-        fiber.append(in_key)
+        self.queries[inp] = out
+        fiber = self.fibers.setdefault(out, [])
+        fiber.append(inp)
         if len(fiber) > self.k:
-            return Violation(out_key, tuple(fiber))
+            return Violation(self._ser_out(out), tuple(map(self._ser_in, fiber)))
         return None
+
+
+def first_occurrences(values: Iterable) -> dict:
+    """Each distinct value mapped to the index where it first occurs, in that order."""
+    first: dict = {}
+    for idx, v in enumerate(values):
+        first.setdefault(v, idx)
+    return first
 
 
 def moved_set_adapter(oracle: Callable, k: int, n: int) -> tuple[Callable, int]:
@@ -175,6 +181,11 @@ class WitnessEngine:
         self.traces: list[dict] = []
 
     def _query_all(self) -> list:
+        """The oracle's answers on every emitted witness, in emission order.
+
+        Re-asking about every earlier witness on every step is the
+        consistency audit: an oracle that changes an answer raises here.
+        """
         values = []
         for x in self.g:
             out = self.oracle(x)

@@ -128,12 +128,25 @@ def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
 def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -> bool:
     e_set = cfg.support
     if isinstance(verdict, MissingMoved):
-        if verdict.atom not in s.moved - t.moved:
+        a, s_map, t_map = verdict.atom, s.moved_map, t.moved_map
+        if a not in s_map or a in t_map or a in e_set:
             return False
         if len(verdict.samples) < 2 or len(set(verdict.samples)) != len(verdict.samples):
             return False
-        # each sample arises from a transposition fixing E and moved(t)
-        return all(len(p.moved) == cfg.n for p in verdict.samples)
+        # each sample is s relabelled by the transposition (a b), where b is
+        # the one atom it adds to moved(s); (a b) must fix E and moved(t)
+        for p in verdict.samples:
+            p_map = p.moved_map
+            extra = p_map.keys() - s_map.keys()
+            if len(extra) != 1 or len(p_map) != len(s_map):
+                return False
+            (b,) = extra
+            if b in t_map or b in e_set:
+                return False
+            for x, y in s_map.items():
+                if p_map.get(b if x == a else x) != (b if y == a else y):
+                    return False
+        return True
     if isinstance(verdict, ExtraOutside):
         swap = verdict.swap
         if any(swap(a) != a for a in e_set | s.moved):

@@ -109,7 +109,7 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
         raise NotInImageError("marker atoms entangled with the rest of the map")
     try:
         conjugated = FinPerm(stripped)
-    except (ValueError, FiberboundError):
+    except FiberboundError:
         raise NotInImageError("stripping the marker cycle left a non-permutation") from None
     pairs = {}
     for x, shadow in tab.shadow_maps[level].items():
@@ -118,7 +118,7 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
             pairs[shadow] = x
     try:
         swap = FinPerm(pairs)
-    except (ValueError, FiberboundError):
+    except FiberboundError:
         raise NotInImageError("shadow atoms do not form an involution") from None
     s = swap.after(conjugated).after(swap)
     if len(s.moved) != tab.n:

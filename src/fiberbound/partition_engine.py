@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .atoms import format_atom_set
-from .auditing import WitnessEngine, _Inconsistent, assemble_certificate
+from .auditing import WitnessEngine, _Inconsistent, assemble_certificate, first_occurrences
 from .errors import BadParametersError, OracleCodomainError
 from .partitions import (BELL_MAX, FinitaryPartition, bell, build_frame,
                          iter_partitions_ranked, lift)
@@ -38,18 +38,12 @@ class PartitionDiagEngine(WitnessEngine):
                          str, format_atom_set)
 
     def _check_output(self, out) -> None:
-        if not isinstance(out, frozenset) or not all(isinstance(a, int) and a >= 0 for a in out):
+        if not isinstance(out, frozenset) or not all(type(a) is int and a >= 0 for a in out):
             raise OracleCodomainError("oracle must return finite sets of atoms")
 
     def step(self) -> dict:
         m = len(self.g)
-        values = self._query_all()
-        distinct: list[frozenset[int]] = []
-        seen: set[frozenset[int]] = set()
-        for v in values:
-            if v not in seen:
-                seen.add(v)
-                distinct.append(v)
+        distinct = list(first_occurrences(self._query_all()))
         frame = build_frame(distinct)
         l = frame.l
         # A clean ledger caps fiber sizes at k, and each listed value is a

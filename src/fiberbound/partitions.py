@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .atoms import format_atom_set, parse_atom_set
-from .errors import BudgetExceededError, OutOfRangeError, OverlappingBlocksError, ParseError
+from .errors import (BadParametersError, BudgetExceededError, OutOfRangeError, OverlappingBlocksError,
+                     ParseError)
 
 # Guards keep every count below 2**63 so serialized certificates stay exact
 # in fixed-width consumers.
@@ -47,8 +48,9 @@ class FinitaryPartition:
         seen: set[int] = set()
         for block in blocks:
             b = frozenset(block)
-            if any(a < 0 for a in b):
-                raise ValueError("atoms must be non-negative")
+            for a in b:
+                if type(a) is not int or a < 0:
+                    raise BadParametersError("atoms must be non-negative integers")
             if seen & b:
                 raise OverlappingBlocksError("blocks must be pairwise disjoint")
             seen |= b
@@ -173,7 +175,7 @@ def build_frame(values: Sequence[Iterable[int]]) -> QuotientFrame:
     """
     vals = tuple(frozenset(v) for v in values)
     if len(set(vals)) != len(vals):
-        raise ValueError("values must be duplicate-free")
+        raise BadParametersError("values must be duplicate-free")
     universe: set[int] = set()
     for v in vals:
         universe |= v

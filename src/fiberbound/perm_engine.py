@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .atoms import SetSpec
-from .auditing import WitnessEngine, _Inconsistent, assemble_certificate, compute_bounds
+from .auditing import WitnessEngine, _Inconsistent, assemble_certificate, compute_bounds, first_occurrences
 from .errors import BadParametersError, InfeasibleRunError, OracleCodomainError
 from .perms import FinPerm
 
@@ -72,12 +72,7 @@ def build_family(values: list[FinPerm], n: int) -> tuple[list[FamilyEntry], Opti
     occupied: set[int] = set()
     # Duplicate answers can never win a least-index search that their first
     # occurrence loses, so the pair scan may restrict to first occurrences.
-    first_occ = []
-    seen_vals: set[FinPerm] = set()
-    for idx, v in enumerate(values):
-        if v not in seen_vals:
-            seen_vals.add(v)
-            first_occ.append(idx)
+    first_occ = first_occurrences(values).values()
 
     for level in range(top + 1):
         snapshot = tuple(sorted(occupied))
@@ -154,8 +149,7 @@ class PermDiagEngine(WitnessEngine):
                     f"strict mode needs {seed_count} seeds (m0 = {self.bounds.m0}); "
                     "use opportunistic mode")
         super().__init__(k, oracle, instance_id,
-                         lambda base: seed_transpositions(seed_count, base),
-                         lambda s: s.to_cycles(), lambda s: s.to_cycles())
+                         lambda base: seed_transpositions(seed_count, base), str, str)
         self._next_fallback = self.base + _FALLBACK_OFFSET
 
     def _check_output(self, out) -> None:
@@ -175,19 +169,14 @@ class PermDiagEngine(WitnessEngine):
     def step(self) -> dict:
         m = len(self.g)
         values = self._query_all()
-        first_occ = []
-        seen: set[FinPerm] = set()
-        for idx, v in enumerate(values):
-            if v not in seen:
-                seen.add(v)
-                first_occ.append([idx, v.to_cycles()])
+        first = first_occurrences(values)
         # the ledger is clean here, so the fibers over the distinct answers
         # cover all m queried inputs with at most k inputs each
-        assert m <= self.k * len(seen)
+        assert m <= self.k * len(first)
         entries, stuck = build_family(values, self.n)
         trace: dict = {
             "m": m,
-            "B": first_occ,
+            "B": [[idx, v.to_cycles()] for v, idx in first.items()],
             "family": [e.as_json() for e in entries],
             "stuck_at": None,
             "fallback": False,

@@ -21,7 +21,7 @@ import re
 from typing import Iterable, Mapping
 
 from .atoms import SetSpec
-from .errors import DuplicatePointError, ParseError, SinglePointError
+from .errors import BadParametersError, DuplicatePointError, ParseError, SinglePointError
 
 _CYCLE_RE = re.compile(r"\(([0-9;]*)\)")
 _PERM_RE = re.compile(r"^(\([0-9;]*\))+$")
@@ -37,9 +37,10 @@ class FinPerm:
         if len(cleaned) == 1:
             raise SinglePointError("a permutation cannot move exactly one point")
         if set(cleaned.values()) != set(cleaned.keys()):
-            raise ValueError("mapping is not a bijection of its moved points")
-        if any(a < 0 for a in cleaned):
-            raise ValueError("atoms must be non-negative")
+            raise BadParametersError("mapping is not a bijection of its moved points")
+        for a, b in cleaned.items():
+            if type(a) is not int or type(b) is not int or a < 0:
+                raise BadParametersError("atoms must be non-negative integers")
         self._map = cleaned
         self._hash = hash(frozenset(cleaned.items()))
 

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 import pytest
 
 from fiberbound.atoms import SetSpec, format_atom_set, fresh_atoms, parse_atom_set
-from fiberbound.errors import ParseError
+from fiberbound.errors import BadParametersError, ParseError
+from fiberbound.partitions import FinitaryPartition, build_frame
+from fiberbound.perms import FinPerm
 
 
 def test_fresh_atoms_examples():
@@ -43,3 +45,19 @@ def test_atom_set_text():
 @given(st.frozensets(st.integers(0, 99), max_size=8))
 def test_atom_set_round_trip(atoms):
     assert parse_atom_set(format_atom_set(atoms)) == atoms
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FinPerm({1: 2, 2: 3}),
+    lambda: FinPerm({-1: 2, 2: -1}),
+    lambda: FinPerm({True: 2, 2: True}),
+    lambda: FinPerm({1: 2, 2: True}),
+    lambda: FinitaryPartition([{-1, 2}]),
+    lambda: FinitaryPartition([{True, 2}]),
+    lambda: build_frame([{1, 2}, {2, 1}]),
+    lambda: fresh_atoms(-1, ()),
+], ids=["perm-non-bijection", "perm-negative", "perm-bool", "perm-bool-image",
+        "partition-negative", "partition-bool", "frame-duplicates", "fresh-negative-count"])
+def test_value_constructors_raise_domain_errors(build):
+    with pytest.raises(BadParametersError):
+        build()

@@ -110,3 +110,23 @@ def test_seed_partitions_counts():
     assert len(seed_partitions(2, 1000)) == 289
     seeds = seed_partitions(1, 1000)
     assert len(set(seeds)) == len(seeds)
+
+
+def test_ledger_serializes_only_violations_and_flips():
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return p.to_cycles()
+
+    led = OracleLedger(2, counted, counted)
+    out = FinPerm.cycle([1, 0])
+    assert led.record(FinPerm.cycle([1, 2]), out) is None
+    assert led.record(FinPerm.cycle([3, 1]), out) is None
+    assert led.record(FinPerm.cycle([1, 2]), out) is None
+    assert calls == []
+    violation = led.record(FinPerm.cycle([4, 1]), out)
+    assert violation.output == "(0;1)"
+    assert violation.witnesses == ("(1;2)", "(1;3)", "(1;4)")
+    with pytest.raises(InconsistentOracleError, match=r"\(1;2\) mapped to both \(0;1\) and \(0;2\)"):
+        led.record(FinPerm.cycle([2, 1]), FinPerm.cycle([2, 0]))

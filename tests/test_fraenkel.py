@@ -3,7 +3,7 @@ import pytest
 from fiberbound.errors import BadParametersError, BudgetExceededError
 from fiberbound.fraenkel import (ExtraOutside, ForcedFixedPoint, MissingMoved,
                                  PreconditionFail, SupportConfig, classify,
-                                 perms_moving_exactly, scan)
+                                 _verify, perms_moving_exactly, scan)
 from fiberbound.perms import FinPerm
 
 c = FinPerm.cycle
@@ -89,3 +89,10 @@ def test_scan_two_atom_support():
 def test_scan_guard():
     with pytest.raises(BudgetExceededError):
         scan(SupportConfig(frozenset({0}), 2, 9))
+
+
+@pytest.mark.parametrize("forged", [(c([6, 7]), c([6, 8])), (c([2, 3]), c([2, 6]))])
+def test_verify_rejects_forged_missing_moved_samples(forged):
+    s, t = c([1, 2]), c([3, 4, 5])
+    assert _verify(classify(s, t, CFG), s, t, CFG)
+    assert not _verify(MissingMoved(1, forged), s, t, CFG)

@@ -1,6 +1,6 @@
 import pytest
 
-from fiberbound.errors import BadParametersError, OracleCodomainError
+from fiberbound.errors import BadParametersError, InconsistentOracleError, OracleCodomainError
 from fiberbound.oracles import min_block_oracle, pool_set_oracle
 from fiberbound.partition_engine import PartitionDiagEngine, run_partition_diag, seed_partitions
 from fiberbound.partitions import FinitaryPartition, build_frame, lift, iter_partitions_ranked
@@ -97,8 +97,22 @@ def test_injective_oracle_streams_forever():
 
 
 def test_oracle_codomain_checked():
-    engine = PartitionDiagEngine(1, lambda p: {1, 2})
-    with pytest.raises(OracleCodomainError):
+    for answer in ({1, 2}, frozenset({True})):
+        engine = PartitionDiagEngine(1, lambda p: answer)
+        with pytest.raises(OracleCodomainError):
+            engine.step()
+
+
+def test_flipping_oracle_detected():
+    calls = {"n": 0}
+
+    def unstable(p):
+        calls["n"] += 1
+        return min_block_oracle(p) if calls["n"] <= 73 else frozenset()
+
+    engine = PartitionDiagEngine(1, unstable)
+    engine.step()
+    with pytest.raises(InconsistentOracleError):
         engine.step()
 
 
