@@ -202,7 +202,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "json", None):
-        _write_json(args.json, payload)
+        try:
+            _write_json(args.json, payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -1,9 +1,10 @@
 """Support-based contradiction probe for candidate assignments s -> t.
 
-Under the conjugation action, any function with finite support E that maps
-an n-point permutation avoiding E to an (n+1)-point permutation is
-refutable pointwise.  :func:`classify` places each candidate pair into the
-first applicable of three branches, each carrying computable witnesses:
+Under the conjugation action ``s.conjugate(g)`` = g∘s∘g⁻¹ (``s`` with its
+atoms renamed by ``g``), any function with finite support E that maps an
+n-point permutation avoiding E to an (n+1)-point permutation is refutable
+pointwise.  :func:`classify` places each candidate pair into the first
+applicable of three branches, each carrying computable witnesses:
 
 1. ``s`` moves an atom that ``t`` does not: conjugating ``s`` by
    transpositions through fresh atoms produces arbitrarily many distinct
@@ -44,6 +45,8 @@ class SupportConfig:
         if self.carrier_size < len(self.support) + self.n + 2:
             raise BadParametersError(
                 "carrier must hold the support, the moved points, and a spare atom")
+        if any(type(a) is not int for a in self.support):
+            raise BadParametersError("support atoms must be integers")
         if any(a >= self.carrier_size or a < 0 for a in self.support):
             raise BadParametersError("support atoms must lie inside the carrier")
 
@@ -91,26 +94,21 @@ def classify(s: FinPerm, t: FinPerm, cfg: SupportConfig) -> ProbeVerdict:
     if missing:
         a = missing[0]
         fresh = fresh_atoms(2, e_set | mt | ms)
-        samples = []
-        for b in fresh:
-            pi = FinPerm.cycle([a, b])
-            samples.append(pi.after(s).after(pi))
-        return MissingMoved(a, tuple(samples))
+        return MissingMoved(a, tuple(s.conjugate(FinPerm.cycle([a, b])) for b in fresh))
 
     extra = sorted(mt - (ms | e_set))
     if extra:
         a = extra[0]
         (b,) = fresh_atoms(1, e_set | mt)
         swap = FinPerm.cycle([a, b])
-        return ExtraOutside(a, swap, swap.after(t).after(swap))
+        return ExtraOutside(a, swap, t.conjugate(swap))
 
     in_support = sorted(mt - ms)
     assert len(in_support) == 1 and in_support[0] in e_set
     e = in_support[0]
     d = t(e)
     assert d in ms
-    conjugate = s.after(t).after(s.inverse())
-    return ForcedFixedPoint(e, d, conjugate)
+    return ForcedFixedPoint(e, d, t.conjugate(s))
 
 
 def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
@@ -128,37 +126,33 @@ def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
 def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -> bool:
     e_set = cfg.support
     if isinstance(verdict, MissingMoved):
-        a, s_map, t_map = verdict.atom, s.moved_map, t.moved_map
-        if a not in s_map or a in t_map or a in e_set:
+        a, ms, mt = verdict.atom, s.moved, t.moved
+        if a not in ms or a in mt or a in e_set:
             return False
         if len(verdict.samples) < 2 or len(set(verdict.samples)) != len(verdict.samples):
             return False
-        # each sample is s relabelled by the transposition (a b), where b is
+        # each sample is s conjugated by the transposition (a b), where b is
         # the one atom it adds to moved(s); (a b) must fix E and moved(t)
         for p in verdict.samples:
-            p_map = p.moved_map
-            extra = p_map.keys() - s_map.keys()
-            if len(extra) != 1 or len(p_map) != len(s_map):
+            extra = p.moved - ms
+            if len(extra) != 1:
                 return False
             (b,) = extra
-            if b in t_map or b in e_set:
+            if b in mt or b in e_set or p != s.conjugate(FinPerm.cycle([a, b])):
                 return False
-            for x, y in s_map.items():
-                if p_map.get(b if x == a else x) != (b if y == a else y):
-                    return False
         return True
     if isinstance(verdict, ExtraOutside):
         swap = verdict.swap
         if any(swap(a) != a for a in e_set | s.moved):
             return False
-        return verdict.conjugate == swap.after(t).after(swap) and verdict.conjugate != t
+        return verdict.conjugate == t.conjugate(swap) and verdict.conjugate != t
     if isinstance(verdict, ForcedFixedPoint):
         e, d = verdict.support_atom, verdict.image
         if e not in e_set or t(e) != d or d == e or d not in s.moved:
             return False
         if any(s(a) != a for a in e_set):
             return False
-        return verdict.conjugate == s.after(t).after(s.inverse()) and verdict.conjugate != t
+        return verdict.conjugate == t.conjugate(s) and verdict.conjugate != t
     return False
 
 

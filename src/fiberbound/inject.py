@@ -3,22 +3,27 @@
 Works for any ``m >= n + 2``.  A :class:`Tableau` reserves
 ``(m - n) * (2**(n+1) - 1)`` atoms arranged in levels ``H_0 .. H_n`` with
 ``|H_i| = (m - n) * 2**i``: each level holds ``m - n`` marker atoms plus one
-shadow atom for every atom of every lower level.
+shadow atom for every atom of every lower level.  A tableau that would
+reserve more than ``TABLEAU_ATOM_CAP`` atoms is refused before any is built.
 
 Encoding a permutation ``s`` that moves exactly ``n`` points picks the
-least level untouched by ``s`` (one exists by pigeonhole), conjugates ``s``
-away from the lower levels by swapping into that level's shadow atoms, and
-multiplies by the cycle on the level's marker atoms.  The image moves
-exactly ``m`` points and determines ``s`` uniquely; :func:`decode` runs the
-reconstruction and certifies it by re-encoding.
+least level untouched by ``s`` (one exists by pigeonhole), moves ``s`` away
+from the lower levels with ``s.conjugate(swap)``, where ``swap`` exchanges
+its atoms there with that level's shadow atoms, and multiplies by the cycle
+on the level's marker atoms.  The image moves exactly ``m`` points and
+determines ``s`` uniquely; :func:`decode` runs the reconstruction and
+certifies it by re-encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParametersError, FiberboundError, NotInImageError, WrongMovedSizeError
+from .errors import (BadParametersError, BudgetExceededError, FiberboundError,
+                     NotInImageError, WrongMovedSizeError)
 from .perms import FinPerm
+
+TABLEAU_ATOM_CAP = 2**20
 
 
 class Tableau:
@@ -27,9 +32,14 @@ class Tableau:
     def __init__(self, n: int, m: int):
         if n < 0 or m < n + 2:
             raise BadParametersError(f"need m >= n + 2, got n={n}, m={m}")
+        width = m - n
+        # width >= 2, so an n past the cap's bit length alone exceeds it; testing
+        # that first keeps a huge n from building a huge power of two
+        if n >= TABLEAU_ATOM_CAP.bit_length() or width * (2 ** (n + 1) - 1) > TABLEAU_ATOM_CAP:
+            raise BudgetExceededError(
+                f"tableau n={n}, m={m} reserves more than {TABLEAU_ATOM_CAP} atoms")
         self.n = n
         self.m = m
-        width = m - n
         counter = 0
         self.marker_rows: list[tuple[int, ...]] = []
         self.shadow_maps: list[dict[int, int]] = []
@@ -81,7 +91,7 @@ def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
             pairs[x] = shadows[x]
             pairs[shadows[x]] = x
     swap = FinPerm(pairs)
-    conjugated = swap.after(s).after(swap)
+    conjugated = s.conjugate(swap)
     marker_cycle = FinPerm.cycle(tab.marker_rows[level])
     assert len(conjugated.moved) == tab.n
     assert not (conjugated.moved & marker_cycle.moved)
@@ -120,7 +130,7 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
         swap = FinPerm(pairs)
     except FiberboundError:
         raise NotInImageError("shadow atoms do not form an involution") from None
-    s = swap.after(conjugated).after(swap)
+    s = conjugated.conjugate(swap)
     if len(s.moved) != tab.n:
         raise NotInImageError("reconstruction has the wrong moved size")
     image, _ = encode(s, tab)

@@ -105,6 +105,10 @@ class FinPerm:
     def inverse(self) -> "FinPerm":
         return FinPerm({b: a for a, b in self._map.items()})
 
+    def conjugate(self, g: "FinPerm") -> "FinPerm":
+        """``g∘self∘g⁻¹``: this permutation with every atom renamed by ``g``."""
+        return FinPerm({g(a): g(b) for a, b in self._map.items()})
+
     def is_identity(self) -> bool:
         return not self._map
 

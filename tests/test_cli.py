@@ -74,12 +74,24 @@ def test_unknown_oracle(capsys):
     (["diag-perm", "--n", "2", "--k", "1", "--oracle", "pool:abc"], "pool size"),
     (["diag-part", "--k", "1", "--oracle", "pool:abc"], "pool size"),
     (["bell", "--upto", "-1"], "error: upto must be non-negative"),
-], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative"])
+    (["inject", "--n", "40", "--m", "42", "--perm", "(1;2)"], "reserves more than"),
+], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
+        "inject-tableau-too-large"])
 def test_bad_parameters_are_domain_errors(args, message, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_json_path_is_domain_error(target, capsys, tmp_path):
+    path = tmp_path / target
+    code, out, err = run_cli(["bell", "--upto", "3", "--json", str(path)], capsys)
+    assert code == 1
+    assert out.strip() == "1 1 2 5"
+    assert err.startswith(f"error: cannot write {path}: ")
     assert len(err.strip().splitlines()) == 1
 
 

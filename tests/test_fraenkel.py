@@ -17,6 +17,10 @@ def test_config_validation():
         SupportConfig(frozenset({0, 1, 2}), 2, 5)
     with pytest.raises(BadParametersError):
         SupportConfig(frozenset({9}), 2, 8)
+    with pytest.raises(BadParametersError):
+        SupportConfig(frozenset({True}), 2, 6)
+    with pytest.raises(BadParametersError):
+        SupportConfig(frozenset({1.5}), 2, 6)
 
 
 def test_missing_moved_branch():

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from fiberbound.errors import BadParametersError, NotInImageError, WrongMovedSizeError
-from fiberbound.inject import Tableau, decode, encode
+from fiberbound.errors import (BadParametersError, BudgetExceededError, NotInImageError,
+                               WrongMovedSizeError)
+from fiberbound.inject import TABLEAU_ATOM_CAP, Tableau, decode, encode
 from fiberbound.perms import FinPerm
 
 
@@ -14,6 +15,11 @@ def test_tableau_shapes():
     assert Tableau(0, 2).reserved == frozenset({0, 1})
     with pytest.raises(BadParametersError):
         Tableau(3, 3)
+    # (40, 42) would reserve 2 * (2**41 - 1) atoms; the guard raises before building any
+    with pytest.raises(BudgetExceededError):
+        Tableau(40, 42)
+    with pytest.raises(BudgetExceededError):
+        Tableau(0, TABLEAU_ATOM_CAP + 1)
 
 
 def test_tableau_level_structure():

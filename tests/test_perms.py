@@ -117,6 +117,13 @@ def test_inverse_law(s):
 
 
 @given(fin_perms(), fin_perms())
+def test_conjugate_matches_composition(s, g):
+    assert s.conjugate(g) == g.after(s).after(g.inverse())
+    assert s.conjugate(g).moved == {g(a) for a in s.moved}
+    assert s.conjugate(FinPerm.identity()) == s
+
+
+@given(fin_perms(), fin_perms())
 def test_compose_support(g, f):
     assert g.after(f).moved <= g.moved | f.moved
 
