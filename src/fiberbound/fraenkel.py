@@ -40,6 +40,8 @@ class SupportConfig:
     carrier_size: int
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.carrier_size) is not int:
+            raise BadParametersError("n and carrier_size must be integers")
         if self.n < 2:
             raise BadParametersError("n must be at least 2 (nothing moves exactly one point)")
         if self.carrier_size < len(self.support) + self.n + 2:

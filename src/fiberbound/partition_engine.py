@@ -8,6 +8,15 @@ most ``m`` lifts can be stale at step ``m``, so the walk stops within
 ``m + 1`` candidates no matter how many class partitions exist; the ranked
 stream is generated lazily for exactly this reason, since the class count
 routinely exceeds any materialization budget.
+
+The walk resumes where the previous step stopped when the new frame's
+classes equal the previous frame's, even if new distinct answers arrived.
+A lift depends only on the classes, every candidate before the cursor
+lifted to a partition already emitted (the last one is the previous
+step's result), and the emitted set only grows, so the first fresh
+candidate lies at or after the cursor.  ``rank_checked`` keeps counting
+from rank 1 across a resume, so every trace records the same rank a walk
+restarted from rank 1 would reach.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ class PartitionDiagEngine(WitnessEngine):
     def __init__(self, k: int, oracle: Callable[[FinitaryPartition], frozenset[int]],
                  instance_id: int = 0):
         self.threshold = 72 * k * k
+        # (classes, ranked stream, candidates drawn) of the last step's walk
+        self._walk = None
         super().__init__(k, oracle, instance_id, lambda base: seed_partitions(k, base),
                          str, format_atom_set)
 
@@ -54,9 +65,12 @@ class PartitionDiagEngine(WitnessEngine):
             assert 72 * self.k < 2**l
         if 1 <= l <= BELL_MAX:
             assert 72 * bell(l) > 4**l
+        if self._walk is not None and self._walk[0] == frame.classes:
+            _, stream, examined = self._walk
+        else:
+            stream, examined = iter_partitions_ranked(l), 0
         chosen = None
-        examined = 0
-        for q in iter_partitions_ranked(l):
+        for q in stream:
             examined += 1
             candidate = lift(q, frame)
             if candidate not in self.g_set:
@@ -66,6 +80,7 @@ class PartitionDiagEngine(WitnessEngine):
         if chosen is None:
             raise _Inconsistent
         q, result = chosen
+        self._walk = (frame.classes, stream, examined)
         trace = {
             "m": m,
             "C": [sorted(v) for v in distinct],

@@ -7,7 +7,10 @@ universe has finite blocks and decidable equality.
 A :class:`QuotientFrame` is built from a list of finite atom sets.  Atoms of
 the union are grouped by their membership pattern across the listed sets,
 and the resulting classes are well-ordered by the ascending lexicographic
-order of those patterns (``0 < 1``, list order most significant).
+order of those patterns (``0 < 1``, list order most significant).  Each
+pattern is held as one integer mask: of ``n`` listed sets, set ``i`` is bit
+``n - 1 - i``, so set 0 is the most significant bit and plain integer
+order on the masks is the pattern order.
 
 Subsets and partitions of the classes are compared through characteristic
 strings.  For subsets: the string over the classes in their well-order,
@@ -132,11 +135,23 @@ def derangement(j: int) -> int:
 
 @dataclass(frozen=True)
 class QuotientFrame:
-    """Membership classes of a list of atom sets, in their well-order."""
+    """Membership classes of a list of atom sets, in their well-order.
+
+    ``masks[j]`` is the membership pattern of ``classes[j]``: bit
+    ``len(values) - 1 - i`` is set when the class lies in ``values[i]``, so
+    value 0 is the most significant bit and ``masks`` ascends.
+    """
 
     values: tuple[Block, ...]
     classes: tuple[Block, ...]
-    vectors: tuple[tuple[bool, ...], ...]
+    masks: tuple[int, ...]
+
+    @property
+    def vectors(self) -> tuple[tuple[bool, ...], ...]:
+        """Each class's membership pattern as one bool per listed value."""
+        top = len(self.values) - 1
+        return tuple(tuple(bool(mask >> (top - i) & 1) for i in range(top + 1))
+                     for mask in self.masks)
 
     @property
     def l(self) -> int:
@@ -176,17 +191,17 @@ def build_frame(values: Sequence[Iterable[int]]) -> QuotientFrame:
     vals = tuple(frozenset(v) for v in values)
     if len(set(vals)) != len(vals):
         raise BadParametersError("values must be duplicate-free")
-    universe: set[int] = set()
-    for v in vals:
-        universe |= v
-    groups: dict[tuple[bool, ...], list[int]] = {}
-    for a in sorted(universe):
-        vec = tuple(a in v for v in vals)
-        groups.setdefault(vec, []).append(a)
-    ordered = sorted(groups.items(), key=lambda kv: kv[0])
-    classes = tuple(frozenset(atoms) for _, atoms in ordered)
-    vectors = tuple(vec for vec, _ in ordered)
-    return QuotientFrame(vals, classes, vectors)
+    top = len(vals) - 1
+    membership: dict[int, int] = {}
+    for i, v in enumerate(vals):
+        bit = 1 << (top - i)
+        for a in v:
+            membership[a] = membership.get(a, 0) | bit
+    groups: dict[int, list[int]] = {}
+    for a, mask in membership.items():
+        groups.setdefault(mask, []).append(a)
+    masks = tuple(sorted(groups))
+    return QuotientFrame(vals, tuple(frozenset(groups[mask]) for mask in masks), masks)
 
 
 def lift(q: Iterable[Iterable[int]], frame: QuotientFrame) -> FinitaryPartition:

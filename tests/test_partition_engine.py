@@ -62,6 +62,45 @@ def test_chosen_partition_is_rank_minimal():
     assert str(chosen) == trace["result"]
 
 
+def _grow_thirds(p):
+    # min-block, except that a block whose size is a multiple of three gains
+    # one atom, so some steps split the frame's classes and some do not
+    b = min_block_oracle(p)
+    return b | {max(b) + 1} if b and len(b) % 3 == 0 else b
+
+
+@pytest.mark.parametrize("oracle, steps, resumes_every_step", [
+    (min_block_oracle, 20, True),
+    (_grow_thirds, 12, False),
+], ids=["min-block", "grow-thirds"])
+def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, steps, resumes_every_step):
+    starts = []
+
+    def counted(l):
+        starts.append(l)
+        return iter_partitions_ranked(l)
+
+    monkeypatch.setattr("fiberbound.partition_engine.iter_partitions_ranked", counted)
+    cert = run_partition_diag(2, oracle, steps=steps)
+    assert cert["kind"] == "part-diag" and len(cert["traces"]) == steps
+    if resumes_every_step:
+        assert len(starts) == 1
+    else:
+        assert 1 < len(starts) < steps
+    # recompute every step from the certificate alone, walking from rank 1
+    seeds = len(seed_partitions(2, 1000))
+    for i, trace in enumerate(cert["traces"]):
+        emitted = set(cert["outputs"][:seeds + i])
+        frame = build_frame([frozenset(v) for v in trace["C"]])
+        assert [sorted(c) for c in frame.classes] == trace["classes"]
+        for rank, q in enumerate(iter_partitions_ranked(frame.l), 1):
+            fresh = str(lift(q, frame))
+            if fresh not in emitted:
+                break
+        assert rank == trace["rank_checked"]
+        assert fresh == trace["result"]
+
+
 def test_two_value_step_has_room():
     # two answers {1,2} and {2,3} split into three classes, and the five
     # ranked lifts leave room past any two stale entries

@@ -120,6 +120,29 @@ def test_frame_properties(values):
     assert len(frame.values) <= 2**frame.l or frame.l == 0
 
 
+def frame_by_bool_vectors(values):
+    # reference build: one bool per listed value for each atom, grouped and
+    # sorted as tuples
+    vals = tuple(frozenset(v) for v in values)
+    groups = {}
+    for a in sorted(set().union(*vals)):
+        groups.setdefault(tuple(a in v for v in vals), []).append(a)
+    ordered = sorted(groups.items())
+    return vals, tuple(frozenset(atoms) for _, atoms in ordered), tuple(vec for vec, _ in ordered)
+
+
+@given(st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=7, unique=True),
+       st.booleans(), st.booleans(), st.randoms())
+def test_build_frame_matches_bool_vector_reference(values, with_empty, with_union, rnd):
+    whole = frozenset().union(*values)
+    for extra, wanted in ((frozenset(), with_empty), (whole, with_union)):
+        if wanted and extra not in values:
+            values.append(extra)
+    rnd.shuffle(values)
+    frame = build_frame(values)
+    assert (frame.values, frame.classes, frame.vectors) == frame_by_bool_vectors(values)
+
+
 def test_compare_subsets_examples():
     frame = build_frame([frozenset({1, 2}), frozenset({2, 3})])
     assert frame.compare_subsets(set(), {0}) == -1
