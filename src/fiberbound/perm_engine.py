@@ -9,6 +9,16 @@ family construction is a genuine inconsistency; opportunistic mode runs
 from a small seed count and patches over legitimate early failures with
 fresh transpositions, which keeps the construction machinery exercised at
 desk scale.
+
+The candidate walk resumes where the previous step stopped when the new
+family's member permutations equal the previous walk's, even if new
+answers arrived.  A candidate depends only on the members, every index set
+before the cursor assembled to a permutation already emitted (the last one
+is the previous step's result), and the emitted set only grows, so the
+first fresh candidate lies at or after the cursor and ``chosen_a`` is the
+index set a walk restarted from the empty set would reach.  A fallback
+step leaves the walk alone.  A new level changes the members, and its
+index becomes the least significant bit, so the walk restarts.
 """
 
 from __future__ import annotations
@@ -151,6 +161,10 @@ class PermDiagEngine(WitnessEngine):
         super().__init__(k, oracle, instance_id,
                          lambda base: seed_transpositions(seed_count, base), str, str)
         self._next_fallback = self.base + _FALLBACK_OFFSET
+        # (member permutations, index-set stream) of the last completed walk
+        self._walk = None
+        # cycle text of each distinct answer; FinPerm values are immutable
+        self._answer_text: dict = {}
 
     def _check_output(self, out) -> None:
         if not isinstance(out, FinPerm) or len(out.moved) > self.n:
@@ -174,9 +188,13 @@ class PermDiagEngine(WitnessEngine):
         # cover all m queried inputs with at most k inputs each
         assert m <= self.k * len(first)
         entries, stuck = build_family(values, self.n)
+        texts = self._answer_text
+        for v in first:
+            if v not in texts:
+                texts[v] = v.to_cycles()
         trace: dict = {
             "m": m,
-            "B": [[idx, v.to_cycles()] for v, idx in first.items()],
+            "B": [[idx, texts[v]] for v, idx in first.items()],
             "family": [e.as_json() for e in entries],
             "stuck_at": None,
             "fallback": False,
@@ -192,8 +210,13 @@ class PermDiagEngine(WitnessEngine):
             result = self._fresh_fallback()
             trace["fallback"] = True
         else:
+            members = tuple(e.perm for e in entries)
+            if self._walk is not None and self._walk[0] == members:
+                stream = self._walk[1]
+            else:
+                stream = _index_sets(len(entries))
             result = None
-            for indices in _index_sets(len(entries)):
+            for indices in stream:
                 candidate = assemble(entries, indices)
                 if candidate not in self.g_set:
                     result = candidate
@@ -201,7 +224,9 @@ class PermDiagEngine(WitnessEngine):
                     break
             # A full-length family offers more candidates than emitted
             # permutations, so one of them is always fresh.
-            assert result is not None
+            if result is None:
+                raise _Inconsistent
+            self._walk = (members, stream)
         assert result not in self.g_set
         trace["result"] = result.to_cycles()
         return self._emit(result, trace)

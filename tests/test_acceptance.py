@@ -189,9 +189,11 @@ def test_criterion_8_quotient_machinery():
             fr = build_frame(values)
             union = set().union(*values) if values else set()
             assert sorted(a for cls in fr.classes for a in cls) == sorted(union)
-            for i in range(fr.l):
-                for j in range(i + 1, fr.l):
-                    assert fr.compare_subsets({i}, {j}) != 0
+            assert all(a < b for a, b in zip(fr.masks, fr.masks[1:]))
+            for cls, mask in zip(fr.classes, fr.masks):
+                for a in cls:
+                    assert mask == sum(1 << (len(values) - 1 - i)
+                                       for i, v in enumerate(values) if a in v)
             contained = [frozenset(i for i in range(fr.l) if fr.classes[i] <= v)
                          for v in values]
             assert len(set(contained)) == len(values)

@@ -5,7 +5,9 @@ import pytest
 from fiberbound.auditing import (BoundParams, OracleLedger, compute_bounds,
                                  moved_set_adapter)
 from fiberbound.errors import InconsistentOracleError, OverflowGuardError
-from fiberbound.partition_engine import run_partition_diag, seed_partitions
+from fiberbound.oracles import min_block_oracle, truncate_oracle
+from fiberbound.partition_engine import PartitionDiagEngine, run_partition_diag, seed_partitions
+from fiberbound.perm_engine import PermDiagEngine
 from fiberbound.partitions import derangement
 from fiberbound.perms import FinPerm
 
@@ -130,3 +132,23 @@ def test_ledger_serializes_only_violations_and_flips():
     assert violation.witnesses == ("(1;2)", "(1;3)", "(1;4)")
     with pytest.raises(InconsistentOracleError, match=r"\(1;2\) mapped to both \(0;1\) and \(0;2\)"):
         led.record(FinPerm.cycle([2, 1]), FinPerm.cycle([2, 0]))
+
+
+@pytest.mark.parametrize("make_engine, steps", [
+    (lambda: PermDiagEngine(2, 8, truncate_oracle(2), mode="opportunistic", seed_count=8), 12),
+    (lambda: PartitionDiagEngine(2, min_block_oracle), 4),
+], ids=["perm", "part"])
+def test_codomain_checked_once_per_record(monkeypatch, make_engine, steps):
+    # every step re-queries every emitted input, but only a new record is checked
+    engine = make_engine()
+    checked = []
+    check = engine._check_output
+
+    def counted(out):
+        checked.append(out)
+        check(out)
+
+    monkeypatch.setattr(engine, "_check_output", counted)
+    cert = engine.run(steps)
+    assert cert["steps"] == steps
+    assert len(checked) == len(engine.ledger.queries) == len(engine.g) - 1

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fiberbound.errors import BadParametersError, InconsistentOracleError, OracleCodomainError
@@ -140,6 +142,27 @@ def test_oracle_codomain_checked():
         engine = PartitionDiagEngine(1, lambda p: answer)
         with pytest.raises(OracleCodomainError):
             engine.step()
+
+
+def test_equal_answer_keeps_the_recorded_value():
+    # a re-queried answer equal to the recorded one is not re-checked, so the
+    # engine must go on with the checked value: {False, True} == {0, 1}, but
+    # bools are not atoms
+    def bools_on_requery():
+        memo = {}
+
+        def oracle(p):
+            if p not in memo:
+                memo[p] = frozenset(range(len(memo) + 1))
+                return memo[p]
+            return frozenset(bool(a) if a < 2 else a for a in memo[p])
+
+        return oracle
+
+    plain = {}
+    want = run_partition_diag(1, lambda p: plain.setdefault(p, frozenset(range(len(plain) + 1))), 3)
+    assert json.dumps(run_partition_diag(1, bools_on_requery(), 3)) == json.dumps(want)
+    assert want["kind"] == "part-diag"
 
 
 def test_flipping_oracle_detected():

@@ -104,16 +104,18 @@ def test_frame_properties(values):
     frame = build_frame(values)
     union = set().union(*values) if values else set()
     # classes partition the union
-    assert set().union(*frame.classes) if frame.classes else set() == union
+    assert (set().union(*frame.classes) if frame.classes else set()) == union
     total = sum(len(cls) for cls in frame.classes)
     assert total == len(union)
     # two atoms share a class exactly when their membership patterns agree
     assert len(set(frame.vectors)) == frame.l
-    # class order is total
-    for i in range(frame.l):
-        for j in range(frame.l):
-            cmp = frame.compare_subsets({i}, {j})
-            assert cmp == 0 if i == j else cmp != 0
+    # each class's mask is its atoms' membership pattern, value 0 most
+    # significant, and the masks strictly ascend
+    width = len(frame.values)
+    for cls, mask in zip(frame.classes, frame.masks):
+        for a in cls:
+            assert mask == sum(1 << (width - 1 - i) for i, v in enumerate(frame.values) if a in v)
+    assert all(a < b for a, b in zip(frame.masks, frame.masks[1:]))
     # each listed value is recoverable from the classes it contains
     for v in frame.values:
         assert v == frozenset().union(*(cls for cls in frame.classes if cls <= v)) or not v

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberbound import perm_engine
 from fiberbound.atoms import SetSpec
 from fiberbound.errors import BadParametersError, InfeasibleRunError, OracleCodomainError
 from fiberbound.oracles import pool_perm_oracle, truncate_oracle
@@ -10,6 +11,18 @@ from fiberbound.perm_engine import (PermDiagEngine, assemble, build_family,
 from fiberbound.perms import FinPerm
 
 c = FinPerm.cycle
+
+
+def memo_injective():
+    # memoised injective oracle: each new input gets the next transposition
+    memo = {}
+
+    def injective(s):
+        if s not in memo:
+            memo[s] = c([0, len(memo) + 1])
+        return memo[s]
+
+    return injective
 
 
 def test_seed_transpositions():
@@ -144,15 +157,8 @@ def test_opportunistic_pool_pigeonhole():
 
 
 def test_opportunistic_fresh_stream():
-    # memoized injective oracle: never violates, every step must construct
-    memo = {}
-
-    def injective(s):
-        if s not in memo:
-            memo[s] = c([0, len(memo) + 1])
-        return memo[s]
-
-    cert = run_perm_diag(2, 1, injective, steps=20, mode="opportunistic", seed_count=8)
+    # injective oracle: never violates, every step must construct
+    cert = run_perm_diag(2, 1, memo_injective(), steps=20, mode="opportunistic", seed_count=8)
     assert cert["kind"] == "perm-diag"
     assert cert["steps"] == 20
     assert len(cert["outputs"]) == 28
@@ -182,14 +188,7 @@ def test_opportunistic_fallback_on_constant_oracle():
 
 def test_candidate_order_prefers_empty_set():
     # with fresh seeds the first constructed value is the identity
-    memo = {}
-
-    def injective(s):
-        if s not in memo:
-            memo[s] = c([0, len(memo) + 1])
-        return memo[s]
-
-    engine = PermDiagEngine(2, 1, injective, mode="opportunistic", seed_count=8)
+    engine = PermDiagEngine(2, 1, memo_injective(), mode="opportunistic", seed_count=8)
     trace = engine.step()
     assert trace["chosen_a"] == []
     assert trace["result"] == "()"
@@ -232,3 +231,52 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
     cert = engine.run(3)
     assert cert["kind"] == "stuck"
     assert cert["traces"][-1]["stuck_at"] == [0, []]
+
+
+def test_exhausted_walk_reports_stuck(monkeypatch):
+    engine = PermDiagEngine(2, 1, memo_injective(), mode="opportunistic", seed_count=8)
+    monkeypatch.setattr("fiberbound.perm_engine.assemble", lambda entries, indices: engine.g[0])
+    cert = engine.run(2)
+    assert cert["kind"] == "stuck"
+    assert cert["steps"] == 0
+
+
+@pytest.mark.parametrize("oracle, k, steps, counts_starts", [
+    (memo_injective, 1, 40, True),
+    (lambda: pool_perm_oracle(10, 2), 8, 30, False),
+], ids=["injective", "pool-fallbacks"])
+def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, k, steps, counts_starts):
+    starts = []
+    index_sets = perm_engine._index_sets
+
+    def counted(width):
+        starts.append(width)
+        return index_sets(width)
+
+    monkeypatch.setattr("fiberbound.perm_engine._index_sets", counted)
+    cert = run_perm_diag(2, k, oracle(), steps=steps, mode="opportunistic", seed_count=8)
+    assert cert["kind"] == "perm-diag" and len(cert["traces"]) == steps
+    if counts_starts:
+        assert 1 < len(starts) < steps
+    else:
+        assert any(t["fallback"] for t in cert["traces"])
+    seeds = [s.to_cycles() for s in seed_transpositions(8, 1000)]
+    assert cert["outputs"][:8] == seeds
+    # recompute every walk from the certificate alone, starting at the empty set
+    for i, trace in enumerate(cert["traces"]):
+        if trace["fallback"]:
+            continue
+        emitted = set(seeds + cert["outputs"][8:8 + i])
+        members = [FinPerm.parse(e["t"]) for e in trace["family"]]
+        width = len(members)
+        for value in range(1 << width):
+            chosen = [j for j in range(width) if value >> (width - 1 - j) & 1]
+            product = FinPerm.identity()
+            for j in chosen:
+                product = product.after(members[j])
+            if product.to_cycles() not in emitted:
+                break
+        else:
+            pytest.fail(f"no fresh candidate at trace {i}")
+        assert chosen == trace["chosen_a"]
+        assert product.to_cycles() == trace["result"]
