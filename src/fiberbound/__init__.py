@@ -15,7 +15,7 @@ The package provides, over a countable atom universe:
   :mod:`fiberbound.partition_engine`); both run on one driver,
   :class:`fiberbound.auditing.WitnessEngine`, which owns the query loop,
   the fiber ledger and the two run outcomes;
-* an exhaustive support-probe scanner refuting finite-to-one assignments
+* an orbit-weighted support-probe scanner refuting finite-to-one assignments
   between fixed moved-point sizes under the conjugation action
   (:mod:`fiberbound.fraenkel`).
 """

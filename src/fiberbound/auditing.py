@@ -186,21 +186,23 @@ class WitnessEngine:
         Re-asking about every earlier witness on every step is the
         consistency audit: an oracle that changes an answer raises here.
         Only a new or changed answer is checked against the claimed
-        codomain, before the ledger records it; an answer equal to the
-        recorded one passed that check when it was recorded, and the
-        recorded value is the one returned.
+        codomain and handed to the ledger; an answer equal to the recorded
+        one passed both when it was recorded, and the recorded value is the
+        one returned.
         """
         queries = self.ledger.queries
         values = []
         for x in self.g:
             out = self.oracle(x)
             prior = queries.get(x)
-            if prior is None or prior != out:
-                self._check_output(out)
+            if prior is not None and prior == out:
+                values.append(prior)
+                continue
+            self._check_output(out)
             violation = self.ledger.record(x, out)
             if violation is not None:
                 raise _Violated(violation)
-            values.append(out if prior is None else prior)
+            values.append(out)
         return values
 
     def _emit(self, result, trace: dict) -> dict:

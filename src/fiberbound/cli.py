@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_diag_part)
 
-    p = sub.add_parser("fraenkel", help="exhaustive support-probe scan over a small carrier")
+    p = sub.add_parser("fraenkel", help="orbit-weighted support-probe scan over a carrier")
     p.add_argument("--atoms", type=int, required=True, help="carrier size")
     p.add_argument("--support", default="{}", help='support atoms, e.g. "{0}"')
     p.add_argument("--n", type=int, required=True)

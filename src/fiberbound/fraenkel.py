@@ -16,21 +16,33 @@ applicable of three branches, each carrying computable witnesses:
    ``t(e)`` lies in ``moved(s)`` and conjugation by ``s`` itself (which
    fixes E pointwise) changes ``t``.
 
-:func:`scan` classifies every eligible pair over a small carrier and
-re-verifies each witness, reporting per-branch counts and any escapes.
+:func:`scan` is orbit-weighted: it classifies and re-verifies the
+permutation pairs of one representative pair of moved sets (A, B) per
+orbit of Sym(E) × Sym(carrier∖E), A avoiding E, and weights each outcome
+by the orbit's size, reporting per-branch counts and escapes over every
+eligible pair.  This is exact because conjugating both permutations by a
+renaming of the carrier that fixes E setwise maps the pairs over (A, B)
+one-to-one onto those over the renamed sets and keeps each pair's branch
+and every :func:`_verify` check, all memberships in E, moved(s) or
+moved(t); such renamings reach exactly the (A', B') with the same |A∩B| = i
+and |B∩E| = j, of which there are C(c−e, n)·C(n, i)·C(e, j)·C(c−e−n, n+1−i−j)
+on a carrier of c atoms with |E| = e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterator, Union
 
 from .atoms import fresh_atoms
 from .errors import BadParametersError, BudgetExceededError
+from .partitions import derangement
 from .perms import FinPerm
 
-SCAN_CARRIER_CAP = 8
+# permutation pairs classified per scan: one D(n)·D(n+1) block per orbit
+SCAN_PAIR_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -158,35 +170,53 @@ def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -
     return False
 
 
+def _orbits(cfg: SupportConfig) -> Iterator[tuple[int, int, int]]:
+    """``(i, j, size)`` for each orbit of moved-set pairs (A, B) with
+    |A∩B| = i and |B∩E| = j, A avoiding E; ``size`` counts its (A, B)."""
+    n, e = cfg.n, len(cfg.support)
+    outside = cfg.carrier_size - e
+    for i in range(n + 1):
+        for j in range(n + 2 - i):
+            size = comb(outside, n) * comb(n, i) * comb(e, j) * comb(outside - n, n + 1 - i - j)
+            if size:
+                yield i, j, size
+
+
+_BRANCHES = {MissingMoved: "missing_moved", ExtraOutside: "extra_outside",
+             ForcedFixedPoint: "forced_fixed_point"}
+
+
 def scan(cfg: SupportConfig) -> dict:
-    """Classify every eligible (s, t) pair over the carrier."""
-    if cfg.carrier_size > SCAN_CARRIER_CAP:
+    """Branch counts over every eligible (s, t) pair, one representative per orbit."""
+    n = cfg.n
+    per_orbit = derangement(n) * derangement(n + 1)  # raises for n > 19, before the n² orbit loop
+    orbits = list(_orbits(cfg))
+    work = len(orbits) * per_orbit
+    if work > SCAN_PAIR_CAP:
         raise BudgetExceededError(
-            f"carrier {cfg.carrier_size} exceeds the scan cap {SCAN_CARRIER_CAP}")
-    carrier = range(cfg.carrier_size)
-    s_pool = list(perms_moving_exactly((a for a in carrier if a not in cfg.support), cfg.n))
-    t_pool = list(perms_moving_exactly(iter(carrier), cfg.n + 1))
-    counts = {"missing_moved": 0, "extra_outside": 0, "forced_fixed_point": 0}
-    escapes = 0
-    for s in s_pool:
-        for t in t_pool:
-            verdict = classify(s, t, cfg)
-            if isinstance(verdict, PreconditionFail) or not _verify(verdict, s, t, cfg):
-                escapes += 1
-                continue
-            if isinstance(verdict, MissingMoved):
-                counts["missing_moved"] += 1
-            elif isinstance(verdict, ExtraOutside):
-                counts["extra_outside"] += 1
-            else:
-                counts["forced_fixed_point"] += 1
+            f"scan would classify {work} pairs, over the cap {SCAN_PAIR_CAP}")
+    support = sorted(cfg.support)
+    # the smallest atoms outside E lie inside the carrier, since E does
+    free = fresh_atoms(min(2 * n + 1, cfg.carrier_size - len(support)), support)
+    s_pool = list(perms_moving_exactly(iter(free[:n]), n))
+    counts = dict.fromkeys(_BRANCHES.values(), 0)
+    pairs = escapes = 0
+    for i, j, size in orbits:
+        moved_t = free[:i] + tuple(support[:j]) + free[n:2 * n + 1 - i - j]
+        t_pool = list(perms_moving_exactly(iter(moved_t), n + 1))
+        pairs += size * len(s_pool) * len(t_pool)
+        for s in s_pool:
+            for t in t_pool:
+                verdict = classify(s, t, cfg)
+                if isinstance(verdict, PreconditionFail) or not _verify(verdict, s, t, cfg):
+                    escapes += size
+                else:
+                    counts[_BRANCHES[type(verdict)]] += size
     return {
         "carrier": cfg.carrier_size,
-        "E": sorted(cfg.support),
-        "n": cfg.n,
-        "pairs": len(s_pool) * len(t_pool),
-        "missing_moved": counts["missing_moved"],
-        "extra_outside": counts["extra_outside"],
-        "forced_fixed_point": counts["forced_fixed_point"],
+        "E": support,
+        "n": n,
+        "pairs": pairs,
+        **counts,
         "escapes": escapes,
     }

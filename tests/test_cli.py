@@ -75,8 +75,9 @@ def test_unknown_oracle(capsys):
     (["diag-part", "--k", "1", "--oracle", "pool:abc"], "pool size"),
     (["bell", "--upto", "-1"], "error: upto must be non-negative"),
     (["inject", "--n", "40", "--m", "42", "--perm", "(1;2)"], "reserves more than"),
+    (["fraenkel", "--atoms", "8", "--support", "{}", "--n", "6"], "over the cap"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
-        "inject-tableau-too-large"])
+        "inject-tableau-too-large", "fraenkel-work-too-large"])
 def test_bad_parameters_are_domain_errors(args, message, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1

@@ -1,9 +1,13 @@
+from math import comb
+
 import pytest
 
+from fiberbound import fraenkel
 from fiberbound.errors import BadParametersError, BudgetExceededError
 from fiberbound.fraenkel import (ExtraOutside, ForcedFixedPoint, MissingMoved,
                                  PreconditionFail, SupportConfig, classify,
                                  _verify, perms_moving_exactly, scan)
+from fiberbound.partitions import derangement
 from fiberbound.perms import FinPerm
 
 c = FinPerm.cycle
@@ -93,9 +97,62 @@ def test_scan_two_atom_support():
     assert report["forced_fixed_point"] > 0
 
 
-def test_scan_guard():
-    with pytest.raises(BudgetExceededError):
-        scan(SupportConfig(frozenset({0}), 2, 9))
+def exhaustive_scan(cfg):
+    """Reference: classify every eligible (s, t) pair over the whole carrier."""
+    carrier = range(cfg.carrier_size)
+    s_pool = list(perms_moving_exactly((a for a in carrier if a not in cfg.support), cfg.n))
+    t_pool = list(perms_moving_exactly(iter(carrier), cfg.n + 1))
+    counts = {"missing_moved": 0, "extra_outside": 0, "forced_fixed_point": 0}
+    escapes = 0
+    for s in s_pool:
+        for t in t_pool:
+            verdict = classify(s, t, cfg)
+            if isinstance(verdict, PreconditionFail) or not _verify(verdict, s, t, cfg):
+                escapes += 1
+            elif isinstance(verdict, MissingMoved):
+                counts["missing_moved"] += 1
+            elif isinstance(verdict, ExtraOutside):
+                counts["extra_outside"] += 1
+            else:
+                counts["forced_fixed_point"] += 1
+    return {"carrier": cfg.carrier_size, "E": sorted(cfg.support), "n": cfg.n,
+            "pairs": len(s_pool) * len(t_pool), **counts, "escapes": escapes}
+
+
+# E is spread over the carrier (odd atoms) so that the representatives must
+# skip support atoms; carrier 8 with n = 3 is left out as the one slow case
+REFERENCE_CONFIGS = [(carrier, e, n) for carrier in (6, 7, 8) for e in range(5)
+                     for n in (2, 3)
+                     if carrier >= e + n + 2 and (carrier, n) != (8, 3)]
+
+
+@pytest.mark.parametrize("carrier, e, n", REFERENCE_CONFIGS)
+def test_orbit_scan_matches_exhaustive_reference(carrier, e, n):
+    cfg = SupportConfig(frozenset(range(1, 2 * e, 2)), n, carrier)
+    # items, not dicts, so the field order is compared too
+    assert list(scan(cfg).items()) == list(exhaustive_scan(cfg).items())
+
+
+def test_scan_past_the_old_carrier_cap():
+    cfg = SupportConfig(frozenset({0}), 3, 64)
+    report = scan(cfg)
+    pairs = comb(63, 3) * derangement(3) * comb(64, 4) * derangement(4)
+    assert report["pairs"] == pairs
+    assert report["escapes"] == 0
+    assert (report["missing_moved"] + report["extra_outside"]
+            + report["forced_fixed_point"]) == pairs
+
+
+def test_scan_guard(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the guard must refuse before enumerating")
+
+    monkeypatch.setattr(fraenkel, "perms_moving_exactly", unreachable)
+    monkeypatch.setattr(fraenkel, "classify", unreachable)
+    for cfg in (SupportConfig(frozenset(), 5, 8), SupportConfig(frozenset(), 6, 8),
+                SupportConfig(frozenset({0}), 5, 64)):
+        with pytest.raises(BudgetExceededError):
+            scan(cfg)
 
 
 @pytest.mark.parametrize("forged", [(c([6, 7]), c([6, 8])), (c([2, 3]), c([2, 6]))])
