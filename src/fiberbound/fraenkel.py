@@ -38,7 +38,6 @@ from typing import Iterator, Union
 
 from .atoms import fresh_atoms
 from .errors import BadParametersError, BudgetExceededError
-from .partitions import derangement
 from .perms import FinPerm
 
 # permutation pairs classified per scan: one D(n)·D(n+1) block per orbit
@@ -186,10 +185,29 @@ _BRANCHES = {MissingMoved: "missing_moved", ExtraOutside: "extra_outside",
              ForcedFixedPoint: "forced_fixed_point"}
 
 
+def _pairs_per_orbit(n: int) -> int:
+    """D(n)·D(n+1) by the derangement recurrence D(j+1) = j·(D(j) + D(j−1)).
+
+    The product D(j)·D(j+1) never falls as j grows, so the recurrence stops
+    at the first one over ``SCAN_PAIR_CAP`` and returns that lower bound.
+    """
+    d0, d1 = 1, 0  # D(0), D(1)
+    for j in range(1, n + 1):
+        d0, d1 = d1, j * (d1 + d0)
+        if d0 * d1 > SCAN_PAIR_CAP:
+            break
+    return d0 * d1
+
+
 def scan(cfg: SupportConfig) -> dict:
     """Branch counts over every eligible (s, t) pair, one representative per orbit."""
     n = cfg.n
-    per_orbit = derangement(n) * derangement(n + 1)  # raises for n > 19, before the n² orbit loop
+    # every config has at least one orbit, so one orbit's pairs over the cap
+    # refuse the scan before the n² orbit loop
+    per_orbit = _pairs_per_orbit(n)
+    if per_orbit > SCAN_PAIR_CAP:
+        raise BudgetExceededError(
+            f"scan would classify at least {per_orbit} pairs, over the cap {SCAN_PAIR_CAP}")
     orbits = list(_orbits(cfg))
     work = len(orbits) * per_orbit
     if work > SCAN_PAIR_CAP:

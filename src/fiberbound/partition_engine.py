@@ -2,8 +2,12 @@
 partitions into finite atom sets.
 
 Each step collects the distinct oracle answers in first-occurrence order,
-builds the quotient frame of their union, and walks the ranked stream of
-class partitions until one lifts to a partition not emitted before.  At
+refines the previous step's quotient frame by the answers new since then,
+and walks the ranked stream of class partitions until one lifts to a
+partition not emitted before.  The answers only ever extend the previous
+step's list, so a step's frame costs its new answers' atoms plus the class
+count, not the sum of every answer's size.  The trace's sorted atom lists
+are made once per distinct answer and class and shared by later traces.  At
 most ``m`` lifts can be stale at step ``m``, so the walk stops within
 ``m + 1`` candidates no matter how many class partitions exist; the ranked
 stream is generated lazily for exactly this reason, since the class count
@@ -43,8 +47,12 @@ class PartitionDiagEngine(WitnessEngine):
     def __init__(self, k: int, oracle: Callable[[FinitaryPartition], frozenset[int]],
                  instance_id: int = 0):
         self.threshold = 72 * k * k
+        # the last step's frame, refined by the next step's new answers
+        self._frame = None
         # (classes, ranked stream, candidates drawn) of the last step's walk
         self._walk = None
+        # sorted atom list of each distinct answer and class; frozensets are immutable
+        self._sorted: dict = {}
         super().__init__(k, oracle, instance_id, lambda base: seed_partitions(k, base),
                          str, format_atom_set)
 
@@ -55,7 +63,7 @@ class PartitionDiagEngine(WitnessEngine):
     def step(self) -> dict:
         m = len(self.g)
         distinct = list(first_occurrences(self._query_all()))
-        frame = build_frame(distinct)
+        frame = self._frame = build_frame(distinct, self._frame)
         l = frame.l
         # A clean ledger caps fiber sizes at k, and each listed value is a
         # union of classes, so these hold on every recorded trace.
@@ -76,21 +84,30 @@ class PartitionDiagEngine(WitnessEngine):
             if candidate not in self.g_set:
                 chosen = (q, candidate)
                 break
-            assert examined <= m, "more stale lifts than emitted partitions"
+            # stale lifts are distinct emitted partitions, so at most m
+            if examined > m:
+                raise _Inconsistent
         if chosen is None:
             raise _Inconsistent
         q, result = chosen
         self._walk = (frame.classes, stream, examined)
         trace = {
             "m": m,
-            "C": [sorted(v) for v in distinct],
-            "classes": [sorted(c) for c in frame.classes],
+            "C": self._sorted_lists(distinct),
+            "classes": self._sorted_lists(frame.classes),
             "l": l,
             "q": sorted((sorted(b) for b in q), key=lambda b: b[0] if b else -1),
             "rank_checked": examined,
             "result": str(result),
         }
         return self._emit(result, trace)
+
+    def _sorted_lists(self, sets) -> list:
+        lists = self._sorted
+        for s in sets:
+            if s not in lists:
+                lists[s] = sorted(s)
+        return [lists[s] for s in sets]
 
     def _certificate(self, kind, steps, violation) -> dict:
         return assemble_certificate(kind, None, self.k, None, self.threshold, steps,

@@ -8,9 +8,14 @@ A :class:`QuotientFrame` is built from a list of finite atom sets.  Atoms of
 the union are grouped by their membership pattern across the listed sets,
 and the resulting classes are well-ordered by the ascending lexicographic
 order of those patterns (``0 < 1``, list order most significant).  Each
-pattern is held as one integer mask: of ``n`` listed sets, set ``i`` is bit
+pattern is one integer mask: of ``n`` listed sets, set ``i`` is bit
 ``n - 1 - i``, so set 0 is the most significant bit and plain integer
-order on the masks is the pattern order.
+order on the masks is the pattern order.  Frames are built by partition
+refinement (Paige and Tarjan, "Three partition refinement algorithms",
+SIAM J. Comput. 16, 1987): listing one more set appends a least
+significant bit, which splits each class into its part outside the set and
+its part inside, adjacent and in that order, so a frame grows with a list
+without being rebuilt.
 
 Subsets and partitions of the classes are compared through characteristic
 strings.  For subsets: the string over the classes in their well-order,
@@ -25,8 +30,9 @@ are kept and cross-checked by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .atoms import format_atom_set, parse_atom_set
 from .errors import (BadParametersError, BudgetExceededError, OutOfRangeError, OverlappingBlocksError,
@@ -139,12 +145,24 @@ class QuotientFrame:
 
     ``masks[j]`` is the membership pattern of ``classes[j]``: bit
     ``len(values) - 1 - i`` is set when the class lies in ``values[i]``, so
-    value 0 is the most significant bit and ``masks`` ascends.
+    value 0 is the most significant bit and ``masks`` ascends.  The masks
+    are derived on first use; :func:`build_frame` needs only the classes.
     """
 
     values: tuple[Block, ...]
     classes: tuple[Block, ...]
-    masks: tuple[int, ...]
+    # refinement state the frame was emitted from; see build_frame
+    _fold: Optional[_Refinement] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        top = len(self.values) - 1
+        membership: dict[int, int] = {}
+        for i, v in enumerate(self.values):
+            bit = 1 << (top - i)
+            for a in v:
+                membership[a] = membership.get(a, 0) | bit
+        return tuple(membership[next(iter(c))] for c in self.classes)
 
     @property
     def vectors(self) -> tuple[tuple[bool, ...], ...]:
@@ -182,26 +200,110 @@ class QuotientFrame:
         return 1 if least in s1 else -1
 
 
-def build_frame(values: Sequence[Iterable[int]]) -> QuotientFrame:
+class _Refinement:
+    """Partition refinement of the union by the values folded in so far.
+
+    Classes are held by stable ids: ``members[c]`` is class ``c``'s atoms,
+    ``class_of`` maps each atom to its id, and ``after`` links the ids in
+    the frame's order, starting at ``head`` (-1 ends the list).
+    ``frozen[c]`` is the frozenset last emitted for class ``c``, or None
+    once the class has changed since.
+    """
+
+    __slots__ = ("seen", "class_of", "members", "frozen", "after", "head")
+
+    def __init__(self):
+        self.seen: set[Block] = set()
+        self.class_of: dict[int, int] = {}
+        self.members: list[set[int]] = []
+        self.frozen: list[Optional[Block]] = []
+        self.after: list[int] = []
+        self.head = -1
+
+    def _new_class(self, atoms: list[int], left: int) -> None:
+        """Class of ``atoms`` linked after id ``left``, or first when -1."""
+        cid = len(self.members)
+        self.members.append(set(atoms))
+        self.frozen.append(None)
+        for a in atoms:
+            self.class_of[a] = cid
+        if left < 0:
+            self.after.append(self.head)
+            self.head = cid
+        else:
+            self.after.append(self.after[left])
+            self.after[left] = cid
+
+    def refine(self, v: Block) -> None:
+        """Append ``v`` as the least significant bit, in O(|v|)."""
+        hits: dict[int, list[int]] = {}
+        fresh = []
+        class_of = self.class_of
+        for a in v:
+            cid = class_of.get(a)
+            if cid is None:
+                fresh.append(a)
+            else:
+                hits.setdefault(cid, []).append(a)
+        for cid, inside in hits.items():
+            # mask μ becomes 2μ for C∖v, which keeps the id, and 2μ + 1 for
+            # C∩v, linked right after it; a class inside v stays whole
+            rest = self.members[cid]
+            if len(inside) < len(rest):
+                rest.difference_update(inside)
+                self.frozen[cid] = None
+                self._new_class(inside, cid)
+        if fresh:
+            # mask 1, below every class already present
+            self._new_class(fresh, -1)
+        self.seen.add(v)
+
+    def emit(self) -> tuple[Block, ...]:
+        """The classes in order; O(l) plus the sizes of changed classes."""
+        classes = []
+        members, frozen, after = self.members, self.frozen, self.after
+        cid = self.head
+        while cid >= 0:
+            block = frozen[cid]
+            if block is None:
+                block = frozen[cid] = frozenset(members[cid])
+            classes.append(block)
+            cid = after[cid]
+        return tuple(classes)
+
+
+def build_frame(values: Sequence[Iterable[int]], prev: Optional[QuotientFrame] = None) -> QuotientFrame:
     """Group the union of ``values`` by membership pattern.
 
     ``values`` must already be duplicate-free and listed in the order that
     induces their well-order (first occurrence order at the call sites).
+
+    The frame is the fold of one refinement per value: appending ``v`` as
+    the least significant bit splits each class C into C∖v and C∩v, in that
+    order, and gathers the atoms new to the union into a first class.
+    When ``prev`` is the latest frame built from its refinement and
+    ``prev.values`` is a prefix of ``values``, only the values past that
+    prefix are folded in, at O(|v|) each, plus O(l) and the sizes of the
+    changed classes to emit the frame; the prefix check is O(1) per value
+    when the listed sets are ``prev``'s own objects.  A class that no new
+    value splits is ``prev``'s frozenset object.  A refine spends ``prev``:
+    its refinement has moved on, so a later call with it builds from
+    scratch, as any call without a usable ``prev`` does, in O(Σ|v|).
     """
     vals = tuple(frozenset(v) for v in values)
-    if len(set(vals)) != len(vals):
+    fold = prev._fold if prev is not None else None
+    start = len(prev.values) if fold is not None else 0
+    if fold is not None and len(fold.seen) == start and vals[:start] == prev.values:
+        if len(vals) == start:
+            return prev
+    else:
+        start, fold = 0, _Refinement()
+    new = vals[start:]
+    if len(set(new)) != len(new) or not fold.seen.isdisjoint(new):
         raise BadParametersError("values must be duplicate-free")
-    top = len(vals) - 1
-    membership: dict[int, int] = {}
-    for i, v in enumerate(vals):
-        bit = 1 << (top - i)
-        for a in v:
-            membership[a] = membership.get(a, 0) | bit
-    groups: dict[int, list[int]] = {}
-    for a, mask in membership.items():
-        groups.setdefault(mask, []).append(a)
-    masks = tuple(sorted(groups))
-    return QuotientFrame(vals, tuple(frozenset(groups[mask]) for mask in masks), masks)
+    for v in new:
+        fold.refine(v)
+    return QuotientFrame(vals, fold.emit(), fold)
 
 
 def lift(q: Iterable[Iterable[int]], frame: QuotientFrame) -> FinitaryPartition:

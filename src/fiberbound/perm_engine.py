@@ -163,8 +163,10 @@ class PermDiagEngine(WitnessEngine):
         self._next_fallback = self.base + _FALLBACK_OFFSET
         # (member permutations, index-set stream) of the last completed walk
         self._walk = None
-        # cycle text of each distinct answer; FinPerm values are immutable
+        # cycle text of each distinct answer and JSON of each family entry;
+        # FinPerm values and family entries are immutable
         self._answer_text: dict = {}
+        self._entry_json: dict = {}
 
     def _check_output(self, out) -> None:
         if not isinstance(out, FinPerm) or len(out.moved) > self.n:
@@ -192,10 +194,14 @@ class PermDiagEngine(WitnessEngine):
         for v in first:
             if v not in texts:
                 texts[v] = v.to_cycles()
+        family = self._entry_json
+        for e in entries:
+            if e not in family:
+                family[e] = e.as_json()
         trace: dict = {
             "m": m,
             "B": [[idx, texts[v]] for v, idx in first.items()],
-            "family": [e.as_json() for e in entries],
+            "family": [family[e] for e in entries],
             "stuck_at": None,
             "fallback": False,
             "chosen_a": None,

@@ -76,8 +76,9 @@ def test_unknown_oracle(capsys):
     (["bell", "--upto", "-1"], "error: upto must be non-negative"),
     (["inject", "--n", "40", "--m", "42", "--perm", "(1;2)"], "reserves more than"),
     (["fraenkel", "--atoms", "8", "--support", "{}", "--n", "6"], "over the cap"),
+    (["fraenkel", "--atoms", "2000002", "--support", "{}", "--n", "2000000"], "over the cap 10000"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
-        "inject-tableau-too-large", "fraenkel-work-too-large"])
+        "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n"])
 def test_bad_parameters_are_domain_errors(args, message, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1

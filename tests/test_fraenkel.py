@@ -150,7 +150,7 @@ def test_scan_guard(monkeypatch):
     monkeypatch.setattr(fraenkel, "perms_moving_exactly", unreachable)
     monkeypatch.setattr(fraenkel, "classify", unreachable)
     for cfg in (SupportConfig(frozenset(), 5, 8), SupportConfig(frozenset(), 6, 8),
-                SupportConfig(frozenset({0}), 5, 64)):
+                SupportConfig(frozenset({0}), 5, 64), SupportConfig(frozenset(), 20, 44)):
         with pytest.raises(BudgetExceededError):
             scan(cfg)
 

@@ -191,6 +191,14 @@ def test_exhausted_stream_reports_stuck(monkeypatch):
     assert cert["kind"] == "stuck"
 
 
+def test_stale_lifts_report_stuck(monkeypatch):
+    engine = PartitionDiagEngine(1, min_block_oracle)
+    monkeypatch.setattr("fiberbound.partition_engine.lift", lambda q, frame: engine.g[0])
+    cert = engine.run(2)
+    assert cert["kind"] == "stuck"
+    assert cert["steps"] == 0
+
+
 def test_certificate_shape():
     cert = run_partition_diag(1, min_block_oracle, steps=1)
     assert list(cert) == ["kind", "n", "k", "l0", "m0", "steps", "outputs",

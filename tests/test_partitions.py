@@ -145,6 +145,40 @@ def test_build_frame_matches_bool_vector_reference(values, with_empty, with_unio
     assert (frame.values, frame.classes, frame.vectors) == frame_by_bool_vectors(values)
 
 
+@given(st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=7, unique=True),
+       st.booleans(), st.booleans(), st.data())
+def test_refined_frame_matches_a_full_build(values, with_empty, with_union, data):
+    whole = frozenset().union(*values)
+    for extra, wanted in ((frozenset(), with_empty), (whole, with_union)):
+        if wanted and extra not in values:
+            values.insert(data.draw(st.integers(0, len(values))), extra)
+    i = data.draw(st.integers(0, len(values)))
+    full = build_frame(values)
+    prev = build_frame(values[:i])
+    prev_classes = prev.classes
+    frame = build_frame(values, prev)
+    assert (frame.values, frame.classes, frame.masks) == (full.values, full.classes, full.masks)
+    # the masks come from the values, not from the refinement, so this
+    # checks the order the refinement put the classes in
+    assert all(a < b for a, b in zip(frame.masks, frame.masks[1:]))
+    # a class no new value split is prev's own object, whether the new
+    # values miss it or cover it
+    new_atoms = frozenset().union(*values[i:])
+    kept = {id(c) for c in frame.classes}
+    for c in prev_classes:
+        if c.isdisjoint(new_atoms):
+            assert id(c) in kept
+    for c in frame.classes:
+        assert c not in prev_classes or any(c is d for d in prev_classes)
+    # a prev that is not a prefix, or whose refinement has moved on, falls
+    # back to a full build
+    stray = build_frame(values[:i] + [frozenset({10})])
+    spent = prev if i < len(values) else stray
+    for other in (stray, spent):
+        again = build_frame(values, other)
+        assert (again.values, again.classes, again.masks) == (full.values, full.classes, full.masks)
+
+
 def test_compare_subsets_examples():
     frame = build_frame([frozenset({1, 2}), frozenset({2, 3})])
     assert frame.compare_subsets(set(), {0}) == -1
