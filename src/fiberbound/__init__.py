@@ -28,8 +28,7 @@ from .fraenkel import (ExtraOutside, ForcedFixedPoint, MissingMoved, Preconditio
 from .inject import EncodeTrace, Tableau, decode, encode
 from .partition_engine import PartitionDiagEngine, run_partition_diag, seed_partitions
 from .partitions import (FinitaryPartition, QuotientFrame, bell, build_frame, derangement,
-                         enumerate_partitions_ranked, iter_partitions_ranked,
-                         iter_partitions_rgs, lift, partition_sort_key)
+                         iter_partitions_ranked, lift)
 from .perm_engine import PermDiagEngine, build_family, run_perm_diag, seed_transpositions
 from .perms import FinPerm
 
@@ -41,7 +40,7 @@ __all__ = [
     "PermDiagEngine", "PreconditionFail", "QuotientFrame", "SetSpec", "SupportConfig",
     "Tableau", "Violation", "assemble_certificate", "bell", "build_family", "build_frame",
     "classify", "compute_bounds", "decode", "derangement", "encode",
-    "enumerate_partitions_ranked", "format_atom_set", "fresh_atoms", "iter_partitions_ranked",
-    "iter_partitions_rgs", "lift", "moved_set_adapter", "parse_atom_set", "partition_sort_key",
-    "run_partition_diag", "run_perm_diag", "scan", "seed_partitions", "seed_transpositions",
+    "format_atom_set", "fresh_atoms", "iter_partitions_ranked", "lift", "moved_set_adapter",
+    "parse_atom_set", "run_partition_diag", "run_perm_diag", "scan", "seed_partitions",
+    "seed_transpositions",
 ]

@@ -10,9 +10,10 @@ Encoding a permutation ``s`` that moves exactly ``n`` points picks the
 least level untouched by ``s`` (one exists by pigeonhole), moves ``s`` away
 from the lower levels with ``s.conjugate(swap)``, where ``swap`` exchanges
 its atoms there with that level's shadow atoms, and multiplies by the cycle
-on the level's marker atoms.  The image moves exactly ``m`` points and
-determines ``s`` uniquely; :func:`decode` runs the reconstruction and
-certifies it by re-encoding.
+on the level's marker atoms.  Each level's marker cycle is built once, with
+the tableau, and reused by every encoding.  The image moves exactly ``m``
+points and determines ``s`` uniquely; :func:`decode` runs the
+reconstruction and certifies it by re-encoding.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class Tableau:
         self.m = m
         counter = 0
         self.marker_rows: list[tuple[int, ...]] = []
+        self.marker_cycles: list[FinPerm] = []
         self.shadow_maps: list[dict[int, int]] = []
         self.levels: list[frozenset[int]] = []
         for i in range(n + 1):
@@ -53,6 +55,7 @@ class Tableau:
                 shadows[x] = counter
                 counter += 1
             self.marker_rows.append(row)
+            self.marker_cycles.append(FinPerm.cycle(row))
             self.shadow_maps.append(shadows)
             self.levels.append(frozenset(row) | frozenset(shadows.values()))
         self.reserved = frozenset(range(counter))
@@ -74,27 +77,28 @@ class EncodeTrace:
 
 
 def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
-    if len(s.moved) != tab.n:
+    moved = s.moved
+    if len(moved) != tab.n:
         raise WrongMovedSizeError(
-            f"permutation moves {len(s.moved)} points, tableau expects {tab.n}")
+            f"permutation moves {len(moved)} points, tableau expects {tab.n}")
     level = None
     for i in range(tab.n + 1):
-        if not (s.moved & tab.levels[i]):
+        if moved.isdisjoint(tab.levels[i]):
             level = i
             break
     # n + 1 disjoint levels versus n moved points: one level is untouched.
     assert level is not None
     shadows = tab.shadow_maps[level]
     pairs = {}
-    for x in sorted(s.moved):
+    for x in sorted(moved):
         if x in shadows:
             pairs[x] = shadows[x]
             pairs[shadows[x]] = x
     swap = FinPerm(pairs)
     conjugated = s.conjugate(swap)
-    marker_cycle = FinPerm.cycle(tab.marker_rows[level])
+    marker_cycle = tab.marker_cycles[level]
     assert len(conjugated.moved) == tab.n
-    assert not (conjugated.moved & marker_cycle.moved)
+    assert conjugated.moved.isdisjoint(marker_cycle.moved)
     image = conjugated.after(marker_cycle)
     assert len(image.moved) == tab.m
     return image, EncodeTrace(level, swap, conjugated, marker_cycle)
@@ -102,9 +106,10 @@ def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
 
 def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     """Invert :func:`encode`, certified by re-encoding the result."""
+    moved = t.moved
     level = None
     for i in range(tab.n + 1):
-        if t.moved & tab.levels[i]:
+        if not moved.isdisjoint(tab.levels[i]):
             level = i
             break
     if level is None:
@@ -122,8 +127,9 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     except FiberboundError:
         raise NotInImageError("stripping the marker cycle left a non-permutation") from None
     pairs = {}
+    conjugated_moved = conjugated.moved
     for x, shadow in tab.shadow_maps[level].items():
-        if shadow in conjugated.moved:
+        if shadow in conjugated_moved:
             pairs[x] = shadow
             pairs[shadow] = x
     try:

@@ -22,10 +22,11 @@ strings.  For subsets: the string over the classes in their well-order,
 most significant first.  For partitions: the string over all subsets
 enumerated in subset order, most significant first, which works out to
 "the least subset in the symmetric difference decides, and the side
-containing it is the greater".  The same order has a second description
-used for fast sorting and lazy generation: list each partition's block
-bitmasks ascending and compare those tuples in reverse.  Both descriptions
-are kept and cross-checked by the test suite.
+containing it is the greater".  The same order has a second description,
+which :func:`iter_partitions_ranked` generates lazily: list each
+partition's block bitmasks ascending and compare those tuples in reverse.
+The test suite keeps the first description, and a materialized sort by the
+second, as references for the lazy stream.
 """
 
 from __future__ import annotations
@@ -35,14 +36,12 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .atoms import format_atom_set, parse_atom_set
-from .errors import (BadParametersError, BudgetExceededError, OutOfRangeError, OverlappingBlocksError,
-                     ParseError)
+from .errors import BadParametersError, OutOfRangeError, OverlappingBlocksError, ParseError
 
 # Guards keep every count below 2**63 so serialized certificates stay exact
 # in fixed-width consumers.
 BELL_MAX = 25
 DERANGEMENT_MAX = 20
-ENUMERATION_CAP = 12
 
 Block = frozenset[int]
 
@@ -175,30 +174,6 @@ class QuotientFrame:
     def l(self) -> int:
         return len(self.classes)
 
-    def subset_key(self, indices: Iterable[int]) -> int:
-        """Bitmask of a class subset; class 0 is the most significant bit."""
-        l = self.l
-        key = 0
-        for i in indices:
-            if not 0 <= i < l:
-                raise IndexError(f"class index {i} out of range for l={l}")
-            key |= 1 << (l - 1 - i)
-        return key
-
-    def compare_subsets(self, u: Iterable[int], v: Iterable[int]) -> int:
-        """-1, 0 or 1 comparing characteristic strings over the classes."""
-        ku, kv = self.subset_key(u), self.subset_key(v)
-        return (ku > kv) - (ku < kv)
-
-    def compare_partitions(self, q1: Iterable[Iterable[int]], q2: Iterable[Iterable[int]]) -> int:
-        """Compare partitions of the classes; see the module docstring."""
-        s1 = {frozenset(b) for b in q1}
-        s2 = {frozenset(b) for b in q2}
-        if s1 == s2:
-            return 0
-        least = min((s1 ^ s2), key=self.subset_key)
-        return 1 if least in s1 else -1
-
 
 class _Refinement:
     """Partition refinement of the union by the values folded in so far.
@@ -319,46 +294,6 @@ def lift(q: Iterable[Iterable[int]], frame: QuotientFrame) -> FinitaryPartition:
             atoms |= frame.classes[i]
         blocks.append(atoms)
     return FinitaryPartition(blocks)
-
-
-def iter_partitions_rgs(l: int) -> Iterator[tuple[Block, ...]]:
-    """All partitions of ``{0..l-1}`` via restricted growth strings."""
-    if l == 0:
-        yield ()
-        return
-    labels = [0] * l
-
-    def rec(pos: int, mx: int) -> Iterator[tuple[Block, ...]]:
-        if pos == l:
-            blocks: dict[int, list[int]] = {}
-            for i, lab in enumerate(labels):
-                blocks.setdefault(lab, []).append(i)
-            yield tuple(frozenset(b) for b in blocks.values())
-            return
-        for v in range(mx + 2):
-            labels[pos] = v
-            yield from rec(pos + 1, max(mx, v))
-
-    yield from rec(1, 0)
-
-
-def partition_sort_key(q: Iterable[Iterable[int]], l: int) -> tuple[int, ...]:
-    """Ascending tuple of block bitmasks; reverse-sorting it ranks partitions."""
-    return tuple(sorted(sum(1 << (l - 1 - i) for i in b) for b in q))
-
-
-def enumerate_partitions_ranked(frame: QuotientFrame, budget: int = ENUMERATION_CAP) -> Iterator[tuple[Block, ...]]:
-    """All partitions of the frame's classes, ascending in the rank order.
-
-    Materializes and sorts, so it is guarded: ``l`` beyond ``budget``
-    raises rather than building an astronomically long list.
-    """
-    l = frame.l
-    if l > budget:
-        raise BudgetExceededError(f"l={l} exceeds enumeration budget {budget}")
-    parts = list(iter_partitions_rgs(l))
-    parts.sort(key=lambda q: partition_sort_key(q, l), reverse=True)
-    return iter(parts)
 
 
 def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:

@@ -28,7 +28,11 @@ _PERM_RE = re.compile(r"^(\([0-9;]*\))+$")
 
 
 class FinPerm:
-    """A permutation of the atom universe moving finitely many points."""
+    """A permutation of the atom universe moving finitely many points.
+
+    The hash is computed on first use and stored: most permutations are
+    intermediates that never enter a set or a dict key.
+    """
 
     __slots__ = ("_map", "_hash")
 
@@ -42,7 +46,7 @@ class FinPerm:
             if type(a) is not int or type(b) is not int or a < 0:
                 raise BadParametersError("atoms must be non-negative integers")
         self._map = cleaned
-        self._hash = hash(frozenset(cleaned.items()))
+        self._hash = None
 
     @classmethod
     def identity(cls) -> "FinPerm":
@@ -99,15 +103,20 @@ class FinPerm:
 
     def after(self, other: "FinPerm") -> "FinPerm":
         """Composition applying ``other`` first, then ``self``."""
-        support = set(self._map) | set(other._map)
-        return FinPerm({a: self(other(a)) for a in support})
+        outer, inner = self._map, other._map
+        out = {a: outer.get(b, b) for a, b in inner.items()}
+        for a, b in outer.items():
+            if a not in inner:
+                out[a] = b
+        return FinPerm(out)
 
     def inverse(self) -> "FinPerm":
         return FinPerm({b: a for a, b in self._map.items()})
 
     def conjugate(self, g: "FinPerm") -> "FinPerm":
         """``g∘self∘g⁻¹``: this permutation with every atom renamed by ``g``."""
-        return FinPerm({g(a): g(b) for a, b in self._map.items()})
+        rename = g._map.get
+        return FinPerm({rename(a, a): rename(b, b) for a, b in self._map.items()})
 
     def is_identity(self) -> bool:
         return not self._map
@@ -164,4 +173,6 @@ class FinPerm:
         return self._map == other._map
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
         return self._hash

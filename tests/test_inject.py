@@ -103,3 +103,16 @@ def test_n_zero_round_trip():
     image, trace = encode(FinPerm.identity(), tab)
     assert image == FinPerm.cycle(tab.marker_rows[0])
     assert decode(image, tab) == FinPerm.identity()
+
+
+def test_marker_cycles_built_once_per_tableau():
+    for tab in (Tableau(3, 5), Tableau(0, 3)):
+        assert len(tab.marker_cycles) == tab.n + 1
+        for i, cyc in enumerate(tab.marker_cycles):
+            assert cyc == FinPerm.cycle(tab.marker_rows[i])
+    tab = Tableau(2, 4)
+    row0 = tab.marker_rows[0]
+    for s in (FinPerm.cycle([20, 21]), FinPerm.cycle([row0[0], row0[1]])):
+        _, trace = encode(s, tab)
+        assert trace.marker_cycle == FinPerm.cycle(tab.marker_rows[trace.level])
+        assert trace.marker_cycle is tab.marker_cycles[trace.level]

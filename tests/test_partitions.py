@@ -7,8 +7,81 @@ from hypothesis import strategies as st
 
 from fiberbound.errors import BudgetExceededError, OutOfRangeError, OverlappingBlocksError, ParseError
 from fiberbound.partitions import (FinitaryPartition, bell, build_frame, derangement,
-                                   enumerate_partitions_ranked, iter_partitions_ranked,
-                                   iter_partitions_rgs, lift, partition_sort_key)
+                                   iter_partitions_ranked, lift)
+
+# Reference for the lazy rank stream: every partition by restricted growth
+# strings, ordered either by sorting block bitmasks or by the comparator
+# over characteristic strings that the partitions module docstring defines.
+
+ENUMERATION_CAP = 12
+
+
+def iter_partitions_rgs(l):
+    """All partitions of ``{0..l-1}`` via restricted growth strings."""
+    if l == 0:
+        yield ()
+        return
+    labels = [0] * l
+
+    def rec(pos, mx):
+        if pos == l:
+            blocks = {}
+            for i, lab in enumerate(labels):
+                blocks.setdefault(lab, []).append(i)
+            yield tuple(frozenset(b) for b in blocks.values())
+            return
+        for v in range(mx + 2):
+            labels[pos] = v
+            yield from rec(pos + 1, max(mx, v))
+
+    yield from rec(1, 0)
+
+
+def partition_sort_key(q, l):
+    """Ascending tuple of block bitmasks; reverse-sorting it ranks partitions."""
+    return tuple(sorted(sum(1 << (l - 1 - i) for i in b) for b in q))
+
+
+def enumerate_partitions_ranked(frame, budget=ENUMERATION_CAP):
+    """All partitions of the frame's classes, ascending in the rank order.
+
+    Materializes and sorts, so ``l`` beyond ``budget`` raises rather than
+    building an astronomically long list.
+    """
+    l = frame.l
+    if l > budget:
+        raise BudgetExceededError(f"l={l} exceeds enumeration budget {budget}")
+    parts = list(iter_partitions_rgs(l))
+    parts.sort(key=lambda q: partition_sort_key(q, l), reverse=True)
+    return iter(parts)
+
+
+def subset_key(frame, indices):
+    """Bitmask of a class subset; class 0 is the most significant bit."""
+    l = frame.l
+    key = 0
+    for i in indices:
+        if not 0 <= i < l:
+            raise IndexError(f"class index {i} out of range for l={l}")
+        key |= 1 << (l - 1 - i)
+    return key
+
+
+def compare_subsets(frame, u, v):
+    """-1, 0 or 1 comparing characteristic strings over the classes."""
+    ku, kv = subset_key(frame, u), subset_key(frame, v)
+    return (ku > kv) - (ku < kv)
+
+
+def compare_partitions(frame, q1, q2):
+    """Compare partitions of the classes: the least subset in the symmetric
+    difference decides, and the side containing it is the greater."""
+    s1 = {frozenset(b) for b in q1}
+    s2 = {frozenset(b) for b in q2}
+    if s1 == s2:
+        return 0
+    least = min((s1 ^ s2), key=lambda b: subset_key(frame, b))
+    return 1 if least in s1 else -1
 
 
 def bell_by_binomial_sum(n):
@@ -181,18 +254,18 @@ def test_refined_frame_matches_a_full_build(values, with_empty, with_union, data
 
 def test_compare_subsets_examples():
     frame = build_frame([frozenset({1, 2}), frozenset({2, 3})])
-    assert frame.compare_subsets(set(), {0}) == -1
-    assert frame.compare_subsets({0}, {1, 2}) == 1
-    assert frame.compare_subsets({1}, {1}) == 0
+    assert compare_subsets(frame, set(), {0}) == -1
+    assert compare_subsets(frame, {0}, {1, 2}) == 1
+    assert compare_subsets(frame, {1}, {1}) == 0
 
 
 def test_compare_partitions_examples():
     frame = build_frame([frozenset({1}), frozenset({1, 2})])
     assert frame.l == 2
-    assert frame.compare_partitions([{0}, {1}], [{0, 1}]) == 1
-    assert frame.compare_partitions([{0, 1}], [{0, 1}]) == 0
+    assert compare_partitions(frame, [{0}, {1}], [{0, 1}]) == 1
+    assert compare_partitions(frame, [{0, 1}], [{0, 1}]) == 0
     one = build_frame([frozenset({1, 2})])
-    assert one.compare_partitions([{0}], [{0}]) == 0
+    assert compare_partitions(one, [{0}], [{0}]) == 0
 
 
 def _frame_with_l(l):
@@ -212,7 +285,7 @@ def test_three_orderings_agree(l):
     materialized = list(enumerate_partitions_ranked(frame))
     lazy = list(iter_partitions_ranked(l))
     direct = sorted(iter_partitions_rgs(l),
-                    key=functools.cmp_to_key(frame.compare_partitions))
+                    key=functools.cmp_to_key(functools.partial(compare_partitions, frame)))
     normal = lambda seq: [frozenset(map(frozenset, q)) for q in seq]
     assert normal(materialized) == normal(lazy) == normal(direct)
     assert len(materialized) == bell(l)
@@ -235,7 +308,7 @@ def test_rank_key_orders_like_comparator(l):
     parts = list(iter_partitions_rgs(l))
     by_key = sorted(parts, key=lambda q: partition_sort_key(q, l), reverse=True)
     for a, b in zip(by_key, by_key[1:]):
-        assert frame.compare_partitions(a, b) == -1
+        assert compare_partitions(frame, a, b) == -1
 
 
 def test_lift_examples():

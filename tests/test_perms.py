@@ -154,3 +154,40 @@ def test_parse_errors():
 def test_parse_non_canonical_forms():
     assert FinPerm.parse("(2;1)") == c([1, 2])
     assert FinPerm.parse("(5;6)(1;2;3)") == c([5, 6]).after(c([1, 2, 3]))
+
+
+def _after_pointwise(g, f):
+    return FinPerm({a: g(f(a)) for a in g.moved | f.moved})
+
+
+def _conjugate_pointwise(s, g):
+    return FinPerm({g(a): g(s(a)) for a in s.moved})
+
+
+def _inverse_pointwise(s):
+    return FinPerm({s(a): a for a in s.moved})
+
+
+@given(fin_perms(), fin_perms())
+def test_kernel_matches_pointwise_reference(s, g):
+    # references go through __call__ over the union of supports
+    assert s.after(g) == _after_pointwise(s, g)
+    assert g.after(s) == _after_pointwise(g, s)
+    assert s.conjugate(g) == _conjugate_pointwise(s, g)
+    assert s.inverse() == _inverse_pointwise(s)
+    for a in s.moved | g.moved | {99}:
+        assert s.conjugate(g)(g(a)) == g(s(a))
+
+
+@given(fin_perms())
+def test_equal_perms_hash_equal(s):
+    first = hash(s)
+    assert hash(s) == first
+    ident = FinPerm.identity()
+    routes = [FinPerm.parse(s.to_cycles()), s.after(ident), ident.after(s),
+              s.conjugate(ident), s.inverse().inverse()]
+    for t in routes:
+        assert t == s
+        assert hash(t) == first
+    assert len({s, *routes}) == 1
+    assert hash(s) == first
