@@ -8,20 +8,24 @@ any fiber overflows.  A run therefore always ends in one of two auditable
 states: a stream of pairwise distinct constructed witnesses, or a concrete
 finite refutation of the claimed bound.
 
-:class:`WitnessEngine` is the driver both witness engines share: it keeps
-the emitted witnesses, queries the oracle on each of them through the
-ledger, and turns a run into one of those two outcomes as a certificate.
+:class:`WitnessEngine` is the driver both witness engines share: it caps
+the seed count, keeps the emitted witnesses and the first index of each
+distinct answer, queries the oracle on each witness through the ledger,
+walks an engine's candidate stream to the first fresh witness, and turns a
+run into one of those two outcomes as a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import BadParametersError, InconsistentOracleError, OverflowGuardError
+from .errors import (BadParametersError, InconsistentOracleError, InfeasibleRunError,
+                     OverflowGuardError)
 from .partitions import derangement
 
 BOUND_WINDOW = 100
+SEED_CAP = 1_000_000
 _SEARCH_LIMIT = 5000
 _INT64_MAX = 2**63 - 1
 
@@ -105,14 +109,6 @@ class OracleLedger:
         return None
 
 
-def first_occurrences(values: Iterable) -> dict:
-    """Each distinct value mapped to the index where it first occurs, in that order."""
-    first: dict = {}
-    for idx, v in enumerate(values):
-        first.setdefault(v, idx)
-    return first
-
-
 def moved_set_adapter(oracle: Callable, k: int, n: int) -> tuple[Callable, int]:
     """Compose a permutation-valued oracle with the moved-set map.
 
@@ -159,26 +155,39 @@ class _Inconsistent(Exception):
 class WitnessEngine:
     """Driver shared by the witness engines.
 
-    A subclass passes its seed factory and ledger serializers to
-    ``__init__`` and supplies the rest: ``_check_output`` (the claimed
-    codomain), ``step`` (one fresh witness, ending in ``_emit``) and
-    ``_certificate`` (its header fields and output serialization).
-    ``kind`` names the certificate of a run that completes every step.
+    A subclass passes its seed count, seed factory and ledger serializers
+    to ``__init__`` and supplies the rest: ``_check_output`` (the claimed
+    codomain), ``step`` (one fresh witness, found by ``_first_fresh`` and
+    ending in ``_emit``) and ``_certificate`` (its header fields and output
+    serialization).  ``kind`` names the certificate of a run that completes
+    every step.
     """
 
     kind = ""
 
-    def __init__(self, k: int, oracle: Callable, instance_id: int,
+    def __init__(self, k: int, oracle: Callable, instance_id: int, seed_count: int,
                  make_seeds: Callable[[int], list], serialize_input: Callable,
                  serialize_output: Callable):
         self.k = k
         self.oracle = oracle
+        self.ledger = OracleLedger(k, serialize_input, serialize_output)
+        if seed_count > SEED_CAP:
+            raise InfeasibleRunError(self._refuse_seeds(seed_count))
         self.base = 1000 * (instance_id + 1)
         self.g: list = list(make_seeds(self.base))
         self.g_set: set = set(self.g)
         self.seed_count = len(self.g)
-        self.ledger = OracleLedger(k, serialize_input, serialize_output)
+        # each distinct answer -> index of the first witness that got it
+        self.answers: dict = {}
         self.traces: list[dict] = []
+        # (key, candidate stream, candidates drawn) of the last completed walk
+        self._walk = None
+        # JSON form of each distinct value a trace shows; the values are immutable
+        self._memo: dict = {}
+
+    def _refuse_seeds(self, count: int) -> str:
+        """The error text for a run that needs ``count`` seeds, over the cap."""
+        return f"the run needs {count} seeds, over the cap {SEED_CAP}"
 
     def _query_all(self) -> list:
         """The oracle's answers on every emitted witness, in emission order.
@@ -188,9 +197,11 @@ class WitnessEngine:
         Only a new or changed answer is checked against the claimed
         codomain and handed to the ledger; an answer equal to the recorded
         one passed both when it was recorded, and the recorded value is the
-        one returned.
+        one returned.  Inputs are first recorded in emission order, so
+        ``answers`` stays the first-occurrence index of the returned list.
         """
         queries = self.ledger.queries
+        answers = self.answers
         values = []
         for x in self.g:
             out = self.oracle(x)
@@ -202,8 +213,48 @@ class WitnessEngine:
             violation = self.ledger.record(x, out)
             if violation is not None:
                 raise _Violated(violation)
+            answers.setdefault(out, len(values))
             values.append(out)
+        # a clean ledger holds at most k inputs over each distinct answer
+        assert len(values) <= self.k * len(answers)
         return values
+
+    def _first_fresh(self, key, stream: Callable[[], Iterator], build: Callable) -> tuple:
+        """``(item, candidate, drawn)`` for the first item of ``stream()``
+        whose ``build`` is not emitted yet, ``drawn`` counting from its start.
+
+        The walk resumes where the last one stopped while ``key``, the data
+        the candidates depend on, is unchanged: every item before the cursor
+        built an emitted witness, and the emitted set only grows.  Distinct
+        items build distinct witnesses, so more than ``len(g)`` stale ones,
+        or a stream that runs out, is an inconsistency.
+        """
+        walk = self._walk
+        if walk is not None and walk[0] == key:
+            _, items, drawn = walk
+        else:
+            items, drawn = stream(), 0
+        emitted = self.g_set
+        for item in items:
+            drawn += 1
+            candidate = build(item)
+            if candidate not in emitted:
+                self._walk = (key, items, drawn)
+                return item, candidate, drawn
+            if drawn > len(self.g):
+                break
+        raise _Inconsistent
+
+    def _json(self, values: Iterable, to_json: Callable) -> list:
+        """``to_json`` of each value, computed once per distinct value in a run."""
+        memo = self._memo
+        out = []
+        for v in values:
+            j = memo.get(v)
+            if j is None:
+                j = memo[v] = to_json(v)
+            out.append(j)
+        return out
 
     def _emit(self, result, trace: dict) -> dict:
         self.g.append(result)

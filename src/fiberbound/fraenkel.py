@@ -51,6 +51,8 @@ class SupportConfig:
     carrier_size: int
 
     def __post_init__(self):
+        if not isinstance(self.support, frozenset):
+            raise BadParametersError("support must be a frozenset of atoms")
         if type(self.n) is not int or type(self.carrier_size) is not int:
             raise BadParametersError("n and carrier_size must be integers")
         if self.n < 2:

@@ -10,15 +10,11 @@ from a small seed count and patches over legitimate early failures with
 fresh transpositions, which keeps the construction machinery exercised at
 desk scale.
 
-The candidate walk resumes where the previous step stopped when the new
-family's member permutations equal the previous walk's, even if new
-answers arrived.  A candidate depends only on the members, every index set
-before the cursor assembled to a permutation already emitted (the last one
-is the previous step's result), and the emitted set only grows, so the
-first fresh candidate lies at or after the cursor and ``chosen_a`` is the
-index set a walk restarted from the empty set would reach.  A fallback
-step leaves the walk alone.  A new level changes the members, and its
-index becomes the least significant bit, so the walk restarts.
+A candidate depends only on the family's members, so the driver's walk
+over the index sets resumes while they are unchanged, and ``chosen_a`` is
+the index set a walk restarted from the empty set would reach.  A fallback
+step leaves the walk alone; a new level changes the members, so the walk
+restarts.
 """
 
 from __future__ import annotations
@@ -27,11 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .atoms import SetSpec
-from .auditing import WitnessEngine, _Inconsistent, assemble_certificate, compute_bounds, first_occurrences
-from .errors import BadParametersError, InfeasibleRunError, OracleCodomainError
+from .auditing import WitnessEngine, _Inconsistent, assemble_certificate, compute_bounds
+from .errors import BadParametersError, OracleCodomainError
 from .perms import FinPerm
 
-STRICT_SEED_CAP = 1_000_000
 _FALLBACK_OFFSET = 500_000
 
 
@@ -80,9 +75,7 @@ def build_family(values: list[FinPerm], n: int) -> tuple[list[FamilyEntry], Opti
     top = m.bit_length() - 1
     entries: list[FamilyEntry] = []
     occupied: set[int] = set()
-    # Duplicate answers can never win a least-index search that their first
-    # occurrence loses, so the pair scan may restrict to first occurrences.
-    first_occ = first_occurrences(values).values()
+    first_occ = None
 
     for level in range(top + 1):
         snapshot = tuple(sorted(occupied))
@@ -95,8 +88,15 @@ def build_family(values: list[FinPerm], n: int) -> tuple[list[FamilyEntry], Opti
                 chosen = FamilyEntry(level, 1, i, None, x, perm, snapshot)
                 break
         if chosen is None:
+            # Duplicate answers can never win a least-index search that their
+            # first occurrence loses, so the pair scan restricts to first
+            # occurrences, found once per call.
+            if first_occ is None:
+                first_occ = {}
+                for idx, v in enumerate(values):
+                    first_occ.setdefault(v, idx)
             outward = {}
-            for i in first_occ:
+            for i in first_occ.values():
                 s = values[i]
                 reach = {x: s(x) for x in occupied if s(x) not in occupied}
                 if reach:
@@ -154,19 +154,14 @@ class PermDiagEngine(WitnessEngine):
         self.bounds = compute_bounds(n, k)
         if mode == "strict":
             seed_count = self.bounds.m0 + 1
-            if seed_count > STRICT_SEED_CAP:
-                raise InfeasibleRunError(
-                    f"strict mode needs {seed_count} seeds (m0 = {self.bounds.m0}); "
-                    "use opportunistic mode")
-        super().__init__(k, oracle, instance_id,
+        super().__init__(k, oracle, instance_id, seed_count,
                          lambda base: seed_transpositions(seed_count, base), str, str)
         self._next_fallback = self.base + _FALLBACK_OFFSET
-        # (member permutations, index-set stream) of the last completed walk
-        self._walk = None
-        # cycle text of each distinct answer and JSON of each family entry;
-        # FinPerm values and family entries are immutable
-        self._answer_text: dict = {}
-        self._entry_json: dict = {}
+
+    def _refuse_seeds(self, count: int) -> str:
+        if self.mode == "strict":
+            return f"strict mode needs {count} seeds (m0 = {self.bounds.m0}); use opportunistic mode"
+        return super()._refuse_seeds(count)
 
     def _check_output(self, out) -> None:
         if not isinstance(out, FinPerm) or len(out.moved) > self.n:
@@ -184,24 +179,13 @@ class PermDiagEngine(WitnessEngine):
 
     def step(self) -> dict:
         m = len(self.g)
-        values = self._query_all()
-        first = first_occurrences(values)
-        # the ledger is clean here, so the fibers over the distinct answers
-        # cover all m queried inputs with at most k inputs each
-        assert m <= self.k * len(first)
-        entries, stuck = build_family(values, self.n)
-        texts = self._answer_text
-        for v in first:
-            if v not in texts:
-                texts[v] = v.to_cycles()
-        family = self._entry_json
-        for e in entries:
-            if e not in family:
-                family[e] = e.as_json()
+        entries, stuck = build_family(self._query_all(), self.n)
+        answers = self.answers
         trace: dict = {
             "m": m,
-            "B": [[idx, texts[v]] for v, idx in first.items()],
-            "family": [family[e] for e in entries],
+            "B": [[idx, text] for idx, text in
+                  zip(answers.values(), self._json(answers, FinPerm.to_cycles))],
+            "family": self._json(entries, FamilyEntry.as_json),
             "stuck_at": None,
             "fallback": False,
             "chosen_a": None,
@@ -216,24 +200,12 @@ class PermDiagEngine(WitnessEngine):
             result = self._fresh_fallback()
             trace["fallback"] = True
         else:
-            members = tuple(e.perm for e in entries)
-            if self._walk is not None and self._walk[0] == members:
-                stream = self._walk[1]
-            else:
-                stream = _index_sets(len(entries))
-            result = None
-            for indices in stream:
-                candidate = assemble(entries, indices)
-                if candidate not in self.g_set:
-                    result = candidate
-                    trace["chosen_a"] = list(indices)
-                    break
             # A full-length family offers more candidates than emitted
             # permutations, so one of them is always fresh.
-            if result is None:
-                raise _Inconsistent
-            self._walk = (members, stream)
-        assert result not in self.g_set
+            indices, result, _ = self._first_fresh(
+                tuple(e.perm for e in entries), lambda: _index_sets(len(entries)),
+                lambda indices: assemble(entries, indices))
+            trace["chosen_a"] = list(indices)
         trace["result"] = result.to_cycles()
         return self._emit(result, trace)
 

@@ -40,7 +40,7 @@ class FinPerm:
         cleaned = {a: b for a, b in mapping.items() if a != b}
         if len(cleaned) == 1:
             raise SinglePointError("a permutation cannot move exactly one point")
-        if set(cleaned.values()) != set(cleaned.keys()):
+        if cleaned.keys() != set(cleaned.values()):
             raise BadParametersError("mapping is not a bijection of its moved points")
         for a, b in cleaned.items():
             if type(a) is not int or type(b) is not int or a < 0:

@@ -5,7 +5,7 @@ import pytest
 from fiberbound.auditing import (BoundParams, OracleLedger, compute_bounds,
                                  moved_set_adapter)
 from fiberbound.errors import InconsistentOracleError, OverflowGuardError
-from fiberbound.oracles import min_block_oracle, truncate_oracle
+from fiberbound.oracles import min_block_oracle, pool_perm_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine, run_partition_diag, seed_partitions
 from fiberbound.perm_engine import PermDiagEngine
 from fiberbound.partitions import derangement
@@ -152,3 +152,31 @@ def test_codomain_checked_once_per_record(monkeypatch, make_engine, steps):
     cert = engine.run(steps)
     assert cert["steps"] == steps
     assert len(checked) == len(engine.ledger.queries) == len(engine.g) - 1
+
+
+def shared_sets():
+    # the i-th new input gets range(37*i mod 150): for i < 300 each answer
+    # is shared by exactly two inputs, 150 apart in emission order
+    memo = {}
+
+    def oracle(p):
+        if p not in memo:
+            memo[p] = frozenset(range(37 * len(memo) % 150))
+        return memo[p]
+
+    return oracle
+
+
+@pytest.mark.parametrize("make_engine, steps", [
+    (lambda: PermDiagEngine(2, 8, pool_perm_oracle(10, 2), mode="opportunistic", seed_count=8), 30),
+    (lambda: PartitionDiagEngine(2, shared_sets()), 8),
+], ids=["perm-pool", "part-shared"])
+def test_answer_record_is_first_occurrences(make_engine, steps):
+    engine = make_engine()
+    for _ in range(steps):
+        engine.step()
+        want = {}
+        for idx, v in enumerate(engine.oracle(x) for x in engine.g[:-1]):
+            want.setdefault(v, idx)
+        assert list(engine.answers.items()) == list(want.items())
+    assert len(engine.answers) < len(engine.g) - 1

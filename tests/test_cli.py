@@ -77,9 +77,20 @@ def test_unknown_oracle(capsys):
     (["inject", "--n", "40", "--m", "42", "--perm", "(1;2)"], "reserves more than"),
     (["fraenkel", "--atoms", "8", "--support", "{}", "--n", "6"], "over the cap"),
     (["fraenkel", "--atoms", "2000002", "--support", "{}", "--n", "2000000"], "over the cap 10000"),
+    (["diag-part", "--k", "1000", "--steps", "1"],
+     "error: the run needs 72000001 seeds, over the cap 1000000"),
+    (["diag-perm", "--n", "2", "--k", "1", "--mode", "opportunistic", "--seeds", "2000000",
+      "--steps", "1"], "error: the run needs 2000000 seeds, over the cap 1000000"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
-        "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n"])
-def test_bad_parameters_are_domain_errors(args, message, capsys):
+        "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
+        "diag-part-seed-cap", "diag-perm-seed-cap"])
+def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
+    # a refused run is refused before any seed is built
+    def no_seeds(*_):
+        raise AssertionError("seeds built for a refused run")
+
+    monkeypatch.setattr("fiberbound.partition_engine.seed_partitions", no_seeds)
+    monkeypatch.setattr("fiberbound.perm_engine.seed_transpositions", no_seeds)
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""

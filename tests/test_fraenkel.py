@@ -25,6 +25,9 @@ def test_config_validation():
         SupportConfig(frozenset({True}), 2, 6)
     with pytest.raises(BadParametersError):
         SupportConfig(frozenset({1.5}), 2, 6)
+    for support in ([0], (0,)):
+        with pytest.raises(BadParametersError):
+            SupportConfig(support, 2, 8)
     for n, carrier_size in ((2, 6.0), (2.0, 6), (True, 6), (2, "6")):
         with pytest.raises(BadParametersError):
             SupportConfig(frozenset(), n, carrier_size)

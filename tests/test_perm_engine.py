@@ -145,7 +145,8 @@ def test_strict_low_n_violates_at_seed_queries():
 
 
 def test_strict_high_n_refused():
-    with pytest.raises(InfeasibleRunError):
+    with pytest.raises(InfeasibleRunError, match=r"^strict mode needs 136048897 seeds \(m0 = 136048896\); "
+                                                 "use opportunistic mode$"):
         PermDiagEngine(2, 1, truncate_oracle(2), mode="strict")
 
 
@@ -235,10 +236,18 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
 
 def test_exhausted_walk_reports_stuck(monkeypatch):
     engine = PermDiagEngine(2, 1, memo_injective(), mode="opportunistic", seed_count=8)
-    monkeypatch.setattr("fiberbound.perm_engine.assemble", lambda entries, indices: engine.g[0])
+    calls = []
+
+    def stale(entries, indices):
+        calls.append(indices)
+        return engine.g[0]
+
+    monkeypatch.setattr("fiberbound.perm_engine.assemble", stale)
     cert = engine.run(2)
     assert cert["kind"] == "stuck"
     assert cert["steps"] == 0
+    # the stale candidates are distinct, so the walk gives up after m + 1
+    assert len(calls) <= len(engine.g) + 1
 
 
 @pytest.mark.parametrize("oracle, k, steps, counts_starts", [
