@@ -11,8 +11,9 @@ finite refutation of the claimed bound.
 :class:`WitnessEngine` is the driver both witness engines share: it caps
 the seed count, keeps the emitted witnesses and the first index of each
 distinct answer, queries the oracle on each witness through the ledger,
-walks an engine's candidate stream to the first fresh witness, and turns a
-run into one of those two outcomes as a certificate.
+whose queries are then the emitted set, walks an engine's candidate
+stream to the first fresh witness, and turns a run into one of those two
+outcomes as a certificate.
 """
 
 from __future__ import annotations
@@ -58,15 +59,18 @@ def compute_bounds(n: int, k: int) -> BoundParams:
         raise BadParametersError("k must be at least 1")
     e = 2 * n
     for start in range(_SEARCH_LIMIT):
+        # m0 never falls as the start grows and l0 >= 1 when n >= 1, so no
+        # later start passes once this lower bound on m0 exceeds the guard;
+        # bit lengths test it first, so no power far past it is built
+        base = 2 * n * max(start, 1)
+        if k.bit_length() - 1 + e * (base.bit_length() - 1) >= 63 or k * base**e > _INT64_MAX:
+            raise OverflowGuardError(f"m0 exceeds the 2**63-1 guard for n={n}, k={k}")
         window = range(start + 1, start + BOUND_WINDOW + 1)
         if not all(_growth_ok(n, k, l) for l in window):
             continue
         if not all(2 * (l - 1) ** e >= l**e for l in range(start + 2, start + BOUND_WINDOW + 1)):
             continue
-        m0 = k * (2 * n * start) ** e
-        if m0 > _INT64_MAX:
-            raise OverflowGuardError(f"m0 = {m0} exceeds the 2**63-1 guard")
-        return BoundParams(n, k, start, m0)
+        return BoundParams(n, k, start, k * (2 * n * start) ** e)
     raise OverflowGuardError(f"no window start below {_SEARCH_LIMIT} for n={n}, k={k}")
 
 
@@ -175,7 +179,6 @@ class WitnessEngine:
             raise InfeasibleRunError(self._refuse_seeds(seed_count))
         self.base = 1000 * (instance_id + 1)
         self.g: list = list(make_seeds(self.base))
-        self.g_set: set = set(self.g)
         self.seed_count = len(self.g)
         # each distinct answer -> index of the first witness that got it
         self.answers: dict = {}
@@ -189,39 +192,36 @@ class WitnessEngine:
         """The error text for a run that needs ``count`` seeds, over the cap."""
         return f"the run needs {count} seeds, over the cap {SEED_CAP}"
 
-    def _query_all(self) -> list:
-        """The oracle's answers on every emitted witness, in emission order.
+    def _query_all(self) -> None:
+        """Ask the oracle about every emitted witness, in emission order.
 
         Re-asking about every earlier witness on every step is the
         consistency audit: an oracle that changes an answer raises here.
         Only a new or changed answer is checked against the claimed
         codomain and handed to the ledger; an answer equal to the recorded
-        one passed both when it was recorded, and the recorded value is the
-        one returned.  Inputs are first recorded in emission order, so
-        ``answers`` stays the first-occurrence index of the returned list.
+        one passed both when it was recorded.  Nothing is returned: the
+        ledger's ``queries`` then hold exactly the emitted witnesses, and
+        ``answers``, in index order since inputs are first recorded in
+        emission order, is the only list of the answers.
         """
         queries = self.ledger.queries
         answers = self.answers
-        values = []
-        for x in self.g:
+        for idx, x in enumerate(self.g):
             out = self.oracle(x)
             prior = queries.get(x)
             if prior is not None and prior == out:
-                values.append(prior)
                 continue
             self._check_output(out)
             violation = self.ledger.record(x, out)
             if violation is not None:
                 raise _Violated(violation)
-            answers.setdefault(out, len(values))
-            values.append(out)
+            answers.setdefault(out, idx)
         # a clean ledger holds at most k inputs over each distinct answer
-        assert len(values) <= self.k * len(answers)
-        return values
+        assert len(self.g) <= self.k * len(answers)
 
     def _first_fresh(self, key, stream: Callable[[], Iterator], build: Callable) -> tuple:
         """``(item, candidate, drawn)`` for the first item of ``stream()``
-        whose ``build`` is not emitted yet, ``drawn`` counting from its start.
+        whose ``build`` is not in the ledger yet, ``drawn`` counting from its start.
 
         The walk resumes where the last one stopped while ``key``, the data
         the candidates depend on, is unchanged: every item before the cursor
@@ -234,7 +234,7 @@ class WitnessEngine:
             _, items, drawn = walk
         else:
             items, drawn = stream(), 0
-        emitted = self.g_set
+        emitted = self.ledger.queries
         for item in items:
             drawn += 1
             candidate = build(item)
@@ -258,7 +258,6 @@ class WitnessEngine:
 
     def _emit(self, result, trace: dict) -> dict:
         self.g.append(result)
-        self.g_set.add(result)
         self.traces.append(trace)
         return trace
 

@@ -3,7 +3,8 @@ permutation group into the permutations moving at most n points.
 
 Each step queries the oracle on everything emitted so far, distils a
 family of nontrivial permutations with pairwise disjoint supports from the
-answers, and emits the first product of family members not seen before.
+distinct answers at their first index, read from the driver's answer
+record, and emits the first product of family members not seen before.
 Strict mode seeds past the computed threshold ``m0`` so that a failed
 family construction is a genuine inconsistency; opportunistic mode runs
 from a small seed count and patches over legitimate early failures with
@@ -61,26 +62,27 @@ def seed_transpositions(count: int, base: int) -> list[FinPerm]:
     return [FinPerm.cycle([base, base + 1 + j]) for j in range(count)]
 
 
-def build_family(values: list[FinPerm], n: int) -> tuple[list[FamilyEntry], Optional[tuple[int, frozenset[int]]]]:
+def build_family(answers: dict[FinPerm, int], m: int, n: int) -> tuple[list[FamilyEntry], Optional[tuple[int, frozenset[int]]]]:
     """Distil the disjoint-support family from the oracle answers.
 
-    ``values[i]`` is the oracle's answer on the i-th emitted permutation;
-    the family has one level per power of two up to ``len(values)``.
-    Returns the entries plus the stage at which construction got stuck,
-    if it did.  Ties resolve by index order, then atom order.
+    ``answers`` maps each distinct answer on the ``m`` emitted permutations
+    to the index of the first one that got it, in index order; the family
+    has one level per power of two up to ``m``.  A repeated answer can
+    never win a least-index search that its first occurrence loses, so
+    both cases scan the first occurrences only.  Returns the entries plus
+    the stage at which construction got stuck, if it did.  Ties resolve by
+    index order, then atom order.
     """
-    m = len(values)
     if m < 1:
         raise BadParametersError("need at least one value")
     top = m.bit_length() - 1
     entries: list[FamilyEntry] = []
     occupied: set[int] = set()
-    first_occ = None
 
     for level in range(top + 1):
         snapshot = tuple(sorted(occupied))
         chosen = None
-        for i, s in enumerate(values):
+        for s, i in answers.items():
             candidates = [x for x in s.moved if x not in occupied and s(x) not in occupied]
             if candidates:
                 x = min(candidates)
@@ -88,34 +90,24 @@ def build_family(values: list[FinPerm], n: int) -> tuple[list[FamilyEntry], Opti
                 chosen = FamilyEntry(level, 1, i, None, x, perm, snapshot)
                 break
         if chosen is None:
-            # Duplicate answers can never win a least-index search that their
-            # first occurrence loses, so the pair scan restricts to first
-            # occurrences, found once per call.
-            if first_occ is None:
-                first_occ = {}
-                for idx, v in enumerate(values):
-                    first_occ.setdefault(v, idx)
-            outward = {}
-            for i in first_occ.values():
-                s = values[i]
+            outward = []
+            for s, i in answers.items():
                 reach = {x: s(x) for x in occupied if s(x) not in occupied}
                 if reach:
-                    outward[i] = reach
+                    outward.append((i, s, reach))
             found = None
-            idxs = sorted(outward)
-            for a_pos in range(len(idxs)):
-                i = idxs[a_pos]
-                for j in idxs[a_pos + 1:]:
-                    xs = [x for x in outward[i] if x in outward[j] and outward[i][x] != outward[j][x]]
+            for a_pos, (i, s_i, reach_i) in enumerate(outward):
+                for j, s_j, reach_j in outward[a_pos + 1:]:
+                    xs = [x for x in reach_i if x in reach_j and reach_i[x] != reach_j[x]]
                     if xs:
-                        found = (i, j, min(xs))
+                        found = (i, s_i, j, s_j, min(xs))
                         break
                 if found:
                     break
             if found is None:
                 return entries, (level, frozenset(occupied))
-            i, j, x = found
-            perm = values[j].after(values[i].inverse()).deflate(SetSpec.cofinite(occupied))
+            i, s_i, j, s_j, x = found
+            perm = s_j.after(s_i.inverse()).deflate(SetSpec.cofinite(occupied))
             chosen = FamilyEntry(level, 2, i, j, x, perm, snapshot)
         assert chosen.perm.moved, "family members must be nontrivial"
         assert len(chosen.perm.moved) <= 2 * n
@@ -174,13 +166,14 @@ class PermDiagEngine(WitnessEngine):
             pair = (self._next_fallback, self._next_fallback + 1)
             self._next_fallback += 2
             perm = FinPerm.cycle(list(pair))
-            if perm not in self.g_set:
+            if perm not in self.ledger.queries:
                 return perm
 
     def step(self) -> dict:
         m = len(self.g)
-        entries, stuck = build_family(self._query_all(), self.n)
+        self._query_all()
         answers = self.answers
+        entries, stuck = build_family(answers, m, self.n)
         trace: dict = {
             "m": m,
             "B": [[idx, text] for idx, text in

@@ -42,9 +42,11 @@ def test_compute_bounds_against_independent_search(n, k):
     assert params.l0 == 0 or not (k * (2 * n * params.l0) ** (2 * n) < 2**params.l0)
 
 
-def test_compute_bounds_overflow_guard():
-    with pytest.raises(OverflowGuardError):
-        compute_bounds(4, 1)
+@pytest.mark.parametrize("n,k", [(4, 1), (10**4, 1), (10**7, 1), (1, 10**21)])
+def test_compute_bounds_overflow_guard(n, k):
+    # refused at once, naming n and k rather than the digits of m0
+    with pytest.raises(OverflowGuardError, match=rf"2\*\*63-1 guard for n={n}, k={k}$"):
+        compute_bounds(n, k)
 
 
 def test_ledger_violation_and_idempotence():
@@ -180,3 +182,42 @@ def test_answer_record_is_first_occurrences(make_engine, steps):
             want.setdefault(v, idx)
         assert list(engine.answers.items()) == list(want.items())
     assert len(engine.answers) < len(engine.g) - 1
+
+
+def memo_oracle(answer):
+    # the i-th new input gets answer(i)
+    memo = {}
+
+    def oracle(x):
+        if x not in memo:
+            memo[x] = answer(len(memo))
+        return memo[x]
+
+    return oracle
+
+
+@pytest.mark.parametrize("make_engine, steps", [
+    (lambda: PermDiagEngine(2, 1, memo_oracle(lambda i: FinPerm.cycle([0, i + 1])),
+                            mode="opportunistic", seed_count=8), 30),
+    (lambda: PermDiagEngine(2, 8, pool_perm_oracle(10, 2), mode="opportunistic", seed_count=8), 30),
+    (lambda: PartitionDiagEngine(1, memo_oracle(lambda i: frozenset({i}))), 8),
+    (lambda: PartitionDiagEngine(2, shared_sets()), 8),
+], ids=["perm-injective", "perm-pool", "part-injective", "part-shared"])
+def test_ledger_queries_are_the_emitted_set(monkeypatch, make_engine, steps):
+    # the fresh tests read the ledger: it must hold exactly the emitted witnesses
+    engine = make_engine()
+    entries = []
+
+    def checked(method):
+        def wrapper(*args):
+            assert engine.ledger.queries.keys() == set(engine.g)
+            entries.append(method.__name__)
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "_first_fresh", checked(engine._first_fresh))
+    if isinstance(engine, PermDiagEngine):
+        monkeypatch.setattr(engine, "_fresh_fallback", checked(engine._fresh_fallback))
+    cert = engine.run(steps)
+    assert cert["steps"] == steps
+    assert len(entries) == steps

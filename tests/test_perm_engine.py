@@ -33,8 +33,16 @@ def test_seed_transpositions():
         seed_transpositions(0, 1000)
 
 
+def family(values, n):
+    # build_family on the first-occurrence record of an answer list
+    answers = {}
+    for idx, v in enumerate(values):
+        answers.setdefault(v, idx)
+    return build_family(answers, len(values), n)
+
+
 def test_build_family_single_value_sticks():
-    entries, stuck = build_family([c([1, 2]), c([1, 2])], 2)
+    entries, stuck = family([c([1, 2]), c([1, 2])], 2)
     assert len(entries) == 1
     assert entries[0].case == 1 and entries[0].i == 0 and entries[0].x == 1
     assert entries[0].perm == c([1, 2])
@@ -42,7 +50,7 @@ def test_build_family_single_value_sticks():
 
 
 def test_build_family_identity_values_stick_immediately():
-    entries, stuck = build_family([FinPerm.identity()] * 4, 2)
+    entries, stuck = family([FinPerm.identity()] * 4, 2)
     assert entries == []
     assert stuck == (0, frozenset())
 
@@ -56,7 +64,7 @@ def test_build_family_case_two_formula():
 
 def test_build_family_full_run():
     values = [c([1000, 1001 + j]) for j in range(8)]
-    entries, stuck = build_family(values, 2)
+    entries, stuck = family(values, 2)
     assert stuck is None
     assert len(entries) == 4  # levels 0..3
     assert entries[0].case == 1
@@ -110,14 +118,14 @@ def small_value_lists(draw):
 @given(small_value_lists())
 @settings(max_examples=200)
 def test_family_matches_raw_pair_scan(values):
-    got_entries, got_stuck = build_family(values, 2)
+    got_entries, got_stuck = family(values, 2)
     want, want_stuck = brute_family(values, 2)
     assert got_stuck == want_stuck
     assert [(e.case, e.i, e.j, e.x, e.perm) for e in got_entries] == want
 
 
 def test_assemble_examples():
-    entries, _ = build_family([c([1000, 1001 + j]) for j in range(4)], 2)
+    entries, _ = family([c([1000, 1001 + j]) for j in range(4)], 2)
     members = [e.perm for e in entries]
     assert assemble(entries, []) == FinPerm.identity()
     assert assemble(entries, [0]) == members[0]
@@ -126,7 +134,7 @@ def test_assemble_examples():
 
 
 def test_assemble_injective():
-    entries, stuck = build_family([c([1000, 1001 + j]) for j in range(1000)], 2)
+    entries, stuck = family([c([1000, 1001 + j]) for j in range(1000)], 2)
     assert stuck is None
     width = len(entries)
     assert width == 10
@@ -227,11 +235,25 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
                             seed_count=4)
     engine.mode = "strict"
     monkeypatch.setattr("fiberbound.perm_engine.build_family",
-                        lambda values, n: ([], (0, frozenset())))
-    monkeypatch.setattr(engine, "_query_all", lambda: [FinPerm.identity()] * 4)
+                        lambda answers, m, n: ([], (0, frozenset())))
     cert = engine.run(3)
     assert cert["kind"] == "stuck"
     assert cert["traces"][-1]["stuck_at"] == [0, []]
+
+
+def test_family_reads_the_driver_answer_record(monkeypatch):
+    engine = PermDiagEngine(2, 8, pool_perm_oracle(10, 2), mode="opportunistic", seed_count=8)
+    seen = []
+
+    def spy(answers, m, n):
+        seen.append((answers, m))
+        return build_family(answers, m, n)
+
+    monkeypatch.setattr("fiberbound.perm_engine.build_family", spy)
+    cert = engine.run(20)
+    assert cert["steps"] == 20
+    assert [m for _, m in seen] == list(range(8, 28))
+    assert all(answers is engine.answers for answers, _ in seen)
 
 
 def test_exhausted_walk_reports_stuck(monkeypatch):
