@@ -13,8 +13,10 @@ The package provides, over a countable atom universe:
   distinct new values forever or emit a concrete fiber-overflow
   certificate (:mod:`fiberbound.perm_engine`,
   :mod:`fiberbound.partition_engine`); both run on one driver,
-  :class:`fiberbound.auditing.WitnessEngine`, which owns the query loop,
-  the fiber ledger and the two run outcomes;
+  :class:`fiberbound.auditing.WitnessEngine`, which builds the seeds from
+  atom pairs and owns the query loop, the fiber ledger and the two run
+  outcomes, so an engine supplies only a seed constructor, its codomain
+  check, ``step`` and its certificate header;
 * an orbit-weighted support-probe scanner refuting finite-to-one assignments
   between fixed moved-point sizes under the conjugation action
   (:mod:`fiberbound.fraenkel`).
@@ -26,10 +28,10 @@ from .auditing import (BoundParams, OracleLedger, Violation, assemble_certificat
 from .fraenkel import (ExtraOutside, ForcedFixedPoint, MissingMoved, PreconditionFail,
                        SupportConfig, classify, scan)
 from .inject import EncodeTrace, Tableau, decode, encode
-from .partition_engine import PartitionDiagEngine, run_partition_diag, seed_partitions
+from .partition_engine import PartitionDiagEngine
 from .partitions import (FinitaryPartition, QuotientFrame, bell, build_frame, derangement,
                          iter_partitions_ranked, lift)
-from .perm_engine import PermDiagEngine, build_family, run_perm_diag, seed_transpositions
+from .perm_engine import PermDiagEngine, build_family
 from .perms import FinPerm
 
 __version__ = "0.1.0"
@@ -41,6 +43,5 @@ __all__ = [
     "Tableau", "Violation", "assemble_certificate", "bell", "build_family", "build_frame",
     "classify", "compute_bounds", "decode", "derangement", "encode",
     "format_atom_set", "fresh_atoms", "iter_partitions_ranked", "lift", "moved_set_adapter",
-    "parse_atom_set", "run_partition_diag", "run_perm_diag", "scan", "seed_partitions",
-    "seed_transpositions",
+    "parse_atom_set", "scan",
 ]

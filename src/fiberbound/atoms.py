@@ -73,10 +73,6 @@ class SetSpec:
         """The universe minus ``excluded``."""
         return cls(frozenset(excluded), True)
 
-    @classmethod
-    def universe(cls) -> "SetSpec":
-        return cls(frozenset(), True)
-
     def __contains__(self, atom: int) -> bool:
         return (atom in self.atoms) != self.complement
 

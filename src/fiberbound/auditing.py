@@ -8,16 +8,18 @@ any fiber overflows.  A run therefore always ends in one of two auditable
 states: a stream of pairwise distinct constructed witnesses, or a concrete
 finite refutation of the claimed bound.
 
-:class:`WitnessEngine` is the driver both witness engines share: it caps
-the seed count, keeps the emitted witnesses and the first index of each
-distinct answer, queries the oracle on each witness through the ledger,
-whose queries are then the emitted set, walks an engine's candidate
-stream to the first fresh witness, and turns a run into one of those two
-outcomes as a certificate.
+:class:`WitnessEngine` is the driver both witness engines share: it
+checks the seed count and builds the seeds, one per atom pair
+``(base, base + 1 + j)``, keeps the emitted witnesses and the first index
+of each distinct answer, queries the oracle on each witness through the
+ledger, whose queries are then the emitted set, walks an engine's
+candidate stream to the first fresh witness, and turns a run into one of
+those two outcomes as a certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -27,7 +29,6 @@ from .partitions import derangement
 
 BOUND_WINDOW = 100
 SEED_CAP = 1_000_000
-_SEARCH_LIMIT = 5000
 _INT64_MAX = 2**63 - 1
 
 
@@ -58,7 +59,9 @@ def compute_bounds(n: int, k: int) -> BoundParams:
     if k < 1:
         raise BadParametersError("k must be at least 1")
     e = 2 * n
-    for start in range(_SEARCH_LIMIT):
+    # The loop ends: for n >= 1 the guard's lower bound on m0 grows with
+    # the start, and for n = 0 the window holds once 2**l > k.
+    for start in itertools.count():
         # m0 never falls as the start grows and l0 >= 1 when n >= 1, so no
         # later start passes once this lower bound on m0 exceeds the guard;
         # bit lengths test it first, so no power far past it is built
@@ -71,7 +74,6 @@ def compute_bounds(n: int, k: int) -> BoundParams:
         if not all(2 * (l - 1) ** e >= l**e for l in range(start + 2, start + BOUND_WINDOW + 1)):
             continue
         return BoundParams(n, k, start, k * (2 * n * start) ** e)
-    raise OverflowGuardError(f"no window start below {_SEARCH_LIMIT} for n={n}, k={k}")
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,15 @@ class Violation:
 
 
 class OracleLedger:
-    """Audit log of oracle queries keyed by value; text only for violations and errors."""
+    """Audit log of oracle queries keyed by value; text only for violations and errors.
 
-    def __init__(self, k: int, serialize_input: Callable, serialize_output: Callable):
+    An input's text is ``str(input)``; an output's is ``serialize_output(output)``.
+    """
+
+    def __init__(self, k: int, serialize_output: Callable):
         if k < 1:
             raise BadParametersError("k must be at least 1")
         self.k = k
-        self._ser_in = serialize_input
         self._ser_out = serialize_output
         self.queries: dict = {}
         self.fibers: dict = {}
@@ -102,14 +106,14 @@ class OracleLedger:
         prior = self.queries.get(inp)
         if prior is not None:
             if prior != out:
-                raise InconsistentOracleError(f"input {self._ser_in(inp)} mapped to both "
+                raise InconsistentOracleError(f"input {inp} mapped to both "
                                               f"{self._ser_out(prior)} and {self._ser_out(out)}")
             return None
         self.queries[inp] = out
         fiber = self.fibers.setdefault(out, [])
         fiber.append(inp)
         if len(fiber) > self.k:
-            return Violation(self._ser_out(out), tuple(map(self._ser_in, fiber)))
+            return Violation(self._ser_out(out), tuple(map(str, fiber)))
         return None
 
 
@@ -159,27 +163,28 @@ class _Inconsistent(Exception):
 class WitnessEngine:
     """Driver shared by the witness engines.
 
-    A subclass passes its seed count, seed factory and ledger serializers
-    to ``__init__`` and supplies the rest: ``_check_output`` (the claimed
-    codomain), ``step`` (one fresh witness, found by ``_first_fresh`` and
-    ending in ``_emit``) and ``_certificate`` (its header fields and output
-    serialization).  ``kind`` names the certificate of a run that completes
-    every step.
+    An engine supplies four things: a seed constructor, passed to
+    ``__init__`` and called on each atom pair ``(base, base + 1 + j)``;
+    ``_check_output``, the claimed codomain; ``step``, one fresh witness
+    found by ``_first_fresh`` and ending in ``_emit``; and ``_certificate``,
+    its header fields and output text.  ``kind`` names the certificate of a
+    run that completes every step.
     """
 
     kind = ""
 
     def __init__(self, k: int, oracle: Callable, instance_id: int, seed_count: int,
-                 make_seeds: Callable[[int], list], serialize_input: Callable,
-                 serialize_output: Callable):
+                 seed: Callable[[tuple[int, int]], object], serialize_output: Callable):
         self.k = k
         self.oracle = oracle
-        self.ledger = OracleLedger(k, serialize_input, serialize_output)
+        self.ledger = OracleLedger(k, serialize_output)
+        if seed_count < 1:
+            raise BadParametersError("seed count must be at least 1")
         if seed_count > SEED_CAP:
             raise InfeasibleRunError(self._refuse_seeds(seed_count))
-        self.base = 1000 * (instance_id + 1)
-        self.g: list = list(make_seeds(self.base))
-        self.seed_count = len(self.g)
+        self.base = base = 1000 * (instance_id + 1)
+        self.g: list = [seed((base, base + 1 + j)) for j in range(seed_count)]
+        self.seed_count = seed_count
         # each distinct answer -> index of the first witness that got it
         self.answers: dict = {}
         self.traces: list[dict] = []

@@ -19,8 +19,8 @@ from .fraenkel import SupportConfig, scan
 from .inject import Tableau, decode, encode
 from .oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
 from .partitions import bell
-from .perm_engine import run_perm_diag
-from .partition_engine import run_partition_diag
+from .partition_engine import PartitionDiagEngine
+from .perm_engine import PermDiagEngine
 from .perms import FinPerm
 
 
@@ -95,15 +95,14 @@ def _summarize_certificate(cert: dict) -> None:
 
 def _cmd_diag_perm(args) -> dict:
     oracle = _perm_oracle(args.oracle, args.n)
-    cert = run_perm_diag(args.n, args.k, oracle, args.steps,
-                         mode=args.mode, seed_count=args.seeds)
+    cert = PermDiagEngine(args.n, args.k, oracle, args.mode, args.seeds).run(args.steps)
     _summarize_certificate(cert)
     return cert
 
 
 def _cmd_diag_part(args) -> dict:
     oracle = _set_oracle(args.oracle)
-    cert = run_partition_diag(args.k, oracle, args.steps)
+    cert = PartitionDiagEngine(args.k, oracle).run(args.steps)
     _summarize_certificate(cert)
     return cert
 

@@ -24,16 +24,9 @@ from typing import Callable
 
 from .atoms import format_atom_set
 from .auditing import WitnessEngine, assemble_certificate
-from .errors import BadParametersError, OracleCodomainError
+from .errors import OracleCodomainError
 from .partitions import (BELL_MAX, FinitaryPartition, bell, build_frame,
                          iter_partitions_ranked, lift)
-
-
-def seed_partitions(k: int, base: int) -> list[FinitaryPartition]:
-    """``72*k*k + 1`` pairwise distinct two-atom-block partitions."""
-    if k < 1:
-        raise BadParametersError("k must be at least 1")
-    return [FinitaryPartition([(base, base + 1 + j)]) for j in range(72 * k * k + 1)]
 
 
 class PartitionDiagEngine(WitnessEngine):
@@ -45,7 +38,7 @@ class PartitionDiagEngine(WitnessEngine):
         # the last step's frame, refined by the next step's new answers
         self._frame = None
         super().__init__(k, oracle, instance_id, self.threshold + 1,
-                         lambda base: seed_partitions(k, base), str, format_atom_set)
+                         lambda pair: FinitaryPartition([pair]), format_atom_set)
 
     def _check_output(self, out) -> None:
         if not isinstance(out, frozenset) or not all(type(a) is int and a >= 0 for a in out):
@@ -79,9 +72,3 @@ class PartitionDiagEngine(WitnessEngine):
     def _certificate(self, kind, steps, violation) -> dict:
         return assemble_certificate(kind, None, self.k, None, self.threshold, steps,
                                     [str(p) for p in self.g], violation, self.traces)
-
-
-def run_partition_diag(k: int, oracle: Callable[[FinitaryPartition], frozenset[int]],
-                       steps: int, instance_id: int = 0) -> dict:
-    engine = PartitionDiagEngine(k, oracle, instance_id)
-    return engine.run(steps)

@@ -68,10 +68,6 @@ class FinitaryPartition:
         self._hash = hash(self._blocks)
 
     @classmethod
-    def singletons(cls) -> "FinitaryPartition":
-        return cls(())
-
-    @classmethod
     def parse(cls, text: str) -> "FinitaryPartition":
         if text == "{}*":
             return cls(())

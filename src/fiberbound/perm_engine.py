@@ -55,13 +55,6 @@ class FamilyEntry:
         }
 
 
-def seed_transpositions(count: int, base: int) -> list[FinPerm]:
-    """``count`` pairwise distinct transpositions sharing the base atom."""
-    if count < 1:
-        raise BadParametersError("seed count must be at least 1")
-    return [FinPerm.cycle([base, base + 1 + j]) for j in range(count)]
-
-
 def build_family(answers: dict[FinPerm, int], m: int, n: int) -> tuple[list[FamilyEntry], Optional[tuple[int, frozenset[int]]]]:
     """Distil the disjoint-support family from the oracle answers.
 
@@ -146,8 +139,7 @@ class PermDiagEngine(WitnessEngine):
         self.bounds = compute_bounds(n, k)
         if mode == "strict":
             seed_count = self.bounds.m0 + 1
-        super().__init__(k, oracle, instance_id, seed_count,
-                         lambda base: seed_transpositions(seed_count, base), str, str)
+        super().__init__(k, oracle, instance_id, seed_count, FinPerm.cycle, str)
         self._next_fallback = self.base + _FALLBACK_OFFSET
 
     def _refuse_seeds(self, count: int) -> str:
@@ -205,9 +197,3 @@ class PermDiagEngine(WitnessEngine):
     def _certificate(self, kind, steps, violation) -> dict:
         return assemble_certificate(kind, self.n, self.k, self.bounds.l0, self.bounds.m0, steps,
                                     [s.to_cycles() for s in self.g], violation, self.traces)
-
-
-def run_perm_diag(n: int, k: int, oracle: Callable[[FinPerm], FinPerm], steps: int,
-                  mode: str = "strict", seed_count: int = 64, instance_id: int = 0) -> dict:
-    engine = PermDiagEngine(n, k, oracle, mode, seed_count, instance_id)
-    return engine.run(steps)

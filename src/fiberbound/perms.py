@@ -118,9 +118,6 @@ class FinPerm:
         rename = g._map.get
         return FinPerm({rename(a, a): rename(b, b) for a, b in self._map.items()})
 
-    def is_identity(self) -> bool:
-        return not self._map
-
     def deflate(self, region: SetSpec) -> "FinPerm":
         """Push this permutation onto ``region``, identity elsewhere.
 

@@ -17,8 +17,8 @@ from fiberbound.fraenkel import (ForcedFixedPoint, SupportConfig, classify,
 from fiberbound.inject import Tableau, decode, encode
 from fiberbound.oracles import min_block_oracle, truncate_oracle
 from fiberbound.partitions import bell, build_frame
-from fiberbound.partition_engine import run_partition_diag
-from fiberbound.perm_engine import run_perm_diag
+from fiberbound.partition_engine import PartitionDiagEngine
+from fiberbound.perm_engine import PermDiagEngine
 from fiberbound.perms import FinPerm
 
 
@@ -123,7 +123,7 @@ def test_criterion_4_pair_collapse_injectivity():
 
 def test_criterion_5_strict_low_n_violation():
     with Budget(5, 1, "strict run refutes any bound-1 oracle below two moved points"):
-        cert = run_perm_diag(1, 1, truncate_oracle(1), steps=1, mode="strict")
+        cert = PermDiagEngine(1, 1, truncate_oracle(1), mode="strict").run(1)
         assert cert["kind"] == "ledger-violation"
         assert len(cert["outputs"]) == 257
         assert cert["violation"]["output"] == "()"
@@ -133,8 +133,8 @@ def test_criterion_5_strict_low_n_violation():
 
 def test_criterion_6_opportunistic_permutation_run():
     with Budget(6, 60, "opportunistic permutation engine, 200 steps or violation"):
-        cert = run_perm_diag(2, 1, truncate_oracle(2), steps=200,
-                             mode="opportunistic", seed_count=64)
+        cert = PermDiagEngine(2, 1, truncate_oracle(2), mode="opportunistic",
+                              seed_count=64).run(200)
         if cert["kind"] == "perm-diag":
             assert cert["steps"] == 200
         else:
@@ -156,7 +156,7 @@ def test_criterion_6_opportunistic_permutation_run():
 
 def test_criterion_7_partition_engine_run():
     with Budget(7, 60, "partition engine, 100 steps or violation"):
-        cert = run_partition_diag(1, min_block_oracle, steps=100)
+        cert = PartitionDiagEngine(1, min_block_oracle).run(100)
         if cert["kind"] == "part-diag":
             assert cert["steps"] == 100
         else:
@@ -241,7 +241,7 @@ def test_criterion_10_restriction_operator():
     with Budget(10, 1, "orbit restriction, randomized and worked cases"):
         c = FinPerm.cycle
         assert c([1, 2, 3]).deflate(SetSpec.finite({1, 3})) == c([1, 3])
-        assert c([1, 2]).deflate(SetSpec.universe()) == c([1, 2])
+        assert c([1, 2]).deflate(SetSpec.cofinite(())) == c([1, 2])
         assert c([1, 2, 3, 4]).deflate(SetSpec.cofinite({2})) == c([1, 3, 4])
 
         rng = random.Random(10)
@@ -262,7 +262,7 @@ def test_criterion_10_restriction_operator():
                     assert result(a) == a
                 else:
                     assert result(a) in region
-            assert s.deflate(SetSpec.universe()) == s
+            assert s.deflate(SetSpec.cofinite(())) == s
 
 
 def test_criterion_11_cli_determinism(tmp_path, capsys):

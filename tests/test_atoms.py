@@ -27,7 +27,7 @@ def test_spec_contains():
     assert 3 in SetSpec.finite({1, 3})
     assert 2 not in SetSpec.cofinite({2})
     assert 42 in SetSpec.cofinite(set())
-    assert 7 in SetSpec.universe()
+    assert 7 in SetSpec.cofinite(())
 
 
 def test_atom_set_text():

@@ -6,7 +6,7 @@ from fiberbound.auditing import (BoundParams, OracleLedger, compute_bounds,
                                  moved_set_adapter)
 from fiberbound.errors import InconsistentOracleError, OverflowGuardError
 from fiberbound.oracles import min_block_oracle, pool_perm_oracle, truncate_oracle
-from fiberbound.partition_engine import PartitionDiagEngine, run_partition_diag, seed_partitions
+from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
 from fiberbound.partitions import derangement
 from fiberbound.perms import FinPerm
@@ -50,7 +50,7 @@ def test_compute_bounds_overflow_guard(n, k):
 
 
 def test_ledger_violation_and_idempotence():
-    led = OracleLedger(1, str, str)
+    led = OracleLedger(1, str)
     assert led.record("s1", "id") is None
     violation = led.record("s2", "id")
     assert violation is not None
@@ -61,14 +61,14 @@ def test_ledger_violation_and_idempotence():
 
 
 def test_ledger_under_bound():
-    led = OracleLedger(2, str, str)
+    led = OracleLedger(2, str)
     assert led.record("a", "x") is None
     assert led.record("b", "x") is None
     assert led.record("c", "x") is not None
 
 
 def test_ledger_inconsistent_oracle():
-    led = OracleLedger(3, str, str)
+    led = OracleLedger(3, str)
     led.record("a", "x")
     with pytest.raises(InconsistentOracleError):
         led.record("a", "y")
@@ -104,26 +104,31 @@ def test_adapter_feeds_partition_engine():
         return FinPerm.cycle(least[:2])
 
     adapted, bound = moved_set_adapter(to_perm, 1, 2)
-    cert = run_partition_diag(bound, adapted, steps=3)
+    cert = PartitionDiagEngine(bound, adapted).run(3)
     assert cert["kind"] in ("part-diag", "ledger-violation")
     assert cert["all_distinct"]
 
 
 def test_seed_partitions_counts():
-    assert len(seed_partitions(1, 1000)) == 73
-    assert len(seed_partitions(2, 1000)) == 289
-    seeds = seed_partitions(1, 1000)
-    assert len(set(seeds)) == len(seeds)
+    # the driver builds seed j from the atom pair (base, base + 1 + j)
+    for k, count in ((1, 73), (2, 289)):
+        engine = PartitionDiagEngine(k, min_block_oracle)
+        seeds = engine.g[:engine.seed_count]
+        assert len(seeds) == count
+        assert len(set(seeds)) == len(seeds)
 
 
-def test_ledger_serializes_only_violations_and_flips():
+def test_ledger_serializes_only_violations_and_flips(monkeypatch):
+    # inputs and outputs are permutations here, so every text goes through to_cycles
     calls = []
+    to_cycles = FinPerm.to_cycles
 
     def counted(p):
         calls.append(p)
-        return p.to_cycles()
+        return to_cycles(p)
 
-    led = OracleLedger(2, counted, counted)
+    monkeypatch.setattr(FinPerm, "to_cycles", counted)
+    led = OracleLedger(2, FinPerm.to_cycles)
     out = FinPerm.cycle([1, 0])
     assert led.record(FinPerm.cycle([1, 2]), out) is None
     assert led.record(FinPerm.cycle([3, 1]), out) is None

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fiberbound.cli import main
+from fiberbound.perms import FinPerm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -81,16 +82,19 @@ def test_unknown_oracle(capsys):
      "error: the run needs 72000001 seeds, over the cap 1000000"),
     (["diag-perm", "--n", "2", "--k", "1", "--mode", "opportunistic", "--seeds", "2000000",
       "--steps", "1"], "error: the run needs 2000000 seeds, over the cap 1000000"),
+    (["diag-perm", "--n", "2", "--k", "1", "--mode", "opportunistic", "--seeds", "0"],
+     "error: seed count must be at least 1"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
         "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
-        "diag-part-seed-cap", "diag-perm-seed-cap"])
+        "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
-    # a refused run is refused before any seed is built
+    # a refused run is refused before any seed is built: the seed
+    # constructors the engines pass to the driver are never called
     def no_seeds(*_):
         raise AssertionError("seeds built for a refused run")
 
-    monkeypatch.setattr("fiberbound.partition_engine.seed_partitions", no_seeds)
-    monkeypatch.setattr("fiberbound.perm_engine.seed_transpositions", no_seeds)
+    monkeypatch.setattr("fiberbound.partition_engine.FinitaryPartition", no_seeds)
+    monkeypatch.setattr(FinPerm, "cycle", no_seeds)
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""

@@ -12,24 +12,24 @@ import pytest
 
 from fiberbound import partition_engine
 from fiberbound.oracles import min_block_oracle, pool_set_oracle, truncate_oracle
-from fiberbound.partition_engine import run_partition_diag
-from fiberbound.perm_engine import PermDiagEngine, run_perm_diag
+from fiberbound.partition_engine import PartitionDiagEngine
+from fiberbound.perm_engine import PermDiagEngine
 
 
 def _perm_diag(monkeypatch):
     # opportunistic, 20 steps of which 3 are fresh-transposition fallbacks
-    return run_perm_diag(2, 8, truncate_oracle(2), 20, mode="opportunistic", seed_count=4)
+    return PermDiagEngine(2, 8, truncate_oracle(2), mode="opportunistic", seed_count=4).run(20)
 
 
 def _perm_violation(monkeypatch):
     # opportunistic, violated after 10 steps, one of them a fallback
-    return run_perm_diag(2, 4, truncate_oracle(2), 20, mode="opportunistic", seed_count=8,
-                         instance_id=1)
+    return PermDiagEngine(2, 4, truncate_oracle(2), mode="opportunistic", seed_count=8,
+                          instance_id=1).run(20)
 
 
 def _perm_strict_n1(monkeypatch):
     # strict n=1: the m0 + 1 = 257 seeds all land on the identity
-    return run_perm_diag(1, 1, truncate_oracle(1), 1)
+    return PermDiagEngine(1, 1, truncate_oracle(1)).run(1)
 
 
 def _perm_stuck(monkeypatch):
@@ -39,21 +39,21 @@ def _perm_stuck(monkeypatch):
 
 
 def _part_diag(monkeypatch):
-    return run_partition_diag(1, min_block_oracle, 3)
+    return PartitionDiagEngine(1, min_block_oracle).run(3)
 
 
 def _part_violation(monkeypatch):
     # min-block at k=1 is violated after 3 steps
-    return run_partition_diag(1, min_block_oracle, 10, instance_id=2)
+    return PartitionDiagEngine(1, min_block_oracle, instance_id=2).run(10)
 
 
 def _part_pool_violation(monkeypatch):
-    return run_partition_diag(1, pool_set_oracle(6), 2, instance_id=3)
+    return PartitionDiagEngine(1, pool_set_oracle(6), instance_id=3).run(2)
 
 
 def _part_stuck(monkeypatch):
     monkeypatch.setattr(partition_engine, "iter_partitions_ranked", lambda l: iter(()))
-    return run_partition_diag(1, min_block_oracle, 2)
+    return PartitionDiagEngine(1, min_block_oracle).run(2)
 
 
 GOLDEN = {

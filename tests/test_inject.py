@@ -39,7 +39,7 @@ def test_encode_fresh_support():
     s = FinPerm.cycle([20, 21])
     image, trace = encode(s, tab)
     assert trace.level == 0
-    assert trace.swap.is_identity()
+    assert trace.swap == FinPerm.identity()
     assert image == s.after(FinPerm.cycle(tab.marker_rows[0]))
     assert len(image.moved) == 4
 

@@ -4,20 +4,27 @@ import pytest
 
 from fiberbound.errors import BadParametersError, InconsistentOracleError, OracleCodomainError
 from fiberbound.oracles import min_block_oracle, pool_set_oracle
-from fiberbound.partition_engine import PartitionDiagEngine, run_partition_diag, seed_partitions
+from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.partitions import FinitaryPartition, build_frame, lift, iter_partitions_ranked
 
 
+def driver_seeds(k):
+    engine = PartitionDiagEngine(k, min_block_oracle)
+    return engine.g[:engine.seed_count]
+
+
 def test_seed_shapes():
-    seeds = seed_partitions(1, 1000)
-    assert len(seeds) == 73
-    assert seeds[0] == FinitaryPartition([{1000, 1001}])
-    assert seeds[-1] == FinitaryPartition([{1000, 1073}])
-    assert len(seed_partitions(2, 1000)) == 289
+    first = driver_seeds(1)
+    assert len(first) == 73
+    assert first[0] == FinitaryPartition([{1000, 1001}])
+    assert first[-1] == FinitaryPartition([{1000, 1073}])
+    last = driver_seeds(2)
+    assert len(last) == 289
+    assert last[-1] == FinitaryPartition([{1000, 1289}])
 
 
 def test_constant_empty_oracle_violates_immediately():
-    cert = run_partition_diag(1, lambda p: frozenset(), steps=5)
+    cert = PartitionDiagEngine(1, lambda p: frozenset()).run(5)
     assert cert["kind"] == "ledger-violation"
     assert cert["violation"]["output"] == "{}"
     assert len(cert["violation"]["witnesses"]) == 2
@@ -25,7 +32,7 @@ def test_constant_empty_oracle_violates_immediately():
 
 
 def test_min_block_run_handles_huge_class_counts():
-    cert = run_partition_diag(1, min_block_oracle, steps=100)
+    cert = PartitionDiagEngine(1, min_block_oracle).run(100)
     assert cert["kind"] in ("part-diag", "ledger-violation")
     assert cert["all_distinct"]
     assert cert["traces"], "at least one constructed step expected"
@@ -83,14 +90,14 @@ def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, steps, resum
         return iter_partitions_ranked(l)
 
     monkeypatch.setattr("fiberbound.partition_engine.iter_partitions_ranked", counted)
-    cert = run_partition_diag(2, oracle, steps=steps)
+    cert = PartitionDiagEngine(2, oracle).run(steps)
     assert cert["kind"] == "part-diag" and len(cert["traces"]) == steps
     if resumes_every_step:
         assert len(starts) == 1
     else:
         assert 1 < len(starts) < steps
     # recompute every step from the certificate alone, walking from rank 1
-    seeds = len(seed_partitions(2, 1000))
+    seeds = 72 * 2 * 2 + 1
     for i, trace in enumerate(cert["traces"]):
         emitted = set(cert["outputs"][:seeds + i])
         frame = build_frame([frozenset(v) for v in trace["C"]])
@@ -117,7 +124,7 @@ def test_two_value_step_has_room():
 
 
 def test_pool_oracle_pigeonhole():
-    cert = run_partition_diag(1, pool_set_oracle(9), steps=10)
+    cert = PartitionDiagEngine(1, pool_set_oracle(9)).run(10)
     assert cert["kind"] == "ledger-violation"
     assert len(cert["violation"]["witnesses"]) == 2
 
@@ -130,7 +137,7 @@ def test_injective_oracle_streams_forever():
             memo[p] = frozenset(range(len(memo) + 1))
         return memo[p]
 
-    cert = run_partition_diag(1, injective, steps=12)
+    cert = PartitionDiagEngine(1, injective).run(12)
     assert cert["kind"] == "part-diag"
     assert cert["steps"] == 12
     assert len(cert["outputs"]) == 85
@@ -160,8 +167,9 @@ def test_equal_answer_keeps_the_recorded_value():
         return oracle
 
     plain = {}
-    want = run_partition_diag(1, lambda p: plain.setdefault(p, frozenset(range(len(plain) + 1))), 3)
-    assert json.dumps(run_partition_diag(1, bools_on_requery(), 3)) == json.dumps(want)
+    want = PartitionDiagEngine(1, lambda p: plain.setdefault(p, frozenset(range(len(plain) + 1)))
+                               ).run(3)
+    assert json.dumps(PartitionDiagEngine(1, bools_on_requery()).run(3)) == json.dumps(want)
     assert want["kind"] == "part-diag"
 
 
@@ -180,7 +188,7 @@ def test_flipping_oracle_detected():
 
 def test_steps_validation():
     with pytest.raises(BadParametersError):
-        run_partition_diag(1, min_block_oracle, steps=0)
+        PartitionDiagEngine(1, min_block_oracle).run(0)
 
 
 def test_exhausted_stream_reports_stuck(monkeypatch):
@@ -200,7 +208,7 @@ def test_stale_lifts_report_stuck(monkeypatch):
 
 
 def test_certificate_shape():
-    cert = run_partition_diag(1, min_block_oracle, steps=1)
+    cert = PartitionDiagEngine(1, min_block_oracle).run(1)
     assert list(cert) == ["kind", "n", "k", "l0", "m0", "steps", "outputs",
                           "all_distinct", "violation", "traces"]
     assert cert["n"] is None and cert["l0"] is None

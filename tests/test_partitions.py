@@ -99,7 +99,7 @@ def derangement_by_inclusion_exclusion(j):
 def test_from_blocks_examples():
     p = FinitaryPartition([{1, 2}, {3}])
     assert p.exceptional_blocks == frozenset({frozenset({1, 2})})
-    assert FinitaryPartition([]) == FinitaryPartition.singletons()
+    assert FinitaryPartition([]) == FinitaryPartition(())
     with pytest.raises(OverlappingBlocksError):
         FinitaryPartition([{1, 2}, {2, 3}])
 
@@ -107,9 +107,9 @@ def test_from_blocks_examples():
 def test_partition_text():
     p = FinitaryPartition([{5, 6, 7}, {1, 2}])
     assert str(p) == "{1,2}{5,6,7}"
-    assert str(FinitaryPartition.singletons()) == "{}*"
+    assert str(FinitaryPartition(())) == "{}*"
     assert FinitaryPartition.parse("{1,2}{5,6,7}") == p
-    assert FinitaryPartition.parse("{}*") == FinitaryPartition.singletons()
+    assert FinitaryPartition.parse("{}*") == FinitaryPartition(())
     with pytest.raises(ParseError):
         FinitaryPartition.parse("1,2")
 
@@ -316,7 +316,7 @@ def test_lift_examples():
     assert lift([{0}], frame) == FinitaryPartition([{1, 2}])
     two = build_frame([frozenset({1}), frozenset({1, 2})])  # classes {2},{1}
     assert lift([{0, 1}], two) == FinitaryPartition([{1, 2}])
-    assert lift([{0}, {1}], two) == FinitaryPartition.singletons()
+    assert lift([{0}, {1}], two) == FinitaryPartition(())
 
 
 @given(st.integers(0, 5), st.integers(0, 200))

@@ -6,8 +6,7 @@ from fiberbound import perm_engine
 from fiberbound.atoms import SetSpec
 from fiberbound.errors import BadParametersError, InfeasibleRunError, OracleCodomainError
 from fiberbound.oracles import pool_perm_oracle, truncate_oracle
-from fiberbound.perm_engine import (PermDiagEngine, assemble, build_family,
-                                    run_perm_diag, seed_transpositions)
+from fiberbound.perm_engine import PermDiagEngine, assemble, build_family
 from fiberbound.perms import FinPerm
 
 c = FinPerm.cycle
@@ -25,12 +24,18 @@ def memo_injective():
     return injective
 
 
+def driver_seeds(count):
+    engine = PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic", count)
+    return engine.g[:engine.seed_count]
+
+
 def test_seed_transpositions():
-    seeds = seed_transpositions(3, 1000)
-    assert [str(s) for s in seeds] == ["(1000;1001)", "(1000;1002)", "(1000;1003)"]
-    assert len(set(seed_transpositions(40, 1000))) == 40
-    with pytest.raises(BadParametersError):
-        seed_transpositions(0, 1000)
+    assert [str(s) for s in driver_seeds(3)] == ["(1000;1001)", "(1000;1002)", "(1000;1003)"]
+    forty = driver_seeds(40)
+    assert len(set(forty)) == len(forty) == 40
+    assert (forty[0], forty[-1]) == (c([1000, 1001]), c([1000, 1040]))
+    with pytest.raises(BadParametersError, match="seed count must be at least 1"):
+        driver_seeds(0)
 
 
 def family(values, n):
@@ -144,7 +149,7 @@ def test_assemble_injective():
 
 
 def test_strict_low_n_violates_at_seed_queries():
-    cert = run_perm_diag(1, 1, truncate_oracle(1), steps=5, mode="strict")
+    cert = PermDiagEngine(1, 1, truncate_oracle(1), mode="strict").run(5)
     assert cert["kind"] == "ledger-violation"
     assert len(cert["outputs"]) == 257
     assert cert["violation"]["output"] == "()"
@@ -159,15 +164,15 @@ def test_strict_high_n_refused():
 
 
 def test_opportunistic_pool_pigeonhole():
-    cert = run_perm_diag(2, 1, pool_perm_oracle(10, 2), steps=50,
-                         mode="opportunistic", seed_count=64)
+    cert = PermDiagEngine(2, 1, pool_perm_oracle(10, 2), mode="opportunistic",
+                          seed_count=64).run(50)
     assert cert["kind"] == "ledger-violation"
     assert len(cert["violation"]["witnesses"]) == 2
 
 
 def test_opportunistic_fresh_stream():
     # injective oracle: never violates, every step must construct
-    cert = run_perm_diag(2, 1, memo_injective(), steps=20, mode="opportunistic", seed_count=8)
+    cert = PermDiagEngine(2, 1, memo_injective(), mode="opportunistic", seed_count=8).run(20)
     assert cert["kind"] == "perm-diag"
     assert cert["steps"] == 20
     assert len(cert["outputs"]) == 28
@@ -183,8 +188,7 @@ def test_opportunistic_fresh_stream():
 
 
 def test_opportunistic_fallback_on_constant_oracle():
-    cert = run_perm_diag(2, 10, lambda s: c([1, 2]), steps=3,
-                         mode="opportunistic", seed_count=2)
+    cert = PermDiagEngine(2, 10, lambda s: c([1, 2]), mode="opportunistic", seed_count=2).run(3)
     assert cert["kind"] == "perm-diag"
     assert cert["steps"] == 3
     fallbacks = [t for t in cert["traces"] if t["fallback"]]
@@ -212,7 +216,7 @@ def test_oracle_codomain_checked():
 
 def test_steps_validation():
     with pytest.raises(BadParametersError):
-        run_perm_diag(1, 1, truncate_oracle(1), steps=0, mode="strict")
+        PermDiagEngine(1, 1, truncate_oracle(1), mode="strict").run(0)
 
 
 def test_flipping_oracle_detected():
@@ -285,13 +289,13 @@ def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, k, steps, co
         return index_sets(width)
 
     monkeypatch.setattr("fiberbound.perm_engine._index_sets", counted)
-    cert = run_perm_diag(2, k, oracle(), steps=steps, mode="opportunistic", seed_count=8)
+    cert = PermDiagEngine(2, k, oracle(), mode="opportunistic", seed_count=8).run(steps)
     assert cert["kind"] == "perm-diag" and len(cert["traces"]) == steps
     if counts_starts:
         assert 1 < len(starts) < steps
     else:
         assert any(t["fallback"] for t in cert["traces"])
-    seeds = [s.to_cycles() for s in seed_transpositions(8, 1000)]
+    seeds = [f"(1000;{1001 + j})" for j in range(8)]
     assert cert["outputs"][:8] == seeds
     # recompute every walk from the certificate alone, starting at the empty set
     for i, trace in enumerate(cert["traces"]):
