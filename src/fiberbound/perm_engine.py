@@ -1,15 +1,17 @@
 """Witness engine against claimed bounded-fiber maps out of the full
 permutation group into the permutations moving at most n points.
 
-Each step queries the oracle on everything emitted so far, distils a
+Each step queries the oracle on everything emitted so far, builds a
 family of nontrivial permutations with pairwise disjoint supports from the
 distinct answers at their first index, read from the driver's answer
 record, and emits the first product of family members not seen before.
-Strict mode seeds past the computed threshold ``m0`` so that a failed
-family construction is a genuine inconsistency; opportunistic mode runs
-from a small seed count and patches over legitimate early failures with
-fresh transpositions, which keeps the construction machinery exercised at
-desk scale.
+The answers only ever extend, so a step keeps the leading case-1 levels
+of the last step's family and rebuilds from its first case-2 or stuck
+level.  Strict mode seeds past the computed threshold ``m0`` so that a
+failed family construction is a genuine inconsistency; opportunistic mode
+runs from a small seed count and patches over legitimate early failures
+with fresh transpositions, which keeps the construction machinery
+exercised at desk scale.
 
 A candidate depends only on the family's members, so the driver's walk
 over the index sets resumes while they are unchanged, and ``chosen_a`` is
@@ -20,6 +22,7 @@ restarts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -55,8 +58,10 @@ class FamilyEntry:
         }
 
 
-def build_family(answers: dict[FinPerm, int], m: int, n: int) -> tuple[list[FamilyEntry], Optional[tuple[int, frozenset[int]]]]:
-    """Distil the disjoint-support family from the oracle answers.
+def build_family(answers: dict[FinPerm, int], m: int, n: int,
+                 prev: Optional[list[FamilyEntry]] = None,
+                 ) -> tuple[list[FamilyEntry], Optional[tuple[int, frozenset[int]]]]:
+    """Build the disjoint-support family from the oracle answers.
 
     ``answers`` maps each distinct answer on the ``m`` emitted permutations
     to the index of the first one that got it, in index order; the family
@@ -65,14 +70,24 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int) -> tuple[list[Fami
     both cases scan the first occurrences only.  Returns the entries plus
     the stage at which construction got stuck, if it did.  Ties resolve by
     index order, then atom order.
+
+    ``prev`` is the entries list an earlier call returned, and ``answers``
+    must extend the record it was built from: every answer it held keeps
+    its index, and new answers have larger ones.  The leading case-1
+    entries of ``prev`` are then kept as they are.  A case-1 level takes
+    the least index whose answer has an escaping atom; if the levels
+    before it are unchanged, so is the occupied set, the answers at
+    smaller indices still do not escape and the chosen one still does.
+    A case-2 level is rebuilt, since a new answer may escape or form an
+    earlier pair, and so is a stuck level, which may come unstuck.
     """
     if m < 1:
         raise BadParametersError("need at least one value")
     top = m.bit_length() - 1
-    entries: list[FamilyEntry] = []
-    occupied: set[int] = set()
+    entries = list(itertools.takewhile(lambda e: e.case == 1, prev or ()))
+    occupied: set[int] = set().union(*(e.perm.moved for e in entries))
 
-    for level in range(top + 1):
+    for level in range(len(entries), top + 1):
         snapshot = tuple(sorted(occupied))
         chosen = None
         for s, i in answers.items():
@@ -141,6 +156,8 @@ class PermDiagEngine(WitnessEngine):
             seed_count = self.bounds.m0 + 1
         super().__init__(k, oracle, instance_id, seed_count, FinPerm.cycle, str)
         self._next_fallback = self.base + _FALLBACK_OFFSET
+        # the last step's family, kept in part by the next step's build
+        self._family = None
 
     def _refuse_seeds(self, count: int) -> str:
         if self.mode == "strict":
@@ -165,7 +182,8 @@ class PermDiagEngine(WitnessEngine):
         m = len(self.g)
         self._query_all()
         answers = self.answers
-        entries, stuck = build_family(answers, m, self.n)
+        entries, stuck = build_family(answers, m, self.n, self._family)
+        self._family = entries
         trace: dict = {
             "m": m,
             "B": [[idx, text] for idx, text in

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +131,64 @@ def test_family_matches_raw_pair_scan(values):
     assert [(e.case, e.i, e.j, e.x, e.perm) for e in got_entries] == want
 
 
+def grow_family(values, n):
+    # feed the first-occurrence record one answer at a time, passing each
+    # call's entries on as the next call's prev; returns the cases seen
+    answers = {}
+    prev = None
+    seen = set()
+    for idx, v in enumerate(values):
+        answers.setdefault(v, idx)
+        entries, stuck = build_family(answers, idx + 1, n, prev)
+        assert (entries, stuck) == build_family(answers, idx + 1, n)
+        if prev is not None:
+            for old, new in zip(prev, entries):
+                if old.case != 1:
+                    break
+                assert new is old
+                seen.add("kept")
+        seen.update(e.case for e in entries)
+        if stuck is not None:
+            seen.add("stuck")
+        prev = entries
+    return seen
+
+
+def answer_perms(n):
+    # permutations moving at most n of the atoms 0..5; truncate-style
+    # transpositions sharing the atom 0 make case-2 levels common
+    moving = (st.lists(st.integers(0, 5), unique=True, max_size=n)
+              .flatmap(lambda pts: st.permutations(pts).map(lambda img: FinPerm(dict(zip(pts, img))))))
+    if n < 2:
+        return moving
+    return st.one_of(moving, st.integers(1, 5).map(lambda j: c([0, j])))
+
+
+@st.composite
+def growing_answers(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    return draw(st.lists(answer_perms(n), min_size=1, max_size=20)), n
+
+
+@given(growing_answers())
+@settings(max_examples=300)
+def test_incremental_family_matches_a_fresh_build(drawn):
+    values, n = drawn
+    grow_family(values, n)
+
+
+@pytest.mark.parametrize("values, cases", [
+    # truncate-style answers share the base atom: stuck, then case 2, per level
+    ([c([0, 1 + j]) for j in range(12)], {1, 2, "stuck", "kept"}),
+    # a single repeated answer sticks at level 1 for good
+    ([c([1, 2])] * 9, {1, "stuck", "kept"}),
+    # level 1 is case 2 at m = 3 and turns into case 1 when (5;6) arrives
+    ([c([0, 1]), c([0, 2]), c([0, 3]), c([5, 6])], {1, 2, "stuck", "kept"}),
+], ids=["shared-base", "repeated", "case-2-to-case-1"])
+def test_incremental_family_examples_reach_each_case(values, cases):
+    assert grow_family(values, 2) == cases
+
+
 def test_assemble_examples():
     entries, _ = family([c([1000, 1001 + j]) for j in range(4)], 2)
     members = [e.perm for e in entries]
@@ -239,7 +299,7 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
                             seed_count=4)
     engine.mode = "strict"
     monkeypatch.setattr("fiberbound.perm_engine.build_family",
-                        lambda answers, m, n: ([], (0, frozenset())))
+                        lambda answers, m, n, prev: ([], (0, frozenset())))
     cert = engine.run(3)
     assert cert["kind"] == "stuck"
     assert cert["traces"][-1]["stuck_at"] == [0, []]
@@ -248,10 +308,15 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
 def test_family_reads_the_driver_answer_record(monkeypatch):
     engine = PermDiagEngine(2, 8, pool_perm_oracle(10, 2), mode="opportunistic", seed_count=8)
     seen = []
+    returned = [None]
 
-    def spy(answers, m, n):
+    def spy(answers, m, n, prev):
         seen.append((answers, m))
-        return build_family(answers, m, n)
+        # each step passes on the entries list the last step's build returned
+        assert prev is returned[-1]
+        result = build_family(answers, m, n, prev)
+        returned.append(result[0])
+        return result
 
     monkeypatch.setattr("fiberbound.perm_engine.build_family", spy)
     cert = engine.run(20)
@@ -315,3 +380,20 @@ def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, k, steps, co
             pytest.fail(f"no fresh candidate at trace {i}")
         assert chosen == trace["chosen_a"]
         assert product.to_cycles() == trace["result"]
+
+
+@pytest.mark.parametrize("oracle, k, seed_count, steps", [
+    (lambda: truncate_oracle(2), 8, 64, 120),
+    (lambda: truncate_oracle(2), 20, 64, 120),
+    (lambda: pool_perm_oracle(1, 2), 8, 4, 20),
+    (lambda: pool_perm_oracle(2, 2), 8, 8, 40),
+    (lambda: pool_perm_oracle(10, 2), 8, 8, 80),
+    (memo_injective, 1, 8, 60),
+], ids=["truncate-k8", "truncate-k20", "pool-1", "pool-2", "pool-10", "memo-injective"])
+def test_incremental_family_keeps_certificates_byte_identical(monkeypatch, oracle, k,
+                                                               seed_count, steps):
+    kept = PermDiagEngine(2, k, oracle(), "opportunistic", seed_count).run(steps)
+    monkeypatch.setattr("fiberbound.perm_engine.build_family",
+                        lambda answers, m, n, prev: build_family(answers, m, n))
+    fresh = PermDiagEngine(2, k, oracle(), "opportunistic", seed_count).run(steps)
+    assert json.dumps(kept) == json.dumps(fresh)
