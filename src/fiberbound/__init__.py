@@ -1,6 +1,7 @@
 """Constructive combinatorics of boundedly finite-to-one functions.
 
-The package provides, over a countable atom universe:
+Import from the modules; the package itself exports only ``__version__``.
+Over a countable atom universe they provide:
 
 * finitely supported permutations with cycle notation and the orbit
   restriction operator (:mod:`fiberbound.perms`);
@@ -22,26 +23,4 @@ The package provides, over a countable atom universe:
   (:mod:`fiberbound.fraenkel`).
 """
 
-from .atoms import SetSpec, format_atom_set, fresh_atoms, parse_atom_set
-from .auditing import (BoundParams, OracleLedger, Violation, assemble_certificate,
-                       compute_bounds, moved_set_adapter)
-from .fraenkel import (ExtraOutside, ForcedFixedPoint, MissingMoved, PreconditionFail,
-                       SupportConfig, classify, scan)
-from .inject import EncodeTrace, Tableau, decode, encode
-from .partition_engine import PartitionDiagEngine
-from .partitions import (FinitaryPartition, QuotientFrame, bell, build_frame, derangement,
-                         iter_partitions_ranked, lift)
-from .perm_engine import PermDiagEngine, build_family
-from .perms import FinPerm
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundParams", "EncodeTrace", "ExtraOutside", "FinPerm", "FinitaryPartition",
-    "ForcedFixedPoint", "MissingMoved", "OracleLedger", "PartitionDiagEngine",
-    "PermDiagEngine", "PreconditionFail", "QuotientFrame", "SetSpec", "SupportConfig",
-    "Tableau", "Violation", "assemble_certificate", "bell", "build_family", "build_frame",
-    "classify", "compute_bounds", "decode", "derangement", "encode",
-    "format_atom_set", "fresh_atoms", "iter_partitions_ranked", "lift", "moved_set_adapter",
-    "parse_atom_set", "scan",
-]

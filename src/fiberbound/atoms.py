@@ -75,7 +75,3 @@ class SetSpec:
 
     def __contains__(self, atom: int) -> bool:
         return (atom in self.atoms) != self.complement
-
-    def __str__(self) -> str:
-        body = format_atom_set(self.atoms)
-        return f"~{body}" if self.complement else body

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (BadParametersError, InconsistentOracleError, InfeasibleRunError,
                      OverflowGuardError)
-from .partitions import derangement
 
 BOUND_WINDOW = 100
 SEED_CAP = 1_000_000
@@ -37,9 +36,10 @@ class BoundParams:
     """Threshold parameters for the permutation engine.
 
     ``l0`` is the least window start from which ``k*(2*n*l)**(2*n) < 2**l``
-    holds across the whole checked window with the ratio ``2**l / l**(2*n)``
-    nondecreasing, and ``m0 = k*(2*n*l0)**(2*n)``.  ``(2*n*l)**(2*n)`` is 1
-    when ``n`` is 0.
+    holds across the whole checked window, and ``m0 = k*(2*n*l0)**(2*n)``.
+    ``(2*n*l)**(2*n)`` is 1 when ``n`` is 0.  The ratio ``2**l / l**(2*n)``
+    is then nondecreasing across the window: for ``n >= 1`` the inequality
+    fails at ``l = 1`` and forces ``l > 4*n`` for ``l >= 2``.
     """
 
     n: int
@@ -68,12 +68,10 @@ def compute_bounds(n: int, k: int) -> BoundParams:
         base = 2 * n * max(start, 1)
         if k.bit_length() - 1 + e * (base.bit_length() - 1) >= 63 or k * base**e > _INT64_MAX:
             raise OverflowGuardError(f"m0 exceeds the 2**63-1 guard for n={n}, k={k}")
-        window = range(start + 1, start + BOUND_WINDOW + 1)
-        if not all(_growth_ok(n, k, l) for l in window):
-            continue
-        if not all(2 * (l - 1) ** e >= l**e for l in range(start + 2, start + BOUND_WINDOW + 1)):
-            continue
-        return BoundParams(n, k, start, k * (2 * n * start) ** e)
+        # In a passing window the ratio 2**l / l**e never falls: each l - 1 >= 2
+        # in it has l - 1 > 4n, so (1 - 1/l)**e >= 1 - e/l > 1/2 (n = 0: 2 >= 1).
+        if all(_growth_ok(n, k, l) for l in range(start + 1, start + BOUND_WINDOW + 1)):
+            return BoundParams(n, k, start, k * (2 * n * start) ** e)
 
 
 @dataclass(frozen=True)
@@ -115,22 +113,6 @@ class OracleLedger:
         if len(fiber) > self.k:
             return Violation(self._ser_out(out), tuple(map(str, fiber)))
         return None
-
-
-def moved_set_adapter(oracle: Callable, k: int, n: int) -> tuple[Callable, int]:
-    """Compose a permutation-valued oracle with the moved-set map.
-
-    The moved-set map sends a permutation moving at most ``n`` points to a
-    finite atom set; its fibers have size exactly ``derangement(j)`` for a
-    j-point set, so the adapted oracle's declared bound is ``k`` times the
-    largest such count with ``j <= n``.
-    """
-    factor = max(derangement(j) for j in range(n + 1))
-
-    def adapted(x):
-        return frozenset(oracle(x).moved)
-
-    return adapted, k * factor
 
 
 def assemble_certificate(kind: str, n, k, l0, m0, steps: int,

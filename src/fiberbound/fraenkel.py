@@ -204,24 +204,20 @@ def _pairs_per_orbit(n: int) -> int:
 def scan(cfg: SupportConfig) -> dict:
     """Branch counts over every eligible (s, t) pair, one representative per orbit."""
     n = cfg.n
-    # every config has at least one orbit, so one orbit's pairs over the cap
-    # refuse the scan before the n² orbit loop
+    # The per-orbit count is the only check the cap needs: every n >= 5 fails
+    # it (D(5)·D(6) = 11,660), and n <= 4 has at most (n+1)(n+4)/2 = 20
+    # orbits of D(4)·D(5) = 396 pairs, so 7,920 pairs in all.
     per_orbit = _pairs_per_orbit(n)
     if per_orbit > SCAN_PAIR_CAP:
         raise BudgetExceededError(
             f"scan would classify at least {per_orbit} pairs, over the cap {SCAN_PAIR_CAP}")
-    orbits = list(_orbits(cfg))
-    work = len(orbits) * per_orbit
-    if work > SCAN_PAIR_CAP:
-        raise BudgetExceededError(
-            f"scan would classify {work} pairs, over the cap {SCAN_PAIR_CAP}")
     support = sorted(cfg.support)
     # the smallest atoms outside E lie inside the carrier, since E does
     free = fresh_atoms(min(2 * n + 1, cfg.carrier_size - len(support)), support)
     s_pool = list(perms_moving_exactly(iter(free[:n]), n))
     counts = dict.fromkeys(_BRANCHES.values(), 0)
     pairs = escapes = 0
-    for i, j, size in orbits:
+    for i, j, size in _orbits(cfg):
         moved_t = free[:i] + tuple(support[:j]) + free[n:2 * n + 1 - i - j]
         t_pool = list(perms_moving_exactly(iter(moved_t), n + 1))
         pairs += size * len(s_pool) * len(t_pool)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (BadParametersError, BudgetExceededError, FiberboundError,
-                     NotInImageError, WrongMovedSizeError)
+from .errors import (BadParametersError, BudgetExceededError, NotInImageError,
+                     WrongMovedSizeError)
 from .perms import FinPerm
 
 TABLEAU_ATOM_CAP = 2**20
@@ -118,24 +118,18 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     for idx, a in enumerate(row):
         if t(a) != row[(idx + 1) % len(row)]:
             raise NotInImageError("marker atoms do not carry the marker cycle")
+    # t maps the row onto itself, so it permutes the rest of its moved set
+    # too, and restricted there it is a permutation that moves no row atom
     row_set = set(row)
-    stripped = {a: b for a, b in t.moved_map.items() if a not in row_set}
-    if any(b in row_set for b in stripped.values()):
-        raise NotInImageError("marker atoms entangled with the rest of the map")
-    try:
-        conjugated = FinPerm(stripped)
-    except FiberboundError:
-        raise NotInImageError("stripping the marker cycle left a non-permutation") from None
+    conjugated = FinPerm({a: b for a, b in t.moved_map.items() if a not in row_set})
     pairs = {}
     conjugated_moved = conjugated.moved
     for x, shadow in tab.shadow_maps[level].items():
         if shadow in conjugated_moved:
             pairs[x] = shadow
             pairs[shadow] = x
-    try:
-        swap = FinPerm(pairs)
-    except FiberboundError:
-        raise NotInImageError("shadow atoms do not form an involution") from None
+    # the shadow map is injective between disjoint sets: disjoint transpositions
+    swap = FinPerm(pairs)
     s = conjugated.conjugate(swap)
     if len(s.moved) != tab.n:
         raise NotInImageError("reconstruction has the wrong moved size")

@@ -25,8 +25,7 @@ from typing import Callable
 from .atoms import format_atom_set
 from .auditing import WitnessEngine, assemble_certificate
 from .errors import OracleCodomainError
-from .partitions import (BELL_MAX, FinitaryPartition, bell, build_frame,
-                         iter_partitions_ranked, lift)
+from .partitions import FinitaryPartition, build_frame, iter_partitions_ranked, lift
 
 
 class PartitionDiagEngine(WitnessEngine):
@@ -50,12 +49,9 @@ class PartitionDiagEngine(WitnessEngine):
         frame = self._frame = build_frame(self.answers, self._frame)
         distinct, l = frame.values, frame.l
         # Each listed value is a union of classes, so these hold on every
-        # recorded trace.
+        # recorded trace; m >= seed_count = threshold + 1 on every step.
         assert len(distinct) <= 2**l
-        if m > self.threshold:
-            assert 72 * self.k < 2**l
-        if 1 <= l <= BELL_MAX:
-            assert 72 * bell(l) > 4**l
+        assert 72 * self.k < 2**l
         q, result, drawn = self._first_fresh(frame.classes, lambda: iter_partitions_ranked(l),
                                              lambda q: lift(q, frame))
         trace = {

@@ -83,12 +83,6 @@ class FinitaryPartition:
         """The stored blocks of size at least two."""
         return self._blocks
 
-    def block_of(self, atom: int) -> Block:
-        for b in self._blocks:
-            if atom in b:
-                return b
-        return frozenset((atom,))
-
     def __str__(self) -> str:
         if not self._blocks:
             return "{}*"
@@ -158,13 +152,6 @@ class QuotientFrame:
             for a in v:
                 membership[a] = membership.get(a, 0) | bit
         return tuple(membership[next(iter(c))] for c in self.classes)
-
-    @property
-    def vectors(self) -> tuple[tuple[bool, ...], ...]:
-        """Each class's membership pattern as one bool per listed value."""
-        top = len(self.values) - 1
-        return tuple(tuple(bool(mask >> (top - i) & 1) for i in range(top + 1))
-                     for mask in self.masks)
 
     @property
     def l(self) -> int:
@@ -305,10 +292,10 @@ def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:
     """
 
     def gen(avail: tuple[int, ...], upper: int) -> Iterator[tuple[Block, ...]]:
+        # avail[0] < upper: a recursive call keeps avail[0] < avail[jpos] = upper,
+        # and at the top every index is below l
         if not avail:
             yield ()
-            return
-        if avail[0] >= upper:
             return
         # Least available index first: the only block with that minimum
         # that leaves a legal remainder is the whole of avail.
@@ -327,4 +314,4 @@ def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:
                 for sub in gen(rest, m1):
                     yield (block,) + sub
 
-    yield from gen(tuple(range(l)), l if l else 1)
+    yield from gen(tuple(range(l)), l)

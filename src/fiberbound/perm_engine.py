@@ -186,8 +186,8 @@ class PermDiagEngine(WitnessEngine):
         self._family = entries
         trace: dict = {
             "m": m,
-            "B": [[idx, text] for idx, text in
-                  zip(answers.values(), self._json(answers, FinPerm.to_cycles))],
+            # an answer's first index never changes, so the whole pair is memoized
+            "B": self._json(answers, lambda s: [answers[s], s.to_cycles()]),
             "family": self._json(entries, FamilyEntry.as_json),
             "stuck_at": None,
             "fallback": False,

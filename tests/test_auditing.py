@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from fiberbound.auditing import (BoundParams, OracleLedger, compute_bounds,
-                                 moved_set_adapter)
+from fiberbound.auditing import BoundParams, OracleLedger, compute_bounds
 from fiberbound.errors import InconsistentOracleError, OverflowGuardError
 from fiberbound.oracles import min_block_oracle, pool_perm_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
@@ -84,29 +83,6 @@ def test_moved_set_fiber_exactness():
     for moved, count in counts.items():
         if len(moved) <= 4:
             assert count == derangement(len(moved))
-
-
-def test_moved_set_adapter_factors():
-    dummy = lambda x: FinPerm.identity()
-    assert moved_set_adapter(dummy, 1, 2)[1] == 1
-    assert moved_set_adapter(dummy, 1, 4)[1] == 9
-    assert moved_set_adapter(dummy, 1, 0)[1] == 1
-    assert moved_set_adapter(dummy, 3, 4)[1] == 27
-
-
-def test_adapter_feeds_partition_engine():
-    # a partition-to-permutation oracle attacked through the moved-set map
-    def to_perm(p):
-        blocks = p.exceptional_blocks
-        if not blocks:
-            return FinPerm.identity()
-        least = sorted(min(blocks, key=min))
-        return FinPerm.cycle(least[:2])
-
-    adapted, bound = moved_set_adapter(to_perm, 1, 2)
-    cert = PartitionDiagEngine(bound, adapted).run(3)
-    assert cert["kind"] in ("part-diag", "ledger-violation")
-    assert cert["all_distinct"]
 
 
 def test_seed_partitions_counts():

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from fiberbound.atoms import parse_atom_set
+from fiberbound.auditing import OracleLedger, compute_bounds
 from fiberbound.cli import main
+from fiberbound.errors import BadParametersError, ParseError
+from fiberbound.oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
+from fiberbound.partitions import FinitaryPartition
+from fiberbound.perm_engine import PermDiagEngine, build_family
 from fiberbound.perms import FinPerm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -84,9 +90,10 @@ def test_unknown_oracle(capsys):
       "--steps", "1"], "error: the run needs 2000000 seeds, over the cap 1000000"),
     (["diag-perm", "--n", "2", "--k", "1", "--mode", "opportunistic", "--seeds", "0"],
      "error: seed count must be at least 1"),
+    (["diag-part", "--k", "1", "--oracle", "bogus"], "error: unknown diag-part oracle 'bogus'"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
         "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
-        "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0"])
+        "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0", "diag-part-bogus-oracle"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
     # a refused run is refused before any seed is built: the seed
     # constructors the engines pass to the driver are never called
@@ -100,6 +107,44 @@ def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error:") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+LIBRARY_GUARDS = {
+    # library entry points whose argument checks no command-line run reaches
+    "bounds-negative-n": (lambda: compute_bounds(-1, 1), BadParametersError,
+                          "n must be non-negative"),
+    "ledger-k0": (lambda: OracleLedger(0, str), BadParametersError, "k must be at least 1"),
+    "truncate-negative-n": (lambda: truncate_oracle(-1), BadParametersError,
+                            "n must be non-negative"),
+    "perm-pool-empty": (lambda: pool_perm_oracle(0, 2), BadParametersError,
+                        "pool size must be at least 1"),
+    "set-pool-empty": (lambda: pool_set_oracle(0), BadParametersError,
+                       "pool size must be at least 1"),
+    "family-no-values": (lambda: build_family({}, 0, 2), BadParametersError,
+                         "need at least one value"),
+    "engine-bogus-mode": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), mode="bogus"),
+                          BadParametersError, "unknown mode 'bogus'"),
+    "atom-set-unbalanced": (lambda: parse_atom_set("{1,2"), ParseError,
+                            "unbalanced braces in atom set: '{1,2'"),
+    "atom-set-negative": (lambda: parse_atom_set("{-1}"), ParseError,
+                          "negative atom in set: '{-1}'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LIBRARY_GUARDS.values(),
+                         ids=LIBRARY_GUARDS.keys())
+def test_library_guards_raise_domain_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_oracle_edge_cases():
+    # below two moved points the only permutation is the identity
+    oracle = pool_perm_oracle(5, 1)
+    assert {oracle(FinPerm.cycle([a, a + 1 + j])).to_cycles()
+            for a in range(10) for j in range(3)} == {"()"}
+    assert min_block_oracle(FinitaryPartition(())) == frozenset()
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])

@@ -163,3 +163,42 @@ def test_verify_rejects_forged_missing_moved_samples(forged):
     s, t = c([1, 2]), c([3, 4, 5])
     assert _verify(classify(s, t, CFG), s, t, CFG)
     assert not _verify(MissingMoved(1, forged), s, t, CFG)
+
+
+# (s, t) pairs whose honest verdicts take branches 1, 2 and 3
+MM_PAIR = (c([1, 2]), c([3, 4, 5]))
+EO_PAIR = (c([1, 2]), c([1, 2, 3]))
+FF_PAIR = (c([1, 2]), c([0, 1, 2]))
+# each corrupts one field of the honest verdict on the pair, or the pair's s
+CORRUPTIONS = {
+    # t moves atom 1, and only the atom check sees it: the samples are honest for it
+    "mm-atom-moved-by-t": (EO_PAIR, lambda v, s: (MissingMoved(1, (c([2, 6]), c([2, 7]))), s)),
+    "mm-one-sample": (MM_PAIR, lambda v, s: (MissingMoved(v.atom, v.samples[:1]), s)),
+    "mm-repeated-sample": (MM_PAIR, lambda v, s: (MissingMoved(v.atom, v.samples[:1] * 2), s)),
+    "eo-swap-moves-moved-s": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([1, 4]), v.conjugate), s)),
+    "eo-swap-moves-e": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([0, 3]), v.conjugate), s)),
+    "eo-wrong-conjugate": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, v.swap, c([1, 2, 5])), s)),
+    # (5 6) fixes E and moved(s) but also t, so the conjugate it gives is t
+    "eo-swap-fixes-t": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([5, 6]), c([1, 2, 3])), s)),
+    "ff-atom-outside-e": (FF_PAIR, lambda v, s: (ForcedFixedPoint(3, v.image, v.conjugate), s)),
+    "ff-image-not-t-of-e": (FF_PAIR, lambda v, s: (ForcedFixedPoint(0, 2, v.conjugate), s)),
+    "ff-wrong-conjugate": (FF_PAIR, lambda v, s: (ForcedFixedPoint(0, v.image, c([0, 1, 3])), s)),
+    "ff-s-moves-e": (FF_PAIR, lambda v, s: (v, c([0, 1]))),
+    "precondition-fail": (MM_PAIR, lambda v, s: (PreconditionFail("not a probe"), s)),
+}
+
+
+@pytest.mark.parametrize("pair, corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_verify_rejects_each_corrupted_verdict(pair, corrupt):
+    s, t = pair
+    honest = classify(s, t, CFG)
+    assert _verify(honest, s, t, CFG)
+    verdict, s = corrupt(honest, s)
+    assert _verify(verdict, s, t, CFG) is False
+
+
+def test_scan_counts_unverified_verdicts_as_escapes(monkeypatch):
+    monkeypatch.setattr(fraenkel, "classify", lambda s, t, cfg: MissingMoved(-1, ()))
+    report = scan(CFG)
+    assert report["escapes"] == report["pairs"] > 0
+    assert report["missing_moved"] == report["extra_outside"] == report["forced_fixed_point"] == 0

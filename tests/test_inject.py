@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fiberbound.errors import (BadParametersError, BudgetExceededError, NotInImageError,
                                WrongMovedSizeError)
@@ -83,6 +85,48 @@ def test_decode_failures():
     # moves a level but the marker cycle is absent
     with pytest.raises(NotInImageError):
         decode(FinPerm.cycle([row0[0], 20, 21, 22]), tab)
+
+
+def test_decode_rejects_a_reconstruction_that_encodes_elsewhere():
+    # level 1's marker cycle around (30 31): level 0 is free for (30 31), so
+    # encoding it puts the marker cycle on level 0 instead
+    with pytest.raises(NotInImageError, match="^re-encoding the reconstruction differs$"):
+        decode(FinPerm.parse("(2;3)(30;31)"), Tableau(2, 4))
+
+
+@st.composite
+def decode_inputs(draw):
+    """A tableau and a permutation of its reserved atoms plus four spare ones:
+    a random one, a valid image composed with one, or a level's marker cycle
+    times an n-cycle on the other atoms, which decodes to an n-point
+    permutation whose own encoding may pick another level."""
+    tab = draw(st.sampled_from([Tableau(2, 4), Tableau(2, 5), Tableau(3, 5)]))
+    atoms = sorted(tab.reserved) + [len(tab.reserved) + i for i in range(4)]
+    shape = draw(st.sampled_from(["random", "image", "marker"]))
+    if shape == "random":
+        points = draw(st.lists(st.sampled_from(atoms), unique=True, max_size=10))
+        return tab, FinPerm(dict(zip(points, draw(st.permutations(points)))))
+    if shape == "marker":
+        level = draw(st.integers(0, tab.n))
+        atoms = [a for a in atoms if a not in tab.marker_rows[level]]
+    # for n = 2 and 3 every permutation moving exactly n points is an n-cycle
+    s = FinPerm.cycle(draw(st.lists(st.sampled_from(atoms), unique=True, min_size=tab.n,
+                                    max_size=tab.n)))
+    if shape == "marker":
+        return tab, tab.marker_cycles[level].after(s)
+    points = draw(st.lists(st.sampled_from(atoms), unique=True, max_size=4))
+    return tab, encode(s, tab)[0].after(FinPerm(dict(zip(points, draw(st.permutations(points))))))
+
+
+@given(decode_inputs())
+def test_decode_returns_a_preimage_or_refuses(case):
+    # what the decoder's certificate guarantees: any result re-encodes to t
+    tab, t = case
+    try:
+        s = decode(t, tab)
+    except NotInImageError:
+        return
+    assert encode(s, tab)[0] == t
 
 
 def test_round_trip_small_exhaustive():

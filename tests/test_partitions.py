@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberbound.errors import BudgetExceededError, OutOfRangeError, OverlappingBlocksError, ParseError
-from fiberbound.partitions import (FinitaryPartition, bell, build_frame, derangement,
+from fiberbound.partitions import (BELL_MAX, FinitaryPartition, bell, build_frame, derangement,
                                    iter_partitions_ranked, lift)
 
 # Reference for the lazy rank stream: every partition by restricted growth
@@ -126,12 +126,6 @@ def test_partition_round_trip(blocks):
     assert FinitaryPartition.parse(str(p)) == p
 
 
-def test_block_of():
-    p = FinitaryPartition([{1, 2}])
-    assert p.block_of(1) == frozenset({1, 2})
-    assert p.block_of(9) == frozenset({9})
-
-
 def test_bell_values():
     assert bell(0) == 1
     assert bell(4) == 15
@@ -156,7 +150,7 @@ def test_derangement_values():
 
 
 def test_bell_exponential_lower_bound():
-    for l in range(1, 13):
+    for l in range(1, BELL_MAX + 1):
         assert 72 * bell(l) > 4**l
 
 
@@ -181,7 +175,7 @@ def test_frame_properties(values):
     total = sum(len(cls) for cls in frame.classes)
     assert total == len(union)
     # two atoms share a class exactly when their membership patterns agree
-    assert len(set(frame.vectors)) == frame.l
+    assert len(set(frame.masks)) == frame.l
     # each class's mask is its atoms' membership pattern, value 0 most
     # significant, and the masks strictly ascend
     width = len(frame.values)
@@ -197,13 +191,14 @@ def test_frame_properties(values):
 
 def frame_by_bool_vectors(values):
     # reference build: one bool per listed value for each atom, grouped and
-    # sorted as tuples
+    # sorted as tuples; each vector read as a mask, value 0 most significant
     vals = tuple(frozenset(v) for v in values)
     groups = {}
     for a in sorted(set().union(*vals)):
         groups.setdefault(tuple(a in v for v in vals), []).append(a)
     ordered = sorted(groups.items())
-    return vals, tuple(frozenset(atoms) for _, atoms in ordered), tuple(vec for vec, _ in ordered)
+    masks = tuple(int("".join("1" if bit else "0" for bit in vec), 2) for vec, _ in ordered)
+    return vals, tuple(frozenset(atoms) for _, atoms in ordered), masks
 
 
 @given(st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=7, unique=True),
@@ -215,7 +210,7 @@ def test_build_frame_matches_bool_vector_reference(values, with_empty, with_unio
             values.append(extra)
     rnd.shuffle(values)
     frame = build_frame(values)
-    assert (frame.values, frame.classes, frame.vectors) == frame_by_bool_vectors(values)
+    assert (frame.values, frame.classes, frame.masks) == frame_by_bool_vectors(values)
 
 
 @given(st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=7, unique=True),
