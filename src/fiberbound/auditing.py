@@ -68,9 +68,10 @@ def compute_bounds(n: int, k: int) -> BoundParams:
         base = 2 * n * max(start, 1)
         if k.bit_length() - 1 + e * (base.bit_length() - 1) >= 63 or k * base**e > _INT64_MAX:
             raise OverflowGuardError(f"m0 exceeds the 2**63-1 guard for n={n}, k={k}")
-        # In a passing window the ratio 2**l / l**e never falls: each l - 1 >= 2
-        # in it has l - 1 > 4n, so (1 - 1/l)**e >= 1 - e/l > 1/2 (n = 0: 2 >= 1).
-        if all(_growth_ok(n, k, l) for l in range(start + 1, start + BOUND_WINDOW + 1)):
+        # The window passes exactly when its first l does: past a passing
+        # l >= 2, which has l > 4n, the ratio 2**l / l**e never falls, since
+        # (1 - 1/(l + 1))**e >= 1 - e/(l + 1) > 1/2 (n = 0: 2 >= 1).
+        if _growth_ok(n, k, start + 1):
             return BoundParams(n, k, start, k * (2 * n * start) ** e)
 
 

@@ -157,8 +157,10 @@ def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -
                 return False
         return True
     if isinstance(verdict, ExtraOutside):
-        swap = verdict.swap
-        if any(swap(a) != a for a in e_set | s.moved):
+        a, swap, ms = verdict.atom, verdict.swap, s.moved
+        if a not in t.moved or swap(a) == a or a in ms or a in e_set:
+            return False
+        if any(swap(b) != b for b in e_set | ms):
             return False
         return verdict.conjugate == t.conjugate(swap) and verdict.conjugate != t
     if isinstance(verdict, ForcedFixedPoint):
@@ -167,7 +169,8 @@ def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -
             return False
         if any(s(a) != a for a in e_set):
             return False
-        return verdict.conjugate == t.conjugate(s) and verdict.conjugate != t
+        # s fixes e, so t^s sends e to s(d), and s(d) != d = t(e): t^s != t
+        return verdict.conjugate == t.conjugate(s)
     return False
 
 
@@ -224,7 +227,8 @@ def scan(cfg: SupportConfig) -> dict:
         for s in s_pool:
             for t in t_pool:
                 verdict = classify(s, t, cfg)
-                if isinstance(verdict, PreconditionFail) or not _verify(verdict, s, t, cfg):
+                # _verify refuses a PreconditionFail
+                if not _verify(verdict, s, t, cfg):
                     escapes += size
                 else:
                     counts[_BRANCHES[type(verdict)]] += size

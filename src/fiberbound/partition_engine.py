@@ -59,7 +59,7 @@ class PartitionDiagEngine(WitnessEngine):
             "C": self._json(distinct, sorted),
             "classes": self._json(frame.classes, sorted),
             "l": l,
-            "q": sorted((sorted(b) for b in q), key=lambda b: b[0] if b else -1),
+            "q": sorted(sorted(b) for b in q),
             "rank_checked": drawn,
             "result": str(result),
         }

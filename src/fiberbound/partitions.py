@@ -14,8 +14,9 @@ order on the masks is the pattern order.  Frames are built by partition
 refinement (Paige and Tarjan, "Three partition refinement algorithms",
 SIAM J. Comput. 16, 1987): listing one more set appends a least
 significant bit, which splits each class into its part outside the set and
-its part inside, adjacent and in that order, so a frame grows with a list
-without being rebuilt.
+its part inside, adjacent and in that order, so a frame is refined in
+place as its list grows.  A list that does not extend the frame's own is
+refused, not rebuilt.
 
 Subsets and partitions of the classes are compared through characteristic
 strings.  For subsets: the string over the classes in their well-order,
@@ -31,8 +32,6 @@ second, as references for the lazy stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .atoms import format_atom_set, parse_atom_set
@@ -128,22 +127,33 @@ def derangement(j: int) -> int:
     return prev1
 
 
-@dataclass(frozen=True)
 class QuotientFrame:
     """Membership classes of a list of atom sets, in their well-order.
 
     ``masks[j]`` is the membership pattern of ``classes[j]``: bit
     ``len(values) - 1 - i`` is set when the class lies in ``values[i]``, so
-    value 0 is the most significant bit and ``masks`` ascends.  The masks
-    are derived on first use; :func:`build_frame` needs only the classes.
+    value 0 is the most significant bit and ``masks`` ascends.
+    :func:`build_frame` refines a frame in place and gives it new
+    ``values`` and ``classes`` tuples, so a tuple once read never changes.
+
+    Refinement state: ``_members[c]`` is class ``c``'s atoms, ``_class_of``
+    maps each atom to its id, ``_after`` links the ids in order from
+    ``_head`` (-1 ends the list), and ``_frozen[c]`` is class ``c``'s last
+    emitted frozenset, or None once the class has changed since.
     """
 
-    values: tuple[Block, ...]
-    classes: tuple[Block, ...]
-    # refinement state the frame was emitted from; see build_frame
-    _fold: Optional[_Refinement] = field(default=None, compare=False, repr=False)
+    __slots__ = ("values", "classes", "_class_of", "_members", "_frozen", "_after", "_head")
 
-    @cached_property
+    def __init__(self):
+        self.values: tuple[Block, ...] = ()
+        self.classes: tuple[Block, ...] = ()
+        self._class_of: dict[int, int] = {}
+        self._members: list[set[int]] = []
+        self._frozen: list[Optional[Block]] = []
+        self._after: list[int] = []
+        self._head = -1
+
+    @property
     def masks(self) -> tuple[int, ...]:
         top = len(self.values) - 1
         membership: dict[int, int] = {}
@@ -157,46 +167,25 @@ class QuotientFrame:
     def l(self) -> int:
         return len(self.classes)
 
-
-class _Refinement:
-    """Partition refinement of the union by the values folded in so far.
-
-    Classes are held by stable ids: ``members[c]`` is class ``c``'s atoms,
-    ``class_of`` maps each atom to its id, and ``after`` links the ids in
-    the frame's order, starting at ``head`` (-1 ends the list).
-    ``frozen[c]`` is the frozenset last emitted for class ``c``, or None
-    once the class has changed since.
-    """
-
-    __slots__ = ("seen", "class_of", "members", "frozen", "after", "head")
-
-    def __init__(self):
-        self.seen: set[Block] = set()
-        self.class_of: dict[int, int] = {}
-        self.members: list[set[int]] = []
-        self.frozen: list[Optional[Block]] = []
-        self.after: list[int] = []
-        self.head = -1
-
     def _new_class(self, atoms: list[int], left: int) -> None:
         """Class of ``atoms`` linked after id ``left``, or first when -1."""
-        cid = len(self.members)
-        self.members.append(set(atoms))
-        self.frozen.append(None)
+        cid = len(self._members)
+        self._members.append(set(atoms))
+        self._frozen.append(None)
         for a in atoms:
-            self.class_of[a] = cid
+            self._class_of[a] = cid
         if left < 0:
-            self.after.append(self.head)
-            self.head = cid
+            self._after.append(self._head)
+            self._head = cid
         else:
-            self.after.append(self.after[left])
-            self.after[left] = cid
+            self._after.append(self._after[left])
+            self._after[left] = cid
 
-    def refine(self, v: Block) -> None:
+    def _refine(self, v: Block) -> None:
         """Append ``v`` as the least significant bit, in O(|v|)."""
         hits: dict[int, list[int]] = {}
         fresh = []
-        class_of = self.class_of
+        class_of = self._class_of
         for a in v:
             cid = class_of.get(a)
             if cid is None:
@@ -206,21 +195,20 @@ class _Refinement:
         for cid, inside in hits.items():
             # mask μ becomes 2μ for C∖v, which keeps the id, and 2μ + 1 for
             # C∩v, linked right after it; a class inside v stays whole
-            rest = self.members[cid]
+            rest = self._members[cid]
             if len(inside) < len(rest):
                 rest.difference_update(inside)
-                self.frozen[cid] = None
+                self._frozen[cid] = None
                 self._new_class(inside, cid)
         if fresh:
             # mask 1, below every class already present
             self._new_class(fresh, -1)
-        self.seen.add(v)
 
-    def emit(self) -> tuple[Block, ...]:
+    def _emit(self) -> tuple[Block, ...]:
         """The classes in order; O(l) plus the sizes of changed classes."""
         classes = []
-        members, frozen, after = self.members, self.frozen, self.after
-        cid = self.head
+        members, frozen, after = self._members, self._frozen, self._after
+        cid = self._head
         while cid >= 0:
             block = frozen[cid]
             if block is None:
@@ -239,29 +227,29 @@ def build_frame(values: Sequence[Iterable[int]], prev: Optional[QuotientFrame] =
     The frame is the fold of one refinement per value: appending ``v`` as
     the least significant bit splits each class C into C∖v and C∩v, in that
     order, and gathers the atoms new to the union into a first class.
-    When ``prev`` is the latest frame built from its refinement and
-    ``prev.values`` is a prefix of ``values``, only the values past that
-    prefix are folded in, at O(|v|) each, plus O(l) and the sizes of the
-    changed classes to emit the frame; the prefix check is O(1) per value
-    when the listed sets are ``prev``'s own objects.  A class that no new
-    value splits is ``prev``'s frozenset object.  A refine spends ``prev``:
-    its refinement has moved on, so a later call with it builds from
-    scratch, as any call without a usable ``prev`` does, in O(Σ|v|).
+    Given ``prev``, ``values`` must extend ``prev.values``: ``prev`` is
+    refined in place by the values past that prefix and returned, at
+    O(|v|) each, plus O(l) and the sizes of the changed classes to emit
+    the frame; the prefix check is O(1) per value when the listed sets are
+    ``prev``'s own objects.  A class that no new value splits keeps its
+    frozenset object.  Values that do not extend ``prev.values`` raise
+    :class:`BadParametersError`, and leave ``prev`` as it was.  Without
+    ``prev`` the frame is built from scratch, in O(Σ|v|).
     """
     vals = tuple(frozenset(v) for v in values)
-    fold = prev._fold if prev is not None else None
-    start = len(prev.values) if fold is not None else 0
-    if fold is not None and len(fold.seen) == start and vals[:start] == prev.values:
-        if len(vals) == start:
-            return prev
-    else:
-        start, fold = 0, _Refinement()
-    new = vals[start:]
-    if len(set(new)) != len(new) or not fold.seen.isdisjoint(new):
+    frame = QuotientFrame() if prev is None else prev
+    start = len(frame.values)
+    if vals[:start] != frame.values:
+        raise BadParametersError("values must extend the previous frame's values")
+    if len(vals) == start:
+        return frame
+    if len(set(vals)) != len(vals):
         raise BadParametersError("values must be duplicate-free")
-    for v in new:
-        fold.refine(v)
-    return QuotientFrame(vals, fold.emit(), fold)
+    for v in vals[start:]:
+        frame._refine(v)
+    frame.values = vals
+    frame.classes = frame._emit()
+    return frame
 
 
 def lift(q: Iterable[Iterable[int]], frame: QuotientFrame) -> FinitaryPartition:

@@ -175,6 +175,9 @@ CORRUPTIONS = {
     "mm-atom-moved-by-t": (EO_PAIR, lambda v, s: (MissingMoved(1, (c([2, 6]), c([2, 7]))), s)),
     "mm-one-sample": (MM_PAIR, lambda v, s: (MissingMoved(v.atom, v.samples[:1]), s)),
     "mm-repeated-sample": (MM_PAIR, lambda v, s: (MissingMoved(v.atom, v.samples[:1] * 2), s)),
+    # the swap and conjugate stay honest for atom 3; only the atom is wrong
+    "eo-atom-not-moved-by-t": (EO_PAIR, lambda v, s: (ExtraOutside(999, v.swap, v.conjugate), s)),
+    "eo-atom-moved-by-s": (EO_PAIR, lambda v, s: (ExtraOutside(1, v.swap, v.conjugate), s)),
     "eo-swap-moves-moved-s": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([1, 4]), v.conjugate), s)),
     "eo-swap-moves-e": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([0, 3]), v.conjugate), s)),
     "eo-wrong-conjugate": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, v.swap, c([1, 2, 5])), s)),

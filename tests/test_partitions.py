@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberbound.errors import BudgetExceededError, OutOfRangeError, OverlappingBlocksError, ParseError
+from fiberbound.errors import (BadParametersError, BudgetExceededError, OutOfRangeError,
+                               OverlappingBlocksError, ParseError)
 from fiberbound.partitions import (BELL_MAX, FinitaryPartition, bell, build_frame, derangement,
                                    iter_partitions_ranked, lift)
 
@@ -226,6 +227,7 @@ def test_refined_frame_matches_a_full_build(values, with_empty, with_union, data
     prev_classes = prev.classes
     frame = build_frame(values, prev)
     assert (frame.values, frame.classes, frame.masks) == (full.values, full.classes, full.masks)
+    assert frame is prev
     # the masks come from the values, not from the refinement, so this
     # checks the order the refinement put the classes in
     assert all(a < b for a, b in zip(frame.masks, frame.masks[1:]))
@@ -238,13 +240,13 @@ def test_refined_frame_matches_a_full_build(values, with_empty, with_union, data
             assert id(c) in kept
     for c in frame.classes:
         assert c not in prev_classes or any(c is d for d in prev_classes)
-    # a prev that is not a prefix, or whose refinement has moved on, falls
-    # back to a full build
+    # a list that does not extend a frame's values is refused, and the
+    # frame is left as it was
     stray = build_frame(values[:i] + [frozenset({10})])
-    spent = prev if i < len(values) else stray
-    for other in (stray, spent):
-        again = build_frame(values, other)
-        assert (again.values, again.classes, again.masks) == (full.values, full.classes, full.masks)
+    stray_state = (stray.values, stray.classes)
+    with pytest.raises(BadParametersError):
+        build_frame(values, stray)
+    assert (stray.values, stray.classes) == stray_state
 
 
 def test_compare_subsets_examples():
