@@ -14,14 +14,15 @@ checks the seed count and builds the seeds, one per atom pair
 of each distinct answer, queries the oracle on each witness through the
 ledger, whose queries are then the emitted set, walks an engine's
 candidate stream to the first fresh witness, and turns a run into one of
-those two outcomes as a certificate.
+those two outcomes as a certificate, whose traces (format 2) carry only
+the answers first seen at their step.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import (BadParametersError, InconsistentOracleError, InfeasibleRunError,
                      OverflowGuardError)
@@ -119,8 +120,9 @@ class OracleLedger:
 def assemble_certificate(kind: str, n, k, l0, m0, steps: int,
                          outputs: list[str], violation: Optional[Violation],
                          traces: list[dict]) -> dict:
-    """Certificate JSON object with its stable field order."""
+    """Certificate JSON object, format 2, with its stable field order."""
     return {
+        "format": 2,
         "kind": kind,
         "n": n,
         "k": k,
@@ -173,27 +175,27 @@ class WitnessEngine:
         self.traces: list[dict] = []
         # (key, candidate stream, candidates drawn) of the last completed walk
         self._walk = None
-        # JSON form of each distinct value a trace shows; the values are immutable
-        self._memo: dict = {}
 
     def _refuse_seeds(self, count: int) -> str:
         """The error text for a run that needs ``count`` seeds, over the cap."""
         return f"the run needs {count} seeds, over the cap {SEED_CAP}"
 
-    def _query_all(self) -> None:
-        """Ask the oracle about every emitted witness, in emission order.
+    def _query_all(self) -> list:
+        """Ask the oracle about every emitted witness, in emission order;
+        return the answers recorded for the first time, in index order.
 
         Re-asking about every earlier witness on every step is the
         consistency audit: an oracle that changes an answer raises here.
         Only a new or changed answer is checked against the claimed
         codomain and handed to the ledger; an answer equal to the recorded
-        one passed both when it was recorded.  Nothing is returned: the
-        ledger's ``queries`` then hold exactly the emitted witnesses, and
-        ``answers``, in index order since inputs are first recorded in
-        emission order, is the only list of the answers.
+        one passed both when it was recorded.  The ledger's ``queries`` then
+        hold exactly the emitted witnesses, and ``answers``, in index order
+        since inputs are first recorded in emission order, is the
+        concatenation of every list returned so far.
         """
         queries = self.ledger.queries
         answers = self.answers
+        new = []
         for idx, x in enumerate(self.g):
             out = self.oracle(x)
             prior = queries.get(x)
@@ -203,9 +205,11 @@ class WitnessEngine:
             violation = self.ledger.record(x, out)
             if violation is not None:
                 raise _Violated(violation)
-            answers.setdefault(out, idx)
+            if answers.setdefault(out, idx) == idx:     # earlier witnesses have smaller indices
+                new.append(out)
         # a clean ledger holds at most k inputs over each distinct answer
         assert len(self.g) <= self.k * len(answers)
+        return new
 
     def _first_fresh(self, key, stream: Callable[[], Iterator], build: Callable) -> tuple:
         """``(item, candidate, drawn)`` for the first item of ``stream()``
@@ -232,17 +236,6 @@ class WitnessEngine:
             if drawn > len(self.g):
                 break
         raise _Inconsistent
-
-    def _json(self, values: Iterable, to_json: Callable) -> list:
-        """``to_json`` of each value, computed once per distinct value in a run."""
-        memo = self._memo
-        out = []
-        for v in values:
-            j = memo.get(v)
-            if j is None:
-                j = memo[v] = to_json(v)
-            out.append(j)
-        return out
 
     def _emit(self, result, trace: dict) -> dict:
         self.g.append(result)

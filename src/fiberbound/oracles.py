@@ -13,9 +13,19 @@ import hashlib
 from typing import Callable
 
 from .atoms import SetSpec
-from .errors import BadParametersError
+from .errors import BadParametersError, BudgetExceededError
 from .partitions import FinitaryPartition
 from .perms import FinPerm
+
+# largest built-in pool: the set pool holds P*(P-1)/2 atoms, 36 MB at the cap
+POOL_CAP = 1024
+
+
+def _check_pool_size(pool_size: int) -> None:
+    if pool_size < 1:
+        raise BadParametersError("pool size must be at least 1")
+    if pool_size > POOL_CAP:
+        raise BudgetExceededError(f"pool size {pool_size} is over the cap {POOL_CAP}")
 
 
 def _stable_index(text: str, modulus: int) -> int:
@@ -41,10 +51,9 @@ def pool_perm_oracle(pool_size: int, n: int) -> Callable[[FinPerm], FinPerm]:
     """Hash inputs into a fixed pool of permutations moving at most n points.
 
     For n below 2 the only such permutation is the identity, so the pool
-    collapses to it regardless of the requested size.
+    collapses to it whatever size up to the cap is requested.
     """
-    if pool_size < 1:
-        raise BadParametersError("pool size must be at least 1")
+    _check_pool_size(pool_size)
     if n < 2:
         pool = [FinPerm.identity()]
     else:
@@ -66,8 +75,7 @@ def min_block_oracle(p: FinitaryPartition) -> frozenset[int]:
 
 def pool_set_oracle(pool_size: int) -> Callable[[FinitaryPartition], frozenset[int]]:
     """Hash partitions into the fixed pool {}, {0}, {0,1}, ..."""
-    if pool_size < 1:
-        raise BadParametersError("pool size must be at least 1")
+    _check_pool_size(pool_size)
     pool = [frozenset(range(i)) for i in range(pool_size)]
 
     def oracle(p: FinitaryPartition) -> frozenset[int]:

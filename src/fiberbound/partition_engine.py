@@ -15,7 +15,8 @@ exceeds any materialization budget.
 A lift depends only on the frame's classes, so the driver's walk resumes
 while they are unchanged, even if new distinct answers arrived, and
 ``rank_checked`` counts from rank 1 across a resume, as a walk restarted
-from rank 1 would.
+from rank 1 would.  A trace's ``C_new`` holds only the answers first seen
+at its step; its frame is ``build_frame`` of every ``C_new`` so far, joined.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class PartitionDiagEngine(WitnessEngine):
 
     def step(self) -> dict:
         m = len(self.g)
-        self._query_all()
+        new = self._query_all()
         frame = self._frame = build_frame(self.answers, self._frame)
         distinct, l = frame.values, frame.l
         # Each listed value is a union of classes, so these hold on every
@@ -56,8 +57,7 @@ class PartitionDiagEngine(WitnessEngine):
                                              lambda q: lift(q, frame))
         trace = {
             "m": m,
-            "C": self._json(distinct, sorted),
-            "classes": self._json(frame.classes, sorted),
+            "C_new": [sorted(v) for v in new],
             "l": l,
             "q": sorted(sorted(b) for b in q),
             "rank_checked": drawn,

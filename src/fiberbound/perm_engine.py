@@ -17,7 +17,8 @@ A candidate depends only on the family's members, so the driver's walk
 over the index sets resumes while they are unchanged, and ``chosen_a`` is
 the index set a walk restarted from the empty set would reach.  A fallback
 step leaves the walk alone; a new level changes the members, so the walk
-restarts.
+restarts.  A trace's ``B_new`` holds only the answers first seen at its
+step, and its ``family`` is ``null`` while the entries equal the last trace's.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class FamilyEntry:
     j: Optional[int]
     x: int
     perm: FinPerm
-    occupied: tuple[int, ...]      # atoms already claimed when this level was built
 
     def as_json(self) -> dict:
         return {
@@ -54,7 +54,6 @@ class FamilyEntry:
             "j": self.j,
             "x": self.x,
             "t": self.perm.to_cycles(),
-            "C": list(self.occupied),
         }
 
 
@@ -88,14 +87,13 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
     occupied: set[int] = set().union(*(e.perm.moved for e in entries))
 
     for level in range(len(entries), top + 1):
-        snapshot = tuple(sorted(occupied))
         chosen = None
         for s, i in answers.items():
             candidates = [x for x in s.moved if x not in occupied and s(x) not in occupied]
             if candidates:
                 x = min(candidates)
                 perm = s.deflate(SetSpec.cofinite(occupied))
-                chosen = FamilyEntry(level, 1, i, None, x, perm, snapshot)
+                chosen = FamilyEntry(level, 1, i, None, x, perm)
                 break
         if chosen is None:
             outward = []
@@ -116,7 +114,7 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
                 return entries, (level, frozenset(occupied))
             i, s_i, j, s_j, x = found
             perm = s_j.after(s_i.inverse()).deflate(SetSpec.cofinite(occupied))
-            chosen = FamilyEntry(level, 2, i, j, x, perm, snapshot)
+            chosen = FamilyEntry(level, 2, i, j, x, perm)
         assert chosen.perm.moved, "family members must be nontrivial"
         assert len(chosen.perm.moved) <= 2 * n
         assert not (chosen.perm.moved & occupied)
@@ -180,20 +178,19 @@ class PermDiagEngine(WitnessEngine):
 
     def step(self) -> dict:
         m = len(self.g)
-        self._query_all()
+        new = self._query_all()
         answers = self.answers
         entries, stuck = build_family(answers, m, self.n, self._family)
-        self._family = entries
         trace: dict = {
             "m": m,
-            # an answer's first index never changes, so the whole pair is memoized
-            "B": self._json(answers, lambda s: [answers[s], s.to_cycles()]),
-            "family": self._json(entries, FamilyEntry.as_json),
+            "B_new": [[answers[s], s.to_cycles()] for s in new],
+            "family": None if entries == self._family else [e.as_json() for e in entries],
             "stuck_at": None,
             "fallback": False,
             "chosen_a": None,
             "result": None,
         }
+        self._family = entries
         if stuck is not None:
             level, occupied = stuck
             trace["stuck_at"] = [level, sorted(occupied)]

@@ -1,10 +1,11 @@
 import itertools
+import json
 
 import pytest
 
 from fiberbound.auditing import BoundParams, OracleLedger, compute_bounds
 from fiberbound.errors import InconsistentOracleError, OverflowGuardError
-from fiberbound.oracles import min_block_oracle, pool_perm_oracle, truncate_oracle
+from fiberbound.oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
 from fiberbound.partitions import derangement
@@ -202,3 +203,35 @@ def test_ledger_queries_are_the_emitted_set(monkeypatch, make_engine, steps):
     cert = engine.run(steps)
     assert cert["steps"] == steps
     assert len(entries) == steps
+
+
+def injective_perms():
+    return memo_oracle(lambda i: FinPerm.cycle([0, i + 1]))
+
+
+@pytest.mark.parametrize("make_engine, steps", [
+    (lambda: PartitionDiagEngine(2, min_block_oracle), 50),
+    (lambda: PermDiagEngine(2, 1, injective_perms(), "opportunistic", 64), 100),
+], ids=["part-min-block", "perm-injective"])
+def test_certificate_grows_linearly(make_engine, steps):
+    # each trace carries only what is new, so twice the steps is about twice the bytes
+    short, long = (make_engine().run(s) for s in (steps, 2 * steps))
+    assert (short["steps"], long["steps"]) == (steps, 2 * steps)
+    assert len(json.dumps(long)) <= 2.2 * len(json.dumps(short))
+
+
+@pytest.mark.parametrize("make_engine, steps", [
+    (lambda: PermDiagEngine(2, 20, truncate_oracle(2), "opportunistic", 64), 60),
+    (lambda: PermDiagEngine(2, 8, pool_perm_oracle(10, 2), "opportunistic", 8), 40),
+    (lambda: PartitionDiagEngine(2, min_block_oracle), 30),
+    # an instance whose 73 seeds land on distinct pool sets, so steps run
+    (lambda: PartitionDiagEngine(1, pool_set_oracle(1000), instance_id=7), 10),
+], ids=["truncate", "pool-perm", "min-block", "pool-set"])
+def test_each_trace_carries_only_new_answers(make_engine, steps):
+    engine = make_engine()
+    cert = engine.run(steps)
+    new = [t["C_new"] if "C_new" in t else t["B_new"] for t in cert["traces"]]
+    assert len(new) >= 2
+    # one witness is emitted per step, so at most one answer is new after the seeds
+    assert all(len(step_new) <= 1 for step_new in new[1:])
+    assert sum(map(len, new)) == len(engine.answers)

@@ -9,8 +9,9 @@ import pytest
 from fiberbound.atoms import parse_atom_set
 from fiberbound.auditing import OracleLedger, compute_bounds
 from fiberbound.cli import main
-from fiberbound.errors import BadParametersError, ParseError
-from fiberbound.oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
+from fiberbound.errors import BadParametersError, BudgetExceededError, ParseError
+from fiberbound.oracles import (POOL_CAP, min_block_oracle, pool_perm_oracle, pool_set_oracle,
+                                truncate_oracle)
 from fiberbound.partitions import FinitaryPartition
 from fiberbound.perm_engine import PermDiagEngine, build_family
 from fiberbound.perms import FinPerm
@@ -91,9 +92,14 @@ def test_unknown_oracle(capsys):
     (["diag-perm", "--n", "2", "--k", "1", "--mode", "opportunistic", "--seeds", "0"],
      "error: seed count must be at least 1"),
     (["diag-part", "--k", "1", "--oracle", "bogus"], "error: unknown diag-part oracle 'bogus'"),
+    (["diag-part", "--k", "1", "--oracle", "pool:100000", "--steps", "1"],
+     "error: pool size 100000 is over the cap 1024"),
+    (["diag-perm", "--n", "2", "--k", "1", "--oracle", "pool:100000000", "--mode", "opportunistic"],
+     "error: pool size 100000000 is over the cap 1024"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
         "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
-        "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0", "diag-part-bogus-oracle"])
+        "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0", "diag-part-bogus-oracle",
+        "diag-part-pool-cap", "diag-perm-pool-cap"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
     # a refused run is refused before any seed is built: the seed
     # constructors the engines pass to the driver are never called
@@ -120,6 +126,10 @@ LIBRARY_GUARDS = {
                         "pool size must be at least 1"),
     "set-pool-empty": (lambda: pool_set_oracle(0), BadParametersError,
                        "pool size must be at least 1"),
+    "perm-pool-over-cap": (lambda: pool_perm_oracle(POOL_CAP + 1, 2), BudgetExceededError,
+                           "pool size 1025 is over the cap 1024"),
+    "set-pool-over-cap": (lambda: pool_set_oracle(POOL_CAP + 1), BudgetExceededError,
+                          "pool size 1025 is over the cap 1024"),
     "family-no-values": (lambda: build_family({}, 0, 2), BadParametersError,
                          "need at least one value"),
     "engine-bogus-mode": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), mode="bogus"),

@@ -1,8 +1,11 @@
-"""Golden certificates: the sha256 of ``json.dumps(cert)`` for small runs.
+"""Golden certificates: sha256 digests of ``json.dumps`` for small runs.
 
 The runs cover every certificate kind of both engines, so a change to the
 engines or to the certificate layout that alters a single byte fails here.
-Regenerate the digests only with a deliberate, versioned format change.
+Each run pins two digests: the format-1 certificate that ``format1.expand``
+rebuilds, unchanged since format 1 was current, and the format-2 bytes the
+engines write.  Regenerate the digests only with a deliberate, versioned
+format change.
 """
 
 import hashlib
@@ -14,6 +17,7 @@ from fiberbound import partition_engine
 from fiberbound.oracles import min_block_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
+from format1 import expand
 
 
 def _perm_diag(monkeypatch):
@@ -58,27 +62,36 @@ def _part_stuck(monkeypatch):
 
 GOLDEN = {
     "perm-diag": (_perm_diag, "perm-diag",
-                  "17d50580cd19c8613b7534e126da445030ccc167be68fbad5db5201f703e35d9"),
+                  "17d50580cd19c8613b7534e126da445030ccc167be68fbad5db5201f703e35d9",
+                  "71b4750054cf9a5a6b79b0a8991d718bdd80e33b4d9a3e98f25ac07b7f3ad51e"),
     "perm-violation": (_perm_violation, "ledger-violation",
-                       "90d446b8530003eee81ac084f0896ff50d5cce87e28c6f4f18c1fb6ee7029dc1"),
+                       "90d446b8530003eee81ac084f0896ff50d5cce87e28c6f4f18c1fb6ee7029dc1",
+                       "8f72e43e7cdc57ec461cb6471ebab6d1b5bb3d42f4d52a53d3504c35df43aeb8"),
     "perm-strict-n1": (_perm_strict_n1, "ledger-violation",
-                       "8132dbe3ae4ec26112b08e7cce8316fe88afbdaca94dc6e33d67617604d54d87"),
+                       "8132dbe3ae4ec26112b08e7cce8316fe88afbdaca94dc6e33d67617604d54d87",
+                       "c4956b6af3355f27fc9b2b55719df7a8e65a51757a14855a3573bde4fe1655e1"),
     "perm-stuck": (_perm_stuck, "stuck",
-                   "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f"),
+                   "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f",
+                   "89969b41e3e3bc0f7407207565b8ed28f0c7d4cd996d6895c9930dc3c0da900a"),
     "part-diag": (_part_diag, "part-diag",
-                  "f39e08bc1c9606c520a67f8e2ba56b484eba3cbd539ca26210e0915639ae1a1a"),
+                  "f39e08bc1c9606c520a67f8e2ba56b484eba3cbd539ca26210e0915639ae1a1a",
+                  "1b3bf4fba8517e59328bf7bbe363546e4b7602a4bb96d0372d3488d48c96b918"),
     "part-violation": (_part_violation, "ledger-violation",
-                       "7a9d929c92431878912d4221bac0fbe00f3ffbdc157d8b9fd82603fb3b07f440"),
+                       "7a9d929c92431878912d4221bac0fbe00f3ffbdc157d8b9fd82603fb3b07f440",
+                       "068f26be23c875b8123e112ad93065dcea1c26bfa0d0e9c4a2a30f4c74d1c2dd"),
     "part-pool-violation": (_part_pool_violation, "ledger-violation",
-                            "10de8743d3675979d630ba16686528ef7220665d47a8fe41836eb1dd601b5ae2"),
+                            "10de8743d3675979d630ba16686528ef7220665d47a8fe41836eb1dd601b5ae2",
+                            "838cdcd52e514b84a3bc78dd065b9cfef76e90ca65002d35011e0cba58773226"),
     "part-stuck": (_part_stuck, "stuck",
-                   "c5094f0fed7b7362d3ff3a67b2bae760f4518f9ae26880e4ca6ab51c66df6524"),
+                   "c5094f0fed7b7362d3ff3a67b2bae760f4518f9ae26880e4ca6ab51c66df6524",
+                   "ddd15f1dc26ece559abc73af748fd01b8439d68afc05675058abce0d6bb90904"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_certificate_bytes_pinned(name, monkeypatch):
-    run, kind, digest = GOLDEN[name]
+    run, kind, format1_digest, digest = GOLDEN[name]
     cert = run(monkeypatch)
     assert cert["kind"] == kind
     assert hashlib.sha256(json.dumps(cert).encode()).hexdigest() == digest
+    assert hashlib.sha256(json.dumps(expand(cert)).encode()).hexdigest() == format1_digest

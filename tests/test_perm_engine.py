@@ -10,6 +10,7 @@ from fiberbound.errors import BadParametersError, InfeasibleRunError, OracleCodo
 from fiberbound.oracles import pool_perm_oracle, truncate_oracle
 from fiberbound.perm_engine import PermDiagEngine, assemble, build_family
 from fiberbound.perms import FinPerm
+from format1 import expand_traces
 
 c = FinPerm.cycle
 
@@ -237,7 +238,7 @@ def test_opportunistic_fresh_stream():
     assert cert["steps"] == 20
     assert len(cert["outputs"]) == 28
     assert cert["all_distinct"]
-    for trace in cert["traces"]:
+    for trace in expand_traces(cert["traces"]):
         assert trace["stuck_at"] is None or trace["fallback"]
         seen = set()
         for entry in trace["family"]:
@@ -363,7 +364,7 @@ def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, k, steps, co
     seeds = [f"(1000;{1001 + j})" for j in range(8)]
     assert cert["outputs"][:8] == seeds
     # recompute every walk from the certificate alone, starting at the empty set
-    for i, trace in enumerate(cert["traces"]):
+    for i, trace in enumerate(expand_traces(cert["traces"])):
         if trace["fallback"]:
             continue
         emitted = set(seeds + cert["outputs"][8:8 + i])
