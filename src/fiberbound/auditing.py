@@ -11,11 +11,12 @@ finite refutation of the claimed bound.
 :class:`WitnessEngine` is the driver both witness engines share: it
 checks the seed count and builds the seeds, one per atom pair
 ``(base, base + 1 + j)``, keeps the emitted witnesses and the first index
-of each distinct answer, queries the oracle on each witness through the
-ledger, whose queries are then the emitted set, walks an engine's
+of each distinct answer, queries the oracle once on each witness through
+the ledger, whose queries are then the emitted set, walks an engine's
 candidate stream to the first fresh witness, and turns a run into one of
 those two outcomes as a certificate, whose traces (format 2) carry only
-the answers first seen at their step.
+the answers first seen at their step.  Every recorded answer is asked
+again on power-of-two steps and before any certificate.
 """
 
 from __future__ import annotations
@@ -180,27 +181,25 @@ class WitnessEngine:
         """The error text for a run that needs ``count`` seeds, over the cap."""
         return f"the run needs {count} seeds, over the cap {SEED_CAP}"
 
-    def _query_all(self) -> list:
-        """Ask the oracle about every emitted witness, in emission order;
-        return the answers recorded for the first time, in index order.
+    def _query_new(self) -> list:
+        """Ask the oracle about the witnesses emitted since the last step, in
+        emission order; return the answers recorded for the first time, in
+        index order.
 
-        Re-asking about every earlier witness on every step is the
-        consistency audit: an oracle that changes an answer raises here.
-        Only a new or changed answer is checked against the claimed
-        codomain and handed to the ledger; an answer equal to the recorded
-        one passed both when it was recorded.  The ledger's ``queries`` then
-        hold exactly the emitted witnesses, and ``answers``, in index order
-        since inputs are first recorded in emission order, is the
-        concatenation of every list returned so far.
+        On a step whose 1-based index is a power of two, ``_audit`` first
+        re-asks about every recorded witness.  Only a new answer is checked
+        against the claimed codomain.  The ledger's ``queries`` then hold
+        exactly the emitted witnesses, in emission order, and ``answers``,
+        in index order, is the concatenation of every list returned so far.
         """
         queries = self.ledger.queries
         answers = self.answers
+        t = len(self.g) - self.seed_count + 1
+        if t & (t - 1) == 0:
+            self._audit()
         new = []
-        for idx, x in enumerate(self.g):
+        for idx, x in enumerate(self.g[len(queries):], len(queries)):
             out = self.oracle(x)
-            prior = queries.get(x)
-            if prior is not None and prior == out:
-                continue
             self._check_output(out)
             violation = self.ledger.record(x, out)
             if violation is not None:
@@ -210,6 +209,11 @@ class WitnessEngine:
         # a clean ledger holds at most k inputs over each distinct answer
         assert len(self.g) <= self.k * len(answers)
         return new
+
+    def _audit(self) -> None:
+        """Re-ask every recorded witness in emission order; a changed answer raises."""
+        for x in self.ledger.queries:
+            self.ledger.record(x, self.oracle(x))
 
     def _first_fresh(self, key, stream: Callable[[], Iterator], build: Callable) -> tuple:
         """``(item, candidate, drawn)`` for the first item of ``stream()``
@@ -255,4 +259,6 @@ class WitnessEngine:
             violation = v.violation
         except _Inconsistent:
             kind = "stuck"
+        # no certificate for an oracle that changed a recorded answer
+        self._audit()
         return self._certificate(kind, len(self.g) - self.seed_count, violation)

@@ -46,7 +46,7 @@ class PartitionDiagEngine(WitnessEngine):
 
     def step(self) -> dict:
         m = len(self.g)
-        new = self._query_all()
+        new = self._query_new()
         frame = self._frame = build_frame(self.answers, self._frame)
         distinct, l = frame.values, frame.l
         # Each listed value is a union of classes, so these hold on every

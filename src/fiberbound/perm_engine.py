@@ -1,16 +1,16 @@
 """Witness engine against claimed bounded-fiber maps out of the full
 permutation group into the permutations moving at most n points.
 
-Each step queries the oracle on everything emitted so far, builds a
-family of nontrivial permutations with pairwise disjoint supports from the
-distinct answers at their first index, read from the driver's answer
-record, and emits the first product of family members not seen before.
-The answers only ever extend, so a step keeps the leading case-1 levels
-of the last step's family and rebuilds from its first case-2 or stuck
-level.  Strict mode seeds past the computed threshold ``m0`` so that a
-failed family construction is a genuine inconsistency; opportunistic mode
-runs from a small seed count and patches over legitimate early failures
-with fresh transpositions, which keeps the construction machinery
+Each step queries the oracle on the witnesses emitted since the last step,
+builds a family of nontrivial permutations with pairwise disjoint supports
+from the distinct answers at their first index, read from the driver's
+answer record, and emits the first product of family members not seen
+before.  The answers only ever extend, so a step keeps the leading case-1
+levels of the last step's family and rebuilds from its first case-2 or
+stuck level.  Strict mode seeds past the computed threshold ``m0`` so that
+a failed family construction is a genuine inconsistency; opportunistic
+mode runs from a small seed count and patches over legitimate early
+failures with fresh transpositions, which keeps the construction machinery
 exercised at desk scale.
 
 A candidate depends only on the family's members, so the driver's walk
@@ -178,7 +178,7 @@ class PermDiagEngine(WitnessEngine):
 
     def step(self) -> dict:
         m = len(self.g)
-        new = self._query_all()
+        new = self._query_new()
         answers = self.answers
         entries, stuck = build_family(answers, m, self.n, self._family)
         trace: dict = {

@@ -123,7 +123,7 @@ def test_ledger_serializes_only_violations_and_flips(monkeypatch):
     (lambda: PartitionDiagEngine(2, min_block_oracle), 4),
 ], ids=["perm", "part"])
 def test_codomain_checked_once_per_record(monkeypatch, make_engine, steps):
-    # every step re-queries every emitted input, but only a new record is checked
+    # each emitted input is queried once, and only a new record is checked
     engine = make_engine()
     checked = []
     check = engine._check_output
@@ -235,3 +235,83 @@ def test_each_trace_carries_only_new_answers(make_engine, steps):
     # one witness is emitted per step, so at most one answer is new after the seeds
     assert all(len(step_new) <= 1 for step_new in new[1:])
     assert sum(map(len, new)) == len(engine.answers)
+
+
+@pytest.mark.parametrize("make_engine, oracle, steps, want", [
+    (lambda oracle: PermDiagEngine(2, 1, oracle, "opportunistic", 64), injective_perms(), 200, 1214),
+    (lambda oracle: PartitionDiagEngine(2, oracle), min_block_oracle, 60, 2193),
+], ids=["perm-injective", "part-min-block"])
+def test_each_witness_is_queried_once_plus_audits(make_engine, oracle, steps, want):
+    # 2·(seeds + steps − 1) for the new witnesses and the final audit, plus
+    # seeds + t − 2 for the audit on each power-of-two step t >= 2
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return oracle(x)
+
+    engine = make_engine(counted)
+    assert engine.run(steps)["steps"] == steps
+    s = engine.seed_count
+    audits = [t for t in range(2, steps + 1) if t & (t - 1) == 0]
+    assert want == 2 * (s + steps - 1) + sum(s + t - 2 for t in audits)
+    assert len(calls) == want
+
+
+def flip_after(monkeypatch, engine, steps, other):
+    # once `steps` steps are done, the oracle answers `other` for the first seed
+    oracle, first, done = engine.oracle, engine.g[0], []
+    monkeypatch.setattr(engine, "oracle",
+                        lambda x: other if len(done) >= steps and x == first else oracle(x))
+    step = engine.step
+
+    def counted():
+        trace = step()
+        done.append(trace)
+        return trace
+
+    monkeypatch.setattr(engine, "step", counted)
+
+
+# (engine on an oracle, the answer of the i-th new input, an answer no input gets)
+FLIP_ENGINES = [
+    (lambda oracle: PermDiagEngine(2, 1, oracle, "opportunistic", 8),
+     lambda i: FinPerm.cycle([0, i + 1]), FinPerm.cycle([900, 901])),
+    (lambda oracle: PartitionDiagEngine(1, oracle), lambda i: frozenset({i}), frozenset({900})),
+]
+
+
+@pytest.mark.parametrize("make_engine, answer, other", FLIP_ENGINES, ids=["perm", "part"])
+def test_flip_after_step_3_raises_on_the_step_4_audit(monkeypatch, make_engine, answer, other):
+    engine = make_engine(memo_oracle(answer))
+    flip_after(monkeypatch, engine, 3, other)
+    for _ in range(3):
+        engine.step()
+    with pytest.raises(InconsistentOracleError):
+        engine.step()
+
+
+@pytest.mark.parametrize("make_engine, answer, other", FLIP_ENGINES, ids=["perm", "part"])
+def test_flip_after_the_last_step_raises_from_the_final_audit(monkeypatch, make_engine, answer, other):
+    assert make_engine(memo_oracle(answer)).run(3)["kind"] in ("perm-diag", "part-diag")
+    engine = make_engine(memo_oracle(answer))
+    flip_after(monkeypatch, engine, 3, other)
+    with pytest.raises(InconsistentOracleError):
+        engine.run(3)
+
+
+@pytest.mark.parametrize("make_engine, answer, other", FLIP_ENGINES, ids=["perm", "part"])
+def test_flip_before_a_violation_raises(monkeypatch, make_engine, answer, other):
+    def refuted_at_step_6():
+        # the input first queried at step 6 repeats the first answer
+        return memo_oracle(lambda i: answer(i if i < seeds + 4 else 0))
+
+    seeds = make_engine(memo_oracle(answer)).seed_count
+    cert = make_engine(refuted_at_step_6()).run(10)
+    assert (cert["kind"], cert["steps"]) == ("ledger-violation", 5)
+    # steps 5 and 6 make no audit, so the flip after step 4 meets the final one
+    engine = make_engine(refuted_at_step_6())
+    flip_after(monkeypatch, engine, 4, other)
+    with pytest.raises(InconsistentOracleError):
+        engine.run(10)
+    assert len(engine.traces) == 5
