@@ -127,15 +127,26 @@ def classify(s: FinPerm, t: FinPerm, cfg: SupportConfig) -> ProbeVerdict:
 
 
 def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
-    """All permutations of the given atoms moving exactly ``count`` of them."""
-    pool = sorted(atoms)
+    """All permutations of the given atoms moving exactly ``count`` of them.
+
+    The atoms must be distinct non-negative ints and ``count`` non-negative;
+    both are checked before anything is yielded.
+    """
+    pool = list(atoms)
+    if count < 0:
+        raise BadParametersError(f"count must be non-negative, got {count}")
+    if any(type(a) is not int or a < 0 for a in pool):
+        raise BadParametersError("atoms must be non-negative integers")
+    if len(set(pool)) != len(pool):
+        raise BadParametersError("repeated atom in the pool")
+    pool.sort()
     if count == 0:
         yield FinPerm.identity()
         return
     for subset in combinations(pool, count):
         for image in permutations(subset):
             if all(a != b for a, b in zip(subset, image)):
-                yield FinPerm(dict(zip(subset, image)))
+                yield FinPerm._of(dict(zip(subset, image)))
 
 
 def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -> bool:

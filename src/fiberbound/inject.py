@@ -94,7 +94,9 @@ def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
         if x in shadows:
             pairs[x] = shadows[x]
             pairs[shadows[x]] = x
-    swap = FinPerm(pairs)
+    # the shadow map is injective from the lower levels into this one, so
+    # these are disjoint transpositions
+    swap = FinPerm._of(pairs)
     conjugated = s.conjugate(swap)
     marker_cycle = tab.marker_cycles[level]
     assert len(conjugated.moved) == tab.n
@@ -121,7 +123,7 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     # t maps the row onto itself, so it permutes the rest of its moved set
     # too, and restricted there it is a permutation that moves no row atom
     row_set = set(row)
-    conjugated = FinPerm({a: b for a, b in t.moved_map.items() if a not in row_set})
+    conjugated = FinPerm._of({a: b for a, b in t._map.items() if a not in row_set})
     pairs = {}
     conjugated_moved = conjugated.moved
     for x, shadow in tab.shadow_maps[level].items():
@@ -129,7 +131,7 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
             pairs[x] = shadow
             pairs[shadow] = x
     # the shadow map is injective between disjoint sets: disjoint transpositions
-    swap = FinPerm(pairs)
+    swap = FinPerm._of(pairs)
     s = conjugated.conjugate(swap)
     if len(s.moved) != tab.n:
         raise NotInImageError("reconstruction has the wrong moved size")

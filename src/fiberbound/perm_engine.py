@@ -130,8 +130,8 @@ def assemble(entries: list[FamilyEntry], indices) -> FinPerm:
     for idx in indices:
         member = entries[idx].perm
         assert not (member.moved & set(mapping)), "family supports must be disjoint"
-        mapping.update(member.moved_map)
-    return FinPerm(mapping)
+        mapping.update(member._map)
+    return FinPerm._of(mapping)
 
 
 def _index_sets(width: int):

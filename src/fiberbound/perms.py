@@ -13,6 +13,26 @@ The cycle-notation grammar is bit-exact::
 with atoms decimal and the canonical form produced by :meth:`to_cycles`:
 each cycle rotated so its least atom comes first, cycles sorted by first
 atom, and the identity printing as ``()``.
+
+A permutation is validated once, where it enters: the public constructor,
+:meth:`FinPerm.cycle` and :meth:`FinPerm.parse` check that the map is a
+bijection of non-negative int atoms that never moves exactly one point.
+Operations on valid permutations wrap their results with the unchecked
+:meth:`FinPerm._of`, each for a reason that needs no re-check:
+
+- :meth:`~FinPerm.inverse`: the inverse of a fixed-point-free bijection is one.
+- :meth:`~FinPerm.conjugate`: renaming by a bijection keeps a map injective
+  and keeps ``a != b``.
+- :meth:`~FinPerm.after`: a composition of bijections is a bijection; it
+  drops fixed points as it goes, and no bijection moves exactly one point.
+- :meth:`~FinPerm.deflate`: the first-return map is a bijection of
+  ``region`` ∩ moved; it drops fixed points as it goes.
+- ``inject.encode`` and ``inject.decode``: the swaps are disjoint
+  transpositions between a level and the levels below it, and the row
+  restriction in ``decode`` is ``t`` on the complement of a cycle of ``t``.
+- ``fraenkel.perms_moving_exactly``: derangements of a checked pool of
+  distinct non-negative int atoms.
+- ``perm_engine.assemble``: a union of permutations with disjoint supports.
 """
 
 from __future__ import annotations
@@ -47,6 +67,18 @@ class FinPerm:
                 raise BadParametersError("atoms must be non-negative integers")
         self._map = cleaned
         self._hash = None
+
+    @classmethod
+    def _of(cls, mapping: dict[int, int]) -> "FinPerm":
+        """Wrap ``mapping``, already a fixed-point-free bijection of
+        non-negative int atoms, without checking it.
+
+        The caller hands the dict over and must not keep or mutate it.
+        """
+        perm = object.__new__(cls)
+        perm._map = mapping
+        perm._hash = None
+        return perm
 
     @classmethod
     def identity(cls) -> "FinPerm":
@@ -104,19 +136,19 @@ class FinPerm:
     def after(self, other: "FinPerm") -> "FinPerm":
         """Composition applying ``other`` first, then ``self``."""
         outer, inner = self._map, other._map
-        out = {a: outer.get(b, b) for a, b in inner.items()}
+        out = {a: c for a, b in inner.items() if (c := outer.get(b, b)) != a}
         for a, b in outer.items():
             if a not in inner:
                 out[a] = b
-        return FinPerm(out)
+        return FinPerm._of(out)
 
     def inverse(self) -> "FinPerm":
-        return FinPerm({b: a for a, b in self._map.items()})
+        return FinPerm._of({b: a for a, b in self._map.items()})
 
     def conjugate(self, g: "FinPerm") -> "FinPerm":
         """``g∘self∘g⁻¹``: this permutation with every atom renamed by ``g``."""
         rename = g._map.get
-        return FinPerm({rename(a, a): rename(b, b) for a, b in self._map.items()})
+        return FinPerm._of({rename(a, a): rename(b, b) for a, b in self._map.items()})
 
     def deflate(self, region: SetSpec) -> "FinPerm":
         """Push this permutation onto ``region``, identity elsewhere.
@@ -126,37 +158,37 @@ class FinPerm:
         orbit is finite and eventually returns to its start; points whose
         orbit meets the region only in themselves become fixed.
         """
+        mapping = self._map
         out: dict[int, int] = {}
-        for x in self._map:
+        for x, y in mapping.items():
             if x not in region:
                 continue
-            y = self(x)
+            # the orbit of a moved point is moved, so it stays in the map
             while y not in region:
-                y = self(y)
-            out[x] = y
-        return FinPerm(out)
+                y = mapping[y]
+            if y != x:
+                out[x] = y
+        return FinPerm._of(out)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least atom, sorted."""
-        seen: set[int] = set()
+        rest = dict(self._map)
         out = []
         for start in sorted(self._map):
-            if start in seen:
+            if start not in rest:
                 continue
             cyc = [start]
-            seen.add(start)
-            nxt = self._map[start]
+            nxt = rest.pop(start)
             while nxt != start:
                 cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self._map[nxt]
+                nxt = rest.pop(nxt)
             out.append(tuple(cyc))
         return out
 
     def to_cycles(self) -> str:
         if not self._map:
             return "()"
-        return "".join("(" + ";".join(str(a) for a in cyc) + ")" for cyc in self.cycles())
+        return "".join("(" + ";".join(map(str, cyc)) + ")" for cyc in self.cycles())
 
     def __str__(self) -> str:
         return self.to_cycles()

@@ -78,6 +78,19 @@ def test_perms_moving_exactly_counts():
     assert len(list(perms_moving_exactly(iter(range(7)), 4))) == 315
 
 
+@pytest.mark.parametrize("atoms, count", [
+    ([0, 1, 2], -1),
+    ([0, 0, 1, 1], 2),
+    ([0, -1, 2], 2),
+    ([0, "1", 2], 2),
+    ([5, 5], 0),
+], ids=["negative-count", "repeated-atom", "negative-atom", "non-int-atom",
+        "checked-before-identity"])
+def test_perms_moving_exactly_rejects_bad_pools(atoms, count):
+    with pytest.raises(BadParametersError):
+        next(perms_moving_exactly(iter(atoms), count))
+
+
 def test_scan_carrier_six():
     report = scan(SupportConfig(frozenset({0}), 2, 6))
     assert report["pairs"] == 400

@@ -4,6 +4,9 @@ from hypothesis import strategies as st
 
 from fiberbound.atoms import SetSpec
 from fiberbound.errors import DuplicatePointError, ParseError, SinglePointError
+from fiberbound.fraenkel import perms_moving_exactly
+from fiberbound.inject import Tableau, decode, encode
+from fiberbound.perm_engine import _index_sets, assemble, build_family
 from fiberbound.perms import FinPerm
 
 c = FinPerm.cycle
@@ -145,6 +148,32 @@ def test_cycles_round_trip(s):
     assert FinPerm.parse(s.to_cycles()) == s
 
 
+def _cycles_by_seen_set(s):
+    # reference: walk each cycle from its least atom, skipping atoms already seen
+    seen = set()
+    out = []
+    for start in sorted(s.moved):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        nxt = s(start)
+        while nxt != start:
+            cyc.append(nxt)
+            seen.add(nxt)
+            nxt = s(nxt)
+        out.append(tuple(cyc))
+    return out
+
+
+@given(fin_perms(pool=40))
+def test_cycles_match_seen_set_reference(s):
+    ref = _cycles_by_seen_set(s)
+    assert s.cycles() == ref
+    text = "".join("(" + ";".join(str(a) for a in cyc) + ")" for cyc in ref)
+    assert s.to_cycles() == (text or "()")
+
+
 def test_parse_errors():
     for bad in ("", "(1)", "(1;2", "1;2)", "(1;2)(2;3)", "(1;;2)", "(a;b)", "() ()"):
         with pytest.raises(ParseError):
@@ -191,3 +220,34 @@ def test_equal_perms_hash_equal(s):
         assert hash(t) == first
     assert len({s, *routes}) == 1
     assert hash(s) == first
+
+
+def _validates(r):
+    # the validating constructor would accept the unchecked map unchanged
+    return FinPerm(dict(r._map))._map == r._map
+
+
+@given(fin_perms(), fin_perms(), regions())
+def test_trusted_results_are_valid(s, g, region):
+    for r in (s.after(g), g.after(s), s.after(s.inverse()), s.inverse(),
+              s.conjugate(g), s.deflate(region), g.deflate(region)):
+        assert _validates(r)
+
+
+def test_trusted_assemble_is_valid():
+    entries, stuck = build_family({c([1000, 1001 + j]): j for j in range(16)}, 16, 2)
+    assert stuck is None and len(entries) == 5
+    for indices in _index_sets(len(entries)):
+        assert _validates(assemble(entries, indices))
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (2, 5), (3, 5)])
+def test_trusted_codec_results_are_valid(n, m):
+    # the criterion 1 pools: every n-point permutation of the reserved atoms and 4 spares
+    tab = Tableau(n, m)
+    atoms = sorted(tab.reserved) + list(range(len(tab.reserved), len(tab.reserved) + 4))
+    for s in perms_moving_exactly(iter(atoms), n):
+        assert _validates(s)
+        image, trace = encode(s, tab)
+        assert _validates(trace.swap) and _validates(trace.conjugated) and _validates(image)
+        assert _validates(decode(image, tab))
