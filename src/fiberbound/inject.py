@@ -77,7 +77,7 @@ class EncodeTrace:
 
 
 def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
-    moved = s.moved
+    moved = s._map.keys()
     if len(moved) != tab.n:
         raise WrongMovedSizeError(
             f"permutation moves {len(moved)} points, tableau expects {tab.n}")
@@ -99,16 +99,16 @@ def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
     swap = FinPerm._of(pairs)
     conjugated = s.conjugate(swap)
     marker_cycle = tab.marker_cycles[level]
-    assert len(conjugated.moved) == tab.n
-    assert conjugated.moved.isdisjoint(marker_cycle.moved)
+    assert len(conjugated._map) == tab.n
+    assert conjugated._map.keys().isdisjoint(marker_cycle._map)
     image = conjugated.after(marker_cycle)
-    assert len(image.moved) == tab.m
+    assert len(image._map) == tab.m
     return image, EncodeTrace(level, swap, conjugated, marker_cycle)
 
 
 def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     """Invert :func:`encode`, certified by re-encoding the result."""
-    moved = t.moved
+    moved = t._map.keys()
     level = None
     for i in range(tab.n + 1):
         if not moved.isdisjoint(tab.levels[i]):
@@ -125,15 +125,14 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     row_set = set(row)
     conjugated = FinPerm._of({a: b for a, b in t._map.items() if a not in row_set})
     pairs = {}
-    conjugated_moved = conjugated.moved
     for x, shadow in tab.shadow_maps[level].items():
-        if shadow in conjugated_moved:
+        if shadow in conjugated._map:
             pairs[x] = shadow
             pairs[shadow] = x
     # the shadow map is injective between disjoint sets: disjoint transpositions
     swap = FinPerm._of(pairs)
     s = conjugated.conjugate(swap)
-    if len(s.moved) != tab.n:
+    if len(s._map) != tab.n:
         raise NotInImageError("reconstruction has the wrong moved size")
     image, _ = encode(s, tab)
     if image != t:

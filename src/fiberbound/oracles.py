@@ -39,9 +39,9 @@ def truncate_oracle(n: int) -> Callable[[FinPerm], FinPerm]:
         raise BadParametersError("n must be non-negative")
 
     def oracle(s: FinPerm) -> FinPerm:
-        if len(s.moved) <= n:
+        if len(s._map) <= n:
             return s
-        keep = sorted(s.moved)[:n]
+        keep = sorted(s._map)[:n]
         return s.deflate(SetSpec.finite(keep))
 
     return oracle

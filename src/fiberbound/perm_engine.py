@@ -79,28 +79,43 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
     smaller indices still do not escape and the chosen one still does.
     A case-2 level is rebuilt, since a new answer may escape or form an
     earlier pair, and so is a stuck level, which may come unstuck.
+
+    Each level makes one pass over ``answers``, and each answer walks its
+    own moved points once: a pair ``x -> y`` with both outside the
+    occupied set is an escape, and one with only ``x`` inside goes into
+    the answer's ``reach``, the outward map case 2 compares.  A point the
+    answer fixes maps into the occupied set if it lies there, so only
+    moved points can reach out.  A level thus costs O(Σ|moved(s)|) over
+    the answers, at most 2n per answer, whatever the size of the
+    occupied set.  The occupied set only grows within a build, so escapes
+    only vanish: after a build's first case-2 level every later level is
+    case 2 or stuck.
     """
     if m < 1:
         raise BadParametersError("need at least one value")
     top = m.bit_length() - 1
     entries = list(itertools.takewhile(lambda e: e.case == 1, prev or ()))
-    occupied: set[int] = set().union(*(e.perm.moved for e in entries))
+    occupied: set[int] = set().union(*(e.perm._map.keys() for e in entries))
 
     for level in range(len(entries), top + 1):
         chosen = None
+        outward = []
         for s, i in answers.items():
-            candidates = [x for x in s.moved if x not in occupied and s(x) not in occupied]
-            if candidates:
-                x = min(candidates)
+            escapes = []
+            reach = {}
+            for x, y in s._map.items():
+                if y not in occupied:
+                    if x in occupied:
+                        reach[x] = y
+                    else:
+                        escapes.append(x)
+            if escapes:
                 perm = s.deflate(SetSpec.cofinite(occupied))
-                chosen = FamilyEntry(level, 1, i, None, x, perm)
+                chosen = FamilyEntry(level, 1, i, None, min(escapes), perm)
                 break
+            if reach:
+                outward.append((i, s, reach))
         if chosen is None:
-            outward = []
-            for s, i in answers.items():
-                reach = {x: s(x) for x in occupied if s(x) not in occupied}
-                if reach:
-                    outward.append((i, s, reach))
             found = None
             for a_pos, (i, s_i, reach_i) in enumerate(outward):
                 for j, s_j, reach_j in outward[a_pos + 1:]:
@@ -115,12 +130,13 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
             i, s_i, j, s_j, x = found
             perm = s_j.after(s_i.inverse()).deflate(SetSpec.cofinite(occupied))
             chosen = FamilyEntry(level, 2, i, j, x, perm)
-        assert chosen.perm.moved, "family members must be nontrivial"
-        assert len(chosen.perm.moved) <= 2 * n
-        assert not (chosen.perm.moved & occupied)
+        moved = chosen.perm._map.keys()
+        assert moved, "family members must be nontrivial"
+        assert len(moved) <= 2 * n
+        assert moved.isdisjoint(occupied)
         assert len(occupied) <= 2 * n * level
         entries.append(chosen)
-        occupied |= chosen.perm.moved
+        occupied.update(moved)
     return entries, None
 
 
@@ -129,7 +145,7 @@ def assemble(entries: list[FamilyEntry], indices) -> FinPerm:
     mapping: dict[int, int] = {}
     for idx in indices:
         member = entries[idx].perm
-        assert not (member.moved & set(mapping)), "family supports must be disjoint"
+        assert member._map.keys().isdisjoint(mapping), "family supports must be disjoint"
         mapping.update(member._map)
     return FinPerm._of(mapping)
 
@@ -163,9 +179,9 @@ class PermDiagEngine(WitnessEngine):
         return super()._refuse_seeds(count)
 
     def _check_output(self, out) -> None:
-        if not isinstance(out, FinPerm) or len(out.moved) > self.n:
+        if not isinstance(out, FinPerm) or len(out._map) > self.n:
             raise OracleCodomainError(
-                f"oracle returned a value moving {len(out.moved) if isinstance(out, FinPerm) else '?'} "
+                f"oracle returned a value moving {len(out._map) if isinstance(out, FinPerm) else '?'} "
                 f"points, claimed codomain moves at most {self.n}")
 
     def _fresh_fallback(self) -> FinPerm:

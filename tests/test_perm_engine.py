@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberbound import perm_engine
@@ -163,6 +163,25 @@ def answer_perms(n):
     if n < 2:
         return moving
     return st.one_of(moving, st.integers(1, 5).map(lambda j: c([0, j])))
+
+
+@st.composite
+def wide_value_lists(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    return draw(st.lists(answer_perms(n), min_size=1, max_size=16)), n
+
+
+@given(wide_value_lists())
+@settings(max_examples=300)
+# level 1 is case 2, and the pair disagrees outward at 1 before 0 in map order
+@example(([c([0, 1]), FinPerm({1: 2, 2: 1, 0: 3, 3: 0}), FinPerm({0: 4, 4: 0, 1: 5, 5: 1})], 4))
+def test_family_matches_raw_pair_scan_on_wide_answers(drawn):
+    # 3- and 4-cycles give answers whose reach holds several atoms
+    values, n = drawn
+    got_entries, got_stuck = family(values, n)
+    want, want_stuck = brute_family(values, n)
+    assert got_stuck == want_stuck
+    assert [(e.case, e.i, e.j, e.x, e.perm) for e in got_entries] == want
 
 
 @st.composite
