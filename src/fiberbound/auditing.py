@@ -152,9 +152,12 @@ class WitnessEngine:
     An engine supplies four things: a seed constructor, passed to
     ``__init__`` and called on each atom pair ``(base, base + 1 + j)``;
     ``_check_output``, the claimed codomain; ``step``, one fresh witness
-    found by ``_first_fresh`` and ending in ``_emit``; and ``_certificate``,
-    its header fields and output text.  ``kind`` names the certificate of a
-    run that completes every step.
+    found by ``_first_fresh`` and ending in ``_emit``, whose trace holds the
+    witness's text as ``result``; and ``_certificate``, its header fields,
+    with ``_outputs`` as the output text.  A step's output is formatted
+    once, into its trace, and only the seeds are formatted when the
+    certificate is built.
+    ``kind`` names the certificate of a run that completes every step.
     """
 
     kind = ""
@@ -245,6 +248,16 @@ class WitnessEngine:
         self.g.append(result)
         self.traces.append(trace)
         return trace
+
+    def _outputs(self) -> list[str]:
+        """Every witness's text: the seeds formatted here, then each step's
+        ``result``, which its trace already holds.
+
+        Only the first ``len(g) - seed_count`` traces emitted a witness; a
+        strict ``stuck`` step appends one more trace, with no result.
+        """
+        emitted = self.traces[:len(self.g) - self.seed_count]
+        return [str(x) for x in self.g[:self.seed_count]] + [t["result"] for t in emitted]
 
     def run(self, steps: int) -> dict:
         if steps < 1:

@@ -67,4 +67,4 @@ class PartitionDiagEngine(WitnessEngine):
 
     def _certificate(self, kind, steps, violation) -> dict:
         return assemble_certificate(kind, None, self.k, None, self.threshold, steps,
-                                    [str(p) for p in self.g], violation, self.traces)
+                                    self._outputs(), violation, self.traces)

@@ -277,6 +277,13 @@ def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:
     block by descending bitmask and recursing yields the whole stream in
     order without materializing it, so consumers may take a short prefix
     even when the total count is astronomical.
+
+    For a first block with least index ``m1`` and ``t`` indices after it,
+    the walk counts ``out`` up through ``range(1 << t)``: its set bits are
+    the later indices left out of the block, the first one the most
+    significant, so the block's own mask counts down.  A draw reads only
+    the bits of ``out``, so it costs O(|left out|) in Python plus one set
+    difference, not O(t): the stream's first draws leave out the fewest.
     """
 
     def gen(avail: tuple[int, ...], upper: int) -> Iterator[tuple[Block, ...]]:
@@ -295,11 +302,19 @@ def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:
             head = avail[:jpos]
             tail = avail[jpos + 1:]
             t = len(tail)
-            for mask in range((1 << t) - 1, -1, -1):
-                members = tuple(tail[p] for p in range(t) if mask >> (t - 1 - p) & 1)
-                block = frozenset((m1,) + members)
-                rest = head + tuple(x for x in tail if x not in block)
-                for sub in gen(rest, m1):
+            whole = frozenset(avail[jpos:])
+            for out in range(1 << t):
+                # bit t - 1 - p of out leaves tail[p] out; low bits first
+                left = []
+                bits = out
+                while bits:
+                    low = bits & -bits
+                    left.append(tail[t - low.bit_length()])
+                    bits ^= low
+                left.reverse()
+                # head + left ascends, as the m1 >= upper break needs
+                block = whole.difference(left)
+                for sub in gen(head + tuple(left), m1):
                     yield (block,) + sub
 
     yield from gen(tuple(range(l)), l)

@@ -227,4 +227,4 @@ class PermDiagEngine(WitnessEngine):
 
     def _certificate(self, kind, steps, violation) -> dict:
         return assemble_certificate(kind, self.n, self.k, self.bounds.l0, self.bounds.m0, steps,
-                                    [s.to_cycles() for s in self.g], violation, self.traces)
+                                    self._outputs(), violation, self.traces)

@@ -20,6 +20,9 @@ bijection of non-negative int atoms that never moves exactly one point.
 Operations on valid permutations wrap their results with the unchecked
 :meth:`FinPerm._of`, each for a reason that needs no re-check:
 
+- :meth:`~FinPerm.cycle`, once it has checked its points: distinct
+  non-negative int atoms, never exactly one, each sent to the next, are a
+  fixed-point-free bijection.
 - :meth:`~FinPerm.inverse`: the inverse of a fixed-point-free bijection is one.
 - :meth:`~FinPerm.conjugate`: renaming by a bijection keeps a map injective
   and keeps ``a != b``.
@@ -95,9 +98,10 @@ class FinPerm:
             raise DuplicatePointError(f"repeated atom in cycle {pts}")
         if len(pts) == 1:
             raise SinglePointError("cycle of length one is not a permutation move")
-        if not pts:
-            return cls({})
-        return cls({pts[i]: pts[(i + 1) % len(pts)] for i in range(len(pts))})
+        for a in pts:
+            if type(a) is not int or a < 0:
+                raise BadParametersError("atoms must be non-negative integers")
+        return cls._of(dict(zip(pts, pts[1:] + pts[:1])))
 
     @classmethod
     def parse(cls, text: str) -> "FinPerm":

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from fiberbound import partition_engine
+from fiberbound.auditing import WitnessEngine
 from fiberbound.oracles import min_block_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
@@ -95,3 +96,33 @@ def test_certificate_bytes_pinned(name, monkeypatch):
     assert cert["kind"] == kind
     assert hashlib.sha256(json.dumps(cert).encode()).hexdigest() == digest
     assert hashlib.sha256(json.dumps(expand(cert)).encode()).hexdigest() == format1_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_are_every_witness_text(name, monkeypatch):
+    # the certificate reads each step's output from its trace; it must be
+    # the text of every witness, seeds first, stuck and violated runs included
+    engines = []
+    run = WitnessEngine.run
+
+    def recording_run(self, steps):
+        engines.append(self)
+        return run(self, steps)
+
+    monkeypatch.setattr(WitnessEngine, "run", recording_run)
+    cert = GOLDEN[name][0](monkeypatch)
+    [engine] = engines
+    assert cert["outputs"] == [str(x) for x in engine.g]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PartitionDiagEngine(2, min_block_oracle),
+    lambda: PermDiagEngine(2, 8, truncate_oracle(2), mode="opportunistic", seed_count=4),
+], ids=["part", "perm"])
+def test_outputs_after_caller_steps(make):
+    engine = make()
+    for _ in range(3):
+        engine.step()
+    cert = engine.run(4)
+    assert cert["steps"] == 7
+    assert cert["outputs"] == [str(x) for x in engine.g]

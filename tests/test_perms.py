@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fiberbound.atoms import SetSpec
-from fiberbound.errors import DuplicatePointError, ParseError, SinglePointError
+from fiberbound.errors import BadParametersError, DuplicatePointError, ParseError, SinglePointError
 from fiberbound.fraenkel import perms_moving_exactly
 from fiberbound.inject import Tableau, decode, encode
 from fiberbound.perm_engine import _index_sets, assemble, build_family
@@ -38,6 +38,25 @@ def test_cycle_errors():
         c([1, 2, 1])
     with pytest.raises(SinglePointError):
         c([5])
+
+
+@pytest.mark.parametrize("points, error", [
+    ([1, 1], DuplicatePointError),
+    ([1.0, 1], DuplicatePointError),
+    ([3], SinglePointError),
+    ([-1, 2], BadParametersError),
+    ([True, 2], BadParametersError),
+    ([1.0, 2], BadParametersError),
+    (["a", "b"], BadParametersError),
+])
+def test_cycle_rejects_bad_points(points, error):
+    with pytest.raises(error):
+        c(points)
+
+
+@given(st.lists(st.integers(0, 40), unique=True, max_size=10).filter(lambda pts: len(pts) != 1))
+def test_cycle_matches_checked_constructor(pts):
+    assert c(pts) == FinPerm({a: pts[(i + 1) % len(pts)] for i, a in enumerate(pts)})
 
 
 def test_fixed_points_pruned():
