@@ -28,8 +28,8 @@ from typing import Callable, Iterator, Optional
 from .errors import (BadParametersError, InconsistentOracleError, InfeasibleRunError,
                      OverflowGuardError)
 
-BOUND_WINDOW = 100
 SEED_CAP = 1_000_000
+_UNRECORDED = object()  # a recorded answer may be None
 _INT64_MAX = 2**63 - 1
 
 
@@ -37,10 +37,10 @@ _INT64_MAX = 2**63 - 1
 class BoundParams:
     """Threshold parameters for the permutation engine.
 
-    ``l0`` is the least window start from which ``k*(2*n*l)**(2*n) < 2**l``
-    holds across the whole checked window, and ``m0 = k*(2*n*l0)**(2*n)``.
+    ``l0`` is the least integer such that ``k*(2*n*l)**(2*n) < 2**l``
+    holds for every ``l > l0``, and ``m0 = k*(2*n*l0)**(2*n)``.
     ``(2*n*l)**(2*n)`` is 1 when ``n`` is 0.  The ratio ``2**l / l**(2*n)``
-    is then nondecreasing across the window: for ``n >= 1`` the inequality
+    is then nondecreasing for ``l > l0``: for ``n >= 1`` the inequality
     fails at ``l = 1`` and forces ``l > 4*n`` for ``l >= 2``.
     """
 
@@ -48,7 +48,6 @@ class BoundParams:
     k: int
     l0: int
     m0: int
-    window: int = BOUND_WINDOW
 
 
 def _growth_ok(n: int, k: int, l: int) -> bool:
@@ -62,7 +61,7 @@ def compute_bounds(n: int, k: int) -> BoundParams:
         raise BadParametersError("k must be at least 1")
     e = 2 * n
     # The loop ends: for n >= 1 the guard's lower bound on m0 grows with
-    # the start, and for n = 0 the window holds once 2**l > k.
+    # the start, and for n = 0 every l > start holds once 2**(start + 1) > k.
     for start in itertools.count():
         # m0 never falls as the start grows and l0 >= 1 when n >= 1, so no
         # later start passes once this lower bound on m0 exceeds the guard;
@@ -70,7 +69,7 @@ def compute_bounds(n: int, k: int) -> BoundParams:
         base = 2 * n * max(start, 1)
         if k.bit_length() - 1 + e * (base.bit_length() - 1) >= 63 or k * base**e > _INT64_MAX:
             raise OverflowGuardError(f"m0 exceeds the 2**63-1 guard for n={n}, k={k}")
-        # The window passes exactly when its first l does: past a passing
+        # Every l > start passes exactly when start + 1 does: past a passing
         # l >= 2, which has l > 4n, the ratio 2**l / l**e never falls, since
         # (1 - 1/(l + 1))**e >= 1 - e/(l + 1) > 1/2 (n = 0: 2 >= 1).
         if _growth_ok(n, k, start + 1):
@@ -104,8 +103,8 @@ class OracleLedger:
 
     def record(self, inp, out) -> Optional[Violation]:
         """Record one query; idempotent on repeats, violation on overflow."""
-        prior = self.queries.get(inp)
-        if prior is not None:
+        prior = self.queries.get(inp, _UNRECORDED)
+        if prior is not _UNRECORDED:
             if prior != out:
                 raise InconsistentOracleError(f"input {inp} mapped to both "
                                               f"{self._ser_out(prior)} and {self._ser_out(out)}")

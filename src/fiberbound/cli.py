@@ -129,7 +129,7 @@ def _cmd_bounds(args) -> dict:
     print(f"l0 = {params.l0}")
     print(f"m0 = {params.m0}")
     return {"kind": "bounds", "n": args.n, "k": args.k,
-            "l0": params.l0, "m0": params.m0, "window": params.window}
+            "l0": params.l0, "m0": params.m0}
 
 
 def build_parser() -> argparse.ArgumentParser:

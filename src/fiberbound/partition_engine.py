@@ -1,12 +1,10 @@
 """Witness engine against claimed bounded-fiber maps from finitary
 partitions into finite atom sets.
 
-Each step takes the distinct oracle answers in first-occurrence order from
-the driver's record, refines the previous step's quotient frame by the
-answers new since then, and walks the ranked stream of class partitions
-until one lifts to a partition not emitted before.  The answers only ever
-extend the previous step's list, so a step's frame costs its new answers'
-atoms plus the class count, not the sum of every answer's size.  At most
+Each step refines the previous step's quotient frame by the oracle
+answers first seen at that step, in first-occurrence order, at the cost of
+their atoms plus the class count, and walks the ranked stream of class
+partitions until one lifts to a partition not emitted before.  At most
 ``m`` lifts can be stale at step ``m``, so the walk stops within ``m + 1``
 candidates no matter how many class partitions exist; the ranked stream is
 generated lazily for exactly this reason, since the class count routinely
@@ -16,7 +14,7 @@ A lift depends only on the frame's classes, so the driver's walk resumes
 while they are unchanged, even if new distinct answers arrived, and
 ``rank_checked`` counts from rank 1 across a resume, as a walk restarted
 from rank 1 would.  A trace's ``C_new`` holds only the answers first seen
-at its step; its frame is ``build_frame`` of every ``C_new`` so far, joined.
+at its step; its frame is ``build_frame`` folded over every ``C_new`` so far.
 """
 
 from __future__ import annotations
@@ -47,11 +45,11 @@ class PartitionDiagEngine(WitnessEngine):
     def step(self) -> dict:
         m = len(self.g)
         new = self._query_new()
-        frame = self._frame = build_frame(self.answers, self._frame)
-        distinct, l = frame.values, frame.l
+        frame = self._frame = build_frame(new, self._frame)
+        l = frame.l
         # Each listed value is a union of classes, so these hold on every
         # recorded trace; m >= seed_count = threshold + 1 on every step.
-        assert len(distinct) <= 2**l
+        assert len(self.answers) <= 2**l
         assert 72 * self.k < 2**l
         q, result, drawn = self._first_fresh(frame.classes, lambda: iter_partitions_ranked(l),
                                              lambda q: lift(q, frame))

@@ -15,8 +15,8 @@ refinement (Paige and Tarjan, "Three partition refinement algorithms",
 SIAM J. Comput. 16, 1987): listing one more set appends a least
 significant bit, which splits each class into its part outside the set and
 its part inside, adjacent and in that order, so a frame is refined in
-place as its list grows.  A list that does not extend the frame's own is
-refused, not rebuilt.
+place by each value new to its list, at a cost that does not grow with the
+values it already lists.
 
 Subsets and partitions of the classes are compared through characteristic
 strings.  For subsets: the string over the classes in their well-order,
@@ -32,7 +32,7 @@ second, as references for the lazy stream.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .atoms import format_atom_set, parse_atom_set
 from .errors import BadParametersError, OutOfRangeError, OverlappingBlocksError, ParseError
@@ -133,25 +133,31 @@ class QuotientFrame:
     ``masks[j]`` is the membership pattern of ``classes[j]``: bit
     ``len(values) - 1 - i`` is set when the class lies in ``values[i]``, so
     value 0 is the most significant bit and ``masks`` ascends.
-    :func:`build_frame` refines a frame in place and gives it new
-    ``values`` and ``classes`` tuples, so a tuple once read never changes.
+    :func:`build_frame` refines a frame in place and gives it a new
+    ``classes`` tuple, and ``values`` is a new tuple on each read, so a
+    tuple once read never changes.
 
-    Refinement state: ``_members[c]`` is class ``c``'s atoms, ``_class_of``
-    maps each atom to its id, ``_after`` links the ids in order from
-    ``_head`` (-1 ends the list), and ``_frozen[c]`` is class ``c``'s last
-    emitted frozenset, or None once the class has changed since.
+    Refinement state: ``_listed`` keys the listed values in list order,
+    ``_members[c]`` is class ``c``'s atoms, ``_class_of`` maps each atom to
+    its id, ``_after`` links the ids in order from ``_head`` (-1 ends the
+    list), and ``_frozen[c]`` is class ``c``'s last emitted frozenset, or
+    None once the class has changed since.
     """
 
-    __slots__ = ("values", "classes", "_class_of", "_members", "_frozen", "_after", "_head")
+    __slots__ = ("classes", "_listed", "_class_of", "_members", "_frozen", "_after", "_head")
 
     def __init__(self):
-        self.values: tuple[Block, ...] = ()
         self.classes: tuple[Block, ...] = ()
+        self._listed: dict[Block, None] = {}
         self._class_of: dict[int, int] = {}
         self._members: list[set[int]] = []
         self._frozen: list[Optional[Block]] = []
         self._after: list[int] = []
         self._head = -1
+
+    @property
+    def values(self) -> tuple[Block, ...]:
+        return tuple(self._listed)
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -218,36 +224,30 @@ class QuotientFrame:
         return tuple(classes)
 
 
-def build_frame(values: Sequence[Iterable[int]], prev: Optional[QuotientFrame] = None) -> QuotientFrame:
-    """Group the union of ``values`` by membership pattern.
+def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] = None) -> QuotientFrame:
+    """Refine ``frame``, or an empty frame when it is None, in place by
+    ``values`` and return it.
 
-    ``values`` must already be duplicate-free and listed in the order that
+    ``values`` are sets the frame does not list yet, in the order that
     induces their well-order (first occurrence order at the call sites).
+    A value repeated in ``values``, or already listed, raises
+    :class:`BadParametersError` before any refinement.
 
-    The frame is the fold of one refinement per value: appending ``v`` as
-    the least significant bit splits each class C into C∖v and C∩v, in that
-    order, and gathers the atoms new to the union into a first class.
-    Given ``prev``, ``values`` must extend ``prev.values``: ``prev`` is
-    refined in place by the values past that prefix and returned, at
-    O(|v|) each, plus O(l) and the sizes of the changed classes to emit
-    the frame; the prefix check is O(1) per value when the listed sets are
-    ``prev``'s own objects.  A class that no new value splits keeps its
-    frozenset object.  Values that do not extend ``prev.values`` raise
-    :class:`BadParametersError`, and leave ``prev`` as it was.  Without
-    ``prev`` the frame is built from scratch, in O(Σ|v|).
+    Appending ``v`` as the least significant bit splits each class C into
+    C∖v and C∩v, in that order, and gathers the atoms new to the union into
+    a first class, at O(|v|).  Emitting the frame costs O(l) and the sizes
+    of the changed classes; a class no value splits keeps its frozenset
+    object.  Nothing is walked for the values already listed, so a list
+    folded in pieces costs O(Σ|v|) plus O(l) per call.
     """
-    vals = tuple(frozenset(v) for v in values)
-    frame = QuotientFrame() if prev is None else prev
-    start = len(frame.values)
-    if vals[:start] != frame.values:
-        raise BadParametersError("values must extend the previous frame's values")
-    if len(vals) == start:
-        return frame
-    if len(set(vals)) != len(vals):
+    frame = QuotientFrame() if frame is None else frame
+    vals = [frozenset(v) for v in values]
+    new = dict.fromkeys(vals)
+    if len(new) != len(vals) or any(v in frame._listed for v in vals):
         raise BadParametersError("values must be duplicate-free")
-    for v in vals[start:]:
+    for v in vals:
         frame._refine(v)
-    frame.values = vals
+    frame._listed.update(new)
     frame.classes = frame._emit()
     return frame
 

@@ -5,7 +5,8 @@ repeated the whole record on every trace, and tests that read it get it
 back from ``expand``:
 
 - a part trace's ``C`` is the running concatenation of the ``C_new``
-  lists, and its ``classes`` are ``build_frame(C).classes``;
+  lists, and its ``classes`` are those of the frame that ``build_frame``
+  refines by each trace's ``C_new`` in turn, as the engine's own steps do;
 - a perm trace's ``B`` is the running concatenation of the ``B_new``
   lists, a null ``family`` repeats the last trace's family, and an
   entry's ``C`` is the sorted union of the supports of the entries
@@ -29,7 +30,7 @@ def expand_traces(traces: list[dict]) -> list[dict]:
     for trace in traces:
         if "C_new" in trace:
             running += trace["C_new"]
-            frame = build_frame([frozenset(v) for v in running], frame)
+            frame = build_frame(trace["C_new"], frame)
             old = {"m": trace["m"], "C": list(running),
                    "classes": [sorted(c) for c in frame.classes]}
             tail = _PART_TAIL

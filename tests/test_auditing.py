@@ -74,6 +74,19 @@ def test_ledger_inconsistent_oracle():
         led.record("a", "y")
 
 
+def test_ledger_records_a_none_answer():
+    # None is an answer like any other: asking again is idempotent, and a
+    # different answer to the same input is inconsistent
+    led = OracleLedger(1, str)
+    assert led.record("x", None) is None
+    assert led.record("x", None) is None
+    assert led.fibers == {None: ["x"]}
+    led = OracleLedger(1, str)
+    assert led.record("y", None) is None
+    with pytest.raises(InconsistentOracleError):
+        led.record("y", 5)
+
+
 def test_moved_set_fiber_exactness():
     # over six atoms the moved-set fibers have exactly the derangement sizes
     atoms = range(6)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fiberbound.errors import BadParametersError, InconsistentOracleError, OracleCodomainError
+from fiberbound import partition_engine
 from fiberbound.oracles import min_block_oracle, pool_set_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.partitions import FinitaryPartition, build_frame, lift, iter_partitions_ranked
@@ -109,6 +110,28 @@ def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, steps, resum
                 break
         assert rank == trace["rank_checked"]
         assert fresh == trace["result"]
+
+
+@pytest.mark.parametrize("oracle", [min_block_oracle, _grow_thirds], ids=["min-block", "grow-thirds"])
+def test_each_step_refines_its_frame_by_its_new_answers(monkeypatch, oracle):
+    calls, frames = [], []
+
+    def recording(values, frame=None):
+        calls.append([sorted(v) for v in values])
+        frame = build_frame(values, frame)
+        frames.append(frame.classes)
+        return frame
+
+    monkeypatch.setattr(partition_engine, "build_frame", recording)
+    cert = PartitionDiagEngine(2, oracle).run(60)
+    traces = cert["traces"]
+    assert cert["kind"] == "part-diag" and len(traces) == 60
+    assert calls == [t["C_new"] for t in traces]
+    assert [] in calls
+    running = []
+    for new, classes in zip(calls, frames):
+        running += new
+        assert classes == build_frame(running).classes
 
 
 def test_two_value_step_has_room():

@@ -226,7 +226,7 @@ def test_refined_frame_matches_a_full_build(values, with_empty, with_union, data
     full = build_frame(values)
     prev = build_frame(values[:i])
     prev_classes = prev.classes
-    frame = build_frame(values, prev)
+    frame = build_frame(values[i:], prev)
     assert (frame.values, frame.classes, frame.masks) == (full.values, full.classes, full.masks)
     assert frame is prev
     # the masks come from the values, not from the refinement, so this
@@ -241,13 +241,18 @@ def test_refined_frame_matches_a_full_build(values, with_empty, with_union, data
             assert id(c) in kept
     for c in frame.classes:
         assert c not in prev_classes or any(c is d for d in prev_classes)
-    # a list that does not extend a frame's values is refused, and the
-    # frame is left as it was
-    stray = build_frame(values[:i] + [frozenset({10})])
-    stray_state = (stray.values, stray.classes)
-    with pytest.raises(BadParametersError):
-        build_frame(values, stray)
-    assert (stray.values, stray.classes) == stray_state
+    # a value the frame already lists, or one repeated within the call, is
+    # refused before any refinement, and the frame is left as it was
+    state = (frame.values, frame.classes)
+    fresh = frozenset({10})
+    refused = [[fresh, fresh]] + [[fresh, v] for v in values] + [[v] for v in values]
+    for more in refused:
+        with pytest.raises(BadParametersError, match="duplicate-free"):
+            build_frame(more, frame)
+        assert (frame.values, frame.classes) == state
+    # nor was ``fresh`` refined in behind the refusals
+    build_frame([fresh], frame)
+    assert frame.classes == build_frame(values + [fresh]).classes
 
 
 def test_compare_subsets_examples():
