@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
+from operator import eq
 from typing import Iterator, Union
 
 from .atoms import fresh_atoms
@@ -145,7 +146,7 @@ def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
         return
     for subset in combinations(pool, count):
         for image in permutations(subset):
-            if all(a != b for a, b in zip(subset, image)):
+            if not any(map(eq, subset, image)):
                 yield FinPerm._of(dict(zip(subset, image)))
 
 

@@ -7,18 +7,19 @@ shadow atom for every atom of every lower level.  A tableau that would
 reserve more than ``TABLEAU_ATOM_CAP`` atoms is refused before any is built.
 
 Encoding a permutation ``s`` that moves exactly ``n`` points picks the
-least level untouched by ``s`` (one exists by pigeonhole), moves ``s`` away
-from the lower levels with ``s.conjugate(swap)``, where ``swap`` exchanges
-its atoms there with that level's shadow atoms, and multiplies by the cycle
-on the level's marker atoms.  Each level's marker cycle is built once, with
-the tableau, and reused by every encoding.  The image moves exactly ``m``
-points and determines ``s`` uniquely; :func:`decode` runs the
-reconstruction and certifies it by re-encoding.
+least level untouched by ``s`` (one exists by pigeonhole) and makes the
+image in one pass: a single rename of ``s`` through that level's shadow
+map, where an atom of a lower level becomes its shadow and any other atom
+keeps its name, joined with the cycle on the level's marker atoms, which
+the renamed map does not touch.  This equals
+``s.conjugate(swap).after(marker_cycle)``, where ``swap`` exchanges the
+atoms of ``s`` below the level with their shadows.  Each level's marker
+cycle is built once, with the tableau, and reused by every encoding.  The
+image moves exactly ``m`` points and determines ``s`` uniquely;
+:func:`decode` runs the reconstruction and certifies it by re-encoding.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (BadParametersError, BudgetExceededError, NotInImageError,
                      WrongMovedSizeError)
@@ -59,82 +60,86 @@ class Tableau:
             self.shadow_maps.append(shadows)
             self.levels.append(frozenset(row) | frozenset(shadows.values()))
         self.reserved = frozenset(range(counter))
-        assert counter == width * (2 ** (n + 1) - 1)
-        assert all(len(self.levels[i]) == width * 2**i for i in range(n + 1))
 
     def __repr__(self) -> str:
         return f"Tableau(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
 class EncodeTrace:
-    """The intermediate objects of one encoding."""
+    """The intermediate objects of one encoding, each built only when read."""
 
-    level: int
-    swap: FinPerm
-    conjugated: FinPerm
-    marker_cycle: FinPerm
+    __slots__ = ("level", "s", "tab")
+
+    def __init__(self, level: int, s: FinPerm, tab: Tableau):
+        self.level = level
+        self.s = s
+        self.tab = tab
+
+    @property
+    def swap(self) -> FinPerm:
+        """The transpositions ``x <-> shadow(x)`` over the atoms ``s`` moves below the level."""
+        shadows = self.tab.shadow_maps[self.level]
+        pairs = {x: shadows[x] for x in self.s._map.keys() & shadows.keys()}
+        # the shadow map is injective from the lower levels into this one, so
+        # these are disjoint transpositions
+        pairs.update([(b, a) for a, b in pairs.items()])
+        return FinPerm._of(pairs)
+
+    @property
+    def conjugated(self) -> FinPerm:
+        return self.s.conjugate(self.swap)
+
+    @property
+    def marker_cycle(self) -> FinPerm:
+        return self.tab.marker_cycles[self.level]
+
+
+def _image(s_map: dict[int, int], tab: Tableau) -> tuple[int, dict[int, int]]:
+    """The level and the map of the encoding of the permutation ``s_map``."""
+    if len(s_map) != tab.n:
+        raise WrongMovedSizeError(
+            f"permutation moves {len(s_map)} points, tableau expects {tab.n}")
+    moved = s_map.keys()
+    # n + 1 disjoint levels versus n moved points: one level is untouched
+    level = next(i for i in range(tab.n + 1) if moved.isdisjoint(tab.levels[i]))
+    # s moves no atom of the level, and every shadow lies in it, so renaming
+    # each moved atom by the shadow map is conjugating by the swap; the marker
+    # cycle moves only atoms of the level, disjoint from the renamed map
+    rename = tab.shadow_maps[level].get
+    image = {rename(a, a): rename(b, b) for a, b in s_map.items()}
+    image.update(tab.marker_cycles[level]._map)
+    return level, image
 
 
 def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
-    moved = s._map.keys()
-    if len(moved) != tab.n:
-        raise WrongMovedSizeError(
-            f"permutation moves {len(moved)} points, tableau expects {tab.n}")
-    level = None
-    for i in range(tab.n + 1):
-        if moved.isdisjoint(tab.levels[i]):
-            level = i
-            break
-    # n + 1 disjoint levels versus n moved points: one level is untouched.
-    assert level is not None
-    shadows = tab.shadow_maps[level]
-    pairs = {}
-    for x in sorted(moved):
-        if x in shadows:
-            pairs[x] = shadows[x]
-            pairs[shadows[x]] = x
-    # the shadow map is injective from the lower levels into this one, so
-    # these are disjoint transpositions
-    swap = FinPerm._of(pairs)
-    conjugated = s.conjugate(swap)
-    marker_cycle = tab.marker_cycles[level]
-    assert len(conjugated._map) == tab.n
-    assert conjugated._map.keys().isdisjoint(marker_cycle._map)
-    image = conjugated.after(marker_cycle)
-    assert len(image._map) == tab.m
-    return image, EncodeTrace(level, swap, conjugated, marker_cycle)
+    level, image = _image(s._map, tab)
+    return FinPerm._of(image), EncodeTrace(level, s, tab)
 
 
 def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     """Invert :func:`encode`, certified by re-encoding the result."""
-    moved = t._map.keys()
-    level = None
-    for i in range(tab.n + 1):
-        if not moved.isdisjoint(tab.levels[i]):
-            level = i
-            break
+    t_map = t._map
+    moved = t_map.keys()
+    level = next((i for i in range(tab.n + 1) if not moved.isdisjoint(tab.levels[i])), None)
     if level is None:
         raise NotInImageError("permutation moves no reserved level")
-    row = tab.marker_rows[level]
-    for idx, a in enumerate(row):
-        if t(a) != row[(idx + 1) % len(row)]:
+    marker = tab.marker_cycles[level]._map
+    for a, b in marker.items():
+        if t_map.get(a) != b:
             raise NotInImageError("marker atoms do not carry the marker cycle")
     # t maps the row onto itself, so it permutes the rest of its moved set
     # too, and restricted there it is a permutation that moves no row atom
-    row_set = set(row)
-    conjugated = FinPerm._of({a: b for a, b in t._map.items() if a not in row_set})
+    conjugated = {a: b for a, b in t_map.items() if a not in marker}
     pairs = {}
     for x, shadow in tab.shadow_maps[level].items():
-        if shadow in conjugated._map:
+        if shadow in conjugated:
             pairs[x] = shadow
             pairs[shadow] = x
     # the shadow map is injective between disjoint sets: disjoint transpositions
-    swap = FinPerm._of(pairs)
-    s = conjugated.conjugate(swap)
-    if len(s._map) != tab.n:
+    rename = pairs.get
+    s_map = {rename(a, a): rename(b, b) for a, b in conjugated.items()}
+    if len(s_map) != tab.n:
         raise NotInImageError("reconstruction has the wrong moved size")
-    image, _ = encode(s, tab)
-    if image != t:
+    if _image(s_map, tab)[1] != t_map:
         raise NotInImageError("re-encoding the reconstruction differs")
-    return s
+    return FinPerm._of(s_map)

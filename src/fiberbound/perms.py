@@ -30,9 +30,10 @@ Operations on valid permutations wrap their results with the unchecked
   drops fixed points as it goes, and no bijection moves exactly one point.
 - :meth:`~FinPerm.deflate`: the first-return map is a bijection of
   ``region`` ∩ moved; it drops fixed points as it goes.
-- ``inject.encode`` and ``inject.decode``: the swaps are disjoint
-  transpositions between a level and the levels below it, and the row
-  restriction in ``decode`` is ``t`` on the complement of a cycle of ``t``.
+- ``inject.encode``: the image is an injective rename of a bijection,
+  joined on disjoint atoms with a cycle.
+- ``inject.decode``: the reconstruction is a conjugate by disjoint
+  transpositions of ``t`` on the complement of a cycle of ``t``.
 - ``fraenkel.perms_moving_exactly``: derangements of a checked pool of
   distinct non-negative int atoms.
 - ``perm_engine.assemble``: a union of permutations with disjoint supports.

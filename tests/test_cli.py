@@ -51,6 +51,31 @@ def test_inject_and_decode(capsys, tmp_path):
     assert "decoded: (20;21)" in out
 
 
+@pytest.mark.parametrize("n, m, perm, record", [
+    (2, 4, "(20;21)", {"image": "(0;1)(20;21)", "level": 0, "swap": "()",
+                       "conjugated": "(20;21)", "marker_cycle": "(0;1)"}),
+    (3, 5, "(1;40;41)", {"image": "(2;3)(5;40;41)", "level": 1, "swap": "(1;5)",
+                         "conjugated": "(5;40;41)", "marker_cycle": "(2;3)"}),
+    (3, 5, "(0;2;6)", {"image": "(14;15)(16;18;22)", "level": 3,
+                       "swap": "(0;16)(2;18)(6;22)", "conjugated": "(16;18;22)",
+                       "marker_cycle": "(14;15)"}),
+], ids=["level-0", "level-1", "level-3"])
+def test_inject_golden_records(n, m, perm, record, capsys, tmp_path):
+    path = tmp_path / "inject.json"
+    code, out, _ = run_cli(["inject", "--n", str(n), "--m", str(m), "--perm", perm,
+                            "--json", str(path)], capsys)
+    assert code == 0
+    full = {"kind": "inject", "n": n, "m": m, "perm": perm, **record}
+    assert path.read_text() == json.dumps(full) + "\n"
+    assert out == (f"image: {record['image']}\nlevel: {record['level']}\n"
+                   f"swap: {record['swap']}\nconjugated: {record['conjugated']}\n"
+                   f"marker cycle: {record['marker_cycle']}\n")
+    code, out, _ = run_cli(["decode", "--n", str(n), "--m", str(m), "--perm", record["image"]],
+                           capsys)
+    assert code == 0
+    assert out == f"decoded: {perm}\n"
+
+
 def test_decode_domain_error(capsys):
     code, _, err = run_cli(["decode", "--n", "2", "--m", "4", "--perm", "()"], capsys)
     assert code == 1

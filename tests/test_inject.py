@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fiberbound.errors import (BadParametersError, BudgetExceededError, NotInImageError,
                                WrongMovedSizeError)
+from fiberbound.fraenkel import perms_moving_exactly
 from fiberbound.inject import TABLEAU_ATOM_CAP, Tableau, decode, encode
 from fiberbound.perms import FinPerm
 
@@ -22,6 +23,14 @@ def test_tableau_shapes():
         Tableau(40, 42)
     with pytest.raises(BudgetExceededError):
         Tableau(0, TABLEAU_ATOM_CAP + 1)
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (0, 3), (2, 4), (2, 5), (3, 5)])
+def test_tableau_level_sizes(n, m):
+    tab = Tableau(n, m)
+    width = m - n
+    assert tab.reserved == frozenset(range(width * (2 ** (n + 1) - 1)))
+    assert [len(level) for level in tab.levels] == [width * 2**i for i in range(n + 1)]
 
 
 def test_tableau_level_structure():
@@ -73,6 +82,76 @@ def test_encode_trace_invariants():
     assert len(trace.conjugated.moved) == 3
     assert not (trace.conjugated.moved & trace.marker_cycle.moved)
     assert len(image.moved) == 5
+
+
+def _codec_pool(tab):
+    # the criterion 1 pool: every n-point permutation of the reserved atoms and 4 spares
+    atoms = sorted(tab.reserved) + [len(tab.reserved) + i for i in range(4)]
+    return perms_moving_exactly(iter(atoms), tab.n)
+
+
+def _three_step_encode(s, tab, level):
+    # the construction encode replaced: conjugate by x <-> shadow(x) over the
+    # moved atoms below the level, then multiply by the level's marker cycle
+    shadows = tab.shadow_maps[level]
+    pairs = {}
+    for x in sorted(s.moved & shadows.keys()):
+        pairs[x] = shadows[x]
+        pairs[shadows[x]] = x
+    swap = FinPerm(pairs)
+    conjugated = s.conjugate(swap)
+    return swap, conjugated, conjugated.after(tab.marker_cycles[level])
+
+
+def _check_one_pass(s, tab):
+    image, trace = encode(s, tab)
+    level = min(i for i in range(tab.n + 1) if not s.moved & tab.levels[i])
+    assert trace.level == level
+    swap, conjugated, expected = _three_step_encode(s, tab, level)
+    assert image == expected
+    assert trace.swap == swap and trace.conjugated == conjugated
+    assert trace.marker_cycle is tab.marker_cycles[level]
+    return level
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (2, 5)])
+def test_one_pass_image_equals_three_step_construction(n, m):
+    tab = Tableau(n, m)
+    levels = {_check_one_pass(s, tab) for s in _codec_pool(tab)}
+    assert levels == set(range(n + 1))
+
+
+def test_one_pass_image_on_every_level_of_3_5():
+    tab = Tableau(3, 5)
+    first = {}
+    for s in _codec_pool(tab):
+        first.setdefault(encode(s, tab)[1].level, s)
+    assert sorted(first) == [0, 1, 2, 3]
+    for s in (*first.values(), FinPerm.parse("(1;40;41)"), FinPerm.parse("(0;2;6)")):
+        _check_one_pass(s, tab)
+
+
+def test_decode_accepts_exactly_the_image():
+    # every permutation of the 14 reserved atoms and 2 spares that moves 4 of
+    # them: decode returns a preimage exactly on the C(16, 2) images
+    tab = Tableau(2, 4)
+    atoms = sorted(tab.reserved) + [14, 15]
+    messages = {"permutation moves no reserved level",
+                "marker atoms do not carry the marker cycle",
+                "reconstruction has the wrong moved size",
+                "re-encoding the reconstruction differs"}
+    total = accepted = 0
+    for t in perms_moving_exactly(iter(atoms), 4):
+        total += 1
+        try:
+            s = decode(t, tab)
+        except NotInImageError as exc:
+            assert str(exc) in messages
+            continue
+        assert encode(s, tab)[0] == t
+        accepted += 1
+    assert total == 16380
+    assert accepted == 120
 
 
 def test_decode_failures():
