@@ -119,11 +119,10 @@ def classify(s: FinPerm, t: FinPerm, cfg: SupportConfig) -> ProbeVerdict:
         swap = FinPerm.cycle([a, b])
         return ExtraOutside(a, swap, t.conjugate(swap))
 
-    in_support = sorted(mt - ms)
-    assert len(in_support) == 1 and in_support[0] in e_set
-    e = in_support[0]
+    # branches 1 and 2 failed, so mt = ms ∪ {e} with e in E; the unpacking
+    # raises if that shape ever broke, and d = t(e) != e lies in mt - {e} = ms
+    (e,) = mt - ms
     d = t(e)
-    assert d in ms
     return ForcedFixedPoint(e, d, t.conjugate(s))
 
 

@@ -5,18 +5,26 @@ Works for any ``m >= n + 2``.  A :class:`Tableau` reserves
 ``|H_i| = (m - n) * 2**i``: each level holds ``m - n`` marker atoms plus one
 shadow atom for every atom of every lower level.  A tableau that would
 reserve more than ``TABLEAU_ATOM_CAP`` atoms is refused before any is built.
+Each level's marker cycle and its swap, the involution that exchanges every
+lower-level atom with its shadow, are built once, with the tableau.
 
 Encoding a permutation ``s`` that moves exactly ``n`` points picks the
 least level untouched by ``s`` (one exists by pigeonhole) and makes the
-image in one pass: a single rename of ``s`` through that level's shadow
-map, where an atom of a lower level becomes its shadow and any other atom
-keeps its name, joined with the cycle on the level's marker atoms, which
-the renamed map does not touch.  This equals
-``s.conjugate(swap).after(marker_cycle)``, where ``swap`` exchanges the
-atoms of ``s`` below the level with their shadows.  Each level's marker
-cycle is built once, with the tableau, and reused by every encoding.  The
-image moves exactly ``m`` points and determines ``s`` uniquely;
-:func:`decode` runs the reconstruction and certifies it by re-encoding.
+image in one pass: a single rename of ``s`` through that level's swap,
+where an atom of a lower level becomes its shadow and any other atom
+keeps its name (``s`` moves no shadow, which lies in the level), joined
+with the cycle on the level's marker atoms, which the renamed map does not
+touch.  This equals ``s.conjugate(swap).after(marker_cycle)``, where
+``swap`` exchanges the atoms of ``s`` below the level with their shadows.
+The image moves exactly ``m`` points and determines ``s`` uniquely.
+
+:func:`decode` takes the least level ``t`` touches, checks that ``t``
+carries that level's marker cycle, and renames the rest of ``t`` through
+the level's swap in one pass.  That is exact for every ``t``, valid or
+not: ``t`` moves no atom of a lower level, so on ``t``'s atoms the full
+swap sends exactly the shadows ``t`` moves back to their atoms, as the
+transpositions over those shadows alone would.  The result is certified by
+re-encoding it.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ class Tableau:
         self.marker_rows: list[tuple[int, ...]] = []
         self.marker_cycles: list[FinPerm] = []
         self.shadow_maps: list[dict[int, int]] = []
+        self.swaps: list[dict[int, int]] = []
         self.levels: list[frozenset[int]] = []
         for i in range(n + 1):
             row = tuple(range(counter, counter + width))
@@ -58,6 +67,11 @@ class Tableau:
             self.marker_rows.append(row)
             self.marker_cycles.append(FinPerm.cycle(row))
             self.shadow_maps.append(shadows)
+            # the shadow map is injective from the lower levels into this one,
+            # so joined with its reverse it is an involution without fixed points
+            swap = {b: a for a, b in shadows.items()}
+            swap.update(shadows)
+            self.swaps.append(swap)
             self.levels.append(frozenset(row) | frozenset(shadows.values()))
         self.reserved = frozenset(range(counter))
 
@@ -101,11 +115,13 @@ def _image(s_map: dict[int, int], tab: Tableau) -> tuple[int, dict[int, int]]:
             f"permutation moves {len(s_map)} points, tableau expects {tab.n}")
     moved = s_map.keys()
     # n + 1 disjoint levels versus n moved points: one level is untouched
-    level = next(i for i in range(tab.n + 1) if moved.isdisjoint(tab.levels[i]))
-    # s moves no atom of the level, and every shadow lies in it, so renaming
-    # each moved atom by the shadow map is conjugating by the swap; the marker
-    # cycle moves only atoms of the level, disjoint from the renamed map
-    rename = tab.shadow_maps[level].get
+    for level, atoms in enumerate(tab.levels):
+        if moved.isdisjoint(atoms):
+            break
+    # s moves no atom of the level, where every shadow lies, so renaming each
+    # moved atom through the swap is conjugating by the swap; the marker cycle
+    # moves only atoms of the level, disjoint from the renamed map
+    rename = tab.swaps[level].get
     image = {rename(a, a): rename(b, b) for a, b in s_map.items()}
     image.update(tab.marker_cycles[level]._map)
     return level, image
@@ -120,24 +136,18 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     """Invert :func:`encode`, certified by re-encoding the result."""
     t_map = t._map
     moved = t_map.keys()
-    level = next((i for i in range(tab.n + 1) if not moved.isdisjoint(tab.levels[i])), None)
-    if level is None:
+    for level, atoms in enumerate(tab.levels):
+        if not moved.isdisjoint(atoms):
+            break
+    else:
         raise NotInImageError("permutation moves no reserved level")
     marker = tab.marker_cycles[level]._map
-    for a, b in marker.items():
-        if t_map.get(a) != b:
-            raise NotInImageError("marker atoms do not carry the marker cycle")
-    # t maps the row onto itself, so it permutes the rest of its moved set
-    # too, and restricted there it is a permutation that moves no row atom
-    conjugated = {a: b for a, b in t_map.items() if a not in marker}
-    pairs = {}
-    for x, shadow in tab.shadow_maps[level].items():
-        if shadow in conjugated:
-            pairs[x] = shadow
-            pairs[shadow] = x
-    # the shadow map is injective between disjoint sets: disjoint transpositions
-    rename = pairs.get
-    s_map = {rename(a, a): rename(b, b) for a, b in conjugated.items()}
+    if not marker.items() <= t_map.items():
+        raise NotInImageError("marker atoms do not carry the marker cycle")
+    # t maps the row onto itself, so it permutes the rest of its moved set too;
+    # it moves no atom below the level, so the swap renames exactly its shadows
+    rename = tab.swaps[level].get
+    s_map = {rename(a, a): rename(b, b) for a, b in t_map.items() if a not in marker}
     if len(s_map) != tab.n:
         raise NotInImageError("reconstruction has the wrong moved size")
     if _image(s_map, tab)[1] != t_map:

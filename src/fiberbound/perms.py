@@ -32,8 +32,9 @@ Operations on valid permutations wrap their results with the unchecked
   ``region`` ∩ moved; it drops fixed points as it goes.
 - ``inject.encode``: the image is an injective rename of a bijection,
   joined on disjoint atoms with a cycle.
-- ``inject.decode``: the reconstruction is a conjugate by disjoint
-  transpositions of ``t`` on the complement of a cycle of ``t``.
+- ``inject.decode``: the reconstruction is ``t`` off a cycle of ``t``,
+  conjugated by the level's swap, an involution made of disjoint
+  transpositions.
 - ``fraenkel.perms_moving_exactly``: derangements of a checked pool of
   distinct non-negative int atoms.
 - ``perm_engine.assemble``: a union of permutations with disjoint supports.
@@ -191,9 +192,23 @@ class FinPerm:
         return out
 
     def to_cycles(self) -> str:
-        if not self._map:
+        """The canonical cycle text, each cycle written as it is walked."""
+        mapping = self._map
+        if not mapping:
             return "()"
-        return "".join("(" + ";".join(map(str, cyc)) + ")" for cyc in self.cycles())
+        seen: set[int] = set()
+        parts: list[str] = []
+        for start in sorted(mapping):
+            if start in seen:
+                continue
+            parts.append("(" + str(start))
+            x = mapping[start]
+            while x != start:
+                seen.add(x)
+                parts.append(";" + str(x))
+                x = mapping[x]
+            parts.append(")")
+        return "".join(parts)
 
     def __str__(self) -> str:
         return self.to_cycles()

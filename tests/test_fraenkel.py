@@ -63,6 +63,27 @@ def test_forced_fixed_point_branch():
     assert v.conjugate != t
 
 
+@pytest.mark.parametrize("n, e", [(n, e) for n in (2, 3) for e in range(5) if e + n + 2 <= 8])
+def test_forced_fixed_point_shape_over_the_scan_pools(monkeypatch, n, e):
+    # every pair scan classifies at carrier 8: branch 3 always finds its one
+    # support atom in E and sends it into moved(s)
+    verdicts = []
+
+    def recorded(s, t, cfg):
+        verdict = classify(s, t, cfg)
+        verdicts.append((s, verdict))
+        return verdict
+
+    monkeypatch.setattr(fraenkel, "classify", recorded)
+    cfg = SupportConfig(frozenset(range(e)), n, 8)
+    assert scan(cfg)["escapes"] == 0
+    forced = [(s, v) for s, v in verdicts if isinstance(v, ForcedFixedPoint)]
+    assert bool(forced) == (e > 0)
+    for s, v in forced:
+        assert v.support_atom in cfg.support
+        assert v.image in s.moved
+
+
 def test_precondition_failures():
     assert isinstance(classify(c([1, 2, 3]), c([3, 4, 5]), CFG), PreconditionFail)
     assert isinstance(classify(c([1, 2]), c([3, 4]), CFG), PreconditionFail)

@@ -45,6 +45,24 @@ def test_tableau_level_structure():
         assert set(tab.shadow_maps[i]) == lower
 
 
+@pytest.mark.parametrize("n, m", [(2, 4), (2, 5), (3, 5)])
+def test_swaps_are_fixed_point_free_involutions(n, m):
+    tab = Tableau(n, m)
+    assert len(tab.swaps) == n + 1
+    for i, swap in enumerate(tab.swaps):
+        assert all(swap[b] == a != b for a, b in swap.items())
+        lower = set().union(*tab.levels[:i])
+        assert swap.keys() == lower | set(tab.shadow_maps[i].values())
+
+
+def test_encode_is_the_swap_conjugate_times_the_marker_cycle_on_the_3_5_pool():
+    tab = Tableau(3, 5)
+    for s in _codec_pool(tab):
+        image, trace = encode(s, tab)
+        assert image == s.conjugate(trace.swap).after(trace.marker_cycle)
+        assert decode(image, tab) == s
+
+
 def test_encode_fresh_support():
     tab = Tableau(2, 4)
     s = FinPerm.cycle([20, 21])
@@ -156,13 +174,15 @@ def test_decode_accepts_exactly_the_image():
 
 def test_decode_failures():
     tab = Tableau(2, 4)
-    with pytest.raises(NotInImageError):
+    with pytest.raises(NotInImageError, match="^permutation moves no reserved level$"):
         decode(FinPerm.identity(), tab)
     row0 = tab.marker_rows[0]
-    with pytest.raises(NotInImageError):
+    with pytest.raises(NotInImageError,
+                       match="^reconstruction has the wrong moved size$"):
         decode(FinPerm.cycle([row0[0], row0[1]]), tab)
     # moves a level but the marker cycle is absent
-    with pytest.raises(NotInImageError):
+    with pytest.raises(NotInImageError,
+                       match="^marker atoms do not carry the marker cycle$"):
         decode(FinPerm.cycle([row0[0], 20, 21, 22]), tab)
 
 
