@@ -213,9 +213,18 @@ class WitnessEngine:
         return new
 
     def _audit(self) -> None:
-        """Re-ask every recorded witness in emission order; a changed answer raises."""
-        for x in self.ledger.queries:
-            self.ledger.record(x, self.oracle(x))
+        """Re-ask every recorded witness in emission order; a changed answer raises.
+
+        An answer equal to the recorded one is done with here, by the same
+        ``prior != out`` test ``record`` makes; only a changed one goes on to
+        ``record``, which raises :class:`InconsistentOracleError` with its
+        one wording of the message.
+        """
+        ledger = self.ledger
+        for x, prior in ledger.queries.items():
+            out = self.oracle(x)
+            if prior != out:
+                ledger.record(x, out)
 
     def _first_fresh(self, key, stream: Callable[[], Iterator], build: Callable) -> tuple:
         """``(item, candidate, drawn)`` for the first item of ``stream()``

@@ -53,7 +53,6 @@ class Tableau:
         counter = 0
         self.marker_rows: list[tuple[int, ...]] = []
         self.marker_cycles: list[FinPerm] = []
-        self.shadow_maps: list[dict[int, int]] = []
         self.swaps: list[dict[int, int]] = []
         self.levels: list[frozenset[int]] = []
         for i in range(n + 1):
@@ -66,7 +65,6 @@ class Tableau:
                 counter += 1
             self.marker_rows.append(row)
             self.marker_cycles.append(FinPerm.cycle(row))
-            self.shadow_maps.append(shadows)
             # the shadow map is injective from the lower levels into this one,
             # so joined with its reverse it is an involution without fixed points
             swap = {b: a for a, b in shadows.items()}
@@ -92,10 +90,10 @@ class EncodeTrace:
     @property
     def swap(self) -> FinPerm:
         """The transpositions ``x <-> shadow(x)`` over the atoms ``s`` moves below the level."""
-        shadows = self.tab.shadow_maps[self.level]
-        pairs = {x: shadows[x] for x in self.s._map.keys() & shadows.keys()}
-        # the shadow map is injective from the lower levels into this one, so
-        # these are disjoint transpositions
+        swap = self.tab.swaps[self.level]
+        # s avoids the level, so the swap's keys among its atoms lie below it;
+        # the swap is an involution, so these are disjoint transpositions
+        pairs = {x: swap[x] for x in self.s._map.keys() & swap.keys()}
         pairs.update([(b, a) for a, b in pairs.items()])
         return FinPerm._of(pairs)
 

@@ -16,7 +16,9 @@ SIAM J. Comput. 16, 1987): listing one more set appends a least
 significant bit, which splits each class into its part outside the set and
 its part inside, adjacent and in that order, so a frame is refined in
 place by each value new to its list, at a cost that does not grow with the
-values it already lists.
+values it already lists.  A value that is a union of existing classes splits
+none and brings no new atom, so it leaves the classes as they are: it is
+recognized at builtin speed, and the frame keeps its class tuple.
 
 Subsets and partitions of the classes are compared through characteristic
 strings.  For subsets: the string over the classes in their well-order,
@@ -134,8 +136,9 @@ class QuotientFrame:
     ``len(values) - 1 - i`` is set when the class lies in ``values[i]``, so
     value 0 is the most significant bit and ``masks`` ascends.
     :func:`build_frame` refines a frame in place and gives it a new
-    ``classes`` tuple, and ``values`` is a new tuple on each read, so a
-    tuple once read never changes.
+    ``classes`` tuple when a class changed, keeping the old one otherwise,
+    and ``values`` is a new tuple on each read, so a tuple once read never
+    changes.
 
     Refinement state: ``_listed`` keys the listed values in list order,
     ``_members[c]`` is class ``c``'s atoms, ``_class_of`` maps each atom to
@@ -187,11 +190,17 @@ class QuotientFrame:
             self._after.append(self._after[left])
             self._after[left] = cid
 
-    def _refine(self, v: Block) -> None:
-        """Append ``v`` as the least significant bit, in O(|v|)."""
+    def _refine(self, v: Block) -> bool:
+        """Append ``v`` as the least significant bit, in O(|v|); return
+        whether a class split or a class of new atoms came in."""
+        class_of, members = self._class_of, self._members
+        cids = set(map(class_of.get, v))
+        if None not in cids and sum(map(len, map(members.__getitem__, cids))) == len(v):
+            # v is the union of the classes it meets: mask μ becomes 2μ + 1
+            # for those and 2μ for the rest, no class splits, order holds
+            return False
         hits: dict[int, list[int]] = {}
         fresh = []
-        class_of = self._class_of
         for a in v:
             cid = class_of.get(a)
             if cid is None:
@@ -201,7 +210,7 @@ class QuotientFrame:
         for cid, inside in hits.items():
             # mask μ becomes 2μ for C∖v, which keeps the id, and 2μ + 1 for
             # C∩v, linked right after it; a class inside v stays whole
-            rest = self._members[cid]
+            rest = members[cid]
             if len(inside) < len(rest):
                 rest.difference_update(inside)
                 self._frozen[cid] = None
@@ -209,6 +218,8 @@ class QuotientFrame:
         if fresh:
             # mask 1, below every class already present
             self._new_class(fresh, -1)
+        # past the union test, some atom was new or some class was cut
+        return True
 
     def _emit(self) -> tuple[Block, ...]:
         """The classes in order; O(l) plus the sizes of changed classes."""
@@ -235,20 +246,27 @@ def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] 
 
     Appending ``v`` as the least significant bit splits each class C into
     C∖v and C∩v, in that order, and gathers the atoms new to the union into
-    a first class, at O(|v|).  Emitting the frame costs O(l) and the sizes
-    of the changed classes; a class no value splits keeps its frozenset
-    object.  Nothing is walked for the values already listed, so a list
-    folded in pieces costs O(Σ|v|) plus O(l) per call.
+    a first class, at O(|v|).  When ``v`` is a union of existing classes
+    nothing splits and nothing is new; one set of class ids and a sum of
+    their sizes find that, at O(|v|) in builtins, and the Python loop is
+    skipped.  Emitting the frame costs O(l) and the sizes of the changed
+    classes; a class no value splits keeps its frozenset object, and a call
+    whose values are all unions of classes emits nothing and keeps the
+    ``classes`` tuple object.  Nothing is walked for the values already
+    listed, so a list folded in pieces costs O(Σ|v|) plus O(l) per call that
+    changes a class.
     """
     frame = QuotientFrame() if frame is None else frame
     vals = [frozenset(v) for v in values]
     new = dict.fromkeys(vals)
     if len(new) != len(vals) or any(v in frame._listed for v in vals):
         raise BadParametersError("values must be duplicate-free")
+    changed = False
     for v in vals:
-        frame._refine(v)
+        changed |= frame._refine(v)
     frame._listed.update(new)
-    frame.classes = frame._emit()
+    if changed:
+        frame.classes = frame._emit()
     return frame
 
 

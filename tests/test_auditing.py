@@ -294,14 +294,55 @@ FLIP_ENGINES = [
 ]
 
 
-@pytest.mark.parametrize("make_engine, answer, other", FLIP_ENGINES, ids=["perm", "part"])
-def test_flip_after_step_3_raises_on_the_step_4_audit(monkeypatch, make_engine, answer, other):
+@pytest.mark.parametrize("make_engine, answer, other, message", [
+    (*FLIP_ENGINES[0], r"^input \(1000;1001\) mapped to both \(0;1\) and \(900;901\)$"),
+    (*FLIP_ENGINES[1], r"^input \{1000,1001\} mapped to both \{0\} and \{900\}$"),
+], ids=["perm", "part"])
+def test_flip_after_step_3_raises_on_the_step_4_audit(monkeypatch, make_engine, answer, other,
+                                                       message):
     engine = make_engine(memo_oracle(answer))
     flip_after(monkeypatch, engine, 3, other)
     for _ in range(3):
         engine.step()
-    with pytest.raises(InconsistentOracleError):
+    # the audit compares without record, and hands record the changed answer
+    with pytest.raises(InconsistentOracleError, match=message):
         engine.step()
+    assert len(engine.traces) == 3
+
+
+# (engine on an oracle, the answer of the i-th new input, a copy of an answer, steps)
+FRESH_ENGINES = [
+    (lambda oracle: PermDiagEngine(2, 1, oracle, "opportunistic", 8),
+     lambda i: FinPerm.cycle([0, i + 1]), lambda p: FinPerm(dict(p._map)), 40),
+    (lambda oracle: PartitionDiagEngine(1, oracle), lambda i: frozenset({i, i + 1}),
+     lambda v: frozenset(list(v)), 20),
+]
+
+
+@pytest.mark.parametrize("make_engine, answer, copy, steps", FRESH_ENGINES, ids=["perm", "part"])
+def test_equal_fresh_answers_pass_every_audit(monkeypatch, make_engine, answer, copy, steps):
+    # an oracle that builds a new, equal answer on every call certifies as a
+    # memoized one does, and its audits reach record for no witness
+    memo = memo_oracle(answer)
+
+    def fresh(x):
+        return copy(memo(x))
+
+    engine = make_engine(fresh)
+    recorded = []
+    record = engine.ledger.record
+
+    def counted(x, out):
+        recorded.append(x)
+        return record(x, out)
+
+    monkeypatch.setattr(engine.ledger, "record", counted)
+    cert = engine.run(steps)
+    first = engine.g[0]
+    assert fresh(first) == fresh(first) and fresh(first) is not fresh(first)
+    assert (cert["steps"], len(engine.traces)) == (steps, steps)
+    assert recorded == list(engine.ledger.queries) == engine.g[:-1]
+    assert json.dumps(cert) == json.dumps(make_engine(memo_oracle(answer)).run(steps))
 
 
 @pytest.mark.parametrize("make_engine, answer, other", FLIP_ENGINES, ids=["perm", "part"])

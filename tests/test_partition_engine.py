@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,16 @@ def _grow_thirds(p):
     # one atom, so some steps split the frame's classes and some do not
     b = min_block_oracle(p)
     return b | {max(b) + 1} if b and len(b) % 3 == 0 else b
+
+
+def test_splitting_run_is_pinned():
+    # after the seeds, min-block answers are all unions of the frame's classes;
+    # grow-thirds mixes such answers with ones that split a class, so this run
+    # goes through both the union test and the refinement loop
+    cert = PartitionDiagEngine(2, _grow_thirds).run(40)
+    assert (cert["kind"], cert["steps"]) == ("part-diag", 40)
+    digest = hashlib.sha256(json.dumps(cert).encode()).hexdigest()
+    assert digest == "21c66128c30ad317a68b73cc4c50726d591d3aa40c172187caa413e0aa8433fe"
 
 
 @pytest.mark.parametrize("oracle, steps, resumes_every_step", [

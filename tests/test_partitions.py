@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,70 @@ def test_refined_frame_matches_a_full_build(values, with_empty, with_union, data
     # nor was ``fresh`` refined in behind the refusals
     build_frame([fresh], frame)
     assert frame.classes == build_frame(values + [fresh]).classes
+
+
+def _state(frame):
+    return frame.values, frame.classes, frame.masks
+
+
+def test_union_of_classes_keeps_the_class_tuple():
+    # classes {4}, {3}, {1}, {2} of {1,2}, {2,3}, {4}; every value added here
+    # is a union of classes, so no class splits and no atom is new
+    frame = build_frame([frozenset({1, 2}), frozenset({2, 3}), frozenset({4})])
+    classes = frame.classes
+    values = list(frame.values)
+    for more in ([frozenset({1, 2, 3})], [frozenset({1, 4}), frozenset({3})], [frozenset()]):
+        build_frame(more, frame)
+        values += more
+        assert frame.classes is classes
+        assert _state(frame) == _state(build_frame(values))
+
+
+@pytest.mark.parametrize("more", [
+    [frozenset({1, 3})],                    # holds {1} whole and cuts {3,4}
+    [frozenset({2, 5})],                    # holds {2} whole and brings atom 5
+    [frozenset({5, 6})],                    # only new atoms
+    [frozenset(), frozenset({4})],          # an empty value, then a cut of {3,4}
+    [frozenset({1, 3, 4}), frozenset({3})],  # a union, then a cut
+], ids=["split", "union-and-fresh", "fresh", "empty-then-split", "union-then-split"])
+def test_changing_value_matches_a_full_build(more):
+    # classes {3,4}, {1}, {2}
+    values = [frozenset({1, 2}), frozenset({2, 3, 4})]
+    frame = build_frame(values)
+    classes = frame.classes
+    build_frame(more, frame)
+    assert frame.classes is not classes
+    assert _state(frame) == _state(build_frame(values + more))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_fold_matches_a_full_build_at_every_prefix(seed):
+    # each value is a union of classes, cuts one, or brings a new atom; only
+    # a union keeps the class tuple object
+    rnd = random.Random(seed)
+    values = [frozenset({0, 1, 2})]
+    frame = build_frame(values)
+    kinds = set()
+    while len(values) < 60:
+        classes = frame.classes
+        picked = frozenset().union(*rnd.sample(classes, rnd.randint(0, len(classes))))
+        kind = rnd.choice(["union", "split", "fresh"])
+        if kind == "split":
+            big = [c for c in classes if len(c) > 1]
+            if not big:
+                continue
+            c = rnd.choice(big)
+            picked = (picked - c) | frozenset(rnd.sample(sorted(c), rnd.randint(1, len(c) - 1)))
+        elif kind == "fresh":
+            picked |= {rnd.randint(3, 40)}
+        if picked in frame.values or kind == "fresh" and picked <= set().union(*classes):
+            continue
+        kinds.add(kind)
+        values.append(picked)
+        build_frame([picked], frame)
+        assert (frame.classes is classes) == (kind == "union")
+        assert _state(frame) == _state(build_frame(values))
+    assert kinds == {"union", "split", "fresh"}
 
 
 def test_compare_subsets_examples():
