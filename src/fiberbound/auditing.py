@@ -37,11 +37,15 @@ _INT64_MAX = 2**63 - 1
 class BoundParams:
     """Threshold parameters for the permutation engine.
 
-    ``l0`` is the least integer such that ``k*(2*n*l)**(2*n) < 2**l``
-    holds for every ``l > l0``, and ``m0 = k*(2*n*l0)**(2*n)``.
-    ``(2*n*l)**(2*n)`` is 1 when ``n`` is 0.  The ratio ``2**l / l**(2*n)``
-    is then nondecreasing for ``l > l0``: for ``n >= 1`` the inequality
-    fails at ``l = 1`` and forces ``l > 4*n`` for ``l >= 2``.
+    ``l0`` is the least integer such that ``k*f(l) < 2**l`` holds for
+    every ``l > l0``, and ``m0 = k*f(l0)``, for a growth function ``f``.
+    :func:`compute_bounds` takes the paper's ``f(l) = (2*n*l)**(2*n)``,
+    which is 1 when ``n`` is 0.  The ratio ``2**l / l**(2*n)`` is then
+    nondecreasing for ``l > l0``: for ``n >= 1`` the inequality fails at
+    ``l = 1`` and forces ``l > 4*n`` for ``l >= 2``.
+    ``perm_engine.strict_bounds`` takes the sharp count of answers a
+    stuck family admits, ``f = perm_engine.stuck_answer_bound``, and
+    seeds strict runs from it.
     """
 
     n: int

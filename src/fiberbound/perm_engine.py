@@ -7,11 +7,12 @@ from the distinct answers at their first index, read from the driver's
 answer record, and emits the first product of family members not seen
 before.  The answers only ever extend, so a step keeps the leading case-1
 levels of the last step's family and rebuilds from its first case-2 or
-stuck level.  Strict mode seeds past the computed threshold ``m0`` so that
-a failed family construction is a genuine inconsistency; opportunistic
-mode runs from a small seed count and patches over legitimate early
-failures with fresh transpositions, which keeps the construction machinery
-exercised at desk scale.
+stuck level.  Strict mode seeds ``m0 + 1`` witnesses, with ``m0`` from
+:func:`strict_bounds`, the least count the stuck-family argument needs, so
+that a failed family construction is a genuine inconsistency; that count
+is feasible for n <= 2.  Opportunistic mode runs from a small seed count
+and patches over legitimate early failures with fresh transpositions,
+which keeps the construction machinery exercised at any n.
 
 A candidate depends only on the family's members, so the driver's walk
 over the index sets resumes while they are unchanged, and ``chosen_a`` is
@@ -24,12 +25,15 @@ step, and its ``family`` is ``null`` while the entries equal the last trace's.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .atoms import SetSpec
-from .auditing import WitnessEngine, _Inconsistent, assemble_certificate, compute_bounds
+from .auditing import (BoundParams, WitnessEngine, _Inconsistent, assemble_certificate,
+                       compute_bounds)
 from .errors import BadParametersError, OracleCodomainError
+from .partitions import derangement
 from .perms import FinPerm
 
 _FALLBACK_OFFSET = 500_000
@@ -140,6 +144,40 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
     return entries, None
 
 
+def stuck_answer_bound(n: int, level: int) -> int:
+    """``N(level)``: how many permutations moving at most ``n`` points
+    move only atoms of a fixed set of ``4*n*level`` atoms."""
+    return sum(math.comb(4 * n * level, j) * derangement(j) for j in range(n + 1))
+
+
+def strict_bounds(n: int, k: int) -> BoundParams:
+    """The least threshold the stuck-family argument needs.
+
+    ``l0`` is the least integer such that ``k*N(l) < 2**l`` holds for
+    every ``l > l0``, with ``N`` = :func:`stuck_answer_bound`, and
+    ``m0 = k*N(l0)``.  Suppose :func:`build_family` is stuck at level
+    ``L`` with occupied set ``O``, ``|O| <= 2*n*L``, on ``m > m0``
+    emitted witnesses, so ``2**L <= m``.  Case 1 failed, so an answer
+    ``s`` sends each atom ``x`` outside ``O`` that it moves into ``O``;
+    then ``x``'s orbit predecessor ``y`` lies in ``O`` too, and
+    ``x = s(y)``.  Case 2 failed, so all answers sending a ``y`` in ``O``
+    outside ``O`` agree on its image ``r(y)``.  Every answer thus moves
+    only atoms of ``O ∪ r(O)``, at most ``4*n*L`` atoms, and the distinct
+    answers number ``d <= N(L)``.  Without a violation ``m <= k*d <= k*N(L)``;
+    that is below ``2**L`` when ``L > l0``, and at most ``m0`` otherwise,
+    since ``N`` grows with ``L``.
+
+    ``N(l) <= (2*n*l)**(2*n)`` for ``n, l >= 1``, so every ``l`` past
+    :func:`compute_bounds`' ``l0`` holds; the scan down from there checks
+    the rest directly, and that call's overflow guard refuses a huge
+    ``n`` or ``k`` first.
+    """
+    l0 = compute_bounds(n, k).l0
+    while l0 > 0 and k * stuck_answer_bound(n, l0) < 2**l0:
+        l0 -= 1
+    return BoundParams(n, k, l0, k * stuck_answer_bound(n, l0))
+
+
 def assemble(entries: list[FamilyEntry], indices) -> FinPerm:
     """Product of the selected family members (disjoint supports)."""
     mapping: dict[int, int] = {}
@@ -165,9 +203,11 @@ class PermDiagEngine(WitnessEngine):
             raise BadParametersError(f"unknown mode {mode!r}")
         self.n = n
         self.mode = mode
-        self.bounds = compute_bounds(n, k)
         if mode == "strict":
+            self.bounds = strict_bounds(n, k)
             seed_count = self.bounds.m0 + 1
+        else:
+            self.bounds = compute_bounds(n, k)
         super().__init__(k, oracle, instance_id, seed_count, FinPerm.cycle, str)
         self._next_fallback = self.base + _FALLBACK_OFFSET
         # the last step's family, kept in part by the next step's build

@@ -200,7 +200,7 @@ def test_diag_perm_certificate(capsys, tmp_path):
     cert = json.loads(path.read_text())
     assert cert["kind"] == "ledger-violation"
     assert cert["violation"]["output"] == "()"
-    assert len(cert["outputs"]) == 257
+    assert len(cert["outputs"]) == 2
 
 
 def test_diag_part_certificate(capsys, tmp_path):
@@ -225,9 +225,10 @@ def test_fraenkel_report(capsys, tmp_path):
 
 
 def test_strict_infeasible_is_domain_error(capsys):
-    code, _, err = run_cli(["diag-perm", "--n", "2", "--k", "1",
+    code, _, err = run_cli(["diag-perm", "--n", "3", "--k", "1",
                             "--mode", "strict", "--steps", "1"], capsys)
     assert code == 1
+    assert "strict mode needs 6098446 seeds (m0 = 6098445)" in err
     assert "opportunistic" in err
 
 

@@ -33,7 +33,7 @@ def _perm_violation(monkeypatch):
 
 
 def _perm_strict_n1(monkeypatch):
-    # strict n=1: the m0 + 1 = 257 seeds all land on the identity
+    # strict n=1: the m0 + 1 = 2 seeds both land on the identity
     return PermDiagEngine(1, 1, truncate_oracle(1)).run(1)
 
 
@@ -69,8 +69,8 @@ GOLDEN = {
                        "90d446b8530003eee81ac084f0896ff50d5cce87e28c6f4f18c1fb6ee7029dc1",
                        "8f72e43e7cdc57ec461cb6471ebab6d1b5bb3d42f4d52a53d3504c35df43aeb8"),
     "perm-strict-n1": (_perm_strict_n1, "ledger-violation",
-                       "8132dbe3ae4ec26112b08e7cce8316fe88afbdaca94dc6e33d67617604d54d87",
-                       "c4956b6af3355f27fc9b2b55719df7a8e65a51757a14855a3573bde4fe1655e1"),
+                       "c2906bcd310436471ba125b66b27b0edec6f8967b74c12f20733cd47c777ae39",
+                       "55196c6a2708f134458850d1faacfcdaa080fddd7a079606004e9bc20e1e0a96"),
     "perm-stuck": (_perm_stuck, "stuck",
                    "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f",
                    "89969b41e3e3bc0f7407207565b8ed28f0c7d4cd996d6895c9930dc3c0da900a"),

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import strategies as st
 
 from fiberbound import perm_engine
 from fiberbound.atoms import SetSpec
-from fiberbound.errors import BadParametersError, InfeasibleRunError, OracleCodomainError
+from fiberbound.auditing import compute_bounds
+from fiberbound.errors import (BadParametersError, InfeasibleRunError, OracleCodomainError,
+                               OverflowGuardError)
 from fiberbound.oracles import pool_perm_oracle, truncate_oracle
-from fiberbound.perm_engine import PermDiagEngine, assemble, build_family
+from fiberbound.perm_engine import (PermDiagEngine, assemble, build_family, strict_bounds,
+                                    stuck_answer_bound)
 from fiberbound.perms import FinPerm
 from format1 import expand_traces
 
@@ -231,16 +235,133 @@ def test_assemble_injective():
 def test_strict_low_n_violates_at_seed_queries():
     cert = PermDiagEngine(1, 1, truncate_oracle(1), mode="strict").run(5)
     assert cert["kind"] == "ledger-violation"
-    assert len(cert["outputs"]) == 257
+    assert len(cert["outputs"]) == 2
     assert cert["violation"]["output"] == "()"
     assert len(cert["violation"]["witnesses"]) == 2
     assert cert["all_distinct"]
 
 
 def test_strict_high_n_refused():
-    with pytest.raises(InfeasibleRunError, match=r"^strict mode needs 136048897 seeds \(m0 = 136048896\); "
+    with pytest.raises(InfeasibleRunError, match=r"^strict mode needs 6098446 seeds \(m0 = 6098445\); "
                                                  "use opportunistic mode$"):
-        PermDiagEngine(2, 1, truncate_oracle(2), mode="strict")
+        PermDiagEngine(3, 1, truncate_oracle(3), mode="strict")
+
+
+@pytest.mark.parametrize("n, k, paper, sharp", [
+    (1, 1, (8, 256), (0, 1)),
+    (1, 2, (9, 648), (1, 2)),
+    (2, 1, (27, 136_048_896), (12, 4_561)),
+    (2, 2, (28, 314_703_872), (13, 10_714)),
+    (2, 5, (29, 905_319_680), (15, 35_705)),
+    (3, 1, (49, 645_779_095_649_856), (22, 6_098_445)),
+])
+def test_strict_bounds_table(n, k, paper, sharp):
+    want = compute_bounds(n, k)
+    assert (want.l0, want.m0) == paper
+    got = strict_bounds(n, k)
+    assert (got.n, got.k, got.l0, got.m0) == (n, k) + sharp
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
+def test_strict_bounds_at_n0_are_the_papers(k):
+    assert strict_bounds(0, k) == compute_bounds(0, k)
+
+
+@pytest.mark.parametrize("n, l", [(1, 1), (1, 2), (2, 1)])
+def test_stuck_answer_bound_counts_small_perms(n, l):
+    # the permutations of 4nl atoms that move at most n of them
+    atoms = range(4 * n * l)
+    count = sum(1 for image in itertools.permutations(atoms)
+                if sum(a != b for a, b in zip(atoms, image)) <= n)
+    assert stuck_answer_bound(n, l) == count
+
+
+def test_strict_bounds_are_least_and_valid():
+    checked = 0
+    for n in range(1, 4):
+        for k in range(1, 65):
+            try:
+                paper = compute_bounds(n, k)
+            except OverflowGuardError:
+                continue
+            sharp = strict_bounds(n, k)
+            assert sharp.m0 <= paper.m0
+            assert sharp.m0 == k * stuck_answer_bound(n, sharp.l0)
+            if sharp.l0 > 0:
+                assert k * stuck_answer_bound(n, sharp.l0) >= 2**sharp.l0
+            for l in range(sharp.l0 + 1, paper.l0 + 65):
+                assert k * stuck_answer_bound(n, l) < 2**l
+            for l in range(1, paper.l0 + 65):
+                assert stuck_answer_bound(n, l) <= (2 * n * l) ** (2 * n)
+            checked += 1
+    assert checked > 64
+
+
+@st.composite
+def stuck_candidates(draw):
+    # n = 2 answers moving at most 2 of 10 atoms, one equal pair the identity,
+    # and any m covering them
+    pairs = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=24))
+    values = [c([a, b]) if a != b else FinPerm.identity() for a, b in pairs]
+    return values, draw(st.integers(len(values), 64))
+
+
+@given(stuck_candidates())
+@settings(max_examples=200)
+def test_stuck_family_counting_lemma(drawn):
+    # the argument behind strict_bounds, on the real build_family
+    values, m = drawn
+    n = 2
+    answers = {}
+    for idx, v in enumerate(values):
+        answers.setdefault(v, idx)
+    _, stuck = build_family(answers, m, n)
+    if stuck is None:
+        return
+    level, occupied = stuck
+    images = {}
+    for s in answers:
+        for x, y in s.moved_map.items():
+            if x in occupied and y not in occupied:
+                images.setdefault(x, set()).add(y)
+    assert all(len(ys) == 1 for ys in images.values())
+    closure = occupied.union(*images.values())
+    for s in answers:
+        assert s.moved <= closure
+    assert len(closure) <= 4 * n * level
+    assert len(answers) <= stuck_answer_bound(n, level)
+
+
+def hash_injective(s):
+    # stateless: a transposition on two atoms named by a hash of the moved map
+    h = 0
+    for a, b in sorted(s.moved_map.items()):
+        h = (h * 1_000_003 + a * 65_537 + b) % (2**61 - 1)
+    return c([2 * h, 2 * h + 1])
+
+
+@pytest.mark.parametrize("oracle, steps, kind", [
+    (truncate_oracle(2), 50, "ledger-violation"),
+    (pool_perm_oracle(10, 2), 50, "ledger-violation"),
+    (hash_injective, 20, "perm-diag"),
+], ids=["truncate", "pool-10", "injective"])
+def test_strict_n2_runs(oracle, steps, kind):
+    engine = PermDiagEngine(2, 1, oracle, mode="strict")
+    assert engine.seed_count == 4_562
+    cert = engine.run(steps)
+    assert cert["kind"] == kind
+    assert (cert["l0"], cert["m0"]) == (12, 4_561)
+    assert len(cert["outputs"]) - cert["steps"] == cert["m0"] + 1
+    assert cert["all_distinct"]
+    if kind == "perm-diag":
+        assert cert["steps"] == steps
+        assert all(t["stuck_at"] is None and not t["fallback"] for t in cert["traces"])
+
+
+def test_strict_certificates_count_sharp_seeds():
+    for n, k in [(0, 3), (1, 1), (1, 2), (1, 5)]:
+        cert = PermDiagEngine(n, k, truncate_oracle(n), mode="strict").run(3)
+        assert len(cert["outputs"]) - cert["steps"] == strict_bounds(n, k).m0 + 1
 
 
 def test_opportunistic_pool_pigeonhole():
