@@ -14,10 +14,10 @@ import sys
 
 from .atoms import parse_atom_set
 from .auditing import compute_bounds
-from .errors import BadParametersError, FiberboundError, ParseError
+from .errors import BadParametersError, FiberboundError
 from .fraenkel import SupportConfig, scan
 from .inject import Tableau, decode, encode
-from .oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
+from .oracles import from_spec
 from .partitions import bell
 from .partition_engine import PartitionDiagEngine
 from .perm_engine import PermDiagEngine
@@ -28,30 +28,6 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload))
         fh.write("\n")
-
-
-def _pool_size(spec: str) -> int:
-    """``P`` of a ``pool:P`` oracle spec."""
-    try:
-        return int(spec.split(":", 1)[1])
-    except ValueError:
-        raise ParseError(f"pool size must be an integer, got {spec!r}") from None
-
-
-def _perm_oracle(spec: str, n: int):
-    if spec == "truncate":
-        return truncate_oracle(n)
-    if spec.startswith("pool:"):
-        return pool_perm_oracle(_pool_size(spec), n)
-    raise ParseError(f"unknown diag-perm oracle {spec!r} (use truncate or pool:P)")
-
-
-def _set_oracle(spec: str):
-    if spec == "min-block":
-        return min_block_oracle
-    if spec.startswith("pool:"):
-        return pool_set_oracle(_pool_size(spec))
-    raise ParseError(f"unknown diag-part oracle {spec!r} (use min-block or pool:P)")
 
 
 def _cmd_inject(args) -> dict:
@@ -94,14 +70,14 @@ def _summarize_certificate(cert: dict) -> None:
 
 
 def _cmd_diag_perm(args) -> dict:
-    oracle = _perm_oracle(args.oracle, args.n)
+    oracle = from_spec("perm", args.oracle, args.n)
     cert = PermDiagEngine(args.n, args.k, oracle, args.mode, args.seeds).run(args.steps)
     _summarize_certificate(cert)
     return cert
 
 
 def _cmd_diag_part(args) -> dict:
-    oracle = _set_oracle(args.oracle)
+    oracle = from_spec("part", args.oracle)
     cert = PartitionDiagEngine(args.k, oracle).run(args.steps)
     _summarize_certificate(cert)
     return cert
@@ -143,14 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--perm", required=True, help='cycle notation, e.g. "(20;21)"')
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_inject)
 
     p = sub.add_parser("decode", help="invert the injection")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--perm", required=True)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("diag-perm", help="run the permutation witness engine")
@@ -161,34 +135,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--seeds", type=int, default=64,
                    help="seed count in opportunistic mode (strict computes its own)")
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_diag_perm)
 
     p = sub.add_parser("diag-part", help="run the partition witness engine")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--oracle", default="min-block", help="min-block or pool:P")
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_diag_part)
 
     p = sub.add_parser("fraenkel", help="orbit-weighted support-probe scan over a carrier")
     p.add_argument("--atoms", type=int, required=True, help="carrier size")
     p.add_argument("--support", default="{}", help='support atoms, e.g. "{0}"')
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_fraenkel)
 
     p = sub.add_parser("bell", help="print Bell numbers")
     p.add_argument("--upto", type=int, required=True)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_bell)
 
     p = sub.add_parser("bounds", help="threshold parameters for the permutation engine")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_bounds)
 
+    # last in each subcommand, so --help lists it after the subcommand's own flags
+    for p in sub.choices.values():
+        p.add_argument("--json", metavar="PATH")
     return parser
 
 
@@ -200,7 +172,7 @@ def main(argv=None) -> int:
     except FiberboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "json", None):
+    if args.json:
         try:
             _write_json(args.json, payload)
         except OSError as exc:

@@ -39,6 +39,7 @@ from typing import Iterator, Union
 
 from .atoms import fresh_atoms
 from .errors import BadParametersError, BudgetExceededError
+from .partitions import derangement
 from .perms import FinPerm
 
 # permutation pairs classified per scan: one D(n)·D(n+1) block per orbit
@@ -202,17 +203,13 @@ _BRANCHES = {MissingMoved: "missing_moved", ExtraOutside: "extra_outside",
 
 
 def _pairs_per_orbit(n: int) -> int:
-    """D(n)·D(n+1) by the derangement recurrence D(j+1) = j·(D(j) + D(j−1)).
+    """D(n)·D(n+1), or for n >= 5 the lower bound D(5)·D(6).
 
-    The product D(j)·D(j+1) never falls as j grows, so the recurrence stops
-    at the first one over ``SCAN_PAIR_CAP`` and returns that lower bound.
+    The product D(j)·D(j+1) never falls as j grows, and at j = 5 it is
+    already over ``SCAN_PAIR_CAP``, so no larger j needs counting.
     """
-    d0, d1 = 1, 0  # D(0), D(1)
-    for j in range(1, n + 1):
-        d0, d1 = d1, j * (d1 + d0)
-        if d0 * d1 > SCAN_PAIR_CAP:
-            break
-    return d0 * d1
+    j = min(n, 5)
+    return derangement(j) * derangement(j + 1)
 
 
 def scan(cfg: SupportConfig) -> dict:

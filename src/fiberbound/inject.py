@@ -51,7 +51,6 @@ class Tableau:
         self.n = n
         self.m = m
         counter = 0
-        self.marker_rows: list[tuple[int, ...]] = []
         self.marker_cycles: list[FinPerm] = []
         self.swaps: list[dict[int, int]] = []
         self.levels: list[frozenset[int]] = []
@@ -63,7 +62,6 @@ class Tableau:
             for x in lower:
                 shadows[x] = counter
                 counter += 1
-            self.marker_rows.append(row)
             self.marker_cycles.append(FinPerm.cycle(row))
             # the shadow map is injective from the lower levels into this one,
             # so joined with its reverse it is an involution without fixed points

@@ -10,10 +10,10 @@ than the salted builtin hash.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+from typing import Callable, Optional
 
 from .atoms import SetSpec
-from .errors import BadParametersError, BudgetExceededError
+from .errors import BadParametersError, BudgetExceededError, ParseError
 from .partitions import FinitaryPartition
 from .perms import FinPerm
 
@@ -82,3 +82,32 @@ def pool_set_oracle(pool_size: int) -> Callable[[FinitaryPartition], frozenset[i
         return pool[_stable_index(str(p), len(pool))]
 
     return oracle
+
+
+def from_spec(domain: str, spec: str, n: Optional[int] = None) -> Callable:
+    """The built-in oracle named by a command-line ``spec``.
+
+    ``domain`` is ``"perm"``, where the specs are ``truncate`` and ``pool:P``
+    and both answer with permutations moving at most ``n`` points, or
+    ``"part"``, where they are ``min-block`` and ``pool:P``.  ``P`` is written
+    in ASCII digits only, so each pool size has one spelling.
+    """
+    if domain == "perm":
+        named = "truncate"
+        if spec == named:
+            return truncate_oracle(n)
+    elif domain == "part":
+        named = "min-block"
+        if spec == named:
+            return min_block_oracle
+    else:
+        raise ValueError(f"domain must be 'perm' or 'part', got {domain!r}")
+    if not spec.startswith("pool:"):
+        raise ParseError(f"unknown diag-{domain} oracle {spec!r} (use {named} or pool:P)")
+    digits = spec[len("pool:"):]
+    # int() would also take a sign, spaces, underscores and non-ASCII digits
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"pool size must be an integer, got {spec!r}")
+    if domain == "perm":
+        return pool_perm_oracle(int(digits), n)
+    return pool_set_oracle(int(digits))

@@ -132,13 +132,11 @@ def derangement(j: int) -> int:
 class QuotientFrame:
     """Membership classes of a list of atom sets, in their well-order.
 
-    ``masks[j]`` is the membership pattern of ``classes[j]``: bit
-    ``len(values) - 1 - i`` is set when the class lies in ``values[i]``, so
-    value 0 is the most significant bit and ``masks`` ascends.
-    :func:`build_frame` refines a frame in place and gives it a new
-    ``classes`` tuple when a class changed, keeping the old one otherwise,
-    and ``values`` is a new tuple on each read, so a tuple once read never
-    changes.
+    ``classes`` ascends by membership pattern, with value 0 as the most
+    significant bit.  :func:`build_frame` refines a frame in place and
+    gives it a new ``classes`` tuple when a class changed, keeping the old
+    one otherwise, and ``values`` is a new tuple on each read, so a tuple
+    once read never changes.
 
     Refinement state: ``_listed`` keys the listed values in list order,
     ``_members[c]`` is class ``c``'s atoms, ``_class_of`` maps each atom to
@@ -161,16 +159,6 @@ class QuotientFrame:
     @property
     def values(self) -> tuple[Block, ...]:
         return tuple(self._listed)
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        top = len(self.values) - 1
-        membership: dict[int, int] = {}
-        for i, v in enumerate(self.values):
-            bit = 1 << (top - i)
-            for a in v:
-                membership[a] = membership.get(a, 0) | bit
-        return tuple(membership[next(iter(c))] for c in self.classes)
 
     @property
     def l(self) -> int:

@@ -12,7 +12,9 @@ stuck level.  Strict mode seeds ``m0 + 1`` witnesses, with ``m0`` from
 that a failed family construction is a genuine inconsistency; that count
 is feasible for n <= 2.  Opportunistic mode runs from a small seed count
 and patches over legitimate early failures with fresh transpositions,
-which keeps the construction machinery exercised at any n.
+which keeps the construction machinery exercised wherever
+:func:`compute_bounds` accepts n and k, since its header carries that
+function's ``l0`` and ``m0``: at k = 1 that is n <= 3.
 
 A candidate depends only on the family's members, so the driver's walk
 over the index sets resumes while they are unchanged, and ``chosen_a`` is

@@ -176,21 +176,6 @@ class FinPerm:
                 out[x] = y
         return FinPerm._of(out)
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least atom, sorted."""
-        rest = dict(self._map)
-        out = []
-        for start in sorted(self._map):
-            if start not in rest:
-                continue
-            cyc = [start]
-            nxt = rest.pop(start)
-            while nxt != start:
-                cyc.append(nxt)
-                nxt = rest.pop(nxt)
-            out.append(tuple(cyc))
-        return out
-
     def to_cycles(self) -> str:
         """The canonical cycle text, each cycle written as it is walked."""
         mapping = self._map

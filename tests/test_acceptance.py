@@ -21,6 +21,7 @@ from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
 from fiberbound.perms import FinPerm
 from format1 import expand_traces
+from helpers import masks
 
 
 class Budget:
@@ -189,8 +190,8 @@ def test_criterion_8_quotient_machinery():
             fr = build_frame(values)
             union = set().union(*values) if values else set()
             assert sorted(a for cls in fr.classes for a in cls) == sorted(union)
-            assert all(a < b for a, b in zip(fr.masks, fr.masks[1:]))
-            for cls, mask in zip(fr.classes, fr.masks):
+            assert all(a < b for a, b in zip(masks(fr), masks(fr)[1:]))
+            for cls, mask in zip(fr.classes, masks(fr)):
                 for a in cls:
                     assert mask == sum(1 << (len(values) - 1 - i)
                                        for i, v in enumerate(values) if a in v)

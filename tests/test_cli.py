@@ -10,8 +10,8 @@ from fiberbound.atoms import parse_atom_set
 from fiberbound.auditing import OracleLedger, compute_bounds
 from fiberbound.cli import main
 from fiberbound.errors import BadParametersError, BudgetExceededError, ParseError
-from fiberbound.oracles import (POOL_CAP, min_block_oracle, pool_perm_oracle, pool_set_oracle,
-                                truncate_oracle)
+from fiberbound.oracles import (POOL_CAP, from_spec, min_block_oracle, pool_perm_oracle,
+                                pool_set_oracle, truncate_oracle)
 from fiberbound.partitions import FinitaryPartition
 from fiberbound.perm_engine import PermDiagEngine, build_family
 from fiberbound.perms import FinPerm
@@ -121,10 +121,23 @@ def test_unknown_oracle(capsys):
      "error: pool size 100000 is over the cap 1024"),
     (["diag-perm", "--n", "2", "--k", "1", "--oracle", "pool:100000000", "--mode", "opportunistic"],
      "error: pool size 100000000 is over the cap 1024"),
+    # int() reads each of these as a pool size; only ASCII digits spell one
+    (["diag-part", "--k", "1", "--oracle", "pool: 5"],
+     "error: pool size must be an integer, got 'pool: 5'"),
+    (["diag-part", "--k", "1", "--oracle", "pool:+5"],
+     "error: pool size must be an integer, got 'pool:+5'"),
+    (["diag-part", "--k", "1", "--oracle", "pool:1_0"],
+     "error: pool size must be an integer, got 'pool:1_0'"),
+    (["diag-part", "--k", "1", "--oracle", "pool:\u0661\u0660"],
+     "error: pool size must be an integer, got 'pool:\u0661\u0660'"),
+    # the opportunistic header carries compute_bounds' l0 and m0, so its guard applies
+    (["diag-perm", "--n", "4", "--k", "1", "--mode", "opportunistic"],
+     "error: m0 exceeds the 2**63-1 guard for n=4, k=1"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
         "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
         "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0", "diag-part-bogus-oracle",
-        "diag-part-pool-cap", "diag-perm-pool-cap"])
+        "diag-part-pool-cap", "diag-perm-pool-cap", "diag-part-pool-space", "diag-part-pool-plus",
+        "diag-part-pool-underscore", "diag-part-pool-arabic-indic", "diag-perm-opportunistic-n4"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
     # a refused run is refused before any seed is built: the seed
     # constructors the engines pass to the driver are never called
@@ -171,6 +184,38 @@ LIBRARY_GUARDS = {
 def test_library_guards_raise_domain_errors(call, error, message):
     with pytest.raises(error) as exc:
         call()
+    assert str(exc.value) == message
+
+
+FROM_SPEC_INPUTS = {
+    "perm": [FinPerm.cycle([0, 1]), FinPerm.cycle([2, 5, 3]), FinPerm.parse("(1;4)(6;9;7)"),
+             FinPerm.parse("(0;3;8;2)(5;11)")],
+    "part": [FinitaryPartition(()), FinitaryPartition([[3, 4]]),
+             FinitaryPartition([[0, 7], [2, 5, 9]]), FinitaryPartition([[1, 2, 3, 6]])],
+}
+
+
+@pytest.mark.parametrize("domain, spec, direct", [
+    ("perm", "truncate", lambda: truncate_oracle(2)),
+    ("perm", "pool:7", lambda: pool_perm_oracle(7, 2)),
+    ("part", "min-block", lambda: min_block_oracle),
+    ("part", "pool:7", lambda: pool_set_oracle(7)),
+], ids=["perm-truncate", "perm-pool", "part-min-block", "part-pool"])
+def test_from_spec_answers_like_its_constructor(domain, spec, direct):
+    oracle, reference = from_spec(domain, spec, 2), direct()
+    for x in FROM_SPEC_INPUTS[domain]:
+        assert oracle(x) == reference(x)
+
+
+@pytest.mark.parametrize("domain, spec, error, message", [
+    ("perm", "min-block", ParseError,
+     "unknown diag-perm oracle 'min-block' (use truncate or pool:P)"),
+    ("part", "bogus", ParseError, "unknown diag-part oracle 'bogus' (use min-block or pool:P)"),
+    ("set", "min-block", ValueError, "domain must be 'perm' or 'part', got 'set'"),
+], ids=["perm-unknown", "part-unknown", "unknown-domain"])
+def test_from_spec_refuses_unknown_specs(domain, spec, error, message):
+    with pytest.raises(error) as exc:
+        from_spec(domain, spec, 2)
     assert str(exc.value) == message
 
 

@@ -9,6 +9,7 @@ from fiberbound.errors import (BadParametersError, BudgetExceededError, NotInIma
 from fiberbound.fraenkel import perms_moving_exactly
 from fiberbound.inject import TABLEAU_ATOM_CAP, Tableau, decode, encode
 from fiberbound.perms import FinPerm
+from helpers import marker_row
 
 
 def test_tableau_shapes():
@@ -43,7 +44,7 @@ def test_tableau_level_structure():
     tab = Tableau(2, 5)
     width = 3
     for i in range(3):
-        markers = set(tab.marker_rows[i])
+        markers = set(marker_row(tab, i))
         shadows = set(lower_half(tab, i).values())
         assert len(markers) == width
         assert tab.levels[i] == frozenset(markers | shadows)
@@ -75,13 +76,13 @@ def test_encode_fresh_support():
     image, trace = encode(s, tab)
     assert trace.level == 0
     assert trace.swap == FinPerm.identity()
-    assert image == s.after(FinPerm.cycle(tab.marker_rows[0]))
+    assert image == s.after(FinPerm.cycle(marker_row(tab, 0)))
     assert len(image.moved) == 4
 
 
 def test_encode_on_marker_atoms():
     tab = Tableau(2, 4)
-    row0 = tab.marker_rows[0]
+    row0 = marker_row(tab, 0)
     s = FinPerm.cycle([row0[0], row0[1]])
     image, trace = encode(s, tab)
     assert trace.level == 1
@@ -89,7 +90,7 @@ def test_encode_on_marker_atoms():
     assert trace.swap.moved == frozenset(
         {row0[0], row0[1], shadow[row0[0]], shadow[row0[1]]})
     assert trace.conjugated == FinPerm.cycle([shadow[row0[0]], shadow[row0[1]]])
-    assert image == trace.conjugated.after(FinPerm.cycle(tab.marker_rows[1]))
+    assert image == trace.conjugated.after(FinPerm.cycle(marker_row(tab, 1)))
 
 
 def test_encode_wrong_size():
@@ -182,7 +183,7 @@ def test_decode_failures():
     tab = Tableau(2, 4)
     with pytest.raises(NotInImageError, match="^permutation moves no reserved level$"):
         decode(FinPerm.identity(), tab)
-    row0 = tab.marker_rows[0]
+    row0 = marker_row(tab, 0)
     with pytest.raises(NotInImageError,
                        match="^reconstruction has the wrong moved size$"):
         decode(FinPerm.cycle([row0[0], row0[1]]), tab)
@@ -213,7 +214,7 @@ def decode_inputs(draw):
         return tab, FinPerm(dict(zip(points, draw(st.permutations(points)))))
     if shape == "marker":
         level = draw(st.integers(0, tab.n))
-        atoms = [a for a in atoms if a not in tab.marker_rows[level]]
+        atoms = [a for a in atoms if a not in marker_row(tab, level)]
     # for n = 2 and 3 every permutation moving exactly n points is an n-cycle
     s = FinPerm.cycle(draw(st.lists(st.sampled_from(atoms), unique=True, min_size=tab.n,
                                     max_size=tab.n)))
@@ -250,7 +251,7 @@ def test_round_trip_small_exhaustive():
 def test_n_zero_round_trip():
     tab = Tableau(0, 3)
     image, trace = encode(FinPerm.identity(), tab)
-    assert image == FinPerm.cycle(tab.marker_rows[0])
+    assert image == FinPerm.cycle(marker_row(tab, 0))
     assert decode(image, tab) == FinPerm.identity()
 
 
@@ -258,10 +259,10 @@ def test_marker_cycles_built_once_per_tableau():
     for tab in (Tableau(3, 5), Tableau(0, 3)):
         assert len(tab.marker_cycles) == tab.n + 1
         for i, cyc in enumerate(tab.marker_cycles):
-            assert cyc == FinPerm.cycle(tab.marker_rows[i])
+            assert cyc == FinPerm.cycle(marker_row(tab, i))
     tab = Tableau(2, 4)
-    row0 = tab.marker_rows[0]
+    row0 = marker_row(tab, 0)
     for s in (FinPerm.cycle([20, 21]), FinPerm.cycle([row0[0], row0[1]])):
         _, trace = encode(s, tab)
-        assert trace.marker_cycle == FinPerm.cycle(tab.marker_rows[trace.level])
+        assert trace.marker_cycle == FinPerm.cycle(marker_row(tab, trace.level))
         assert trace.marker_cycle is tab.marker_cycles[trace.level]
