@@ -7,14 +7,18 @@ from the distinct answers at their first index, read from the driver's
 answer record, and emits the first product of family members not seen
 before.  The answers only ever extend, so a step keeps the leading case-1
 levels of the last step's family and rebuilds from its first case-2 or
-stuck level.  Strict mode seeds ``m0 + 1`` witnesses, with ``m0`` from
-:func:`strict_bounds`, the least count the stuck-family argument needs, so
-that a failed family construction is a genuine inconsistency; that count
-is feasible for n <= 2.  Opportunistic mode runs from a small seed count
-and patches over legitimate early failures with fresh transpositions,
-which keeps the construction machinery exercised wherever
-:func:`compute_bounds` accepts n and k, since its header carries that
-function's ``l0`` and ``m0``: at k = 1 that is n <= 3.
+stuck level.  The engine owns one :class:`FamilyIndex` for the rebuilds:
+it knows which answers move each atom, so a rebuilt level touches only
+the answers that move atoms whose occupancy changed, and a step that
+keeps every level leaves it alone.  Strict mode seeds ``m0 + 1``
+witnesses, with ``m0`` from :func:`strict_bounds`, the least count the
+stuck-family argument needs, so that a failed family construction is a
+genuine inconsistency; that count is feasible for n <= 2.
+Opportunistic mode runs from a small seed count and patches over
+legitimate early failures with fresh transpositions, which keeps the
+construction machinery exercised wherever :func:`compute_bounds` accepts
+n and k, since its header carries that function's ``l0`` and ``m0``: at
+k = 1 that is n <= 3.
 
 A candidate depends only on the family's members, so the driver's walk
 over the index sets resumes while they are unchanged, and ``chosen_a`` is
@@ -26,6 +30,7 @@ step, and its ``family`` is ``null`` while the entries equal the last trace's.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,8 +68,144 @@ class FamilyEntry:
         }
 
 
+class FamilyIndex:
+    """What :func:`build_family` keeps from one call to the next.
+
+    ``values`` holds the answers read from the record so far, in index
+    order, and a prefix of them is indexed: ``escapes`` says for each
+    indexed answer whether it escapes the occupied set, that is, sends an
+    atom outside it to another atom outside it, and ``movers`` lists, for
+    each atom, the positions of the indexed answers that move it,
+    ascending.  ``heap`` holds the positions of escaping answers, and
+    stale ones that are dropped when they reach the top.
+    ``entries`` is the family that made ``occupied``.  For each occupied
+    atom ``x``, ``least`` holds the position of the least answer that is
+    live at ``x`` (sends it outside the occupied set) and of the least one
+    live there with another image, or ``None``; ``dirty`` names the
+    occupied atoms whose pair may be stale, and the entries of atoms no
+    longer occupied are never read.
+    """
+
+    def __init__(self):
+        self.values: list[tuple[FinPerm, int]] = []
+        self.movers: dict[int, list[int]] = {}
+        self.escapes: list[bool] = []
+        self.heap: list[int] = []
+        self.entries: list[FamilyEntry] = []
+        self.occupied: set[int] = set()
+        self.least: dict[int, tuple[Optional[int], Optional[int]]] = {}
+        self.dirty: set[int] = set()
+
+    def _read(self, answers: dict[FinPerm, int]) -> None:
+        """Append the answers the record gained since the last read."""
+        tail = list(itertools.islice(reversed(answers.items()), len(answers) - len(self.values)))
+        tail.reverse()
+        self.values += tail
+
+    def _follow(self, kept: list[FamilyEntry]) -> None:
+        """Cut the family back to ``kept``, the leading case-1 entries of
+        ``entries``, or give an empty index the occupied set of ``kept``.
+
+        Cutting frees the atoms of the levels from the family's first
+        case-2 or stuck level on.  Building that level indexed every answer
+        and found none escaping, so freeing them makes none escape: it only
+        changes which answers are live at the occupied atoms.
+        """
+        gone = {x for e in self.entries[len(kept):] for x in e.perm._map}
+        if gone:
+            self._move(gone, False)
+        added = {x for e in kept[len(self.entries):] for x in e.perm._map}
+        if added:
+            self._move(added, True)
+        self.entries = kept
+
+    def _move(self, atoms, occupy: bool) -> None:
+        """Occupy or free ``atoms`` and refresh the indexed answers that move them."""
+        occupied, dirty = self.occupied, self.dirty
+        if occupy:
+            occupied.update(atoms)
+            dirty.update(atoms)
+        else:
+            occupied.difference_update(atoms)
+            dirty.difference_update(atoms)
+        touched = set()
+        for a in atoms:
+            touched.update(self.movers.get(a, ()))
+        values, escapes = self.values, self.escapes
+        for p in touched:
+            escaping = False
+            for x, y in values[p][0]._map.items():
+                if x in occupied:
+                    if y in atoms:          # the answer's liveness at x changed
+                        dirty.add(x)
+                elif y not in occupied:
+                    escaping = True
+            escapes[p] = escaping
+
+    def _index_next(self) -> None:
+        """Index the next answer read, against the occupied set."""
+        p = len(self.escapes)
+        occupied = self.occupied
+        escaping = False
+        for x, y in self.values[p][0]._map.items():
+            self.movers.setdefault(x, []).append(p)
+            if x in occupied:
+                if y not in occupied:
+                    self.dirty.add(x)
+            elif y not in occupied:
+                escaping = True
+        self.escapes.append(escaping)
+        if escaping:
+            heapq.heappush(self.heap, p)
+
+    def _case_one(self, level: int) -> Optional[FamilyEntry]:
+        """The least escaping answer's member, indexing answers only until one escapes."""
+        heap, escapes = self.heap, self.escapes
+        while heap and not escapes[heap[0]]:
+            heapq.heappop(heap)
+        while not heap and len(escapes) < len(self.values):
+            self._index_next()
+        if not heap:
+            return None
+        s, i = self.values[heap[0]]
+        occupied = self.occupied
+        x = min(x for x, y in s._map.items() if x not in occupied and y not in occupied)
+        return FamilyEntry(level, 1, i, None, x, s.deflate(SetSpec.cofinite(occupied)))
+
+    def _case_two(self, level: int) -> Optional[FamilyEntry]:
+        """The least disagreeing pair's member; every answer is indexed and none escapes."""
+        least = self.least
+        for x in self.dirty:
+            least[x] = self._least(x)
+        self.dirty.clear()
+        pairs = [least[x] for x in self.occupied if least[x][1] is not None]
+        if not pairs:
+            return None
+        (s_i, i), (s_j, j) = (self.values[p] for p in min(pairs))
+        occupied = self.occupied
+        x = min(x for x, y in s_i._map.items()
+                if x in occupied and y not in occupied and s_j(x) not in occupied and s_j(x) != y)
+        perm = s_j.after(s_i.inverse()).deflate(SetSpec.cofinite(occupied))
+        return FamilyEntry(level, 2, i, j, x, perm)
+
+    def _least(self, x: int) -> tuple[Optional[int], Optional[int]]:
+        """The least position live at ``x`` and the least live one with another image."""
+        values, occupied = self.values, self.occupied
+        first = image = None
+        for p in self.movers.get(x, ()):
+            y = values[p][0]._map[x]
+            if y in occupied:
+                continue
+            if first is None:
+                first, image = p, y
+            elif y != image:
+                return first, p
+        return first, None
+
+
 def build_family(answers: dict[FinPerm, int], m: int, n: int,
                  prev: Optional[list[FamilyEntry]] = None,
+                 index: Optional[FamilyIndex] = None,
                  ) -> tuple[list[FamilyEntry], Optional[tuple[int, frozenset[int]]]]:
     """Build the disjoint-support family from the oracle answers.
 
@@ -72,9 +213,9 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
     to the index of the first one that got it, in index order; the family
     has one level per power of two up to ``m``.  A repeated answer can
     never win a least-index search that its first occurrence loses, so
-    both cases scan the first occurrences only.  Returns the entries plus
-    the stage at which construction got stuck, if it did.  Ties resolve by
-    index order, then atom order.
+    both cases search the first occurrences only.  Returns the entries
+    plus the stage at which construction got stuck, if it did.  Ties
+    resolve by index order, then atom order.
 
     ``prev`` is the entries list an earlier call returned, and ``answers``
     must extend the record it was built from: every answer it held keeps
@@ -84,65 +225,60 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
     before it are unchanged, so is the occupied set, the answers at
     smaller indices still do not escape and the chosen one still does.
     A case-2 level is rebuilt, since a new answer may escape or form an
-    earlier pair, and so is a stuck level, which may come unstuck.
+    earlier pair, and so is a stuck level, which may come unstuck.  The
+    occupied set only grows within a build, so escapes only vanish, and
+    a family is a run of case-1 levels followed by case-2 levels.
 
-    Each level makes one pass over ``answers``, and each answer walks its
-    own moved points once: a pair ``x -> y`` with both outside the
-    occupied set is an escape, and one with only ``x`` inside goes into
-    the answer's ``reach``, the outward map case 2 compares.  A point the
-    answer fixes maps into the occupied set if it lies there, so only
-    moved points can reach out.  A level thus costs O(Σ|moved(s)|) over
-    the answers, at most 2n per answer, whatever the size of the
-    occupied set.  The occupied set only grows within a build, so escapes
-    only vanish: after a build's first case-2 level every later level is
-    case 2 or stuck.
+    ``index`` is the :class:`FamilyIndex` given to the call that returned
+    ``prev``, or a new one; without one, a fresh index is built.  A call
+    that keeps every level returns before touching the index.  Otherwise
+    the index frees the atoms of the levels it rebuilds and occupies the
+    atoms of each level it builds, and each change refreshes only the
+    indexed answers that move those atoms, at O(n) each, since an answer
+    moves at most n atoms.  Case 1 takes the least escaping
+    position from a heap, indexing further answers in order only while
+    none escapes.  Case 2, reached with every answer indexed and none
+    escaping, first renews the pair in ``least`` of each atom whose
+    answers' liveness changed, walking that atom's movers in order past
+    the dead ones to the first disagreement.  The least disagreeing pair
+    of answers ``(i, j)`` in index order is then the least pair in
+    ``least``: ``i`` is the least first entry over atoms with a
+    disagreement, since any disagreeing pair at ``x`` has ``i`` at or
+    after ``x``'s first entry; and where ``x``'s first entry comes before
+    ``i``, every live answer at ``x`` agrees with it, so ``j`` is the
+    least disagreeing entry over the atoms whose first entry is ``i``.
+    Its ``x`` is the least atom where the two disagree.  Each answer is
+    indexed once, at O(n).  A level then costs O(n) per refreshed answer,
+    the movers walked to renew stale pairs, and O(n·level) for the least
+    pair, however many answers the record holds.
+
+    Each member holds by construction what a family needs.  It is
+    nontrivial: a case-1 answer sends its escaping ``x`` to ``s(x)``
+    outside the occupied set, and a case-2 member sends ``s_i(x)`` to
+    ``s_j(x)``, two distinct atoms outside it, and deflating onto the
+    complement of the occupied set keeps a step that lands there.  It
+    moves at most 2n points, since ``s`` moves at most n and
+    ``s_j∘s_i⁻¹`` at most 2n, and deflating moves no new point.  It is
+    disjoint from the occupied set, which the deflation fixes.  So the
+    occupied set before level ``l`` has at most 2n·l atoms.
     """
     if m < 1:
         raise BadParametersError("need at least one value")
     top = m.bit_length() - 1
-    entries = list(itertools.takewhile(lambda e: e.case == 1, prev or ()))
-    occupied: set[int] = set().union(*(e.perm._map.keys() for e in entries))
-
-    for level in range(len(entries), top + 1):
-        chosen = None
-        outward = []
-        for s, i in answers.items():
-            escapes = []
-            reach = {}
-            for x, y in s._map.items():
-                if y not in occupied:
-                    if x in occupied:
-                        reach[x] = y
-                    else:
-                        escapes.append(x)
-            if escapes:
-                perm = s.deflate(SetSpec.cofinite(occupied))
-                chosen = FamilyEntry(level, 1, i, None, min(escapes), perm)
-                break
-            if reach:
-                outward.append((i, s, reach))
+    kept = list(itertools.takewhile(lambda e: e.case == 1, prev or ()))
+    if len(kept) > top:
+        return kept, None
+    if index is None:
+        index = FamilyIndex()
+    index._read(answers)
+    index._follow(kept)
+    entries = kept
+    for level in range(len(kept), top + 1):
+        chosen = index._case_one(level) or index._case_two(level)
         if chosen is None:
-            found = None
-            for a_pos, (i, s_i, reach_i) in enumerate(outward):
-                for j, s_j, reach_j in outward[a_pos + 1:]:
-                    xs = [x for x in reach_i if x in reach_j and reach_i[x] != reach_j[x]]
-                    if xs:
-                        found = (i, s_i, j, s_j, min(xs))
-                        break
-                if found:
-                    break
-            if found is None:
-                return entries, (level, frozenset(occupied))
-            i, s_i, j, s_j, x = found
-            perm = s_j.after(s_i.inverse()).deflate(SetSpec.cofinite(occupied))
-            chosen = FamilyEntry(level, 2, i, j, x, perm)
-        moved = chosen.perm._map.keys()
-        assert moved, "family members must be nontrivial"
-        assert len(moved) <= 2 * n
-        assert moved.isdisjoint(occupied)
-        assert len(occupied) <= 2 * n * level
+            return entries, (level, frozenset(index.occupied))
         entries.append(chosen)
-        occupied.update(moved)
+        index._move(chosen.perm._map.keys(), True)
     return entries, None
 
 
@@ -214,6 +350,7 @@ class PermDiagEngine(WitnessEngine):
         self._next_fallback = self.base + _FALLBACK_OFFSET
         # the last step's family, kept in part by the next step's build
         self._family = None
+        self._index = FamilyIndex()
 
     def _refuse_seeds(self, count: int) -> str:
         if self.mode == "strict":
@@ -238,7 +375,7 @@ class PermDiagEngine(WitnessEngine):
         m = len(self.g)
         new = self._query_new()
         answers = self.answers
-        entries, stuck = build_family(answers, m, self.n, self._family)
+        entries, stuck = build_family(answers, m, self.n, self._family, self._index)
         trace: dict = {
             "m": m,
             "B_new": [[answers[s], s.to_cycles()] for s in new],

@@ -37,6 +37,11 @@ def _perm_strict_n1(monkeypatch):
     return PermDiagEngine(1, 1, truncate_oracle(1)).run(1)
 
 
+def _perm_strict_n2(monkeypatch):
+    # strict n=2: 4,562 seeds, violated after 14 steps
+    return PermDiagEngine(2, 1, truncate_oracle(2)).run(50)
+
+
 def _perm_stuck(monkeypatch):
     engine = PermDiagEngine(2, 8, truncate_oracle(2), mode="opportunistic", seed_count=4)
     engine.mode = "strict"          # the first stalled family now counts as inconsistent
@@ -71,6 +76,9 @@ GOLDEN = {
     "perm-strict-n1": (_perm_strict_n1, "ledger-violation",
                        "c2906bcd310436471ba125b66b27b0edec6f8967b74c12f20733cd47c777ae39",
                        "55196c6a2708f134458850d1faacfcdaa080fddd7a079606004e9bc20e1e0a96"),
+    "perm-strict-n2": (_perm_strict_n2, "ledger-violation",
+                       "c876d93a133e6c08d7a542405f2bb8dcef7071efb638d7559400b90066913a87",
+                       "5196c6380d6e15594da2cdcb710e5852ff4b34718bf6a751ca62311f177d891d"),
     "perm-stuck": (_perm_stuck, "stuck",
                    "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f",
                    "89969b41e3e3bc0f7407207565b8ed28f0c7d4cd996d6895c9930dc3c0da900a"),

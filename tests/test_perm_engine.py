@@ -11,10 +11,11 @@ from fiberbound.auditing import compute_bounds
 from fiberbound.errors import (BadParametersError, InfeasibleRunError, OracleCodomainError,
                                OverflowGuardError)
 from fiberbound.oracles import pool_perm_oracle, truncate_oracle
-from fiberbound.perm_engine import (PermDiagEngine, assemble, build_family, strict_bounds,
-                                    stuck_answer_bound)
+from fiberbound.perm_engine import (FamilyIndex, PermDiagEngine, assemble, build_family,
+                                    strict_bounds, stuck_answer_bound)
 from fiberbound.perms import FinPerm
 from format1 import expand_traces
+from helpers import build_family as reference_family
 
 c = FinPerm.cycle
 
@@ -136,29 +137,6 @@ def test_family_matches_raw_pair_scan(values):
     assert [(e.case, e.i, e.j, e.x, e.perm) for e in got_entries] == want
 
 
-def grow_family(values, n):
-    # feed the first-occurrence record one answer at a time, passing each
-    # call's entries on as the next call's prev; returns the cases seen
-    answers = {}
-    prev = None
-    seen = set()
-    for idx, v in enumerate(values):
-        answers.setdefault(v, idx)
-        entries, stuck = build_family(answers, idx + 1, n, prev)
-        assert (entries, stuck) == build_family(answers, idx + 1, n)
-        if prev is not None:
-            for old, new in zip(prev, entries):
-                if old.case != 1:
-                    break
-                assert new is old
-                seen.add("kept")
-        seen.update(e.case for e in entries)
-        if stuck is not None:
-            seen.add("stuck")
-        prev = entries
-    return seen
-
-
 def answer_perms(n):
     # permutations moving at most n of the atoms 0..5; truncate-style
     # transpositions sharing the atom 0 make case-2 levels common
@@ -179,6 +157,8 @@ def wide_value_lists(draw):
 @settings(max_examples=300)
 # level 1 is case 2, and the pair disagrees outward at 1 before 0 in map order
 @example(([c([0, 1]), FinPerm({1: 2, 2: 1, 0: 3, 3: 0}), FinPerm({0: 4, 4: 0, 1: 5, 5: 1})], 4))
+# level 1 is case 2; the first answer of the pair is live at 0 and 1, the second only at 1
+@example(([c([0, 1]), FinPerm({0: 2, 2: 0, 1: 3, 3: 1}), c([1, 4])], 4))
 def test_family_matches_raw_pair_scan_on_wide_answers(drawn):
     # 3- and 4-cycles give answers whose reach holds several atoms
     values, n = drawn
@@ -188,10 +168,66 @@ def test_family_matches_raw_pair_scan_on_wide_answers(drawn):
     assert [(e.case, e.i, e.j, e.x, e.perm) for e in got_entries] == want
 
 
+def check_members(entries, n):
+    # the four member properties build_family holds by construction
+    occupied = set()
+    for level, e in enumerate(entries):
+        moved = e.perm._map.keys()
+        assert moved, "family members must be nontrivial"
+        assert len(moved) <= 2 * n
+        assert moved.isdisjoint(occupied)
+        assert len(occupied) <= 2 * n * level
+        occupied.update(moved)
+
+
+def grow_family(values, n):
+    # feed the first-occurrence record one answer at a time through one
+    # family index, passing each call's entries on as the next call's prev,
+    # and compare every call, and the same call without an index, with the
+    # reference build; returns the cases seen
+    answers = {}
+    prev = prev_stuck = None
+    index = FamilyIndex()
+    seen = set()
+    for idx, v in enumerate(values):
+        answers.setdefault(v, idx)
+        want = reference_family(answers, idx + 1, n, prev)
+        entries, stuck = build_family(answers, idx + 1, n, prev, index)
+        alone = build_family(answers, idx + 1, n, prev)
+        assert (entries, stuck) == want == alone
+        for built in (entries, alone[0]):
+            check_members(built, n)
+            if prev is not None:
+                for old, new in zip(prev, built):
+                    if old.case != 1:
+                        break
+                    assert new is old
+                    seen.add("kept")
+        if prev is not None:
+            first = next((e.level for e in prev if e.case == 2), None)
+            if first is not None and entries[first].case == 1:
+                seen.add("rollback")
+        if prev_stuck is not None and len(entries) > prev_stuck:
+            seen.add("unstuck")
+        seen.update(e.case for e in entries)
+        if stuck is not None:
+            seen.add("stuck")
+        prev, prev_stuck = entries, stuck and stuck[0]
+    return seen
+
+
 @st.composite
 def growing_answers(draw):
+    # a prefix of transpositions sharing the atom 0 makes case-2 and stuck
+    # levels; cycles on the atoms 6..11 escape the levels that answers on
+    # 0..5 fill, so one arriving later turns the first case-2 level into case 1
     n = draw(st.sampled_from([1, 2, 3]))
-    return draw(st.lists(answer_perms(n), min_size=1, max_size=20)), n
+    if n == 1:
+        return draw(st.lists(answer_perms(n), min_size=1, max_size=20)), n
+    shared = st.integers(1, 5).map(lambda j: c([0, j]))
+    late = st.lists(st.integers(6, 11), min_size=2, max_size=n, unique=True).map(c)
+    return (draw(st.lists(shared, max_size=8))
+            + draw(st.lists(st.one_of(answer_perms(n), late), min_size=1, max_size=14))), n
 
 
 @given(growing_answers())
@@ -203,11 +239,11 @@ def test_incremental_family_matches_a_fresh_build(drawn):
 
 @pytest.mark.parametrize("values, cases", [
     # truncate-style answers share the base atom: stuck, then case 2, per level
-    ([c([0, 1 + j]) for j in range(12)], {1, 2, "stuck", "kept"}),
+    ([c([0, 1 + j]) for j in range(12)], {1, 2, "stuck", "unstuck", "kept"}),
     # a single repeated answer sticks at level 1 for good
     ([c([1, 2])] * 9, {1, "stuck", "kept"}),
     # level 1 is case 2 at m = 3 and turns into case 1 when (5;6) arrives
-    ([c([0, 1]), c([0, 2]), c([0, 3]), c([5, 6])], {1, 2, "stuck", "kept"}),
+    ([c([0, 1]), c([0, 2]), c([0, 3]), c([5, 6])], {1, 2, "stuck", "unstuck", "rollback", "kept"}),
 ], ids=["shared-base", "repeated", "case-2-to-case-1"])
 def test_incremental_family_examples_reach_each_case(values, cases):
     assert grow_family(values, 2) == cases
@@ -440,7 +476,7 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
                             seed_count=4)
     engine.mode = "strict"
     monkeypatch.setattr("fiberbound.perm_engine.build_family",
-                        lambda answers, m, n, prev: ([], (0, frozenset())))
+                        lambda answers, m, n, prev, index: ([], (0, frozenset())))
     cert = engine.run(3)
     assert cert["kind"] == "stuck"
     assert cert["traces"][-1]["stuck_at"] == [0, []]
@@ -451,11 +487,11 @@ def test_family_reads_the_driver_answer_record(monkeypatch):
     seen = []
     returned = [None]
 
-    def spy(answers, m, n, prev):
+    def spy(answers, m, n, prev, index):
         seen.append((answers, m))
         # each step passes on the entries list the last step's build returned
         assert prev is returned[-1]
-        result = build_family(answers, m, n, prev)
+        result = build_family(answers, m, n, prev, index)
         returned.append(result[0])
         return result
 
@@ -523,18 +559,22 @@ def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, k, steps, co
         assert product.to_cycles() == trace["result"]
 
 
-@pytest.mark.parametrize("oracle, k, seed_count, steps", [
-    (lambda: truncate_oracle(2), 8, 64, 120),
-    (lambda: truncate_oracle(2), 20, 64, 120),
-    (lambda: pool_perm_oracle(1, 2), 8, 4, 20),
-    (lambda: pool_perm_oracle(2, 2), 8, 8, 40),
-    (lambda: pool_perm_oracle(10, 2), 8, 8, 80),
-    (memo_injective, 1, 8, 60),
-], ids=["truncate-k8", "truncate-k20", "pool-1", "pool-2", "pool-10", "memo-injective"])
-def test_incremental_family_keeps_certificates_byte_identical(monkeypatch, oracle, k,
+@pytest.mark.parametrize("oracle, k, mode, seed_count, steps", [
+    (lambda: truncate_oracle(2), 8, "opportunistic", 64, 120),
+    (lambda: truncate_oracle(2), 20, "opportunistic", 64, 120),
+    (lambda: pool_perm_oracle(1, 2), 8, "opportunistic", 4, 20),
+    (lambda: pool_perm_oracle(2, 2), 8, "opportunistic", 8, 40),
+    (lambda: pool_perm_oracle(10, 2), 8, "opportunistic", 8, 80),
+    (memo_injective, 1, "opportunistic", 8, 60),
+    # strict mode seeds m0 + 1 witnesses whatever the seed count
+    (lambda: truncate_oracle(2), 1, "strict", 0, 50),
+    (lambda: pool_perm_oracle(10, 2), 1, "strict", 0, 50),
+], ids=["truncate-k8", "truncate-k20", "pool-1", "pool-2", "pool-10", "memo-injective",
+        "strict-truncate", "strict-pool-10"])
+def test_incremental_family_keeps_certificates_byte_identical(monkeypatch, oracle, k, mode,
                                                                seed_count, steps):
-    kept = PermDiagEngine(2, k, oracle(), "opportunistic", seed_count).run(steps)
+    kept = PermDiagEngine(2, k, oracle(), mode, seed_count).run(steps)
     monkeypatch.setattr("fiberbound.perm_engine.build_family",
-                        lambda answers, m, n, prev: build_family(answers, m, n))
-    fresh = PermDiagEngine(2, k, oracle(), "opportunistic", seed_count).run(steps)
+                        lambda answers, m, n, prev, index: build_family(answers, m, n))
+    fresh = PermDiagEngine(2, k, oracle(), mode, seed_count).run(steps)
     assert json.dumps(kept) == json.dumps(fresh)
