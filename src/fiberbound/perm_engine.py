@@ -103,18 +103,27 @@ class FamilyIndex:
         self.values += tail
 
     def _follow(self, kept: list[FamilyEntry]) -> None:
-        """Cut the family back to ``kept``, the leading case-1 entries of
-        ``entries``, or give an empty index the occupied set of ``kept``.
+        """Make ``kept`` the family, keeping the entries it shares with
+        ``entries`` from the start, compared by identity.
 
-        Cutting frees the atoms of the levels from the family's first
-        case-2 or stuck level on.  Building that level indexed every answer
-        and found none escaping, so freeing them makes none escape: it only
-        changes which answers are live at the occupied atoms.
+        In the engine ``kept`` is the leading case-1 entries of
+        ``entries``, so this frees the atoms of the levels from the
+        family's first case-2 or stuck level on.  Building that level
+        indexed every answer and found none escaping, so freeing them makes
+        none escape: it only changes which answers are live at the occupied
+        atoms.  Any other ``kept`` frees the atoms of every entry past the
+        shared ones, which may put answers back on the heap, and occupies
+        those of ``kept``'s own.
         """
-        gone = {x for e in self.entries[len(kept):] for x in e.perm._map}
+        shared = 0
+        for old, new in zip(self.entries, kept):
+            if old is not new:
+                break
+            shared += 1
+        gone = {x for e in self.entries[shared:] for x in e.perm._map}
         if gone:
             self._move(gone, False)
-        added = {x for e in kept[len(self.entries):] for x in e.perm._map}
+        added = {x for e in kept[shared:] for x in e.perm._map}
         if added:
             self._move(added, True)
         self.entries = kept
@@ -140,6 +149,8 @@ class FamilyIndex:
                         dirty.add(x)
                 elif y not in occupied:
                     escaping = True
+            if escaping and not escapes[p]:
+                heapq.heappush(self.heap, p)
             escapes[p] = escaping
 
     def _index_next(self) -> None:
@@ -229,20 +240,22 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
     occupied set only grows within a build, so escapes only vanish, and
     a family is a run of case-1 levels followed by case-2 levels.
 
-    ``index`` is the :class:`FamilyIndex` given to the call that returned
-    ``prev``, or a new one; without one, a fresh index is built.  A call
-    that keeps every level returns before touching the index.  Otherwise
-    the index frees the atoms of the levels it rebuilds and occupies the
-    atoms of each level it builds, and each change refreshes only the
-    indexed answers that move those atoms, at O(n) each, since an answer
-    moves at most n atoms.  Case 1 takes the least escaping
-    position from a heap, indexing further answers in order only while
-    none escapes.  Case 2, reached with every answer indexed and none
-    escaping, first renews the pair in ``least`` of each atom whose
-    answers' liveness changed, walking that atom's movers in order past
-    the dead ones to the first disagreement.  The least disagreeing pair
-    of answers ``(i, j)`` in index order is then the least pair in
-    ``least``: ``i`` is the least first entry over atoms with a
+    ``index`` is a :class:`FamilyIndex` that only calls on this answer
+    record were given; without one, a fresh index is built.  It costs
+    least as the index given to the call that returned ``prev``: the
+    family it holds is cut back to the entries it shares, as objects,
+    with ``prev``'s case-1 prefix.  A call that keeps every level returns
+    before touching the index.  Otherwise the index frees the atoms of
+    the levels it rebuilds and occupies the atoms of each level it
+    builds, and each change refreshes only the indexed answers that move
+    those atoms, at O(n) each, since an answer moves at most n atoms.
+    Case 1 takes the least escaping position from a heap, indexing
+    further answers in order only while none escapes.  Case 2, reached
+    with every answer indexed and none escaping, first renews the pair
+    in ``least`` of each atom whose answers' liveness changed, walking
+    that atom's movers in order past the dead ones to the first
+    disagreement.  The least disagreeing pair of answers ``(i, j)`` in
+    index order is then the least pair in ``least``: ``i`` is the least first entry over atoms with a
     disagreement, since any disagreeing pair at ``x`` has ``i`` at or
     after ``x``'s first entry; and where ``x``'s first entry comes before
     ``i``, every live answer at ``x`` agrees with it, so ``j`` is the
