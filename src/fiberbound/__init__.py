@@ -16,8 +16,8 @@ Over a countable atom universe they provide:
   :mod:`fiberbound.partition_engine`); both run on one driver,
   :class:`fiberbound.auditing.WitnessEngine`, which builds the seeds from
   atom pairs and owns the query loop, the fiber ledger and the two run
-  outcomes, so an engine supplies only a seed constructor, its codomain
-  check, ``step`` and its certificate header;
+  outcomes, so an engine supplies only a seed constructor with its text
+  template, its codomain check, ``step`` and its certificate header;
 * an orbit-weighted support-probe scanner refuting finite-to-one assignments
   between fixed moved-point sizes under the conjugation action
   (:mod:`fiberbound.fraenkel`).

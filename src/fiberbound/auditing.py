@@ -9,7 +9,7 @@ states: a stream of pairwise distinct constructed witnesses, or a concrete
 finite refutation of the claimed bound.
 
 :class:`WitnessEngine` is the driver both witness engines share: it
-checks the seed count and builds the seeds, one per atom pair
+checks the seed count and the base and builds the seeds, one per atom pair
 ``(base, base + 1 + j)``, keeps the emitted witnesses and the first index
 of each distinct answer, queries the oracle once on each witness through
 the ledger, whose queries are then the emitted set, walks an engine's
@@ -157,13 +157,17 @@ class WitnessEngine:
     ``_check_output``, the claimed codomain; ``step``, one fresh witness
     found by ``_first_fresh`` and ending in ``_emit``, whose trace holds the
     witness's text as ``result``; and ``_certificate``, its header fields,
-    with ``_outputs`` as the output text.  A step's output is formatted
-    once, into its trace, and only the seeds are formatted when the
-    certificate is built.
+    with ``_outputs`` as the output text.
+    The base is checked once, as a non-negative int, before any seed is
+    built, so every seed atom is one and the seed constructor checks
+    nothing again.  A step's output is formatted once, into its trace, and
+    the seeds' text is written from their pairs through ``seed_format``
+    when the certificate is built, without formatting a seed object.
     ``kind`` names the certificate of a run that completes every step.
     """
 
     kind = ""
+    seed_format = ""
 
     def __init__(self, k: int, oracle: Callable, instance_id: int, seed_count: int,
                  seed: Callable[[tuple[int, int]], object], serialize_output: Callable):
@@ -175,6 +179,9 @@ class WitnessEngine:
         if seed_count > SEED_CAP:
             raise InfeasibleRunError(self._refuse_seeds(seed_count))
         self.base = base = 1000 * (instance_id + 1)
+        # every seed atom is at least the base, so this one check covers them all
+        if type(base) is not int or base < 0:
+            raise BadParametersError("atoms must be non-negative integers")
         self.g: list = [seed((base, base + 1 + j)) for j in range(seed_count)]
         self.seed_count = seed_count
         # each distinct answer -> index of the first witness that got it
@@ -262,14 +269,17 @@ class WitnessEngine:
         return trace
 
     def _outputs(self) -> list[str]:
-        """Every witness's text: the seeds formatted here, then each step's
-        ``result``, which its trace already holds.
+        """Every witness's text: the seeds written here from their atom
+        pairs through ``seed_format``, then each step's ``result``, which its
+        trace already holds.
 
         Only the first ``len(g) - seed_count`` traces emitted a witness; a
         strict ``stuck`` step appends one more trace, with no result.
         """
+        fmt, base = self.seed_format, self.base
         emitted = self.traces[:len(self.g) - self.seed_count]
-        return [str(x) for x in self.g[:self.seed_count]] + [t["result"] for t in emitted]
+        return ([fmt % (base, b) for b in range(base + 1, base + 1 + self.seed_count)]
+                + [t["result"] for t in emitted])
 
     def run(self, steps: int) -> dict:
         if steps < 1:

@@ -74,7 +74,14 @@ def min_block_oracle(p: FinitaryPartition) -> frozenset[int]:
 
 
 def pool_set_oracle(pool_size: int) -> Callable[[FinitaryPartition], frozenset[int]]:
-    """Hash partitions into the fixed pool {}, {0}, {0,1}, ..."""
+    """Hash partitions into the fixed pool {}, {0}, {0,1}, ...
+
+    It serves the violation path, not the steps: the partition engine's
+    72k² + 1 seeds land in at most 1,024 pool sets, so some fiber
+    overflows among them at every allowed pool size.  At pools 1,000 and
+    1,024, over instances 0–8 and k = 1..4, only pool 1,000 at instance 7
+    and k = 1 gets past the seeds to a step; ``min-block`` drives the steps.
+    """
     _check_pool_size(pool_size)
     pool = [frozenset(range(i)) for i in range(pool_size)]
 

@@ -29,6 +29,7 @@ from .partitions import FinitaryPartition, build_frame, iter_partitions_ranked, 
 
 class PartitionDiagEngine(WitnessEngine):
     kind = "part-diag"
+    seed_format = "{%d,%d}"
 
     def __init__(self, k: int, oracle: Callable[[FinitaryPartition], frozenset[int]],
                  instance_id: int = 0):
@@ -36,7 +37,8 @@ class PartitionDiagEngine(WitnessEngine):
         # the last step's frame, refined by the next step's new answers
         self._frame = None
         super().__init__(k, oracle, instance_id, self.threshold + 1,
-                         lambda pair: FinitaryPartition([pair]), format_atom_set)
+                         lambda pair: FinitaryPartition._of(frozenset((frozenset(pair),))),
+                         format_atom_set)
 
     def _check_output(self, out) -> None:
         if not isinstance(out, frozenset) or not all(type(a) is int and a >= 0 for a in out):

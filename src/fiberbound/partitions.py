@@ -69,6 +69,22 @@ class FinitaryPartition:
         self._hash = hash(self._blocks)
 
     @classmethod
+    def _of(cls, blocks: frozenset[Block]) -> "FinitaryPartition":
+        """Wrap ``blocks``, already a frozenset of pairwise disjoint blocks of
+        at least two non-negative int atoms, without checking them.
+
+        Its one caller is the partition engine's seed constructor: a seed is
+        the single block ``{base, base + 1 + j}``, two distinct atoms, and
+        ``WitnessEngine`` has already checked that ``base`` is a non-negative
+        int, so both atoms are too and the public constructor's checks
+        would find nothing.
+        """
+        part = object.__new__(cls)
+        part._blocks = blocks
+        part._hash = hash(blocks)
+        return part
+
+    @classmethod
     def parse(cls, text: str) -> "FinitaryPartition":
         if text == "{}*":
             return cls(())

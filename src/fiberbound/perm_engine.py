@@ -345,8 +345,15 @@ def _index_sets(width: int):
         yield tuple(i for i in range(width) if value >> (width - 1 - i) & 1)
 
 
+def _transposition(pair: tuple[int, int]) -> FinPerm:
+    """The swap of two distinct non-negative int atoms, unchecked."""
+    a, b = pair
+    return FinPerm._of({a: b, b: a})
+
+
 class PermDiagEngine(WitnessEngine):
     kind = "perm-diag"
+    seed_format = "(%d;%d)"
 
     def __init__(self, n: int, k: int, oracle: Callable[[FinPerm], FinPerm],
                  mode: str = "strict", seed_count: int = 64, instance_id: int = 0):
@@ -359,7 +366,7 @@ class PermDiagEngine(WitnessEngine):
             seed_count = self.bounds.m0 + 1
         else:
             self.bounds = compute_bounds(n, k)
-        super().__init__(k, oracle, instance_id, seed_count, FinPerm.cycle, str)
+        super().__init__(k, oracle, instance_id, seed_count, _transposition, str)
         self._next_fallback = self.base + _FALLBACK_OFFSET
         # the last step's family, kept in part by the next step's build
         self._family = None
@@ -380,7 +387,7 @@ class PermDiagEngine(WitnessEngine):
         while True:
             pair = (self._next_fallback, self._next_fallback + 1)
             self._next_fallback += 2
-            perm = FinPerm.cycle(list(pair))
+            perm = _transposition(pair)
             if perm not in self.ledger.queries:
                 return perm
 

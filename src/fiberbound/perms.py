@@ -38,6 +38,9 @@ Operations on valid permutations wrap their results with the unchecked
 - ``fraenkel.perms_moving_exactly``: derangements of a checked pool of
   distinct non-negative int atoms.
 - ``perm_engine.assemble``: a union of permutations with disjoint supports.
+- ``perm_engine``'s seeds and fallback transpositions: each swaps two
+  distinct atoms at or above the engine's base, which ``WitnessEngine``
+  checks once as a non-negative int before it builds any seed.
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@ import json
 import pytest
 
 from fiberbound.auditing import BoundParams, OracleLedger, compute_bounds
-from fiberbound.errors import InconsistentOracleError, OverflowGuardError
+from fiberbound.errors import BadParametersError, InconsistentOracleError, OverflowGuardError
 from fiberbound.oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
-from fiberbound.partitions import derangement
+from fiberbound.partitions import FinitaryPartition, derangement
 from fiberbound.perms import FinPerm
 
 
@@ -106,6 +106,64 @@ def test_seed_partitions_counts():
         seeds = engine.g[:engine.seed_count]
         assert len(seeds) == count
         assert len(set(seeds)) == len(seeds)
+
+
+SEED_ENGINES = {
+    "part-k1": lambda iid: PartitionDiagEngine(1, min_block_oracle, instance_id=iid),
+    "part-k2": lambda iid: PartitionDiagEngine(2, min_block_oracle, instance_id=iid),
+    "part-k3": lambda iid: PartitionDiagEngine(3, min_block_oracle, instance_id=iid),
+    "perm-seeds1": lambda iid: PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic",
+                                              seed_count=1, instance_id=iid),
+    "perm-seeds64": lambda iid: PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic",
+                                               seed_count=64, instance_id=iid),
+    "strict-n1-k1": lambda iid: PermDiagEngine(1, 1, truncate_oracle(1), instance_id=iid),
+    "strict-n1-k2": lambda iid: PermDiagEngine(1, 2, truncate_oracle(1), instance_id=iid),
+    "strict-n1-k3": lambda iid: PermDiagEngine(1, 3, truncate_oracle(1), instance_id=iid),
+    "strict-n2-k1": lambda iid: PermDiagEngine(2, 1, truncate_oracle(2), instance_id=iid),
+}
+
+
+def _checked_twin(engine, pair):
+    if isinstance(engine, PartitionDiagEngine):
+        return FinitaryPartition([pair])
+    return FinPerm.cycle(pair)
+
+
+@pytest.mark.parametrize("iid", [-1, 0, 8, True], ids=["iid-1", "iid0", "iid8", "iidTrue"])
+@pytest.mark.parametrize("name", sorted(SEED_ENGINES))
+def test_unchecked_seeds_equal_checked_ones(name, iid):
+    # the driver builds its seeds without the public constructors' checks,
+    # and writes their text from the pairs; both must agree with a checked build
+    engine = SEED_ENGINES[name](iid)
+    base = engine.base
+    assert base == 1000 * (iid + 1)
+    count = engine.seed_count
+    for j, seed in enumerate(engine.g[:count]):
+        twin = _checked_twin(engine, (base, base + 1 + j))
+        assert seed == twin
+        assert hash(seed) == hash(twin)
+        assert str(seed) == str(twin)
+    if isinstance(engine, PermDiagEngine):
+        start = engine._next_fallback
+        fallback = engine._fresh_fallback()
+        twin = FinPerm.cycle([start, start + 1])
+        assert (fallback, hash(fallback), str(fallback)) == (twin, hash(twin), str(twin))
+    cert = engine.run(1)
+    assert cert["outputs"][:count] == [str(x) for x in engine.g[:count]]
+
+
+@pytest.mark.parametrize("iid", [-2, 1.5])
+@pytest.mark.parametrize("make", [
+    lambda oracle, iid: PartitionDiagEngine(1, oracle, instance_id=iid),
+    lambda oracle, iid: PermDiagEngine(2, 1, oracle, "opportunistic", seed_count=8, instance_id=iid),
+    lambda oracle, iid: PermDiagEngine(1, 1, oracle, instance_id=iid),
+], ids=["part", "perm-opportunistic", "perm-strict"])
+def test_bad_instance_ids_are_refused(make, iid):
+    # base -1000 or 2500.0 is no atom; refused before the oracle is asked
+    calls = []
+    with pytest.raises(BadParametersError, match="^atoms must be non-negative integers$"):
+        make(lambda x: calls.append(x), iid).run(1)
+    assert calls == []
 
 
 def test_ledger_serializes_only_violations_and_flips(monkeypatch):
