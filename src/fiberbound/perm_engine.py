@@ -7,13 +7,13 @@ from the distinct answers at their first index, read from the driver's
 answer record, and emits the first product of family members not seen
 before.  The answers only ever extend, so a step keeps the leading case-1
 levels of the last step's family and rebuilds from its first case-2 or
-stuck level.  The engine owns one :class:`FamilyIndex` for the rebuilds:
-it knows which answers move each atom, so a rebuilt level touches only
-the answers that move atoms whose occupancy changed, and a step that
-keeps every level leaves it alone.  Strict mode seeds ``m0 + 1``
-witnesses, with ``m0`` from :func:`strict_bounds`, the least count the
-stuck-family argument needs, so that a failed family construction is a
-genuine inconsistency; that count is feasible for n <= 2.
+stuck level.  The engine owns one :class:`FamilyIndex`, which holds the
+last step's family and knows which answers move each atom, so a rebuilt
+level touches only the answers that move atoms whose occupancy changed,
+and a step that keeps every level leaves it alone.  Strict mode seeds
+``m0 + 1`` witnesses, with ``m0`` from :func:`strict_bounds`, the least
+count the stuck-family argument needs, so that a failed family
+construction is a genuine inconsistency; that count is feasible for n <= 2.
 Opportunistic mode runs from a small seed count and patches over
 legitimate early failures with fresh transpositions, which keeps the
 construction machinery exercised wherever :func:`compute_bounds` accepts
@@ -71,19 +71,20 @@ class FamilyEntry:
 class FamilyIndex:
     """What :func:`build_family` keeps from one call to the next.
 
-    ``values`` holds the answers read from the record so far, in index
-    order, and a prefix of them is indexed: ``escapes`` says for each
-    indexed answer whether it escapes the occupied set, that is, sends an
-    atom outside it to another atom outside it, and ``movers`` lists, for
-    each atom, the positions of the indexed answers that move it,
-    ascending.  ``heap`` holds the positions of escaping answers, and
-    stale ones that are dropped when they reach the top.
-    ``entries`` is the family that made ``occupied``.  For each occupied
-    atom ``x``, ``least`` holds the position of the least answer that is
-    live at ``x`` (sends it outside the occupied set) and of the least one
-    live there with another image, or ``None``; ``dirty`` names the
-    occupied atoms whose pair may be stale, and the entries of atoms no
-    longer occupied are never read.
+    ``entries`` is the family the last call returned, which the next call
+    keeps up to its first case-2 or stuck level.  ``values`` holds the
+    answers read from the record so far, in index order, and a prefix of
+    them is indexed: ``escapes`` says for each indexed answer whether it
+    escapes the occupied set, that is, sends an atom outside it to another
+    atom outside it, and ``movers`` lists, for each atom, the positions of
+    the indexed answers that move it, ascending.  ``heap`` holds the
+    positions of escaping answers, and stale ones that are dropped when
+    they reach the top.  ``occupied`` is the set of atoms ``entries``
+    moves.  For each occupied atom ``x``, ``least`` holds the position of
+    the least answer that is live at ``x`` (sends it outside the occupied
+    set) and of the least one live there with another image, or ``None``;
+    ``dirty`` names the occupied atoms whose pair may be stale, and the
+    entries of atoms no longer occupied are never read.
     """
 
     def __init__(self):
@@ -102,31 +103,18 @@ class FamilyIndex:
         tail.reverse()
         self.values += tail
 
-    def _follow(self, kept: list[FamilyEntry]) -> None:
-        """Make ``kept`` the family, keeping the entries it shares with
-        ``entries`` from the start, compared by identity.
+    def _cut(self, count: int) -> None:
+        """Cut the family back to its first ``count`` entries.
 
-        In the engine ``kept`` is the leading case-1 entries of
-        ``entries``, so this frees the atoms of the levels from the
-        family's first case-2 or stuck level on.  Building that level
-        indexed every answer and found none escaping, so freeing them makes
-        none escape: it only changes which answers are live at the occupied
-        atoms.  Any other ``kept`` frees the atoms of every entry past the
-        shared ones, which may put answers back on the heap, and occupies
-        those of ``kept``'s own.
+        :func:`build_family` passes the number of leading case-1 entries,
+        so this frees the atoms of the levels from the family's first
+        case-2 or stuck level on.  Building that level indexed every answer
+        and found none escaping, so freeing them makes none escape: it only
+        changes which answers are live at the occupied atoms, and the heap
+        needs no new position.
         """
-        shared = 0
-        for old, new in zip(self.entries, kept):
-            if old is not new:
-                break
-            shared += 1
-        gone = {x for e in self.entries[shared:] for x in e.perm._map}
-        if gone:
-            self._move(gone, False)
-        added = {x for e in kept[shared:] for x in e.perm._map}
-        if added:
-            self._move(added, True)
-        self.entries = kept
+        self._move({x for e in self.entries[count:] for x in e.perm._map}, False)
+        self.entries = self.entries[:count]
 
     def _move(self, atoms, occupy: bool) -> None:
         """Occupy or free ``atoms`` and refresh the indexed answers that move them."""
@@ -149,8 +137,6 @@ class FamilyIndex:
                         dirty.add(x)
                 elif y not in occupied:
                     escaping = True
-            if escaping and not escapes[p]:
-                heapq.heappush(self.heap, p)
             escapes[p] = escaping
 
     def _index_next(self) -> None:
@@ -214,9 +200,7 @@ class FamilyIndex:
         return first, None
 
 
-def build_family(answers: dict[FinPerm, int], m: int, n: int,
-                 prev: Optional[list[FamilyEntry]] = None,
-                 index: Optional[FamilyIndex] = None,
+def build_family(answers: dict[FinPerm, int], m: int, index: FamilyIndex,
                  ) -> tuple[list[FamilyEntry], Optional[tuple[int, frozenset[int]]]]:
     """Build the disjoint-support family from the oracle answers.
 
@@ -228,27 +212,25 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
     plus the stage at which construction got stuck, if it did.  Ties
     resolve by index order, then atom order.
 
-    ``prev`` is the entries list an earlier call returned, and ``answers``
-    must extend the record it was built from: every answer it held keeps
-    its index, and new answers have larger ones.  The leading case-1
-    entries of ``prev`` are then kept as they are.  A case-1 level takes
-    the least index whose answer has an escaping atom; if the levels
-    before it are unchanged, so is the occupied set, the answers at
-    smaller indices still do not escape and the chosen one still does.
-    A case-2 level is rebuilt, since a new answer may escape or form an
-    earlier pair, and so is a stuck level, which may come unstuck.  The
-    occupied set only grows within a build, so escapes only vanish, and
-    a family is a run of case-1 levels followed by case-2 levels.
-
     ``index`` is a :class:`FamilyIndex` that only calls on this answer
-    record were given; without one, a fresh index is built.  It costs
-    least as the index given to the call that returned ``prev``: the
-    family it holds is cut back to the entries it shares, as objects,
-    with ``prev``'s case-1 prefix.  A call that keeps every level returns
-    before touching the index.  Otherwise the index frees the atoms of
-    the levels it rebuilds and occupies the atoms of each level it
-    builds, and each change refreshes only the indexed answers that move
-    those atoms, at O(n) each, since an answer moves at most n atoms.
+    record were given, and ``answers`` extends the record the last of them
+    read: every answer it held keeps its index, and new answers have
+    larger ones.  The family that call returned, held in ``entries``, is
+    kept up to its first case-2 or stuck level.  A case-1 level takes the
+    least index whose answer has an escaping atom; if the levels before it
+    are unchanged, so is the occupied set, the answers at smaller indices
+    still do not escape and the chosen one still does.  A case-2 level is
+    rebuilt, since a new answer may escape or form an earlier pair, and so
+    is a stuck level, which may come unstuck.  The occupied set only grows
+    within a build, so escapes only vanish, and a family is a run of
+    case-1 levels followed by case-2 levels.
+
+    A call that keeps every level returns the kept family without touching
+    the index.  Otherwise the index frees the atoms of the levels it
+    rebuilds and occupies the atoms of each level it builds, and each
+    change refreshes only the indexed answers that move those atoms, at
+    O(n) each, since an answer moves at most n atoms.  The returned entries
+    are the index's ``entries``, which the next call reads.
     Case 1 takes the least escaping position from a heap, indexing
     further answers in order only while none escapes.  Case 2, reached
     with every answer indexed and none escaping, first renews the pair
@@ -278,15 +260,13 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
     if m < 1:
         raise BadParametersError("need at least one value")
     top = m.bit_length() - 1
-    kept = list(itertools.takewhile(lambda e: e.case == 1, prev or ()))
-    if len(kept) > top:
-        return kept, None
-    if index is None:
-        index = FamilyIndex()
+    kept = next((e.level for e in index.entries if e.case == 2), len(index.entries))
+    if kept > top:
+        return index.entries, None
     index._read(answers)
-    index._follow(kept)
-    entries = kept
-    for level in range(len(kept), top + 1):
+    index._cut(kept)
+    entries = index.entries
+    for level in range(kept, top + 1):
         chosen = index._case_one(level) or index._case_two(level)
         if chosen is None:
             return entries, (level, frozenset(index.occupied))
@@ -368,7 +348,7 @@ class PermDiagEngine(WitnessEngine):
             self.bounds = compute_bounds(n, k)
         super().__init__(k, oracle, instance_id, seed_count, _transposition, str)
         self._next_fallback = self.base + _FALLBACK_OFFSET
-        # the last step's family, kept in part by the next step's build
+        # the last step's family; a trace's ``family`` is null while the entries equal it
         self._family = None
         self._index = FamilyIndex()
 
@@ -395,7 +375,7 @@ class PermDiagEngine(WitnessEngine):
         m = len(self.g)
         new = self._query_new()
         answers = self.answers
-        entries, stuck = build_family(answers, m, self.n, self._family, self._index)
+        entries, stuck = build_family(answers, m, self._index)
         trace: dict = {
             "m": m,
             "B_new": [[answers[s], s.to_cycles()] for s in new],

@@ -13,7 +13,7 @@ from fiberbound.errors import BadParametersError, BudgetExceededError, ParseErro
 from fiberbound.oracles import (POOL_CAP, from_spec, min_block_oracle, pool_perm_oracle,
                                 pool_set_oracle, truncate_oracle)
 from fiberbound.partitions import FinitaryPartition
-from fiberbound.perm_engine import PermDiagEngine, build_family
+from fiberbound.perm_engine import FamilyIndex, PermDiagEngine, build_family
 from fiberbound.perms import FinPerm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -168,7 +168,7 @@ LIBRARY_GUARDS = {
                            "pool size 1025 is over the cap 1024"),
     "set-pool-over-cap": (lambda: pool_set_oracle(POOL_CAP + 1), BudgetExceededError,
                           "pool size 1025 is over the cap 1024"),
-    "family-no-values": (lambda: build_family({}, 0, 2), BadParametersError,
+    "family-no-values": (lambda: build_family({}, 0, FamilyIndex()), BadParametersError,
                          "need at least one value"),
     "engine-bogus-mode": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), mode="bogus"),
                           BadParametersError, "unknown mode 'bogus'"),

@@ -46,16 +46,16 @@ def test_seed_transpositions():
         driver_seeds(0)
 
 
-def family(values, n):
+def family(values):
     # build_family on the first-occurrence record of an answer list
     answers = {}
     for idx, v in enumerate(values):
         answers.setdefault(v, idx)
-    return build_family(answers, len(values), n)
+    return build_family(answers, len(values), FamilyIndex())
 
 
 def test_build_family_single_value_sticks():
-    entries, stuck = family([c([1, 2]), c([1, 2])], 2)
+    entries, stuck = family([c([1, 2]), c([1, 2])])
     assert len(entries) == 1
     assert entries[0].case == 1 and entries[0].i == 0 and entries[0].x == 1
     assert entries[0].perm == c([1, 2])
@@ -63,7 +63,7 @@ def test_build_family_single_value_sticks():
 
 
 def test_build_family_identity_values_stick_immediately():
-    entries, stuck = family([FinPerm.identity()] * 4, 2)
+    entries, stuck = family([FinPerm.identity()] * 4)
     assert entries == []
     assert stuck == (0, frozenset())
 
@@ -77,7 +77,7 @@ def test_build_family_case_two_formula():
 
 def test_build_family_full_run():
     values = [c([1000, 1001 + j]) for j in range(8)]
-    entries, stuck = family(values, 2)
+    entries, stuck = family(values)
     assert stuck is None
     assert len(entries) == 4  # levels 0..3
     assert entries[0].case == 1
@@ -131,7 +131,7 @@ def small_value_lists(draw):
 @given(small_value_lists())
 @settings(max_examples=200)
 def test_family_matches_raw_pair_scan(values):
-    got_entries, got_stuck = family(values, 2)
+    got_entries, got_stuck = family(values)
     want, want_stuck = brute_family(values, 2)
     assert got_stuck == want_stuck
     assert [(e.case, e.i, e.j, e.x, e.perm) for e in got_entries] == want
@@ -162,7 +162,7 @@ def wide_value_lists(draw):
 def test_family_matches_raw_pair_scan_on_wide_answers(drawn):
     # 3- and 4-cycles give answers whose reach holds several atoms
     values, n = drawn
-    got_entries, got_stuck = family(values, n)
+    got_entries, got_stuck = family(values)
     want, want_stuck = brute_family(values, n)
     assert got_stuck == want_stuck
     assert [(e.case, e.i, e.j, e.x, e.perm) for e in got_entries] == want
@@ -182,38 +182,31 @@ def check_members(entries, n):
 
 def grow_family(values, n):
     # feed the first-occurrence record one answer at a time through one
-    # family index, passing each call's entries on as the next call's prev,
-    # and compare every call with the reference given the same prev and with
-    # the reference built from nothing.  The same call must agree without an
-    # index; without prev through a second index, which then frees every
-    # level the last call built; and, every other answer, through a third
-    # index last given a call two answers back, whose family shares no entry
-    # object with prev and may end in case-2 levels where prev's are case 1.
-    # Returns the cases seen.
+    # family index and compare every call with the reference given the last
+    # call's entries as prev, with the reference built from nothing, and
+    # with the same call on a fresh index.  After each call the index holds
+    # the entries list the call returned, and every indexed answer that
+    # escapes is on its heap.  Returns the cases seen.
     answers = {}
     prev = prev_stuck = None
-    index, other, lagging = FamilyIndex(), FamilyIndex(), FamilyIndex()
+    index = FamilyIndex()
     seen = set()
     for idx, v in enumerate(values):
         answers.setdefault(v, idx)
         want = reference_family(answers, idx + 1, n, prev)
         assert want == reference_family(answers, idx + 1, n)
-        entries, stuck = build_family(answers, idx + 1, n, prev, index)
-        with_prev = [entries, build_family(answers, idx + 1, n, prev)[0]]
-        if idx % 2 == 0:
-            with_prev.append(build_family(answers, idx + 1, n, prev, lagging)[0])
-        anew = build_family(answers, idx + 1, n, None, other)
-        assert (entries, stuck) == want == anew
-        check_members(anew[0], n)
-        for built in with_prev:
-            assert built == entries
-            check_members(built, n)
-            if prev is not None:
-                for old, new in zip(prev, built):
-                    if old.case != 1:
-                        break
-                    assert new is old
-                    seen.add("kept")
+        entries, stuck = build_family(answers, idx + 1, index)
+        assert index.entries is entries
+        heap = set(index.heap)
+        assert all(p in heap for p, escaping in enumerate(index.escapes) if escaping)
+        assert (entries, stuck) == want == build_family(answers, idx + 1, FamilyIndex())
+        check_members(entries, n)
+        if prev is not None:
+            for old, new in zip(prev, entries):
+                if old.case != 1:
+                    break
+                assert new is old
+                seen.add("kept")
         if prev is not None:
             first = next((e.level for e in prev if e.case == 2), None)
             if first is not None and entries[first].case == 1:
@@ -261,7 +254,7 @@ def test_incremental_family_examples_reach_each_case(values, cases):
 
 
 def test_assemble_examples():
-    entries, _ = family([c([1000, 1001 + j]) for j in range(4)], 2)
+    entries, _ = family([c([1000, 1001 + j]) for j in range(4)])
     members = [e.perm for e in entries]
     assert assemble(entries, []) == FinPerm.identity()
     assert assemble(entries, [0]) == members[0]
@@ -270,7 +263,7 @@ def test_assemble_examples():
 
 
 def test_assemble_injective():
-    entries, stuck = family([c([1000, 1001 + j]) for j in range(1000)], 2)
+    entries, stuck = family([c([1000, 1001 + j]) for j in range(1000)])
     assert stuck is None
     width = len(entries)
     assert width == 10
@@ -362,7 +355,7 @@ def test_stuck_family_counting_lemma(drawn):
     answers = {}
     for idx, v in enumerate(values):
         answers.setdefault(v, idx)
-    _, stuck = build_family(answers, m, n)
+    _, stuck = build_family(answers, m, FamilyIndex())
     if stuck is None:
         return
     level, occupied = stuck
@@ -487,7 +480,7 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
                             seed_count=4)
     engine.mode = "strict"
     monkeypatch.setattr("fiberbound.perm_engine.build_family",
-                        lambda answers, m, n, prev, index: ([], (0, frozenset())))
+                        lambda answers, m, index: ([], (0, frozenset())))
     cert = engine.run(3)
     assert cert["kind"] == "stuck"
     assert cert["traces"][-1]["stuck_at"] == [0, []]
@@ -496,13 +489,18 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
 def test_family_reads_the_driver_answer_record(monkeypatch):
     engine = PermDiagEngine(2, 8, pool_perm_oracle(10, 2), mode="opportunistic", seed_count=8)
     seen = []
-    returned = [None]
+    returned = []
 
-    def spy(answers, m, n, prev, index):
+    def spy(answers, m, index):
         seen.append((answers, m))
-        # each step passes on the entries list the last step's build returned
-        assert prev is returned[-1]
-        result = build_family(answers, m, n, prev, index)
+        # each step passes the engine's index, which holds the entries list
+        # the last step's build returned
+        assert index is engine._index
+        if returned:
+            assert index.entries is returned[-1]
+        else:
+            assert index.entries == []
+        result = build_family(answers, m, index)
         returned.append(result[0])
         return result
 
@@ -585,6 +583,6 @@ def test_incremental_family_keeps_certificates_byte_identical(monkeypatch, oracl
                                                                seed_count, steps):
     kept = PermDiagEngine(2, k, oracle(), mode, seed_count).run(steps)
     monkeypatch.setattr("fiberbound.perm_engine.build_family",
-                        lambda answers, m, n, prev, index: build_family(answers, m, n))
+                        lambda answers, m, index: build_family(answers, m, FamilyIndex()))
     fresh = PermDiagEngine(2, k, oracle(), mode, seed_count).run(steps)
     assert json.dumps(kept) == json.dumps(fresh)

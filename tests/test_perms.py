@@ -6,7 +6,7 @@ from fiberbound.atoms import SetSpec
 from fiberbound.errors import BadParametersError, DuplicatePointError, ParseError, SinglePointError
 from fiberbound.fraenkel import perms_moving_exactly
 from fiberbound.inject import Tableau, decode, encode
-from fiberbound.perm_engine import _index_sets, assemble, build_family
+from fiberbound.perm_engine import FamilyIndex, _index_sets, assemble, build_family
 from fiberbound.perms import FinPerm
 from helpers import cycles
 
@@ -255,7 +255,7 @@ def test_trusted_results_are_valid(s, g, region):
 
 
 def test_trusted_assemble_is_valid():
-    entries, stuck = build_family({c([1000, 1001 + j]): j for j in range(16)}, 16, 2)
+    entries, stuck = build_family({c([1000, 1001 + j]): j for j in range(16)}, 16, FamilyIndex())
     assert stuck is None and len(entries) == 5
     for indices in _index_sets(len(entries)):
         assert _validates(assemble(entries, indices))
