@@ -14,9 +14,11 @@ checks the seed count and the base and builds the seeds, one per atom pair
 of each distinct answer, queries the oracle once on each witness through
 the ledger, whose queries are then the emitted set, walks an engine's
 candidate stream to the first fresh witness, and turns a run into one of
-those two outcomes as a certificate, whose traces (format 2) carry only
-the answers first seen at their step.  Every recorded answer is asked
-again on power-of-two steps and before any certificate.
+those two outcomes as a certificate.  Its traces (format 3) carry the
+answers first seen at their step and the choices the step made, but not
+the witness, which the certificate's ``outputs`` already hold.  Every
+recorded answer is asked again on power-of-two steps and before any
+certificate.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ class OracleLedger:
 def assemble_certificate(kind: str, n, k, l0, m0, steps: int,
                          outputs: list[str], violation: Optional[Violation],
                          traces: list[dict]) -> dict:
-    """Certificate JSON object, format 2, with its stable field order."""
+    """Certificate JSON object, format 3, with its stable field order."""
     return {
-        "format": 2,
+        "format": 3,
         "kind": kind,
         "n": n,
         "k": k,
@@ -155,14 +157,14 @@ class WitnessEngine:
     An engine supplies four things: a seed constructor, passed to
     ``__init__`` and called on each atom pair ``(base, base + 1 + j)``;
     ``_check_output``, the claimed codomain; ``step``, one fresh witness
-    found by ``_first_fresh`` and ending in ``_emit``, whose trace holds the
-    witness's text as ``result``; and ``_certificate``, its header fields,
-    with ``_outputs`` as the output text.
+    found by ``_first_fresh`` and ending in ``_emit``, which keeps the
+    witness in ``g`` and its trace in ``traces``; and ``_certificate``, its
+    header fields, with ``_outputs`` as the output text.
     The base is checked once, as a non-negative int, before any seed is
     built, so every seed atom is one and the seed constructor checks
-    nothing again.  A step's output is formatted once, into its trace, and
-    the seeds' text is written from their pairs through ``seed_format``
-    when the certificate is built, without formatting a seed object.
+    nothing again.  Each step's witness is formatted once, when the
+    certificate is built, and the seeds' text is written from their pairs
+    through ``seed_format``, without formatting a seed object.
     ``kind`` names the certificate of a run that completes every step.
     """
 
@@ -269,17 +271,11 @@ class WitnessEngine:
         return trace
 
     def _outputs(self) -> list[str]:
-        """Every witness's text: the seeds written here from their atom
-        pairs through ``seed_format``, then each step's ``result``, which its
-        trace already holds.
-
-        Only the first ``len(g) - seed_count`` traces emitted a witness; a
-        strict ``stuck`` step appends one more trace, with no result.
-        """
-        fmt, base = self.seed_format, self.base
-        emitted = self.traces[:len(self.g) - self.seed_count]
-        return ([fmt % (base, b) for b in range(base + 1, base + 1 + self.seed_count)]
-                + [t["result"] for t in emitted])
+        """Every witness's text: the seeds written from their atom pairs
+        through ``seed_format``, then ``str`` of each step's witness."""
+        fmt, base, count = self.seed_format, self.base, self.seed_count
+        return ([fmt % (base, b) for b in range(base + 1, base + 1 + count)]
+                + [str(x) for x in self.g[count:]])
 
     def run(self, steps: int) -> dict:
         if steps < 1:

@@ -53,15 +53,13 @@ class PartitionDiagEngine(WitnessEngine):
         # recorded trace; m >= seed_count = threshold + 1 on every step.
         assert len(self.answers) <= 2**l
         assert 72 * self.k < 2**l
-        q, result, drawn = self._first_fresh(frame.classes, lambda: iter_partitions_ranked(l),
+        _, result, drawn = self._first_fresh(frame.classes, lambda: iter_partitions_ranked(l),
                                              lambda q: lift(q, frame))
         trace = {
             "m": m,
             "C_new": [sorted(v) for v in new],
             "l": l,
-            "q": sorted(sorted(b) for b in q),
             "rank_checked": drawn,
-            "result": str(result),
         }
         return self._emit(result, trace)
 

@@ -383,7 +383,6 @@ class PermDiagEngine(WitnessEngine):
             "stuck_at": None,
             "fallback": False,
             "chosen_a": None,
-            "result": None,
         }
         self._family = entries
         if stuck is not None:
@@ -401,7 +400,6 @@ class PermDiagEngine(WitnessEngine):
                 tuple(e.perm for e in entries), lambda: _index_sets(len(entries)),
                 lambda indices: assemble(entries, indices))
             trace["chosen_a"] = list(indices)
-        trace["result"] = result.to_cycles()
         return self._emit(result, trace)
 
     def _certificate(self, kind, steps, violation) -> dict:

@@ -1,38 +1,50 @@
-"""Expand a format-2 certificate into the format-1 certificate it replaces.
+"""Expand a format-3 certificate into the format-1 certificate it replaces.
 
-Format 2 puts in each trace only what is new at that step.  Format 1
-repeated the whole record on every trace, and tests that read it get it
-back from ``expand``:
+Format 3 puts in each trace only what is new at that step and what the
+rest of the certificate cannot give.  Format 1 repeated the whole record
+on every trace, and tests that read it get it back from ``expand``:
 
 - a part trace's ``C`` is the running concatenation of the ``C_new``
   lists, and its ``classes`` are those of the frame that ``build_frame``
   refines by each trace's ``C_new`` in turn, as the engine's own steps do;
+  its ``q`` is the sorted blocks of the ``rank_checked``-th draw of
+  ``iter_partitions_ranked(l)``;
 - a perm trace's ``B`` is the running concatenation of the ``B_new``
   lists, a null ``family`` repeats the last trace's family, and an
   entry's ``C`` is the sorted union of the supports of the entries
-  before it.
+  before it;
+- trace ``i``'s ``result`` is the output of the witness it emitted,
+  ``outputs[len(outputs) - steps + i]``, and ``None`` on the one trace
+  that emitted none, the last trace of a strict ``stuck`` perm run.
 
 ``expand`` drops the ``format`` key and keeps every other field in place.
 """
 
-from fiberbound.partitions import build_frame
+import itertools
+
+from fiberbound.partitions import build_frame, iter_partitions_ranked
 from fiberbound.perms import FinPerm
 
 _PART_TAIL = ("l", "q", "rank_checked", "result")
 _PERM_TAIL = ("stuck_at", "fallback", "chosen_a", "result")
 
 
-def expand_traces(traces: list[dict]) -> list[dict]:
-    """Format-1 traces of a run's format-2 traces, in order."""
+def expand_traces(cert: dict) -> list[dict]:
+    """Format-1 traces of a format-3 certificate, in order."""
+    outputs, steps = cert["outputs"], cert["steps"]
     out = []
     running: list = []
     frame = family = None
-    for trace in traces:
+    for i, trace in enumerate(cert["traces"]):
+        fields = {**trace, "result": outputs[len(outputs) - steps + i] if i < steps else None}
         if "C_new" in trace:
             running += trace["C_new"]
             frame = build_frame(trace["C_new"], frame)
             old = {"m": trace["m"], "C": list(running),
                    "classes": [sorted(c) for c in frame.classes]}
+            q = next(itertools.islice(iter_partitions_ranked(trace["l"]),
+                                      trace["rank_checked"] - 1, None))
+            fields["q"] = sorted(sorted(b) for b in q)
             tail = _PART_TAIL
         else:
             running += trace["B_new"]
@@ -43,15 +55,15 @@ def expand_traces(traces: list[dict]) -> list[dict]:
                     claimed |= FinPerm.parse(entry["t"]).moved
             old = {"m": trace["m"], "B": list(running), "family": family}
             tail = _PERM_TAIL
-        old.update((key, trace[key]) for key in tail)
+        old.update((key, fields[key]) for key in tail)
         out.append(old)
     return out
 
 
 def expand(cert: dict) -> dict:
-    """The format-1 certificate of a format-2 one."""
-    if cert.get("format") != 2:
-        raise ValueError(f"not a format-2 certificate: format {cert.get('format')!r}")
+    """The format-1 certificate of a format-3 one."""
+    if cert.get("format") != 3:
+        raise ValueError(f"not a format-3 certificate: format {cert.get('format')!r}")
     old = {key: value for key, value in cert.items() if key != "format"}
-    old["traces"] = expand_traces(cert["traces"])
+    old["traces"] = expand_traces(cert)
     return old

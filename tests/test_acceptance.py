@@ -144,7 +144,7 @@ def test_criterion_6_opportunistic_permutation_run():
             assert len(cert["violation"]["witnesses"]) == 2
         assert cert["all_distinct"]
         assert len(cert["outputs"]) == len(set(cert["outputs"]))
-        for trace in expand_traces(cert["traces"]):
+        for trace in expand_traces(cert):
             claimed = set()
             for entry in trace["family"]:
                 member = FinPerm.parse(entry["t"])
@@ -164,7 +164,7 @@ def test_criterion_7_partition_engine_run():
             assert cert["kind"] == "ledger-violation"
             assert len(cert["violation"]["witnesses"]) == 2
         assert cert["all_distinct"]
-        for trace in expand_traces(cert["traces"]):
+        for trace in expand_traces(cert):
             m, l, values = trace["m"], trace["l"], trace["C"]
             assert m <= len(values)          # k == 1
             assert len(values) <= 2**l

@@ -3,7 +3,7 @@
 The runs cover every certificate kind of both engines, so a change to the
 engines or to the certificate layout that alters a single byte fails here.
 Each run pins two digests: the format-1 certificate that ``format1.expand``
-rebuilds, unchanged since format 1 was current, and the format-2 bytes the
+rebuilds, unchanged since format 1 was current, and the format-3 bytes the
 engines write.  Regenerate the digests only with a deliberate, versioned
 format change.
 """
@@ -69,31 +69,31 @@ def _part_stuck(monkeypatch):
 GOLDEN = {
     "perm-diag": (_perm_diag, "perm-diag",
                   "17d50580cd19c8613b7534e126da445030ccc167be68fbad5db5201f703e35d9",
-                  "71b4750054cf9a5a6b79b0a8991d718bdd80e33b4d9a3e98f25ac07b7f3ad51e"),
+                  "4f61d115795bc9c90ab6750bc74bb7f3c8a79de491fbba607ed7ecde7bee07d7"),
     "perm-violation": (_perm_violation, "ledger-violation",
                        "90d446b8530003eee81ac084f0896ff50d5cce87e28c6f4f18c1fb6ee7029dc1",
-                       "8f72e43e7cdc57ec461cb6471ebab6d1b5bb3d42f4d52a53d3504c35df43aeb8"),
+                       "07cc17a2f198b8740c13812ba635c8a2cef770e5afc547b9869a0382fd126c53"),
     "perm-strict-n1": (_perm_strict_n1, "ledger-violation",
                        "c2906bcd310436471ba125b66b27b0edec6f8967b74c12f20733cd47c777ae39",
-                       "55196c6a2708f134458850d1faacfcdaa080fddd7a079606004e9bc20e1e0a96"),
+                       "1665f0ec83b55993ba6a22bf8269cf1eefd6f9dc7e92827cc566abb6329822e9"),
     "perm-strict-n2": (_perm_strict_n2, "ledger-violation",
                        "c876d93a133e6c08d7a542405f2bb8dcef7071efb638d7559400b90066913a87",
-                       "5196c6380d6e15594da2cdcb710e5852ff4b34718bf6a751ca62311f177d891d"),
+                       "bf1a732779290353808627f746cf4f7127ba9af4ece0857b5bd80ca6db6bcd65"),
     "perm-stuck": (_perm_stuck, "stuck",
                    "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f",
-                   "89969b41e3e3bc0f7407207565b8ed28f0c7d4cd996d6895c9930dc3c0da900a"),
+                   "a0ed548ba52d47c34d05ebf1a91ed21cab40a8d6de23d37c809f14fcbf28fdf7"),
     "part-diag": (_part_diag, "part-diag",
                   "f39e08bc1c9606c520a67f8e2ba56b484eba3cbd539ca26210e0915639ae1a1a",
-                  "1b3bf4fba8517e59328bf7bbe363546e4b7602a4bb96d0372d3488d48c96b918"),
+                  "1e0a2be8f69e4f66f01f4e5c9d4bbf3ac83d99af71bad92f2381706ae7474349"),
     "part-violation": (_part_violation, "ledger-violation",
                        "7a9d929c92431878912d4221bac0fbe00f3ffbdc157d8b9fd82603fb3b07f440",
-                       "068f26be23c875b8123e112ad93065dcea1c26bfa0d0e9c4a2a30f4c74d1c2dd"),
+                       "d2ca099fa1486bc02e8bac06463cb6ec209183ad59506e5355d49e6d0b85e7ff"),
     "part-pool-violation": (_part_pool_violation, "ledger-violation",
                             "10de8743d3675979d630ba16686528ef7220665d47a8fe41836eb1dd601b5ae2",
-                            "838cdcd52e514b84a3bc78dd065b9cfef76e90ca65002d35011e0cba58773226"),
+                            "d4fafef0ea344ca2ea62d94f61abc05a0ac80fe729fda89dd092f5d253ab78bb"),
     "part-stuck": (_part_stuck, "stuck",
                    "c5094f0fed7b7362d3ff3a67b2bae760f4518f9ae26880e4ca6ab51c66df6524",
-                   "ddd15f1dc26ece559abc73af748fd01b8439d68afc05675058abce0d6bb90904"),
+                   "8f9cba3a3fdfca0fd7e0dcfe1f0479ba70ac9c419aa5eea8ad472423c0cfbffe"),
 }
 
 
@@ -102,14 +102,17 @@ def test_certificate_bytes_pinned(name, monkeypatch):
     run, kind, format1_digest, digest = GOLDEN[name]
     cert = run(monkeypatch)
     assert cert["kind"] == kind
+    # the outputs hold every witness and the ranked stream every part candidate
+    assert not any({"result", "q"} & trace.keys() for trace in cert["traces"])
     assert hashlib.sha256(json.dumps(cert).encode()).hexdigest() == digest
     assert hashlib.sha256(json.dumps(expand(cert)).encode()).hexdigest() == format1_digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_are_every_witness_text(name, monkeypatch):
-    # the certificate reads each step's output from its trace; it must be
-    # the text of every witness, seeds first, stuck and violated runs included
+    # the certificate writes the seeds from their atom pairs and the steps'
+    # outputs from their witnesses; together they must be the text of every
+    # witness, seeds first, stuck and violated runs included
     engines = []
     run = WitnessEngine.run
 

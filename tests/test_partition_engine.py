@@ -8,7 +8,8 @@ from fiberbound import partition_engine
 from fiberbound.oracles import min_block_oracle, pool_set_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.partitions import FinitaryPartition, build_frame, lift, iter_partitions_ranked
-from format1 import expand_traces
+from format1 import expand, expand_traces
+from test_golden import _perm_diag, _perm_stuck
 
 
 def driver_seeds(k):
@@ -43,7 +44,7 @@ def test_min_block_run_handles_huge_class_counts():
     assert first["m"] == 73
     assert first["l"] == 74
     assert first["rank_checked"] == 1
-    for trace in expand_traces(cert["traces"]):
+    for trace in expand_traces(cert):
         m, l, values = trace["m"], trace["l"], trace["C"]
         assert m <= 1 * len(values)
         assert len(values) <= 2**l
@@ -53,26 +54,25 @@ def test_min_block_run_handles_huge_class_counts():
 
 def test_first_constructed_partition_is_single_block():
     engine = PartitionDiagEngine(1, min_block_oracle)
-    trace = engine.step()
-    assert trace["result"] == str(FinitaryPartition([set(range(1000, 1074))]))
+    engine.step()
+    assert str(engine.g[-1]) == str(FinitaryPartition([set(range(1000, 1074))]))
 
 
 def test_chosen_partition_is_rank_minimal():
     engine = PartitionDiagEngine(1, min_block_oracle)
     for _ in range(3):
         engine.step()
-    trace = expand_traces(engine.traces)[-1]
-    # regenerate the stream for the final trace and check everything below
-    # the chosen partition lifts to something already emitted
-    values = [frozenset(v) for v in trace["C"]]
-    frame = build_frame(values)
+    # regenerate the stream for the final step, whose frame is built from
+    # every answer so far, and check everything below the chosen partition
+    # lifts to something already emitted
+    frame = build_frame(list(engine.answers))
     emitted = set(engine.g)
     stream = iter_partitions_ranked(frame.l)
-    for rank in range(trace["rank_checked"] - 1):
+    for rank in range(engine.traces[-1]["rank_checked"] - 1):
         stale = lift(next(stream), frame)
         assert stale in emitted
     chosen = lift(next(stream), frame)
-    assert str(chosen) == trace["result"]
+    assert chosen == engine.g[-1]
 
 
 def _grow_thirds(p):
@@ -89,7 +89,9 @@ def test_splitting_run_is_pinned():
     cert = PartitionDiagEngine(2, _grow_thirds).run(40)
     assert (cert["kind"], cert["steps"]) == ("part-diag", 40)
     digest = hashlib.sha256(json.dumps(cert).encode()).hexdigest()
-    assert digest == "21c66128c30ad317a68b73cc4c50726d591d3aa40c172187caa413e0aa8433fe"
+    assert digest == "fcead6432a9249288efdab46c0091366df367e8cded1468df448276fa8b5d742"
+    format1_digest = hashlib.sha256(json.dumps(expand(cert)).encode()).hexdigest()
+    assert format1_digest == "2c1a746bae77b4c9168b93b0f263a6b0eb68e6e22b272bb5e6c4488cc562db76"
 
 
 @pytest.mark.parametrize("oracle, steps, resumes_every_step", [
@@ -112,7 +114,7 @@ def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, steps, resum
         assert 1 < len(starts) < steps
     # recompute every step from the certificate alone, walking from rank 1
     seeds = 72 * 2 * 2 + 1
-    for i, trace in enumerate(expand_traces(cert["traces"])):
+    for i, trace in enumerate(expand_traces(cert)):
         emitted = set(cert["outputs"][:seeds + i])
         frame = build_frame([frozenset(v) for v in trace["C"]])
         for rank, q in enumerate(iter_partitions_ranked(frame.l), 1):
@@ -242,11 +244,23 @@ def test_stale_lifts_report_stuck(monkeypatch):
     assert cert["steps"] == 0
 
 
-def test_certificate_shape():
+def test_certificate_shape(monkeypatch):
     cert = PartitionDiagEngine(1, min_block_oracle).run(1)
-    assert list(cert) == ["format", "kind", "n", "k", "l0", "m0", "steps", "outputs",
-                          "all_distinct", "violation", "traces"]
-    assert cert["format"] == 2
-    assert list(cert["traces"][0]) == ["m", "C_new", "l", "q", "rank_checked", "result"]
     assert cert["n"] is None and cert["l0"] is None
     assert cert["m0"] == 72
+    # a perm run with fallback and constructed steps, and a strict stuck run,
+    # whose last trace emitted no witness
+    perm = _perm_diag(monkeypatch)
+    assert {t["fallback"] for t in perm["traces"]} == {False, True}
+    stuck = _perm_stuck(monkeypatch)
+    assert len(stuck["traces"]) == stuck["steps"] + 1
+    assert stuck["traces"][-1]["stuck_at"] is not None
+    part_keys = ["m", "C_new", "l", "rank_checked"]
+    perm_keys = ["m", "B_new", "family", "stuck_at", "fallback", "chosen_a"]
+    for run, keys in [(cert, part_keys), (perm, perm_keys), (stuck, perm_keys)]:
+        assert list(run) == ["format", "kind", "n", "k", "l0", "m0", "steps", "outputs",
+                             "all_distinct", "violation", "traces"]
+        assert run["format"] == 3
+        assert run["traces"]
+        for trace in run["traces"]:
+            assert list(trace) == keys
