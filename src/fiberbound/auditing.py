@@ -231,12 +231,13 @@ class WitnessEngine:
         An answer equal to the recorded one is done with here, by the same
         ``prior != out`` test ``record`` makes; only a changed one goes on to
         ``record``, which raises :class:`InconsistentOracleError` with its
-        one wording of the message.
+        one wording of the message.  The recorded object itself, which a
+        memoizing oracle hands back, is equal without a compare.
         """
         ledger = self.ledger
         for x, prior in ledger.queries.items():
             out = self.oracle(x)
-            if prior != out:
+            if out is not prior and prior != out:
                 ledger.record(x, out)
 
     def _first_fresh(self, key, stream: Callable[[], Iterator], build: Callable) -> tuple:

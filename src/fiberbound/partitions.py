@@ -34,7 +34,7 @@ second, as references for the lazy stream.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .atoms import format_atom_set, parse_atom_set
 from .errors import BadParametersError, OutOfRangeError, OverlappingBlocksError, ParseError
@@ -73,11 +73,16 @@ class FinitaryPartition:
         """Wrap ``blocks``, already a frozenset of pairwise disjoint blocks of
         at least two non-negative int atoms, without checking them.
 
-        Its one caller is the partition engine's seed constructor: a seed is
+        It has two callers, and for each the public constructor's checks
+        would find nothing.  The partition engine's seed constructor wraps
         the single block ``{base, base + 1 + j}``, two distinct atoms, and
-        ``WitnessEngine`` has already checked that ``base`` is a non-negative
-        int, so both atoms are too and the public constructor's checks
-        would find nothing.
+        ``WitnessEngine`` has already checked that ``base`` is a
+        non-negative int, so both atoms are too.  :func:`lift` wraps unions
+        of a frame's classes, which are pairwise disjoint non-empty sets of
+        the atoms of the listed values; in the engine every listed value is
+        an answer ``_check_output`` accepted, a frozenset of non-negative
+        ints, so unions of distinct classes are disjoint frozensets of such
+        atoms, and ``lift`` keeps only those of two or more.
         """
         part = object.__new__(cls)
         part._blocks = blocks
@@ -154,6 +159,11 @@ class QuotientFrame:
     one otherwise, and ``values`` is a new tuple on each read, so a tuple
     once read never changes.
 
+    ``atoms`` is the frozenset of every atom in the frame, the union of
+    the classes; :meth:`_emit` builds it again only when atoms new to the
+    frame came in, so it is the same object across lifts and across steps
+    that only split classes.
+
     Refinement state: ``_listed`` keys the listed values in list order,
     ``_members[c]`` is class ``c``'s atoms, ``_class_of`` maps each atom to
     its id, ``_after`` links the ids in order from ``_head`` (-1 ends the
@@ -161,10 +171,12 @@ class QuotientFrame:
     None once the class has changed since.
     """
 
-    __slots__ = ("classes", "_listed", "_class_of", "_members", "_frozen", "_after", "_head")
+    __slots__ = ("classes", "atoms", "_listed", "_class_of", "_members", "_frozen", "_after",
+                 "_head")
 
     def __init__(self):
         self.classes: tuple[Block, ...] = ()
+        self.atoms: Block = frozenset()
         self._listed: dict[Block, None] = {}
         self._class_of: dict[int, int] = {}
         self._members: list[set[int]] = []
@@ -226,7 +238,11 @@ class QuotientFrame:
         return True
 
     def _emit(self) -> tuple[Block, ...]:
-        """The classes in order; O(l) plus the sizes of changed classes."""
+        """The classes in order; O(l) plus the sizes of changed classes, and
+        O(atoms) more to refresh ``atoms`` when some atom is new."""
+        if len(self.atoms) != len(self._class_of):
+            # atoms only come in, so an unchanged count is an unchanged set
+            self.atoms = frozenset(self._class_of)
         classes = []
         members, frozen, after = self._members, self._frozen, self._after
         cid = self._head
@@ -274,19 +290,38 @@ def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] 
     return frame
 
 
-def lift(q: Iterable[Iterable[int]], frame: QuotientFrame) -> FinitaryPartition:
+def lift(q: Collection[Collection[int]], frame: QuotientFrame) -> FinitaryPartition:
     """Turn a partition of the frame's classes into a partition of atoms.
 
+    ``q`` must be a partition of ``range(frame.l)``, as every draw of
+    ``iter_partitions_ranked(frame.l)`` is, and the frame's atoms must be
+    non-negative ints, as every answer the partition engine lists is.
     Blocks are unions of the grouped classes; every atom outside the
     frame's union stays a singleton, which the normal form makes implicit.
+
+    The first largest block of ``q`` is never read: it holds exactly the
+    frame's atoms outside the other blocks, one difference against
+    ``frame.atoms`` in builtins.  The other blocks are unions of their
+    classes, and a one-class block is the class's own frozenset.  So a lift
+    costs O(|q|) plus the classes outside the largest block and their
+    atoms, and O(atoms) only inside that builtin difference.  The result is
+    built unchecked (see :meth:`FinitaryPartition._of`): the classes are
+    disjoint, so the blocks are too.
     """
+    # an empty q (l = 0) has no largest block, and its frame no atoms
+    largest = max(q, key=len, default=None)
+    classes = frame.classes
     blocks = []
     for part in q:
-        atoms: set[int] = set()
-        for i in part:
-            atoms |= frame.classes[i]
-        blocks.append(atoms)
-    return FinitaryPartition(blocks)
+        if part is largest:
+            continue
+        if len(part) == 1:
+            (i,) = part
+            blocks.append(classes[i])
+        else:
+            blocks.append(frozenset().union(*map(classes.__getitem__, part)))
+    blocks.append(frame.atoms.difference(*blocks))
+    return FinitaryPartition._of(frozenset(b for b in blocks if len(b) >= 2))
 
 
 def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:

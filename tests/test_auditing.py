@@ -403,6 +403,26 @@ def test_equal_fresh_answers_pass_every_audit(monkeypatch, make_engine, answer, 
     assert json.dumps(cert) == json.dumps(make_engine(memo_oracle(answer)).run(steps))
 
 
+def test_an_audit_that_gets_the_recorded_object_compares_nothing(monkeypatch):
+    # a memoizing oracle hands back the recorded answer itself, so no audit
+    # runs FinPerm.__eq__ on it
+    engine = PermDiagEngine(2, 1, memo_oracle(lambda i: FinPerm.cycle([0, i + 1])),
+                            "opportunistic", 8)
+    compared = []
+    eq = FinPerm.__eq__
+
+    def counted(self, other):
+        compared.append(self)
+        return eq(self, other)
+
+    monkeypatch.setattr(FinPerm, "__eq__", counted)
+    engine.step()
+    engine.step()
+    compared.clear()
+    engine._audit()
+    assert len(engine.ledger.queries) == 9 and compared == []
+
+
 @pytest.mark.parametrize("make_engine, answer, other", FLIP_ENGINES, ids=["perm", "part"])
 def test_flip_after_the_last_step_raises_from_the_final_audit(monkeypatch, make_engine, answer, other):
     assert make_engine(memo_oracle(answer)).run(3)["kind"] in ("perm-diag", "part-diag")

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberbound.errors import (BadParametersError, BudgetExceededError, OutOfRangeError,
@@ -436,3 +436,51 @@ def test_lift_always_finitary(l, pick):
     for block in lifted.exceptional_blocks:
         assert len(block) >= 2
         assert block <= union
+
+
+def checked_lift(q, frame):
+    # the lift as first written: every block the union of its classes,
+    # through the checked constructor
+    return FinitaryPartition([frozenset().union(*(frame.classes[i] for i in part)) for part in q])
+
+
+@given(st.lists(st.frozensets(st.integers(0, 9), max_size=5), max_size=3, unique=True), st.data())
+@example([], None)
+@example([frozenset()], None)
+@example([frozenset({1}), frozenset({1, 2}), frozenset({2, 3})], None)
+@example([frozenset({1, 2, 3}), frozenset({3, 4, 5}), frozenset({5, 6, 7})], None)
+def test_unchecked_lift_matches_the_checked_lift(values, data):
+    # frames with no class, singleton classes and classes of several atoms,
+    # folded in one piece or two; every draw up to l = 6 meets ties for the
+    # largest block and a one-class largest block
+    cut = 0 if data is None else data.draw(st.integers(0, len(values)))
+    frame = build_frame(values[cut:], build_frame(values[:cut]))
+    if frame.l > 6:
+        return
+    assert frame.atoms == frozenset().union(*frame.classes)
+    for q in iter_partitions_ranked(frame.l):
+        lifted, want = lift(q, frame), checked_lift(q, frame)
+        assert (lifted, hash(lifted), str(lifted)) == (want, hash(want), str(want))
+
+
+class CountingClasses(tuple):
+    def __new__(cls, classes):
+        self = super().__new__(cls, classes)
+        self.reads = 0
+        return self
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("j", [0, 117, 199])
+@pytest.mark.parametrize("largest_first", [True, False])
+def test_lift_reads_only_the_classes_outside_the_largest_block(j, largest_first):
+    frame = build_frame([frozenset({i}) for i in range(200)])
+    rest, alone = frozenset(range(200)) - {j}, frozenset({j})
+    q = (rest, alone) if largest_first else (alone, rest)
+    want = checked_lift(q, frame)
+    frame.classes = classes = CountingClasses(frame.classes)
+    assert lift(q, frame) == want
+    assert classes.reads == 1

@@ -180,6 +180,14 @@ def check_members(entries, n):
         occupied.update(moved)
 
 
+def test_reference_member_checks_run_under_python_O():
+    # conftest.py registers helpers for assert rewriting, so the reference
+    # build's member asserts fire even where python -O strips asserts: a
+    # transposition moves two points, over 2n = 0
+    with pytest.raises(AssertionError):
+        reference_family({FinPerm.cycle([0, 1]): 0}, 1, 0)
+
+
 def grow_family(values, n):
     # feed the first-occurrence record one answer at a time through one
     # family index and compare every call with the reference given the last
