@@ -10,8 +10,8 @@ finite refutation of the claimed bound.
 
 :class:`WitnessEngine` is the driver both witness engines share: it
 checks the seed count and the base and builds the seeds, one per atom pair
-``(base, base + 1 + j)``, keeps the emitted witnesses and the first index
-of each distinct answer, queries the oracle once on each witness through
+``(base, base + 1 + j)``, keeps the emitted witnesses and each distinct
+answer with its first index, queries the oracle once on each witness through
 the ledger, whose queries are then the emitted set, walks an engine's
 candidate stream to the first fresh witness, and turns a run into one of
 those two outcomes as a certificate.  Its traces (format 3) carry the
@@ -96,6 +96,8 @@ class Violation:
 class OracleLedger:
     """Audit log of oracle queries keyed by value; text only for violations and errors.
 
+    ``fibers`` counts the inputs over each distinct output; a violation
+    reads its inputs back from ``queries``, in the order recorded.
     An input's text is ``str(input)``; an output's is ``serialize_output(output)``.
     """
 
@@ -116,10 +118,10 @@ class OracleLedger:
                                               f"{self._ser_out(prior)} and {self._ser_out(out)}")
             return None
         self.queries[inp] = out
-        fiber = self.fibers.setdefault(out, [])
-        fiber.append(inp)
-        if len(fiber) > self.k:
-            return Violation(self._ser_out(out), tuple(map(str, fiber)))
+        count = self.fibers[out] = self.fibers.get(out, 0) + 1
+        if count > self.k:
+            return Violation(self._ser_out(out),
+                             tuple(str(x) for x, y in self.queries.items() if y == out))
         return None
 
 
@@ -186,8 +188,8 @@ class WitnessEngine:
             raise BadParametersError("atoms must be non-negative integers")
         self.g: list = [seed((base, base + 1 + j)) for j in range(seed_count)]
         self.seed_count = seed_count
-        # each distinct answer -> index of the first witness that got it
-        self.answers: dict = {}
+        # (answer, index of the first witness that got it), in index order
+        self.answers: list = []
         self.traces: list[dict] = []
         # (key, candidate stream, candidates drawn) of the last completed walk
         self._walk = None
@@ -198,32 +200,32 @@ class WitnessEngine:
 
     def _query_new(self) -> list:
         """Ask the oracle about the witnesses emitted since the last step, in
-        emission order; return the answers recorded for the first time, in
-        index order.
+        emission order; return the ``(answer, index)`` pairs of the answers
+        recorded for the first time, in index order.
 
         On a step whose 1-based index is a power of two, ``_audit`` first
         re-asks about every recorded witness.  Only a new answer is checked
-        against the claimed codomain.  The ledger's ``queries`` then hold
-        exactly the emitted witnesses, in emission order, and ``answers``,
-        in index order, is the concatenation of every list returned so far.
+        against the claimed codomain.  The ledger keys one fiber per
+        distinct answer, so an answer is new when ``record`` leaves more
+        fibers than ``answers`` has pairs.  The ledger's ``queries`` then
+        hold exactly the emitted witnesses, in emission order, and
+        ``answers`` pairs each distinct answer with its first index.
         """
-        queries = self.ledger.queries
+        queries, fibers = self.ledger.queries, self.ledger.fibers
         answers = self.answers
+        start = len(answers)
         t = len(self.g) - self.seed_count + 1
         if t & (t - 1) == 0:
             self._audit()
-        new = []
         for idx, x in enumerate(self.g[len(queries):], len(queries)):
             out = self.oracle(x)
             self._check_output(out)
             violation = self.ledger.record(x, out)
             if violation is not None:
                 raise _Violated(violation)
-            if answers.setdefault(out, idx) == idx:     # earlier witnesses have smaller indices
-                new.append(out)
-        # a clean ledger holds at most k inputs over each distinct answer
-        assert len(self.g) <= self.k * len(answers)
-        return new
+            if len(fibers) > len(answers):
+                answers.append((out, idx))
+        return answers[start:]
 
     def _audit(self) -> None:
         """Re-ask every recorded witness in emission order; a changed answer raises.

@@ -46,12 +46,11 @@ class PartitionDiagEngine(WitnessEngine):
 
     def step(self) -> dict:
         m = len(self.g)
-        new = self._query_new()
+        new = [v for v, _ in self._query_new()]
         frame = self._frame = build_frame(new, self._frame)
         l = frame.l
-        # Each listed value is a union of classes, so these hold on every
-        # recorded trace; m >= seed_count = threshold + 1 on every step.
-        assert len(self.answers) <= 2**l
+        # m >= seed_count = threshold + 1 on every step, and each listed
+        # value is a union of classes, so this holds on every recorded trace
         assert 72 * self.k < 2**l
         _, result, drawn = self._first_fresh(frame.classes, lambda: iter_partitions_ranked(l),
                                              lambda q: lift(q, frame))

@@ -262,7 +262,9 @@ def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] 
     ``values`` are sets the frame does not list yet, in the order that
     induces their well-order (first occurrence order at the call sites).
     A value repeated in ``values``, or already listed, raises
-    :class:`BadParametersError` before any refinement.
+    :class:`BadParametersError` before any refinement.  Each value must be a
+    set of non-negative int atoms, which is not checked here: :func:`lift`
+    builds its result unchecked from the frame's classes.
 
     Appending ``v`` as the least significant bit splits each class C into
     C∖v and C∩v, in that order, and gathers the atoms new to the union into

@@ -30,8 +30,6 @@ step, and its ``family`` is ``null`` while the entries equal the last trace's.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -72,36 +70,33 @@ class FamilyIndex:
     """What :func:`build_family` keeps from one call to the next.
 
     ``entries`` is the family the last call returned, which the next call
-    keeps up to its first case-2 or stuck level.  ``values`` holds the
-    answers read from the record so far, in index order, and a prefix of
-    them is indexed: ``escapes`` says for each indexed answer whether it
-    escapes the occupied set, that is, sends an atom outside it to another
-    atom outside it, and ``movers`` lists, for each atom, the positions of
-    the indexed answers that move it, ascending.  ``heap`` holds the
-    positions of escaping answers, and stale ones that are dropped when
-    they reach the top.  ``occupied`` is the set of atoms ``entries``
-    moves.  For each occupied atom ``x``, ``least`` holds the position of
-    the least answer that is live at ``x`` (sends it outside the occupied
-    set) and of the least one live there with another image, or ``None``;
-    ``dirty`` names the occupied atoms whose pair may be stale, and the
-    entries of atoms no longer occupied are never read.
+    keeps up to its first case-2 or stuck level.  ``values`` is the
+    driver's answer record itself, its ``(answer, first index)`` pairs in
+    index order, and a prefix of it is indexed: ``escapes`` says for each
+    indexed answer whether it escapes the occupied set, that is, sends an
+    atom outside it to another atom outside it, and ``movers`` lists, for
+    each atom, the positions of the indexed answers that move it,
+    ascending.  No position below ``cursor`` escapes: positions are indexed
+    in increasing order, occupying atoms only clears escape flags, and
+    :meth:`_cut` frees only the atoms of the levels from the first case-2
+    or stuck level on, whose build found no indexed answer escaping.
+    ``occupied`` is the set of atoms ``entries`` moves.  For each occupied
+    atom ``x``, ``least`` holds the position of the least answer that is
+    live at ``x`` (sends it outside the occupied set) and of the least one
+    live there with another image, or ``None``; ``dirty`` names the
+    occupied atoms whose pair may be stale, and the entries of atoms no
+    longer occupied are never read.
     """
 
     def __init__(self):
         self.values: list[tuple[FinPerm, int]] = []
         self.movers: dict[int, list[int]] = {}
         self.escapes: list[bool] = []
-        self.heap: list[int] = []
+        self.cursor = 0
         self.entries: list[FamilyEntry] = []
         self.occupied: set[int] = set()
         self.least: dict[int, tuple[Optional[int], Optional[int]]] = {}
         self.dirty: set[int] = set()
-
-    def _read(self, answers: dict[FinPerm, int]) -> None:
-        """Append the answers the record gained since the last read."""
-        tail = list(itertools.islice(reversed(answers.items()), len(answers) - len(self.values)))
-        tail.reverse()
-        self.values += tail
 
     def _cut(self, count: int) -> None:
         """Cut the family back to its first ``count`` entries.
@@ -110,8 +105,8 @@ class FamilyIndex:
         so this frees the atoms of the levels from the family's first
         case-2 or stuck level on.  Building that level indexed every answer
         and found none escaping, so freeing them makes none escape: it only
-        changes which answers are live at the occupied atoms, and the heap
-        needs no new position.
+        changes which answers are live at the occupied atoms, and no
+        position below ``cursor`` comes to escape.
         """
         self._move({x for e in self.entries[count:] for x in e.perm._map}, False)
         self.entries = self.entries[:count]
@@ -152,19 +147,21 @@ class FamilyIndex:
             elif y not in occupied:
                 escaping = True
         self.escapes.append(escaping)
-        if escaping:
-            heapq.heappush(self.heap, p)
 
     def _case_one(self, level: int) -> Optional[FamilyEntry]:
-        """The least escaping answer's member, indexing answers only until one escapes."""
-        heap, escapes = self.heap, self.escapes
-        while heap and not escapes[heap[0]]:
-            heapq.heappop(heap)
-        while not heap and len(escapes) < len(self.values):
-            self._index_next()
-        if not heap:
+        """The least escaping answer's member, walking the cursor past the
+        answers that do not escape and indexing only at the end of the list."""
+        p, values, escapes = self.cursor, self.values, self.escapes
+        while p < len(values):
+            if p == len(escapes):
+                self._index_next()
+            if escapes[p]:
+                break
+            p += 1
+        self.cursor = p
+        if p == len(values):
             return None
-        s, i = self.values[heap[0]]
+        s, i = values[p]
         occupied = self.occupied
         x = min(x for x, y in s._map.items() if x not in occupied and y not in occupied)
         return FamilyEntry(level, 1, i, None, x, s.deflate(SetSpec.cofinite(occupied)))
@@ -200,12 +197,13 @@ class FamilyIndex:
         return first, None
 
 
-def build_family(answers: dict[FinPerm, int], m: int, index: FamilyIndex,
+def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
                  ) -> tuple[list[FamilyEntry], Optional[tuple[int, frozenset[int]]]]:
     """Build the disjoint-support family from the oracle answers.
 
-    ``answers`` maps each distinct answer on the ``m`` emitted permutations
-    to the index of the first one that got it, in index order; the family
+    ``answers`` is the driver's answer record, which the index reads in
+    place: each distinct answer on the ``m`` emitted permutations paired
+    with the index of the first one that got it, in index order; the family
     has one level per power of two up to ``m``.  A repeated answer can
     never win a least-index search that its first occurrence loses, so
     both cases search the first occurrences only.  Returns the entries
@@ -213,8 +211,8 @@ def build_family(answers: dict[FinPerm, int], m: int, index: FamilyIndex,
     resolve by index order, then atom order.
 
     ``index`` is a :class:`FamilyIndex` that only calls on this answer
-    record were given, and ``answers`` extends the record the last of them
-    read: every answer it held keeps its index, and new answers have
+    record were given, and ``answers`` extends the list the last of them
+    read: every pair it held keeps its position, and new answers have
     larger ones.  The family that call returned, held in ``entries``, is
     kept up to its first case-2 or stuck level.  A case-1 level takes the
     least index whose answer has an escaping atom; if the levels before it
@@ -231,8 +229,9 @@ def build_family(answers: dict[FinPerm, int], m: int, index: FamilyIndex,
     change refreshes only the indexed answers that move those atoms, at
     O(n) each, since an answer moves at most n atoms.  The returned entries
     are the index's ``entries``, which the next call reads.
-    Case 1 takes the least escaping position from a heap, indexing
-    further answers in order only while none escapes.  Case 2, reached
+    Case 1 walks the index's ``cursor`` forward to the least escaping
+    position, indexing the next answer only past the last one indexed, and
+    each position is passed once per run.  Case 2, reached
     with every answer indexed and none escaping, first renews the pair
     in ``least`` of each atom whose answers' liveness changed, walking
     that atom's movers in order past the dead ones to the first
@@ -263,7 +262,7 @@ def build_family(answers: dict[FinPerm, int], m: int, index: FamilyIndex,
     kept = next((e.level for e in index.entries if e.case == 2), len(index.entries))
     if kept > top:
         return index.entries, None
-    index._read(answers)
+    index.values = answers
     index._cut(kept)
     entries = index.entries
     for level in range(kept, top + 1):
@@ -313,9 +312,7 @@ def assemble(entries: list[FamilyEntry], indices) -> FinPerm:
     """Product of the selected family members (disjoint supports)."""
     mapping: dict[int, int] = {}
     for idx in indices:
-        member = entries[idx].perm
-        assert member._map.keys().isdisjoint(mapping), "family supports must be disjoint"
-        mapping.update(member._map)
+        mapping.update(entries[idx].perm._map)
     return FinPerm._of(mapping)
 
 
@@ -374,11 +371,10 @@ class PermDiagEngine(WitnessEngine):
     def step(self) -> dict:
         m = len(self.g)
         new = self._query_new()
-        answers = self.answers
-        entries, stuck = build_family(answers, m, self._index)
+        entries, stuck = build_family(self.answers, m, self._index)
         trace: dict = {
             "m": m,
-            "B_new": [[answers[s], s.to_cycles()] for s in new],
+            "B_new": [[i, s.to_cycles()] for s, i in new],
             "family": None if entries == self._family else [e.as_json() for e in entries],
             "stuck_at": None,
             "fallback": False,

@@ -168,7 +168,7 @@ LIBRARY_GUARDS = {
                            "pool size 1025 is over the cap 1024"),
     "set-pool-over-cap": (lambda: pool_set_oracle(POOL_CAP + 1), BudgetExceededError,
                           "pool size 1025 is over the cap 1024"),
-    "family-no-values": (lambda: build_family({}, 0, FamilyIndex()), BadParametersError,
+    "family-no-values": (lambda: build_family([], 0, FamilyIndex()), BadParametersError,
                          "need at least one value"),
     "engine-bogus-mode": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), mode="bogus"),
                           BadParametersError, "unknown mode 'bogus'"),

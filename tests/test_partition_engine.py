@@ -65,7 +65,7 @@ def test_chosen_partition_is_rank_minimal():
     # regenerate the stream for the final step, whose frame is built from
     # every answer so far, and check everything below the chosen partition
     # lifts to something already emitted
-    frame = build_frame(list(engine.answers))
+    frame = build_frame([v for v, _ in engine.answers])
     emitted = set(engine.g)
     stream = iter_partitions_ranked(frame.l)
     for rank in range(engine.traces[-1]["rank_checked"] - 1):

@@ -190,7 +190,7 @@ def test_frame_properties(values):
     # each listed value is recoverable from the classes it contains
     for v in frame.values:
         assert v == frozenset().union(*(cls for cls in frame.classes if cls <= v)) or not v
-    assert len(frame.values) <= 2**frame.l or frame.l == 0
+    assert len(frame.values) <= 2**frame.l
 
 
 def frame_by_bool_vectors(values):

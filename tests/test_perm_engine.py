@@ -46,12 +46,16 @@ def test_seed_transpositions():
         driver_seeds(0)
 
 
-def family(values):
-    # build_family on the first-occurrence record of an answer list
+def first_occurrences(values):
+    # the driver's answer record of an answer list: (answer, first index) pairs
     answers = {}
     for idx, v in enumerate(values):
         answers.setdefault(v, idx)
-    return build_family(answers, len(values), FamilyIndex())
+    return list(answers.items())
+
+
+def family(values):
+    return build_family(first_occurrences(values), len(values), FamilyIndex())
 
 
 def test_build_family_single_value_sticks():
@@ -193,21 +197,23 @@ def grow_family(values, n):
     # family index and compare every call with the reference given the last
     # call's entries as prev, with the reference built from nothing, and
     # with the same call on a fresh index.  After each call the index holds
-    # the entries list the call returned, and every indexed answer that
-    # escapes is on its heap.  Returns the cases seen.
+    # the entries list the call returned, and no indexed answer below its
+    # cursor escapes.  The reference reads the record as a dict.  Returns
+    # the cases seen.
     answers = {}
+    record = []
     prev = prev_stuck = None
     index = FamilyIndex()
     seen = set()
     for idx, v in enumerate(values):
-        answers.setdefault(v, idx)
+        if answers.setdefault(v, idx) == idx:
+            record.append((v, idx))
         want = reference_family(answers, idx + 1, n, prev)
         assert want == reference_family(answers, idx + 1, n)
-        entries, stuck = build_family(answers, idx + 1, index)
+        entries, stuck = build_family(record, idx + 1, index)
         assert index.entries is entries
-        heap = set(index.heap)
-        assert all(p in heap for p, escaping in enumerate(index.escapes) if escaping)
-        assert (entries, stuck) == want == build_family(answers, idx + 1, FamilyIndex())
+        assert not any(index.escapes[:index.cursor])
+        assert (entries, stuck) == want == build_family(record, idx + 1, FamilyIndex())
         check_members(entries, n)
         if prev is not None:
             for old, new in zip(prev, entries):
@@ -360,21 +366,19 @@ def test_stuck_family_counting_lemma(drawn):
     # the argument behind strict_bounds, on the real build_family
     values, m = drawn
     n = 2
-    answers = {}
-    for idx, v in enumerate(values):
-        answers.setdefault(v, idx)
+    answers = first_occurrences(values)
     _, stuck = build_family(answers, m, FamilyIndex())
     if stuck is None:
         return
     level, occupied = stuck
     images = {}
-    for s in answers:
+    for s, _ in answers:
         for x, y in s.moved_map.items():
             if x in occupied and y not in occupied:
                 images.setdefault(x, set()).add(y)
     assert all(len(ys) == 1 for ys in images.values())
     closure = occupied.union(*images.values())
-    for s in answers:
+    for s, _ in answers:
         assert s.moved <= closure
     assert len(closure) <= 4 * n * level
     assert len(answers) <= stuck_answer_bound(n, level)
@@ -517,6 +521,8 @@ def test_family_reads_the_driver_answer_record(monkeypatch):
     assert cert["steps"] == 20
     assert [m for _, m in seen] == list(range(8, 28))
     assert all(answers is engine.answers for answers, _ in seen)
+    # the index reads the driver's record in place and keeps no copy of it
+    assert engine._index.values is engine.answers
 
 
 def test_exhausted_walk_reports_stuck(monkeypatch):

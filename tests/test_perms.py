@@ -255,7 +255,7 @@ def test_trusted_results_are_valid(s, g, region):
 
 
 def test_trusted_assemble_is_valid():
-    entries, stuck = build_family({c([1000, 1001 + j]): j for j in range(16)}, 16, FamilyIndex())
+    entries, stuck = build_family([(c([1000, 1001 + j]), j) for j in range(16)], 16, FamilyIndex())
     assert stuck is None and len(entries) == 5
     for indices in _index_sets(len(entries)):
         assert _validates(assemble(entries, indices))
