@@ -4,7 +4,10 @@ No honest boundedly finite-to-one oracle can exist on these domains, so
 the built-ins are chosen to exercise both run outcomes: fresh witness
 streams and ledger violations.  All of them are deterministic across
 processes; pool oracles hash canonical serializations with md5 rather
-than the salted builtin hash.
+than the salted builtin hash.  They read that text through
+:meth:`FinPerm.to_cycles` and ``str`` of a :class:`FinitaryPartition`,
+which write it once per value and keep it, so re-asking about a witness
+on every audit does not write its text again.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ def _check_pool_size(pool_size: int) -> None:
 
 
 def _stable_index(text: str, modulus: int) -> int:
-    digest = hashlib.md5(text.encode("ascii")).hexdigest()
-    return int(digest, 16) % modulus
+    """The md5 digest of ``text``, read as a big-endian integer, modulo ``modulus``."""
+    return int.from_bytes(hashlib.md5(text.encode("ascii")).digest(), "big") % modulus
 
 
 def truncate_oracle(n: int) -> Callable[[FinPerm], FinPerm]:

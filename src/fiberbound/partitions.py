@@ -48,9 +48,16 @@ Block = frozenset[int]
 
 
 class FinitaryPartition:
-    """A partition of the atom universe whose blocks are all finite."""
+    """A partition of the atom universe whose blocks are all finite.
 
-    __slots__ = ("_blocks", "_hash")
+    The hash is computed when the partition is built, and the canonical
+    text on first use; both are kept.  That is safe because a partition
+    never changes once built: its blocks are a frozenset of frozensets.
+    The text pays where one partition is asked about again, as when a pool
+    oracle keys on a witness's text on every audit.
+    """
+
+    __slots__ = ("_blocks", "_hash", "_text")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         normal = []
@@ -67,6 +74,7 @@ class FinitaryPartition:
                 normal.append(b)
         self._blocks = frozenset(normal)
         self._hash = hash(self._blocks)
+        self._text = None
 
     @classmethod
     def _of(cls, blocks: frozenset[Block]) -> "FinitaryPartition":
@@ -87,6 +95,7 @@ class FinitaryPartition:
         part = object.__new__(cls)
         part._blocks = blocks
         part._hash = hash(blocks)
+        part._text = None
         return part
 
     @classmethod
@@ -106,10 +115,12 @@ class FinitaryPartition:
         return self._blocks
 
     def __str__(self) -> str:
-        if not self._blocks:
-            return "{}*"
-        parts = sorted(self._blocks, key=min)
-        return "".join(format_atom_set(b) for b in parts)
+        """The canonical text, written on the first call and kept."""
+        text = self._text
+        if text is None:
+            parts = sorted(self._blocks, key=min)
+            text = self._text = "".join(map(format_atom_set, parts)) or "{}*"
+        return text
 
     def __repr__(self) -> str:
         return f"FinitaryPartition.parse({str(self)!r})"

@@ -72,14 +72,16 @@ class FamilyIndex:
     ``entries`` is the family the last call returned, which the next call
     keeps up to its first case-2 or stuck level.  ``values`` is the
     driver's answer record itself, its ``(answer, first index)`` pairs in
-    index order, and a prefix of it is indexed: ``escapes`` says for each
-    indexed answer whether it escapes the occupied set, that is, sends an
-    atom outside it to another atom outside it, and ``movers`` lists, for
-    each atom, the positions of the indexed answers that move it,
-    ascending.  No position below ``cursor`` escapes: positions are indexed
-    in increasing order, occupying atoms only clears escape flags, and
-    :meth:`_cut` frees only the atoms of the levels from the first case-2
-    or stuck level on, whose build found no indexed answer escaping.
+    index order, and its first ``indexed`` pairs are indexed: ``movers``
+    lists, for each atom, the positions of the indexed answers that move
+    it, ascending.  No indexed answer escapes the occupied set, that is,
+    sends an atom outside it to another atom outside it, whenever a level
+    begins: a case-1 member is its answer deflated onto the free atoms, so
+    occupying it occupies every atom where that answer escaped; the answers
+    indexed before it did not escape, and occupying atoms only ends
+    escapes; a case-2 level is reached with every answer indexed and none
+    escaping; and :meth:`_cut` frees only the atoms of the levels from the
+    first case-2 or stuck level on, whose build found none escaping.
     ``occupied`` is the set of atoms ``entries`` moves.  For each occupied
     atom ``x``, ``least`` holds the position of the least answer that is
     live at ``x`` (sends it outside the occupied set) and of the least one
@@ -91,8 +93,7 @@ class FamilyIndex:
     def __init__(self):
         self.values: list[tuple[FinPerm, int]] = []
         self.movers: dict[int, list[int]] = {}
-        self.escapes: list[bool] = []
-        self.cursor = 0
+        self.indexed = 0
         self.entries: list[FamilyEntry] = []
         self.occupied: set[int] = set()
         self.least: dict[int, tuple[Optional[int], Optional[int]]] = {}
@@ -105,14 +106,14 @@ class FamilyIndex:
         so this frees the atoms of the levels from the family's first
         case-2 or stuck level on.  Building that level indexed every answer
         and found none escaping, so freeing them makes none escape: it only
-        changes which answers are live at the occupied atoms, and no
-        position below ``cursor`` comes to escape.
+        changes which answers are live at the occupied atoms.
         """
         self._move({x for e in self.entries[count:] for x in e.perm._map}, False)
         self.entries = self.entries[:count]
 
     def _move(self, atoms, occupy: bool) -> None:
-        """Occupy or free ``atoms`` and refresh the indexed answers that move them."""
+        """Occupy or free ``atoms`` and mark the occupied atoms where an
+        indexed answer that moves one of them changed its liveness."""
         occupied, dirty = self.occupied, self.dirty
         if occupy:
             occupied.update(atoms)
@@ -123,20 +124,17 @@ class FamilyIndex:
         touched = set()
         for a in atoms:
             touched.update(self.movers.get(a, ()))
-        values, escapes = self.values, self.escapes
+        values = self.values
         for p in touched:
-            escaping = False
             for x, y in values[p][0]._map.items():
-                if x in occupied:
-                    if y in atoms:          # the answer's liveness at x changed
-                        dirty.add(x)
-                elif y not in occupied:
-                    escaping = True
-            escapes[p] = escaping
+                if x in occupied and y in atoms:    # the answer's liveness at x changed
+                    dirty.add(x)
 
-    def _index_next(self) -> None:
-        """Index the next answer read, against the occupied set."""
-        p = len(self.escapes)
+    def _index_next(self) -> bool:
+        """Index the next answer read, against the occupied set; return
+        whether it escapes."""
+        p = self.indexed
+        self.indexed = p + 1
         occupied = self.occupied
         escaping = False
         for x, y in self.values[p][0]._map.items():
@@ -146,25 +144,19 @@ class FamilyIndex:
                     self.dirty.add(x)
             elif y not in occupied:
                 escaping = True
-        self.escapes.append(escaping)
+        return escaping
 
     def _case_one(self, level: int) -> Optional[FamilyEntry]:
-        """The least escaping answer's member, walking the cursor past the
-        answers that do not escape and indexing only at the end of the list."""
-        p, values, escapes = self.cursor, self.values, self.escapes
-        while p < len(values):
-            if p == len(escapes):
-                self._index_next()
-            if escapes[p]:
-                break
-            p += 1
-        self.cursor = p
-        if p == len(values):
-            return None
-        s, i = values[p]
-        occupied = self.occupied
-        x = min(x for x, y in s._map.items() if x not in occupied and y not in occupied)
-        return FamilyEntry(level, 1, i, None, x, s.deflate(SetSpec.cofinite(occupied)))
+        """The least escaping answer's member.  No indexed answer escapes, so
+        the walk indexes the answers past them until one does."""
+        values = self.values
+        while self.indexed < len(values):
+            if self._index_next():
+                s, i = values[self.indexed - 1]
+                occupied = self.occupied
+                x = min(x for x, y in s._map.items() if x not in occupied and y not in occupied)
+                return FamilyEntry(level, 1, i, None, x, s.deflate(SetSpec.cofinite(occupied)))
+        return None
 
     def _case_two(self, level: int) -> Optional[FamilyEntry]:
         """The least disagreeing pair's member; every answer is indexed and none escapes."""
@@ -226,12 +218,12 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
     A call that keeps every level returns the kept family without touching
     the index.  Otherwise the index frees the atoms of the levels it
     rebuilds and occupies the atoms of each level it builds, and each
-    change refreshes only the indexed answers that move those atoms, at
-    O(n) each, since an answer moves at most n atoms.  The returned entries
-    are the index's ``entries``, which the next call reads.
-    Case 1 walks the index's ``cursor`` forward to the least escaping
-    position, indexing the next answer only past the last one indexed, and
-    each position is passed once per run.  Case 2, reached
+    change marks stale the liveness pairs of only the indexed answers that
+    move those atoms, at O(n) each, since an answer moves at most n atoms.
+    The returned entries are the index's ``entries``, which the next call
+    reads.  No indexed answer escapes when a level begins (see
+    :class:`FamilyIndex`), so case 1 indexes the answers past the indexed
+    ones until one escapes.  Case 2, reached
     with every answer indexed and none escaping, first renews the pair
     in ``least`` of each atom whose answers' liveness changed, walking
     that atom's movers in order past the dead ones to the first
@@ -242,9 +234,10 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
     ``i``, every live answer at ``x`` agrees with it, so ``j`` is the
     least disagreeing entry over the atoms whose first entry is ``i``.
     Its ``x`` is the least atom where the two disagree.  Each answer is
-    indexed once, at O(n).  A level then costs O(n) per refreshed answer,
-    the movers walked to renew stale pairs, and O(n·level) for the least
-    pair, however many answers the record holds.
+    indexed once, at O(n).  A level then costs O(n) per indexed answer
+    that moves an atom it occupies or frees, the movers walked to renew
+    stale pairs, and O(n·level) for the least pair, however many answers
+    the record holds.
 
     Each member holds by construction what a family needs.  It is
     nontrivial: a case-1 answer sends its escaping ``x`` to ``s(x)``

@@ -41,6 +41,14 @@ Operations on valid permutations wrap their results with the unchecked
 - ``perm_engine``'s seeds and fallback transpositions: each swaps two
   distinct atoms at or above the engine's base, which ``WitnessEngine``
   checks once as a non-negative int before it builds any seed.
+
+A permutation's hash and its canonical text are each computed on first use
+and kept on it.  That is safe because a permutation never changes once it
+is built: no method writes to its map, and every caller of
+:meth:`FinPerm._of` hands its dict over and keeps no reference to it.  It
+pays where one value is asked about again and again: a pool oracle keys on
+a witness's text, and the engines re-ask about every recorded witness on
+each audit.
 """
 
 from __future__ import annotations
@@ -58,11 +66,14 @@ _PERM_RE = re.compile(r"^(\([0-9;]*\))+$")
 class FinPerm:
     """A permutation of the atom universe moving finitely many points.
 
-    The hash is computed on first use and stored: most permutations are
-    intermediates that never enter a set or a dict key.
+    The hash and the canonical text are each computed on first use and
+    kept: most permutations are intermediates that are never hashed or
+    written, and a witness is both on every audit.  Keeping them is safe
+    because no method mutates ``_map`` and :meth:`_of`'s callers hand
+    their dict over.
     """
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ("_map", "_hash", "_text")
 
     def __init__(self, mapping: Mapping[int, int]):
         cleaned = {a: b for a, b in mapping.items() if a != b}
@@ -75,6 +86,7 @@ class FinPerm:
                 raise BadParametersError("atoms must be non-negative integers")
         self._map = cleaned
         self._hash = None
+        self._text = None
 
     @classmethod
     def _of(cls, mapping: dict[int, int]) -> "FinPerm":
@@ -86,6 +98,7 @@ class FinPerm:
         perm = object.__new__(cls)
         perm._map = mapping
         perm._hash = None
+        perm._text = None
         return perm
 
     @classmethod
@@ -122,7 +135,11 @@ class FinPerm:
             parts = body.split(";")
             if len(parts) < 2 or any(not p.isdigit() for p in parts):
                 raise ParseError(f"bad cycle {m.group(0)!r} in {text!r}")
-            pts = [int(p) for p in parts]
+            try:
+                pts = [int(p) for p in parts]
+            except ValueError:
+                # an atom past Python's limit on digits in an int string
+                raise ParseError(f"bad atom in cycle notation: {text!r}") from None
             if len(set(pts)) != len(pts) or seen & set(pts):
                 raise ParseError(f"atom repeated across cycles in {text!r}")
             seen.update(pts)
@@ -180,10 +197,14 @@ class FinPerm:
         return FinPerm._of(out)
 
     def to_cycles(self) -> str:
-        """The canonical cycle text, each cycle written as it is walked."""
+        """The canonical cycle text, each cycle written as it is walked.
+
+        The walk runs on the first call, and its text is kept.
+        """
+        text = self._text
+        if text is not None:
+            return text
         mapping = self._map
-        if not mapping:
-            return "()"
         seen: set[int] = set()
         parts: list[str] = []
         for start in sorted(mapping):
@@ -196,7 +217,8 @@ class FinPerm:
                 parts.append(";" + str(x))
                 x = mapping[x]
             parts.append(")")
-        return "".join(parts)
+        text = self._text = "".join(parts) or "()"
+        return text
 
     def __str__(self) -> str:
         return self.to_cycles()

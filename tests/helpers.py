@@ -3,6 +3,8 @@
 Each view computes from a value a structure that the library itself does
 not need: the cycles of a permutation as tuples, the membership masks of a
 quotient frame's classes, and a tableau level's marker atoms.
+:func:`cycle_text` and :func:`partition_text` write a value's canonical
+text afresh from its map or blocks, never from the text a value keeps.
 :func:`build_family` is the permutation engine's family build as it was
 before the engine kept a family index: one pass over every answer per
 rebuilt level, with the four member checks as asserts.  Tests compare the
@@ -32,6 +34,17 @@ def cycles(p):
             nxt = rest.pop(nxt)
         out.append(tuple(cyc))
     return out
+
+
+def cycle_text(p):
+    """The canonical cycle text of the ``FinPerm`` ``p``, walked from its map."""
+    return "".join("(" + ";".join(map(str, cyc)) + ")" for cyc in cycles(p)) or "()"
+
+
+def partition_text(p):
+    """The canonical text of the ``FinitaryPartition`` ``p``, written from its blocks."""
+    blocks = sorted(p.exceptional_blocks, key=min)
+    return "".join("{" + ",".join(map(str, sorted(b))) + "}" for b in blocks) or "{}*"
 
 
 def masks(frame):

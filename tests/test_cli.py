@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,8 @@ from fiberbound.atoms import parse_atom_set
 from fiberbound.auditing import OracleLedger, compute_bounds
 from fiberbound.cli import main
 from fiberbound.errors import BadParametersError, BudgetExceededError, ParseError
-from fiberbound.oracles import (POOL_CAP, from_spec, min_block_oracle, pool_perm_oracle,
-                                pool_set_oracle, truncate_oracle)
+from fiberbound.oracles import (POOL_CAP, _stable_index, from_spec, min_block_oracle,
+                                pool_perm_oracle, pool_set_oracle, truncate_oracle)
 from fiberbound.partitions import FinitaryPartition
 from fiberbound.perm_engine import FamilyIndex, PermDiagEngine, build_family
 from fiberbound.perms import FinPerm
@@ -86,6 +88,21 @@ def test_parse_error_is_domain_error(capsys):
     code, _, err = run_cli(["inject", "--n", "2", "--m", "4", "--perm", "(1)"], capsys)
     assert code == 1
     assert "error:" in err
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_DIGITS == 0, reason="int() reads decimal strings of any length")
+@pytest.mark.parametrize("command", ["inject", "decode"])
+def test_over_long_atom_is_a_parse_error(command, capsys):
+    # one digit past the limit of int() on a decimal string
+    perm = "(" + "9" * (INT_DIGITS + 1) + ";1)"
+    code, out, err = run_cli([command, "--n", "2", "--m", "4", "--perm", perm], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad atom in cycle notation")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_usage_error_exit_code(capsys):
@@ -225,6 +242,16 @@ def test_oracle_edge_cases():
     assert {oracle(FinPerm.cycle([a, a + 1 + j])).to_cycles()
             for a in range(10) for j in range(3)} == {"()"}
     assert min_block_oracle(FinitaryPartition(())) == frozenset()
+
+
+def test_stable_index_reads_the_digest_like_its_hex_form():
+    # the pool oracles' pins were made with int(hexdigest, 16)
+    rng = random.Random(33)
+    for _ in range(3000):
+        text = "".join(rng.choice("0123456789;(){},*") for _ in range(rng.randrange(40)))
+        modulus = rng.choice([1, 2, 10, POOL_CAP, rng.randrange(1, 1 << 140)])
+        hex_form = int(hashlib.md5(text.encode("ascii")).hexdigest(), 16) % modulus
+        assert _stable_index(text, modulus) == hex_form
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])

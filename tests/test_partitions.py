@@ -11,7 +11,7 @@ from fiberbound.errors import (BadParametersError, BudgetExceededError, OutOfRan
                                OverlappingBlocksError, ParseError)
 from fiberbound.partitions import (BELL_MAX, FinitaryPartition, bell, build_frame, derangement,
                                    iter_partitions_ranked, lift)
-from helpers import masks
+from helpers import masks, partition_text
 
 # Reference for the lazy rank stream: every partition by restricted growth
 # strings, ordered either by sorting block bitmasks or by the comparator
@@ -484,3 +484,37 @@ def test_lift_reads_only_the_classes_outside_the_largest_block(j, largest_first)
     frame.classes = classes = CountingClasses(frame.classes)
     assert lift(q, frame) == want
     assert classes.reads == 1
+
+
+# one value from each way a FinitaryPartition is built, checked or not
+PARTITION_BUILDS = {
+    "init": lambda: FinitaryPartition([{5, 6, 7}, {1, 2}, {9}]),
+    "parse": lambda: FinitaryPartition.parse("{5,6,7}{1,2}"),
+    "of": lambda: FinitaryPartition._of(frozenset({frozenset({4, 8}), frozenset({0, 3, 1})})),
+    # classes {4}, {1,2}, {3}: the largest block {0,2} is the atoms outside {1,2}
+    "lift": lambda: lift([{0, 2}, {1}], build_frame([{1, 2, 3}, {3, 4}])),
+    "empty": lambda: FinitaryPartition.parse("{}*"),
+}
+
+
+@pytest.mark.parametrize("build", PARTITION_BUILDS.values(), ids=PARTITION_BUILDS.keys())
+def test_partition_text_is_written_once_and_kept(build):
+    p = build()
+    text = str(p)
+    assert text == partition_text(p)
+    assert str(p) is text
+
+
+@given(st.lists(st.frozensets(st.integers(0, 30), min_size=1, max_size=4), max_size=5))
+def test_kept_partition_text_matches_a_fresh_write(blocks):
+    used = set()
+    disjoint = []
+    for b in blocks:
+        if not (b & used):
+            disjoint.append(b)
+            used |= b
+    for p in (FinitaryPartition(disjoint), FinitaryPartition._of(
+            frozenset(b for b in disjoint if len(b) >= 2))):
+        text = str(p)
+        assert text == partition_text(p)
+        assert str(p) is text

@@ -197,9 +197,9 @@ def grow_family(values, n):
     # family index and compare every call with the reference given the last
     # call's entries as prev, with the reference built from nothing, and
     # with the same call on a fresh index.  After each call the index holds
-    # the entries list the call returned, and no indexed answer below its
-    # cursor escapes.  The reference reads the record as a dict.  Returns
-    # the cases seen.
+    # the entries list the call returned, and no indexed answer escapes its
+    # occupied set, which the next call's case-1 walk takes for granted.
+    # The reference reads the record as a dict.  Returns the cases seen.
     answers = {}
     record = []
     prev = prev_stuck = None
@@ -212,7 +212,8 @@ def grow_family(values, n):
         assert want == reference_family(answers, idx + 1, n)
         entries, stuck = build_family(record, idx + 1, index)
         assert index.entries is entries
-        assert not any(index.escapes[:index.cursor])
+        free = index.occupied.isdisjoint
+        assert not any(free((x, y)) for s, _ in record[:index.indexed] for x, y in s._map.items())
         assert (entries, stuck) == want == build_family(record, idx + 1, FamilyIndex())
         check_members(entries, n)
         if prev is not None:
@@ -421,6 +422,18 @@ def test_opportunistic_pool_pigeonhole():
                           seed_count=64).run(50)
     assert cert["kind"] == "ledger-violation"
     assert len(cert["violation"]["witnesses"]) == 2
+
+
+def test_pool_run_writes_each_step_witness_once():
+    # a pool oracle keys on every witness's text on each ask, so the
+    # certificate reads back the text each step witness already keeps
+    engine = PermDiagEngine(2, 80, pool_perm_oracle(1, 2), mode="opportunistic")
+    cert = engine.run(50)
+    assert cert["kind"] == "ledger-violation"
+    steps = engine.g[engine.seed_count:]
+    assert len(steps) == len(cert["traces"]) > 0
+    for text, s in zip(cert["outputs"][engine.seed_count:], steps, strict=True):
+        assert text is s._text
 
 
 def test_opportunistic_fresh_stream():

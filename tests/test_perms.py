@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from fiberbound.fraenkel import perms_moving_exactly
 from fiberbound.inject import Tableau, decode, encode
 from fiberbound.perm_engine import FamilyIndex, _index_sets, assemble, build_family
 from fiberbound.perms import FinPerm
-from helpers import cycles
+from helpers import cycle_text, cycles
 
 c = FinPerm.cycle
 
@@ -200,6 +202,16 @@ def test_parse_errors():
             FinPerm.parse(bad)
 
 
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_DIGITS == 0, reason="int() reads decimal strings of any length")
+def test_parse_over_long_atom_is_a_parse_error():
+    # one digit past the limit of int() on a decimal string
+    with pytest.raises(ParseError, match="bad atom in cycle notation"):
+        FinPerm.parse("(" + "9" * (INT_DIGITS + 1) + ";1)")
+
+
 def test_parse_non_canonical_forms():
     assert FinPerm.parse("(2;1)") == c([1, 2])
     assert FinPerm.parse("(5;6)(1;2;3)") == c([5, 6]).after(c([1, 2, 3]))
@@ -271,3 +283,36 @@ def test_trusted_codec_results_are_valid(n, m):
         image, trace = encode(s, tab)
         assert _validates(trace.swap) and _validates(trace.conjugated) and _validates(image)
         assert _validates(decode(image, tab))
+
+
+# one value from each way a FinPerm is built, checked or not
+PERM_BUILDS = {
+    "init": lambda: FinPerm({3: 5, 5: 4, 4: 3, 9: 8, 8: 9}),
+    "cycle": lambda: c([7, 2, 5]),
+    "parse": lambda: FinPerm.parse("(5;6)(2;1;3)"),
+    "identity": FinPerm.identity,
+    "after": lambda: c([5, 6]).after(c([1, 2, 3])),
+    "inverse": lambda: c([1, 4, 2, 9]).inverse(),
+    "conjugate": lambda: c([1, 2, 3]).conjugate(c([3, 8])),
+    "deflate": lambda: c([1, 5, 2, 7, 3]).deflate(SetSpec.finite({1, 2, 3})),
+    "encode": lambda: encode(c([0, 2]), Tableau(2, 4))[0],
+    "decode": lambda: decode(FinPerm.parse("(6;7)(8;10)"), Tableau(2, 4)),
+    "perms-moving-exactly": lambda: list(perms_moving_exactly(iter([4, 1, 6]), 3))[-1],
+}
+
+
+@pytest.mark.parametrize("build", PERM_BUILDS.values(), ids=PERM_BUILDS.keys())
+def test_cycle_text_is_walked_once_and_kept(build):
+    s = build()
+    text = s.to_cycles()
+    assert text == cycle_text(s)
+    assert s.to_cycles() is text
+    assert str(s) is text
+
+
+@given(fin_perms(pool=40), fin_perms(pool=40), regions(pool=40))
+def test_kept_cycle_text_matches_a_fresh_walk(s, g, region):
+    for r in (s, s.after(g), s.inverse(), s.conjugate(g), s.deflate(region)):
+        text = r.to_cycles()
+        assert text == cycle_text(r)
+        assert r.to_cycles() is text
