@@ -165,8 +165,9 @@ class WitnessEngine:
     The base is checked once, as a non-negative int, before any seed is
     built, so every seed atom is one and the seed constructor checks
     nothing again.  Each step's witness is formatted once, when the
-    certificate is built, and the seeds' text is written from their pairs
-    through ``seed_format``, without formatting a seed object.
+    certificate is built, by the writer the engine hands ``_outputs``, and
+    the seeds' text is written from their pairs through ``seed_format``,
+    without formatting a seed object.
     ``kind`` names the certificate of a run that completes every step.
     """
 
@@ -273,12 +274,13 @@ class WitnessEngine:
         self.traces.append(trace)
         return trace
 
-    def _outputs(self) -> list[str]:
+    def _outputs(self, text: Callable) -> list[str]:
         """Every witness's text: the seeds written from their atom pairs
-        through ``seed_format``, then ``str`` of each step's witness."""
+        through ``seed_format``, then ``text`` of each step's witness, which
+        must equal its ``str``."""
         fmt, base, count = self.seed_format, self.base, self.seed_count
         return ([fmt % (base, b) for b in range(base + 1, base + 1 + count)]
-                + [str(x) for x in self.g[count:]])
+                + list(map(text, self.g[count:])))
 
     def run(self, steps: int) -> dict:
         if steps < 1:

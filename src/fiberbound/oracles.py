@@ -100,7 +100,8 @@ def from_spec(domain: str, spec: str, n: Optional[int] = None) -> Callable:
     ``domain`` is ``"perm"``, where the specs are ``truncate`` and ``pool:P``
     and both answer with permutations moving at most ``n`` points, or
     ``"part"``, where they are ``min-block`` and ``pool:P``.  ``P`` is written
-    in ASCII digits only, so each pool size has one spelling.
+    in ASCII digits only, so no sign, space, underscore or other script
+    spells a size; leading zeros are ignored.
     """
     if domain == "perm":
         named = "truncate"
@@ -118,6 +119,13 @@ def from_spec(domain: str, spec: str, n: Optional[int] = None) -> Callable:
     # int() would also take a sign, spaces, underscores and non-ASCII digits
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"pool size must be an integer, got {spec!r}")
+    # a size with more digits than the cap is over it, and int() refuses one
+    # past its digit limit, so it is refused here by its length alone; the
+    # message echoes a short size and only counts the digits of a long one
+    size = digits.lstrip("0") or "0"
+    if len(size) > len(str(POOL_CAP)):
+        shown = size if len(size) <= 20 else f"of {len(size)} digits"
+        raise BudgetExceededError(f"pool size {shown} is over the cap {POOL_CAP}")
     if domain == "perm":
-        return pool_perm_oracle(int(digits), n)
-    return pool_set_oracle(int(digits))
+        return pool_perm_oracle(int(size), n)
+    return pool_set_oracle(int(size))

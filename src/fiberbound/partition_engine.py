@@ -15,6 +15,12 @@ while they are unchanged, even if new distinct answers arrived, and
 ``rank_checked`` counts from rank 1 across a resume, as a walk restarted
 from rank 1 would.  A trace's ``C_new`` holds only the answers first seen
 at its step; its frame is ``build_frame`` folded over every ``C_new`` so far.
+
+The certificate writes each step's witness through the last frame's atom
+texts (:meth:`QuotientFrame.write`).  The frame only gains atoms, and every
+witness is a lift of an earlier state of it, so the table covers every
+witness's atoms; each atom is converted to decimal once per run, not once
+per witness that holds it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable
 from .atoms import format_atom_set
 from .auditing import WitnessEngine, assemble_certificate
 from .errors import OracleCodomainError
-from .partitions import FinitaryPartition, build_frame, iter_partitions_ranked, lift
+from .partitions import FinitaryPartition, QuotientFrame, build_frame, iter_partitions_ranked, lift
 
 
 class PartitionDiagEngine(WitnessEngine):
@@ -35,7 +41,7 @@ class PartitionDiagEngine(WitnessEngine):
                  instance_id: int = 0):
         self.threshold = 72 * k * k
         # the last step's frame, refined by the next step's new answers
-        self._frame = None
+        self._frame = QuotientFrame()
         super().__init__(k, oracle, instance_id, self.threshold + 1,
                          lambda pair: FinitaryPartition._of(frozenset((frozenset(pair),))),
                          format_atom_set)
@@ -49,9 +55,6 @@ class PartitionDiagEngine(WitnessEngine):
         new = [v for v, _ in self._query_new()]
         frame = self._frame = build_frame(new, self._frame)
         l = frame.l
-        # m >= seed_count = threshold + 1 on every step, and each listed
-        # value is a union of classes, so this holds on every recorded trace
-        assert 72 * self.k < 2**l
         _, result, drawn = self._first_fresh(frame.classes, lambda: iter_partitions_ranked(l),
                                              lambda q: lift(q, frame))
         trace = {
@@ -64,4 +67,4 @@ class PartitionDiagEngine(WitnessEngine):
 
     def _certificate(self, kind, steps, violation) -> dict:
         return assemble_certificate(kind, None, self.k, None, self.threshold, steps,
-                                    self._outputs(), violation, self.traces)
+                                    self._outputs(self._frame.write), violation, self.traces)

@@ -34,9 +34,9 @@ second, as references for the lazy stream.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
-from .atoms import format_atom_set, parse_atom_set
+from .atoms import parse_atom_set
 from .errors import BadParametersError, OutOfRangeError, OverlappingBlocksError, ParseError
 
 # Guards keep every count below 2**63 so serialized certificates stay exact
@@ -47,6 +47,16 @@ DERANGEMENT_MAX = 20
 Block = frozenset[int]
 
 
+def _write_blocks(blocks: Collection[Block], atom_text: Callable[[int], str]) -> str:
+    """The canonical partition text of ``blocks``, its blocks of two or more
+    atoms: each block ``{a,b,...}`` with its atoms ascending, the blocks by
+    least atom, and ``{}*`` when there are none.  ``atom_text`` writes each
+    atom's decimal text: ``str``, or a frame's table of its atoms' texts.
+    """
+    return "".join(["{" + ",".join(map(atom_text, sorted(b))) + "}"
+                    for b in sorted(blocks, key=min)]) or "{}*"
+
+
 class FinitaryPartition:
     """A partition of the atom universe whose blocks are all finite.
 
@@ -54,7 +64,9 @@ class FinitaryPartition:
     text on first use; both are kept.  That is safe because a partition
     never changes once built: its blocks are a frozenset of frozensets.
     The text pays where one partition is asked about again, as when a pool
-    oracle keys on a witness's text on every audit.
+    oracle keys on a witness's text on every audit.  ``str`` writes it
+    with ``str`` of each atom; :meth:`QuotientFrame.write` writes the same
+    text through the frame's atom texts, and whichever comes first keeps it.
     """
 
     __slots__ = ("_blocks", "_hash", "_text")
@@ -118,8 +130,7 @@ class FinitaryPartition:
         """The canonical text, written on the first call and kept."""
         text = self._text
         if text is None:
-            parts = sorted(self._blocks, key=min)
-            text = self._text = "".join(map(format_atom_set, parts)) or "{}*"
+            text = self._text = _write_blocks(self._blocks, str)
         return text
 
     def __repr__(self) -> str:
@@ -175,6 +186,12 @@ class QuotientFrame:
     frame came in, so it is the same object across lifts and across steps
     that only split classes.
 
+    ``_atom_text`` maps each atom of the frame to its decimal text, written
+    once, when the atom first comes in, at O(new atoms) per refinement.
+    :meth:`write` writes a partition of the frame's atoms through it, so a
+    run that writes many lifts of one frame converts each atom to decimal
+    once, not once per lift that holds it.
+
     Refinement state: ``_listed`` keys the listed values in list order,
     ``_members[c]`` is class ``c``'s atoms, ``_class_of`` maps each atom to
     its id, ``_after`` links the ids in order from ``_head`` (-1 ends the
@@ -182,12 +199,13 @@ class QuotientFrame:
     None once the class has changed since.
     """
 
-    __slots__ = ("classes", "atoms", "_listed", "_class_of", "_members", "_frozen", "_after",
-                 "_head")
+    __slots__ = ("classes", "atoms", "_atom_text", "_listed", "_class_of", "_members", "_frozen",
+                 "_after", "_head")
 
     def __init__(self):
         self.classes: tuple[Block, ...] = ()
         self.atoms: Block = frozenset()
+        self._atom_text: dict[int, str] = {}
         self._listed: dict[Block, None] = {}
         self._class_of: dict[int, int] = {}
         self._members: list[set[int]] = []
@@ -202,6 +220,19 @@ class QuotientFrame:
     @property
     def l(self) -> int:
         return len(self.classes)
+
+    def write(self, p: FinitaryPartition) -> str:
+        """``str(p)`` for a partition whose atoms all lie in the frame, as
+        every lift of this frame or of an earlier state of it does.
+
+        A text ``p`` already keeps is returned as it is; otherwise it is
+        written through the frame's atom texts and kept in ``p``, so a later
+        ``str(p)`` returns the same object.
+        """
+        text = p._text
+        if text is None:
+            text = p._text = _write_blocks(p._blocks, self._atom_text.__getitem__)
+        return text
 
     def _new_class(self, atoms: list[int], left: int) -> None:
         """Class of ``atoms`` linked after id ``left``, or first when -1."""
@@ -245,6 +276,7 @@ class QuotientFrame:
         if fresh:
             # mask 1, below every class already present
             self._new_class(fresh, -1)
+            self._atom_text.update(zip(fresh, map(str, fresh)))
         # past the union test, some atom was new or some class was cut
         return True
 
@@ -279,7 +311,8 @@ def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] 
 
     Appending ``v`` as the least significant bit splits each class C into
     C∖v and C∩v, in that order, and gathers the atoms new to the union into
-    a first class, at O(|v|).  When ``v`` is a union of existing classes
+    a first class, whose atoms' decimal texts go into the frame's table, at
+    O(|v|).  When ``v`` is a union of existing classes
     nothing splits and nothing is new; one set of class ids and a sum of
     their sizes find that, at O(|v|) in builtins, and the Python loop is
     skipped.  Emitting the frame costs O(l) and the sizes of the changed

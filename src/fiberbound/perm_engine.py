@@ -393,4 +393,4 @@ class PermDiagEngine(WitnessEngine):
 
     def _certificate(self, kind, steps, violation) -> dict:
         return assemble_certificate(kind, self.n, self.k, self.bounds.l0, self.bounds.m0, steps,
-                                    self._outputs(), violation, self.traces)
+                                    self._outputs(str), violation, self.traces)

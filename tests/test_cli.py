@@ -105,6 +105,28 @@ def test_over_long_atom_is_a_parse_error(command, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["diag-part", "--k", "1"],
+    ["diag-perm", "--n", "2", "--k", "1", "--mode", "opportunistic"],
+], ids=["diag-part", "diag-perm"])
+def test_over_long_pool_size_is_over_the_cap(args, capsys):
+    # past the limit of int() on a decimal string, so refused by its length
+    digits = "9" * 5000
+    code, out, err = run_cli(args + ["--oracle", "pool:" + digits, "--steps", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: pool size of 5000 digits is over the cap 1024\n"
+    assert "Traceback" not in err and "99999" not in err
+
+
+def test_pool_size_length_ignores_leading_zeros():
+    # 5,001 digits, past the limit of int(), but the size is 7
+    spec = "pool:" + "0" * 5000 + "7"
+    oracle, reference = from_spec("part", spec), pool_set_oracle(7)
+    for x in FROM_SPEC_INPUTS["part"]:
+        assert oracle(x) == reference(x)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["inject", "--n", "2"])

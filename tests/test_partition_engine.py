@@ -9,7 +9,8 @@ from fiberbound.oracles import min_block_oracle, pool_set_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.partitions import FinitaryPartition, build_frame, lift, iter_partitions_ranked
 from format1 import expand, expand_traces
-from test_golden import _perm_diag, _perm_stuck
+from helpers import partition_text
+from test_golden import GOLDEN, _perm_diag, _perm_stuck
 
 
 def driver_seeds(k):
@@ -158,6 +159,56 @@ def test_two_value_step_has_room():
     stale = set(lifts[:2])
     fresh = next(p for p in lifts if p not in stale)
     assert fresh == lifts[2]
+
+
+PART_RUNS = {
+    **{name: GOLDEN[name][0] for name in sorted(GOLDEN) if name.startswith("part-")},
+    "min-block-k1": lambda mp: PartitionDiagEngine(1, min_block_oracle).run(100),
+    "min-block-k2": lambda mp: PartitionDiagEngine(2, min_block_oracle).run(100),
+    "min-block-k3": lambda mp: PartitionDiagEngine(3, min_block_oracle).run(100),
+    # the one pool oracle whose run gets past the seeds, at k = 1
+    "pool-1000-instance-7": lambda mp: PartitionDiagEngine(1, pool_set_oracle(1000), 7).run(20),
+}
+
+
+@pytest.mark.parametrize("name", PART_RUNS)
+def test_every_trace_has_more_subsets_than_72k(name, monkeypatch):
+    # every step has m >= 72k² + 1 witnesses, at most k per answer, so more
+    # than 72k distinct answers, each a union of classes: 2^l exceeds their
+    # count, and with it 72k
+    cert = PART_RUNS[name](monkeypatch)
+    assert len(cert["traces"]) == cert["steps"]
+    for trace in cert["traces"]:
+        assert 72 * cert["k"] < 2 ** trace["l"]
+
+
+@pytest.mark.parametrize("make, steps, oracle_writes", [
+    (lambda: PartitionDiagEngine(2, min_block_oracle), 60, False),
+    (lambda: PartitionDiagEngine(1, pool_set_oracle(1000), 7), 20, True),
+], ids=["min-block-k2", "pool-1000-instance-7"])
+def test_certificate_writes_each_step_witness_once(make, steps, oracle_writes):
+    # min-block never writes a witness, so the certificate writes each one
+    # through the frame's atom texts; the pool oracle keys on str, so each
+    # witness already keeps its text and the certificate reuses it
+    engine = make()
+    kept = []
+    certificate = engine._certificate
+
+    def spy(*args):
+        kept.extend(w._text for w in engine.g[engine.seed_count:])
+        return certificate(*args)
+
+    engine._certificate = spy
+    cert = engine.run(steps)
+    assert (cert["kind"], cert["steps"]) == ("part-diag", steps)
+    witnesses = engine.g[engine.seed_count:]
+    outputs = cert["outputs"][engine.seed_count:]
+    assert outputs == [partition_text(w) for w in witnesses]
+    # no step writes a witness's text; only the oracle may, and it is never
+    # asked about the last witness, whose step ends the run
+    assert [text is not None for text in kept] == [oracle_writes] * (steps - 1) + [False]
+    assert all(out is str(w) for out, w in zip(outputs, witnesses))
+    assert all(out is text for out, text in zip(outputs, kept) if text is not None)
 
 
 def test_pool_oracle_pigeonhole():

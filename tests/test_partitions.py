@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fiberbound.errors import (BadParametersError, BudgetExceededError, OutOfRangeError,
                                OverlappingBlocksError, ParseError)
-from fiberbound.partitions import (BELL_MAX, FinitaryPartition, bell, build_frame, derangement,
-                                   iter_partitions_ranked, lift)
+from fiberbound.partitions import (BELL_MAX, FinitaryPartition, QuotientFrame, bell, build_frame,
+                                   derangement, iter_partitions_ranked, lift)
 from helpers import masks, partition_text
 
 # Reference for the lazy rank stream: every partition by restricted growth
@@ -518,3 +518,36 @@ def test_kept_partition_text_matches_a_fresh_write(blocks):
         text = str(p)
         assert text == partition_text(p)
         assert str(p) is text
+
+
+def _check_frame_writer(frame):
+    # the table holds exactly the frame's atoms, each with its str
+    assert frame._atom_text.keys() == frame.atoms
+    assert all(text == str(a) for a, text in frame._atom_text.items())
+    for q in iter_partitions_ranked(frame.l):
+        p = lift(q, frame)
+        text = frame.write(p)
+        assert text == partition_text(p)
+        assert str(p) is text
+        # a text written first by str, as a pool oracle does, is kept
+        first = lift(q, frame)
+        assert frame.write(first) is str(first)
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=6, max_size=6, unique=True),
+       st.lists(st.frozensets(st.integers(0, 5), max_size=6), max_size=5, unique=True),
+       st.data())
+def test_frame_writes_every_lift_like_str(atoms, picks, data):
+    # six atoms, so at most six classes and Bell(6) = 203 lifts per frame
+    values = [frozenset(atoms[i] for i in pick) for pick in picks]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=3)))
+    # the empty frame writes its one lift as {}*
+    pieces = QuotientFrame()
+    _check_frame_writer(pieces)
+    # folded in pieces, so atoms come in on later folds
+    for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+        build_frame(values[lo:hi], pieces)
+        _check_frame_writer(pieces)
+    whole = build_frame(values)
+    _check_frame_writer(whole)
+    assert whole._atom_text == pieces._atom_text
