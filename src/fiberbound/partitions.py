@@ -47,29 +47,33 @@ DERANGEMENT_MAX = 20
 Block = frozenset[int]
 
 
-def _write_blocks(blocks: Collection[Block], atom_text: Callable[[int], str]) -> str:
+def _write_blocks(blocks: tuple[Block, ...], atom_text: Callable[[int], str]) -> str:
     """The canonical partition text of ``blocks``, its blocks of two or more
-    atoms: each block ``{a,b,...}`` with its atoms ascending, the blocks by
-    least atom, and ``{}*`` when there are none.  ``atom_text`` writes each
+    atoms already in canonical order, by least atom: each block ``{a,b,...}``
+    with its atoms ascending, and ``{}*`` when there are none.  Only the
+    atoms inside each block are sorted here.  ``atom_text`` writes each
     atom's decimal text: ``str``, or a frame's table of its atoms' texts.
     """
-    return "".join(["{" + ",".join(map(atom_text, sorted(b))) + "}"
-                    for b in sorted(blocks, key=min)]) or "{}*"
+    return "".join(["{" + ",".join(map(atom_text, sorted(b))) + "}" for b in blocks]) or "{}*"
 
 
 class FinitaryPartition:
     """A partition of the atom universe whose blocks are all finite.
 
-    The hash is computed when the partition is built, and the canonical
-    text on first use; both are kept.  That is safe because a partition
+    Three fields are kept beside the blocks: the hash, computed when the
+    partition is built, and the canonical text and the blocks in canonical
+    order, each computed on first use.  That is safe because a partition
     never changes once built: its blocks are a frozenset of frozensets.
-    The text pays where one partition is asked about again, as when a pool
-    oracle keys on a witness's text on every audit.  ``str`` writes it
+    The kept fields pay where one partition is asked about again, as when
+    the audit re-asks an oracle about every witness.  The order
+    (:meth:`_by_least`) is a tuple of the stored frozenset objects by least
+    atom; :func:`~fiberbound.oracles.min_block_oracle` answers with its
+    first block, and the text is written from it.  ``str`` writes the text
     with ``str`` of each atom; :meth:`QuotientFrame.write` writes the same
     text through the frame's atom texts, and whichever comes first keeps it.
     """
 
-    __slots__ = ("_blocks", "_hash", "_text")
+    __slots__ = ("_blocks", "_hash", "_text", "_order")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         normal = []
@@ -86,7 +90,7 @@ class FinitaryPartition:
                 normal.append(b)
         self._blocks = frozenset(normal)
         self._hash = hash(self._blocks)
-        self._text = None
+        self._text = self._order = None
 
     @classmethod
     def _of(cls, blocks: frozenset[Block]) -> "FinitaryPartition":
@@ -99,15 +103,17 @@ class FinitaryPartition:
         ``WitnessEngine`` has already checked that ``base`` is a
         non-negative int, so both atoms are too.  :func:`lift` wraps unions
         of a frame's classes, which are pairwise disjoint non-empty sets of
-        the atoms of the listed values; in the engine every listed value is
-        an answer ``_check_output`` accepted, a frozenset of non-negative
-        ints, so unions of distinct classes are disjoint frozensets of such
-        atoms, and ``lift`` keeps only those of two or more.
+        the frame's atoms, and :func:`build_frame` lets no atom into a frame
+        unless it is a non-negative int; so unions of distinct classes are
+        disjoint frozensets of such atoms, and ``lift`` keeps only those of
+        two or more.  Each caller hands its frozenset over: the partition
+        keeps that object as its blocks, and its kept order holds the same
+        block objects.
         """
         part = object.__new__(cls)
         part._blocks = blocks
         part._hash = hash(blocks)
-        part._text = None
+        part._text = part._order = None
         return part
 
     @classmethod
@@ -126,11 +132,23 @@ class FinitaryPartition:
         """The stored blocks of size at least two."""
         return self._blocks
 
+    def _by_least(self) -> tuple[Block, ...]:
+        """The stored blocks ordered by least atom, the same frozenset
+        objects; computed on the first call and kept, so every later call
+        returns the same tuple at O(1)."""
+        order = self._order
+        if order is None:
+            blocks = self._blocks
+            # one block or none is already in order
+            order = tuple(blocks) if len(blocks) < 2 else tuple(sorted(blocks, key=min))
+            self._order = order
+        return order
+
     def __str__(self) -> str:
         """The canonical text, written on the first call and kept."""
         text = self._text
         if text is None:
-            text = self._text = _write_blocks(self._blocks, str)
+            text = self._text = _write_blocks(self._by_least(), str)
         return text
 
     def __repr__(self) -> str:
@@ -184,7 +202,8 @@ class QuotientFrame:
     ``atoms`` is the frozenset of every atom in the frame, the union of
     the classes; :meth:`_emit` builds it again only when atoms new to the
     frame came in, so it is the same object across lifts and across steps
-    that only split classes.
+    that only split classes.  :func:`build_frame` tests each value against
+    it to find the values that bring new atoms.
 
     ``_atom_text`` maps each atom of the frame to its decimal text, written
     once, when the atom first comes in, at O(new atoms) per refinement.
@@ -231,7 +250,7 @@ class QuotientFrame:
         """
         text = p._text
         if text is None:
-            text = p._text = _write_blocks(p._blocks, self._atom_text.__getitem__)
+            text = p._text = _write_blocks(p._by_least(), self._atom_text.__getitem__)
         return text
 
     def _new_class(self, atoms: list[int], left: int) -> None:
@@ -305,9 +324,14 @@ def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] 
     ``values`` are sets the frame does not list yet, in the order that
     induces their well-order (first occurrence order at the call sites).
     A value repeated in ``values``, or already listed, raises
-    :class:`BadParametersError` before any refinement.  Each value must be a
-    set of non-negative int atoms, which is not checked here: :func:`lift`
-    builds its result unchecked from the frame's classes.
+    :class:`BadParametersError` before any refinement, and so does an atom
+    new to the frame that is not a non-negative ``int`` (a ``bool`` is not
+    one): every atom of a frame is a non-negative int, which :func:`lift`
+    relies on when it builds its result unchecked from the frame's classes.
+    A value inside ``frame.atoms`` brings no new atom, which one subset
+    test finds in builtins; only the atoms new to the frame, of the values
+    outside it, are checked one by one, since atoms already in the frame
+    were checked when they came in.
 
     Appending ``v`` as the least significant bit splits each class C into
     C∖v and C∩v, in that order, and gathers the atoms new to the union into
@@ -327,6 +351,12 @@ def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] 
     new = dict.fromkeys(vals)
     if len(new) != len(vals) or any(v in frame._listed for v in vals):
         raise BadParametersError("values must be duplicate-free")
+    atoms = frame.atoms
+    outside = [v for v in vals if not v <= atoms]
+    if outside:
+        fresh = frozenset().union(*outside).difference(atoms)
+        if not all(type(a) is int and a >= 0 for a in fresh):
+            raise BadParametersError("atoms must be non-negative integers")
     changed = False
     for v in vals:
         changed |= frame._refine(v)
@@ -340,8 +370,8 @@ def lift(q: Collection[Collection[int]], frame: QuotientFrame) -> FinitaryPartit
     """Turn a partition of the frame's classes into a partition of atoms.
 
     ``q`` must be a partition of ``range(frame.l)``, as every draw of
-    ``iter_partitions_ranked(frame.l)`` is, and the frame's atoms must be
-    non-negative ints, as every answer the partition engine lists is.
+    ``iter_partitions_ranked(frame.l)`` is.  The frame's atoms are
+    non-negative ints, since :func:`build_frame` refuses any other.
     Blocks are unions of the grouped classes; every atom outside the
     frame's union stays a singleton, which the normal form makes implicit.
 

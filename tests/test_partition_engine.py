@@ -211,6 +211,19 @@ def test_certificate_writes_each_step_witness_once(make, steps, oracle_writes):
     assert all(out is text for out, text in zip(outputs, kept) if text is not None)
 
 
+def test_audit_reasks_answer_the_recorded_objects():
+    # min-block answers with the first block of each witness's kept order, so
+    # every re-ask hands back the recorded object itself and the audit makes
+    # no frozenset compare, for the one-block seeds and the step witnesses
+    engine = PartitionDiagEngine(2, min_block_oracle)
+    assert engine.run(60)["kind"] == "part-diag"
+    queries = engine.ledger.queries
+    # the last witness ends the run unasked
+    assert list(queries) == engine.g[:-1]
+    assert any(len(x.exceptional_blocks) > 1 for x in engine.g[engine.seed_count:-1])
+    assert all(min_block_oracle(x) is answer for x, answer in queries.items())
+
+
 def test_pool_oracle_pigeonhole():
     cert = PartitionDiagEngine(1, pool_set_oracle(9)).run(10)
     assert cert["kind"] == "ledger-violation"

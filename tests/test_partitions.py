@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fiberbound.errors import (BadParametersError, BudgetExceededError, OutOfRangeError,
                                OverlappingBlocksError, ParseError)
+from fiberbound.oracles import min_block_oracle
 from fiberbound.partitions import (BELL_MAX, FinitaryPartition, QuotientFrame, bell, build_frame,
                                    derangement, iter_partitions_ranked, lift)
 from helpers import masks, partition_text
@@ -169,6 +170,39 @@ def test_build_frame_degenerate():
     frame = build_frame([frozenset({1, 2})])
     assert frame.classes == (frozenset({1, 2}),)
 
+
+def _frame_state(frame):
+    return (frame.classes, frame.values, frame.atoms, dict(frame._atom_text), dict(frame._class_of),
+            [set(m) for m in frame._members], list(frame._after), frame._head)
+
+
+# each holds an atom new to a frame of {10, 11} that is not a non-negative int;
+# True == 1 and False == 0, so neither is already in that frame
+BAD_ATOMS = {
+    "negative": frozenset({-1, -2}),
+    "negative-beside-good": frozenset({11, 12, -3}),
+    "str": frozenset({"a", "b"}),
+    "bool": frozenset({True, 12}),
+    "false": frozenset({False, 10}),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ATOMS.values(), ids=BAD_ATOMS.keys())
+def test_build_frame_refuses_atoms_that_are_not_non_negative_ints(bad):
+    # folded whole, alone or after a good value
+    for values in ([bad], [frozenset({10, 11}), bad]):
+        with pytest.raises(BadParametersError, match="atoms must be non-negative integers"):
+            build_frame(values)
+    # folded in pieces: a good value before the bad one in the same call
+    # would split {10, 11} and bring 12 in, but the frame does not change
+    frame = build_frame([frozenset({10, 11})])
+    before = _frame_state(frame)
+    for values in ([bad], [frozenset({11, 12}), bad]):
+        with pytest.raises(BadParametersError, match="atoms must be non-negative integers"):
+            build_frame(values, frame)
+        assert _frame_state(frame) == before
+    # so no lift can hold such an atom
+    assert lift([{0}], frame) == FinitaryPartition([{10, 11}])
 
 @given(st.lists(st.frozensets(st.integers(0, 9), max_size=4), max_size=5, unique=True))
 def test_frame_properties(values):
@@ -551,3 +585,58 @@ def test_frame_writes_every_lift_like_str(atoms, picks, data):
     whole = build_frame(values)
     _check_frame_writer(whole)
     assert whole._atom_text == pieces._atom_text
+
+
+def _check_kept_order(build, frame):
+    # build() makes a new partition each call, with nothing kept yet, and
+    # frame holds its atoms; the oracle asks first and keeps the order
+    p = build()
+    answer = min_block_oracle(p)
+    order = p._by_least()
+    assert order == tuple(sorted(p.exceptional_blocks, key=min))
+    assert p._by_least() is order
+    # the stored frozenset objects, not copies
+    assert sorted(map(id, order)) == sorted(map(id, p.exceptional_blocks))
+    assert answer == (order[0] if order else frozenset())
+    assert not order or answer is order[0]
+    assert min_block_oracle(p) is answer
+    assert str(p) == partition_text(p)
+    # the writers compute the order of a partition nobody asked about yet
+    first_str, first_write = build(), build()
+    assert str(first_str) == partition_text(p)
+    assert frame.write(first_write) == partition_text(p)
+    assert first_str._by_least() == first_write._by_least() == order
+
+
+@given(st.lists(st.frozensets(st.integers(0, 30), min_size=1, max_size=4), max_size=5),
+       st.integers(0, 10**6), st.integers(0, 300))
+@example([], 0, 0)
+def test_partition_keeps_its_blocks_in_canonical_order(blocks, base, j):
+    used = set()
+    disjoint = []
+    for b in blocks:
+        if not (b & used):
+            disjoint.append(b)
+            used |= b
+    text = partition_text(FinitaryPartition(disjoint))
+    builds = (
+        lambda: FinitaryPartition(disjoint),
+        lambda: FinitaryPartition.parse(text),
+        # the engine's seed shape, through the unchecked constructor
+        lambda: FinitaryPartition._of(frozenset((frozenset((base, base + 1 + j)),))),
+        lambda: FinitaryPartition.parse("{}*"),
+    )
+    for build in builds:
+        _check_kept_order(build, build_frame(build().exceptional_blocks))
+
+
+@given(st.lists(st.frozensets(st.integers(0, 9), max_size=4), max_size=4, unique=True), st.data())
+@example([], None)
+@example([frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})], None)
+def test_every_lift_keeps_its_blocks_in_canonical_order(values, data):
+    cut = 0 if data is None else data.draw(st.integers(0, len(values)))
+    frame = build_frame(values[cut:], build_frame(values[:cut]))
+    if frame.l > 5:
+        return
+    for q in iter_partitions_ranked(frame.l):
+        _check_kept_order(lambda: lift(q, frame), frame)
