@@ -33,7 +33,10 @@ def format_atom_set(atoms: Iterable[int]) -> str:
 
 
 def parse_atom_set(text: str) -> frozenset[int]:
-    """Parse ``{a,b,c}`` (or bare ``a,b,c``); the empty set is ``{}``."""
+    """Parse ``{a,b,c}`` (or bare ``a,b,c``); the empty set is ``{}``.
+
+    Each atom is spelled in ASCII decimal digits, leading zeros allowed.
+    """
     body = text.strip()
     if body.startswith("{"):
         if not body.endswith("}"):
@@ -41,12 +44,16 @@ def parse_atom_set(text: str) -> frozenset[int]:
         body = body[1:-1]
     if not body:
         return frozenset()
+    parts = body.split(",")
     try:
-        atoms = [int(part) for part in body.split(",")]
+        atoms = [int(part) for part in parts]
     except ValueError:
         raise ParseError(f"bad atom in set: {text!r}") from None
     if any(a < 0 for a in atoms):
         raise ParseError(f"negative atom in set: {text!r}")
+    # int() also reads a sign, underscores, spaces and other scripts' digits
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ParseError(f"bad atom in set: {text!r}")
     if len(set(atoms)) != len(atoms):
         raise ParseError(f"duplicate atom in set: {text!r}")
     return frozenset(atoms)

@@ -16,6 +16,9 @@ applicable of three branches, each carrying computable witnesses:
    ``t(e)`` lies in ``moved(s)`` and conjugation by ``s`` itself (which
    fixes E pointwise) changes ``t``.
 
+:func:`classify` and :func:`_verify` read each permutation's stored map,
+whose keys are exactly its moved points, so they copy no moved set.
+
 :func:`scan` is orbit-weighted: it classifies and re-verifies the
 permutation pairs of one representative pair of moved sets (A, B) per
 orbit of Sym(E) × Sym(carrier∖E), A avoiding E, and weights each outcome
@@ -97,34 +100,34 @@ ProbeVerdict = Union[MissingMoved, ExtraOutside, ForcedFixedPoint, PreconditionF
 
 
 def classify(s: FinPerm, t: FinPerm, cfg: SupportConfig) -> ProbeVerdict:
-    ms, mt, e_set = s.moved, t.moved, cfg.support
+    ms, mt, e_set = s._map.keys(), t._map.keys(), cfg.support
     if len(ms) != cfg.n:
         return PreconditionFail(f"s moves {len(ms)} points, expected {cfg.n}")
     if len(mt) != cfg.n + 1:
         return PreconditionFail(f"t moves {len(mt)} points, expected {cfg.n + 1}")
-    if ms & e_set:
+    if not ms.isdisjoint(e_set):
         return PreconditionFail("s must avoid the support")
-    if any(a >= cfg.carrier_size for a in ms | mt):
+    if max(ms) >= cfg.carrier_size or max(mt) >= cfg.carrier_size:
         return PreconditionFail("s and t must live inside the carrier")
 
-    missing = sorted(ms - mt)
+    missing = ms - mt
     if missing:
-        a = missing[0]
+        a = min(missing)
         fresh = fresh_atoms(2, e_set | mt | ms)
-        return MissingMoved(a, tuple(s.conjugate(FinPerm.cycle([a, b])) for b in fresh))
+        return MissingMoved(a, tuple(s.conjugate(FinPerm._of({a: b, b: a})) for b in fresh))
 
-    extra = sorted(mt - (ms | e_set))
+    added = mt - ms
+    extra = added - e_set
     if extra:
-        a = extra[0]
+        a = min(extra)
         (b,) = fresh_atoms(1, e_set | mt)
-        swap = FinPerm.cycle([a, b])
+        swap = FinPerm._of({a: b, b: a})
         return ExtraOutside(a, swap, t.conjugate(swap))
 
     # branches 1 and 2 failed, so mt = ms ∪ {e} with e in E; the unpacking
-    # raises if that shape ever broke, and d = t(e) != e lies in mt - {e} = ms
-    (e,) = mt - ms
-    d = t(e)
-    return ForcedFixedPoint(e, d, t.conjugate(s))
+    # raises if that shape ever broke, and t(e) != e lies in mt - {e} = ms
+    (e,) = added
+    return ForcedFixedPoint(e, t(e), t.conjugate(s))
 
 
 def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
@@ -153,33 +156,33 @@ def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
 def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -> bool:
     e_set = cfg.support
     if isinstance(verdict, MissingMoved):
-        a, ms, mt = verdict.atom, s.moved, t.moved
-        if a not in ms or a in mt or a in e_set:
+        a, ms, mt = verdict.atom, s._map.keys(), t._map.keys()
+        if type(a) is not int or a not in ms or a in mt or a in e_set:
             return False
         if len(verdict.samples) < 2 or len(set(verdict.samples)) != len(verdict.samples):
             return False
         # each sample is s conjugated by the transposition (a b), where b is
-        # the one atom it adds to moved(s); (a b) must fix E and moved(t)
+        # the one atom it adds to moved(s); (a b) must fix E and moved(t),
+        # and b, read off the sample, must be a non-negative int before (a b) is built
         for p in verdict.samples:
-            extra = p.moved - ms
+            extra = p._map.keys() - ms
             if len(extra) != 1:
                 return False
             (b,) = extra
-            if b in mt or b in e_set or p != s.conjugate(FinPerm.cycle([a, b])):
+            if (type(b) is not int or b < 0 or b in mt or b in e_set
+                    or p != s.conjugate(FinPerm._of({a: b, b: a}))):
                 return False
         return True
     if isinstance(verdict, ExtraOutside):
-        a, swap, ms = verdict.atom, verdict.swap, s.moved
-        if a not in t.moved or swap(a) == a or a in ms or a in e_set:
+        a, swapped, ms = verdict.atom, verdict.swap._map.keys(), s._map.keys()
+        if a not in t._map or a not in swapped or a in ms or a in e_set:
             return False
-        if any(swap(b) != b for b in e_set | ms):
+        if not (swapped.isdisjoint(e_set) and swapped.isdisjoint(ms)):
             return False
-        return verdict.conjugate == t.conjugate(swap) and verdict.conjugate != t
+        return verdict.conjugate == t.conjugate(verdict.swap) and verdict.conjugate != t
     if isinstance(verdict, ForcedFixedPoint):
-        e, d = verdict.support_atom, verdict.image
-        if e not in e_set or t(e) != d or d == e or d not in s.moved:
-            return False
-        if any(s(a) != a for a in e_set):
+        e, d, ms = verdict.support_atom, verdict.image, s._map.keys()
+        if e not in e_set or t(e) != d or d == e or d not in ms or not ms.isdisjoint(e_set):
             return False
         # s fixes e, so t^s sends e to s(d), and s(d) != d = t(e): t^s != t
         return verdict.conjugate == t.conjugate(s)

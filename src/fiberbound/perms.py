@@ -37,6 +37,12 @@ Operations on valid permutations wrap their results with the unchecked
   transpositions.
 - ``fraenkel.perms_moving_exactly``: derangements of a checked pool of
   distinct non-negative int atoms.
+- ``fraenkel.classify``'s transpositions: each swaps an atom of ``s`` or
+  ``t`` with an atom that ``fresh_atoms`` picked outside a set holding it,
+  so two distinct non-negative int atoms.
+- ``fraenkel._verify``'s transposition for a missing-moved sample: it swaps
+  the verdict's atom, checked to be an int atom of ``s``, with the one atom
+  the sample adds to ``s``, checked to be a non-negative int outside it.
 - ``perm_engine.assemble``: a union of permutations with disjoint supports.
 - ``perm_engine``'s seeds and fallback transpositions: each swaps two
   distinct atoms at or above the engine's base, which ``WitnessEngine``

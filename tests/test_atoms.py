@@ -36,10 +36,29 @@ def test_atom_set_text():
     assert parse_atom_set("{1,2,3}") == frozenset({1, 2, 3})
     assert parse_atom_set("{}") == frozenset()
     assert parse_atom_set("0,5") == frozenset({0, 5})
+    assert parse_atom_set("{007,0}") == frozenset({0, 7})
+    assert FinitaryPartition.parse("{01,2}") == FinitaryPartition([[1, 2]])
     with pytest.raises(ParseError):
         parse_atom_set("{1,1}")
     with pytest.raises(ParseError):
         parse_atom_set("{1,x}")
+
+
+# int() reads each of these atoms; format_atom_set writes none of them
+NON_CANONICAL_ATOMS = {"plus": "+1", "underscore": "1_0", "arabic-indic": "\u0663",
+                       "inner-space": " 1 ", "fullwidth": "\uff11"}
+
+
+@pytest.mark.parametrize("atom", NON_CANONICAL_ATOMS.values(), ids=NON_CANONICAL_ATOMS.keys())
+def test_atom_set_refuses_non_canonical_atoms(atom):
+    for text in ("{" + atom + "}", "{" + atom + ",2}", "{2," + atom + "}", "2," + atom):
+        with pytest.raises(ParseError) as exc:
+            parse_atom_set(text)
+        assert str(exc.value) == f"bad atom in set: {text!r}"
+    with pytest.raises(ParseError):
+        FinitaryPartition.parse("{" + atom + ",2}")
+    with pytest.raises(ParseError):
+        FinitaryPartition.parse("{3,4}{" + atom + ",2}")
 
 
 @given(st.frozensets(st.integers(0, 99), max_size=8))

@@ -169,6 +169,15 @@ def test_unknown_oracle(capsys):
      "error: pool size must be an integer, got 'pool:1_0'"),
     (["diag-part", "--k", "1", "--oracle", "pool:\u0661\u0660"],
      "error: pool size must be an integer, got 'pool:\u0661\u0660'"),
+    # int() reads each of these as an atom; only ASCII digits spell one
+    (["fraenkel", "--atoms", "8", "--support", "{+1}", "--n", "2"],
+     "error: bad atom in set: '{+1}'"),
+    (["fraenkel", "--atoms", "16", "--support", "{1_0}", "--n", "2"],
+     "error: bad atom in set: '{1_0}'"),
+    (["fraenkel", "--atoms", "8", "--support", "{\u0663}", "--n", "2"],
+     "error: bad atom in set: '{\u0663}'"),
+    (["fraenkel", "--atoms", "8", "--support", "{ 1 , 2 }", "--n", "2"],
+     "error: bad atom in set: '{ 1 , 2 }'"),
     # the opportunistic header carries compute_bounds' l0 and m0, so its guard applies
     (["diag-perm", "--n", "4", "--k", "1", "--mode", "opportunistic"],
      "error: m0 exceeds the 2**63-1 guard for n=4, k=1"),
@@ -176,7 +185,9 @@ def test_unknown_oracle(capsys):
         "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
         "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0", "diag-part-bogus-oracle",
         "diag-part-pool-cap", "diag-perm-pool-cap", "diag-part-pool-space", "diag-part-pool-plus",
-        "diag-part-pool-underscore", "diag-part-pool-arabic-indic", "diag-perm-opportunistic-n4"])
+        "diag-part-pool-underscore", "diag-part-pool-arabic-indic", "fraenkel-support-plus",
+        "fraenkel-support-underscore", "fraenkel-support-arabic-indic",
+        "fraenkel-support-spaces", "diag-perm-opportunistic-n4"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
     # a refused run is refused before any seed is built: the seed
     # constructors the engines pass to the driver are never called

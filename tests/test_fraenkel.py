@@ -180,6 +180,30 @@ def test_scan_past_the_old_carrier_cap():
             + report["forced_fixed_point"]) == pairs
 
 
+# Whole scan reports as literals: the exhaustive reference above runs the
+# same classify and _verify as scan, so only literals catch a change that
+# alters both sides alike.
+PINNED_REPORTS = [
+    (8, 2, [], [3136, 2800, 336, 0, 0]),
+    (8, 2, [0], [2352, 2100, 210, 42, 0]),
+    (8, 2, [0, 1], [1680, 1500, 120, 60, 0]),
+    (8, 2, [0, 1, 2], [1120, 1000, 60, 60, 0]),
+    (8, 2, [0, 1, 2, 3], [672, 600, 24, 48, 0]),
+    (64, 3, [0], [454165494048, 454121891370, 42887880, 714798, 0]),
+    (64, 4, [0], [1798495356430080, 1798481203429680, 13917117060, 235883340, 0]),
+    (64, 4, [0, 1, 2], [1575640325064960, 1575627925790160, 11779311060, 619963740, 0]),
+]
+
+
+@pytest.mark.parametrize("carrier, n, support, counts", PINNED_REPORTS,
+                         ids=[f"c{c}-n{n}-E{len(e)}" for c, n, e, _ in PINNED_REPORTS])
+def test_scan_reports_are_pinned(carrier, n, support, counts):
+    report = scan(SupportConfig(frozenset(support), n, carrier))
+    keys = ("pairs", "missing_moved", "extra_outside", "forced_fixed_point", "escapes")
+    assert list(report.items()) == [("carrier", carrier), ("E", support), ("n", n),
+                                    *zip(keys, counts)]
+
+
 def test_scan_guard(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the guard must refuse before enumerating")
@@ -209,16 +233,37 @@ CORRUPTIONS = {
     "mm-atom-moved-by-t": (EO_PAIR, lambda v, s: (MissingMoved(1, (c([2, 6]), c([2, 7]))), s)),
     "mm-one-sample": (MM_PAIR, lambda v, s: (MissingMoved(v.atom, v.samples[:1]), s)),
     "mm-repeated-sample": (MM_PAIR, lambda v, s: (MissingMoved(v.atom, v.samples[:1] * 2), s)),
+    # s = (1 2) conjugated by (1 0) and by (1 3): the swap moves E, then moved(t)
+    "mm-added-atom-in-e": (MM_PAIR, lambda v, s: (
+        MissingMoved(v.atom, (c([0, 2]), v.samples[1])), s)),
+    "mm-added-atom-moved-by-t": (MM_PAIR, lambda v, s: (
+        MissingMoved(v.atom, (c([3, 2]), v.samples[1])), s)),
+    # unchecked samples whose added atom names no swap: each must be refused, not raise
+    "mm-added-atom-negative": (MM_PAIR, lambda v, s: (
+        MissingMoved(v.atom, (FinPerm._of({-1: 2, 2: -1}), v.samples[1])), s)),
+    # s = (2 3), where True adds an atom equal to 1 outside moved(s)
+    "mm-added-atom-bool": ((c([2, 3]), c([4, 5, 6])), lambda v, s: (
+        MissingMoved(v.atom, (FinPerm._of({True: 3, 3: True}), v.samples[1])), s)),
+    # True equals atom 1 of s but is not an int atom
+    "mm-atom-bool": (MM_PAIR, lambda v, s: (MissingMoved(True, v.samples), s)),
     # the swap and conjugate stay honest for atom 3; only the atom is wrong
-    "eo-atom-not-moved-by-t": (EO_PAIR, lambda v, s: (ExtraOutside(999, v.swap, v.conjugate), s)),
+    "eo-atom-not-moved-by-t": (EO_PAIR, lambda v, s: (ExtraOutside(4, v.swap, v.conjugate), s)),
     "eo-atom-moved-by-s": (EO_PAIR, lambda v, s: (ExtraOutside(1, v.swap, v.conjugate), s)),
-    "eo-swap-moves-moved-s": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([1, 4]), v.conjugate), s)),
-    "eo-swap-moves-e": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([0, 3]), v.conjugate), s)),
+    # each forged swap comes with the conjugate it gives, so only the swap is wrong
+    "eo-swap-moves-moved-s": (EO_PAIR, lambda v, s: (
+        ExtraOutside(v.atom, c([1, 3]), c([1, 3, 2])), s)),
+    "eo-swap-moves-e": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([0, 3]), c([0, 1, 2])), s)),
+    # with s = (1 7) the swap (2 5) fixes E and moved(s) and changes t, but not atom 3
+    "eo-swap-fixes-its-atom": (EO_PAIR, lambda v, s: (
+        ExtraOutside(v.atom, c([2, 5]), c([1, 5, 3])), c([1, 7]))),
     "eo-wrong-conjugate": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, v.swap, c([1, 2, 5])), s)),
     # (5 6) fixes E and moved(s) but also t, so the conjugate it gives is t
     "eo-swap-fixes-t": (EO_PAIR, lambda v, s: (ExtraOutside(v.atom, c([5, 6]), c([1, 2, 3])), s)),
     "ff-atom-outside-e": (FF_PAIR, lambda v, s: (ForcedFixedPoint(3, v.image, v.conjugate), s)),
     "ff-image-not-t-of-e": (FF_PAIR, lambda v, s: (ForcedFixedPoint(0, 2, v.conjugate), s)),
+    # s = (2 3) fixes E, and t^s = (0 1 3), but t(0) = 1 is not moved by s
+    "ff-image-not-moved-by-s": (FF_PAIR, lambda v, s: (
+        ForcedFixedPoint(0, 1, c([0, 1, 3])), c([2, 3]))),
     "ff-wrong-conjugate": (FF_PAIR, lambda v, s: (ForcedFixedPoint(0, v.image, c([0, 1, 3])), s)),
     "ff-s-moves-e": (FF_PAIR, lambda v, s: (v, c([0, 1]))),
     "precondition-fail": (MM_PAIR, lambda v, s: (PreconditionFail("not a probe"), s)),
