@@ -35,9 +35,10 @@ def format_atom_set(atoms: Iterable[int]) -> str:
 def parse_atom_set(text: str) -> frozenset[int]:
     """Parse ``{a,b,c}`` (or bare ``a,b,c``); the empty set is ``{}``.
 
-    Each atom is spelled in ASCII decimal digits, leading zeros allowed.
+    Each atom is spelled in ASCII decimal digits, leading zeros allowed,
+    and the text is read as given: whitespace anywhere in it is refused.
     """
-    body = text.strip()
+    body = text
     if body.startswith("{"):
         if not body.endswith("}"):
             raise ParseError(f"unbalanced braces in atom set: {text!r}")

@@ -61,6 +61,15 @@ def test_atom_set_refuses_non_canonical_atoms(atom):
         FinitaryPartition.parse("{3,4}{" + atom + ",2}")
 
 
+# the text is read as given, so whitespace around a set is refused too
+@pytest.mark.parametrize("text", [" {0} ", " 0,5\n", "0,5 ", "\t{}"],
+                         ids=["outer-spaces", "outer-newline", "trailing-space", "leading-tab"])
+def test_atom_set_refuses_outer_whitespace(text):
+    with pytest.raises(ParseError) as exc:
+        parse_atom_set(text)
+    assert str(exc.value) == f"bad atom in set: {text!r}"
+
+
 @given(st.frozensets(st.integers(0, 99), max_size=8))
 def test_atom_set_round_trip(atoms):
     assert parse_atom_set(format_atom_set(atoms)) == atoms

@@ -39,29 +39,17 @@ def test_bounds(capsys):
     assert "l0 = 8" in out and "m0 = 256" in out
 
 
-def test_inject_and_decode(capsys, tmp_path):
-    path = tmp_path / "inject.json"
-    code, out, _ = run_cli(["inject", "--n", "2", "--m", "4",
-                            "--perm", "(20;21)", "--json", str(path)], capsys)
-    assert code == 0
-    assert "image: (0;1)(20;21)" in out
-    payload = json.loads(path.read_text())
-    assert payload["image"] == "(0;1)(20;21)"
-    code, out, _ = run_cli(["decode", "--n", "2", "--m", "4",
-                            "--perm", payload["image"]], capsys)
-    assert code == 0
-    assert "decoded: (20;21)" in out
-
-
 @pytest.mark.parametrize("n, m, perm, record", [
     (2, 4, "(20;21)", {"image": "(0;1)(20;21)", "level": 0, "swap": "()",
                        "conjugated": "(20;21)", "marker_cycle": "(0;1)"}),
     (3, 5, "(1;40;41)", {"image": "(2;3)(5;40;41)", "level": 1, "swap": "(1;5)",
                          "conjugated": "(5;40;41)", "marker_cycle": "(2;3)"}),
+    (2, 4, "(0;2)", {"image": "(6;7)(8;10)", "level": 2, "swap": "(0;8)(2;10)",
+                     "conjugated": "(8;10)", "marker_cycle": "(6;7)"}),
     (3, 5, "(0;2;6)", {"image": "(14;15)(16;18;22)", "level": 3,
                        "swap": "(0;16)(2;18)(6;22)", "conjugated": "(16;18;22)",
                        "marker_cycle": "(14;15)"}),
-], ids=["level-0", "level-1", "level-3"])
+], ids=["level-0", "level-1", "level-2", "level-3"])
 def test_inject_golden_records(n, m, perm, record, capsys, tmp_path):
     path = tmp_path / "inject.json"
     code, out, _ = run_cli(["inject", "--n", str(n), "--m", str(m), "--perm", perm,
@@ -178,16 +166,24 @@ def test_unknown_oracle(capsys):
      "error: bad atom in set: '{\u0663}'"),
     (["fraenkel", "--atoms", "8", "--support", "{ 1 , 2 }", "--n", "2"],
      "error: bad atom in set: '{ 1 , 2 }'"),
+    (["fraenkel", "--atoms", "8", "--support", " {0} ", "--n", "2"],
+     "error: bad atom in set: ' {0} '"),
     # the opportunistic header carries compute_bounds' l0 and m0, so its guard applies
     (["diag-perm", "--n", "4", "--k", "1", "--mode", "opportunistic"],
      "error: m0 exceeds the 2**63-1 guard for n=4, k=1"),
+    (["bounds", "--n", "10000000", "--k", "1"],
+     "error: m0 exceeds the 2**63-1 guard for n=10000000, k=1"),
+    # (2;3) is level 1's marker cycle, but (30;31) encodes at level 0, as (0;1)(30;31)
+    (["decode", "--n", "2", "--m", "4", "--perm", "(2;3)(30;31)"],
+     "error: re-encoding the reconstruction differs"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
         "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
         "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0", "diag-part-bogus-oracle",
         "diag-part-pool-cap", "diag-perm-pool-cap", "diag-part-pool-space", "diag-part-pool-plus",
         "diag-part-pool-underscore", "diag-part-pool-arabic-indic", "fraenkel-support-plus",
         "fraenkel-support-underscore", "fraenkel-support-arabic-indic",
-        "fraenkel-support-spaces", "diag-perm-opportunistic-n4"])
+        "fraenkel-support-spaces", "fraenkel-support-outer-spaces", "diag-perm-opportunistic-n4",
+        "bounds-huge-n", "decode-not-an-image"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
     # a refused run is refused before any seed is built: the seed
     # constructors the engines pass to the driver are never called
@@ -195,7 +191,7 @@ def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
         raise AssertionError("seeds built for a refused run")
 
     monkeypatch.setattr("fiberbound.partition_engine.FinitaryPartition", no_seeds)
-    monkeypatch.setattr(FinPerm, "cycle", no_seeds)
+    monkeypatch.setattr("fiberbound.perm_engine._transposition", no_seeds)
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""
@@ -295,27 +291,6 @@ def test_unwritable_json_path_is_domain_error(target, capsys, tmp_path):
     assert out.strip() == "1 1 2 5"
     assert err.startswith(f"error: cannot write {path}: ")
     assert len(err.strip().splitlines()) == 1
-
-
-def test_diag_perm_certificate(capsys, tmp_path):
-    path = tmp_path / "cert.json"
-    code, out, _ = run_cli(["diag-perm", "--n", "1", "--k", "1", "--oracle", "truncate",
-                            "--mode", "strict", "--steps", "1", "--json", str(path)], capsys)
-    assert code == 0
-    cert = json.loads(path.read_text())
-    assert cert["kind"] == "ledger-violation"
-    assert cert["violation"]["output"] == "()"
-    assert len(cert["outputs"]) == 2
-
-
-def test_diag_part_certificate(capsys, tmp_path):
-    path = tmp_path / "cert.json"
-    code, _, _ = run_cli(["diag-part", "--k", "1", "--oracle", "min-block",
-                          "--steps", "3", "--json", str(path)], capsys)
-    assert code == 0
-    cert = json.loads(path.read_text())
-    assert cert["kind"] in ("part-diag", "ledger-violation")
-    assert cert["k"] == 1
 
 
 def test_fraenkel_report(capsys, tmp_path):

@@ -1,20 +1,29 @@
-"""Golden certificates: sha256 digests of ``json.dumps`` for small runs.
+"""The pin table: every pinned certificate and ``fraenkel`` report is a row of ``PINS``.
 
-The runs cover every certificate kind of both engines, so a change to the
-engines or to the certificate layout that alters a single byte fails here.
-Each run pins two digests: the format-1 certificate that ``format1.expand``
-rebuilds, unchanged since format 1 was current, and the format-3 bytes the
-engines write.  Regenerate the digests only with a deliberate, versioned
-format change.
+A change to the engines, the scan or the certificate layout that alters one
+byte fails exactly the rows whose runs it touches, under ``python -O`` too.
+A row's ``run`` is an in-process call that returns a certificate, or a
+command line that ``cli.main`` runs with ``--json`` into a temporary file.
+Its ``digest`` is the sha256 of ``json.dumps(cert)`` for the first, and of
+the bytes ``--json`` wrote, that text and a newline, for the second.
+``kind`` is ``None`` for a report; ``format1`` is the digest of the format-1
+certificate that ``format1.expand`` rebuilds, recorded while format 1 was
+current; ``max_bytes`` bounds the record's size.
+
+To add a row, give its run and kind and the digest of its bytes at the
+parent commit.  Change a digest only with a deliberate, versioned format
+change.  ``benchmarks/pins.json`` is the benchmark's own and is not here.
 """
 
 import hashlib
 import json
+from collections import namedtuple
 
 import pytest
 
 from fiberbound import partition_engine
 from fiberbound.auditing import WitnessEngine
+from fiberbound.cli import main
 from fiberbound.oracles import min_block_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
@@ -66,49 +75,134 @@ def _part_stuck(monkeypatch):
     return PartitionDiagEngine(1, min_block_oracle).run(2)
 
 
-GOLDEN = {
-    "perm-diag": (_perm_diag, "perm-diag",
-                  "17d50580cd19c8613b7534e126da445030ccc167be68fbad5db5201f703e35d9",
-                  "4f61d115795bc9c90ab6750bc74bb7f3c8a79de491fbba607ed7ecde7bee07d7"),
-    "perm-violation": (_perm_violation, "ledger-violation",
-                       "90d446b8530003eee81ac084f0896ff50d5cce87e28c6f4f18c1fb6ee7029dc1",
-                       "07cc17a2f198b8740c13812ba635c8a2cef770e5afc547b9869a0382fd126c53"),
-    "perm-strict-n1": (_perm_strict_n1, "ledger-violation",
-                       "c2906bcd310436471ba125b66b27b0edec6f8967b74c12f20733cd47c777ae39",
-                       "1665f0ec83b55993ba6a22bf8269cf1eefd6f9dc7e92827cc566abb6329822e9"),
-    "perm-strict-n2": (_perm_strict_n2, "ledger-violation",
-                       "c876d93a133e6c08d7a542405f2bb8dcef7071efb638d7559400b90066913a87",
-                       "bf1a732779290353808627f746cf4f7127ba9af4ece0857b5bd80ca6db6bcd65"),
-    "perm-stuck": (_perm_stuck, "stuck",
-                   "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f",
-                   "a0ed548ba52d47c34d05ebf1a91ed21cab40a8d6de23d37c809f14fcbf28fdf7"),
-    "part-diag": (_part_diag, "part-diag",
-                  "f39e08bc1c9606c520a67f8e2ba56b484eba3cbd539ca26210e0915639ae1a1a",
-                  "1e0a2be8f69e4f66f01f4e5c9d4bbf3ac83d99af71bad92f2381706ae7474349"),
-    "part-violation": (_part_violation, "ledger-violation",
-                       "7a9d929c92431878912d4221bac0fbe00f3ffbdc157d8b9fd82603fb3b07f440",
-                       "d2ca099fa1486bc02e8bac06463cb6ec209183ad59506e5355d49e6d0b85e7ff"),
-    "part-pool-violation": (_part_pool_violation, "ledger-violation",
-                            "10de8743d3675979d630ba16686528ef7220665d47a8fe41836eb1dd601b5ae2",
-                            "d4fafef0ea344ca2ea62d94f61abc05a0ac80fe729fda89dd092f5d253ab78bb"),
-    "part-stuck": (_part_stuck, "stuck",
-                   "c5094f0fed7b7362d3ff3a67b2bae760f4518f9ae26880e4ca6ab51c66df6524",
-                   "8f9cba3a3fdfca0fd7e0dcfe1f0479ba70ac9c419aa5eea8ad472423c0cfbffe"),
+def _grow_thirds(p):
+    # min-block, except that a block whose size is a multiple of three gains
+    # one atom, so some steps split the frame's classes and some do not
+    b = min_block_oracle(p)
+    return b | {max(b) + 1} if b and len(b) % 3 == 0 else b
+
+
+def _part_splitting(monkeypatch):
+    # after the seeds, min-block answers are all unions of the frame's classes;
+    # grow-thirds mixes such answers with ones that split a class, so this run
+    # goes through both the union test and the refinement loop
+    return PartitionDiagEngine(2, _grow_thirds).run(40)
+
+
+Pin = namedtuple("Pin", "run kind digest format1 max_bytes", defaults=(None, None))
+
+
+PINS = {
+    "perm-diag": Pin(_perm_diag, "perm-diag",
+                     "4f61d115795bc9c90ab6750bc74bb7f3c8a79de491fbba607ed7ecde7bee07d7",
+                     "17d50580cd19c8613b7534e126da445030ccc167be68fbad5db5201f703e35d9"),
+    "perm-violation": Pin(_perm_violation, "ledger-violation",
+                          "07cc17a2f198b8740c13812ba635c8a2cef770e5afc547b9869a0382fd126c53",
+                          "90d446b8530003eee81ac084f0896ff50d5cce87e28c6f4f18c1fb6ee7029dc1"),
+    "perm-strict-n1": Pin(_perm_strict_n1, "ledger-violation",
+                          "1665f0ec83b55993ba6a22bf8269cf1eefd6f9dc7e92827cc566abb6329822e9",
+                          "c2906bcd310436471ba125b66b27b0edec6f8967b74c12f20733cd47c777ae39"),
+    "perm-strict-n2": Pin(_perm_strict_n2, "ledger-violation",
+                          "bf1a732779290353808627f746cf4f7127ba9af4ece0857b5bd80ca6db6bcd65",
+                          "c876d93a133e6c08d7a542405f2bb8dcef7071efb638d7559400b90066913a87"),
+    "perm-stuck": Pin(_perm_stuck, "stuck",
+                      "a0ed548ba52d47c34d05ebf1a91ed21cab40a8d6de23d37c809f14fcbf28fdf7",
+                      "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f"),
+    "part-diag": Pin(_part_diag, "part-diag",
+                     "1e0a2be8f69e4f66f01f4e5c9d4bbf3ac83d99af71bad92f2381706ae7474349",
+                     "f39e08bc1c9606c520a67f8e2ba56b484eba3cbd539ca26210e0915639ae1a1a"),
+    "part-violation": Pin(_part_violation, "ledger-violation",
+                          "d2ca099fa1486bc02e8bac06463cb6ec209183ad59506e5355d49e6d0b85e7ff",
+                          "7a9d929c92431878912d4221bac0fbe00f3ffbdc157d8b9fd82603fb3b07f440"),
+    "part-pool-violation": Pin(_part_pool_violation, "ledger-violation",
+                               "d4fafef0ea344ca2ea62d94f61abc05a0ac80fe729fda89dd092f5d253ab78bb",
+                               "10de8743d3675979d630ba16686528ef7220665d47a8fe41836eb1dd601b5ae2"),
+    "part-stuck": Pin(_part_stuck, "stuck",
+                      "8f9cba3a3fdfca0fd7e0dcfe1f0479ba70ac9c419aa5eea8ad472423c0cfbffe",
+                      "c5094f0fed7b7362d3ff3a67b2bae760f4518f9ae26880e4ca6ab51c66df6524"),
+    "part-splitting": Pin(_part_splitting, "part-diag",
+                          "fcead6432a9249288efdab46c0091366df367e8cded1468df448276fa8b5d742",
+                          "2c1a746bae77b4c9168b93b0f263a6b0eb68e6e22b272bb5e6c4488cc562db76"),
+    "fraenkel3": Pin("fraenkel --atoms 64 --support {0} --n 3", None,
+                     "6e60214b42151de8cbc3e2dc4acaa6f2f223b5fd7075508b7620883a9858b8db"),
+    "fraenkel4": Pin("fraenkel --atoms 64 --support {0,1,2} --n 4", None,
+                     "05ebb099388d26ba748fbb0500ffdfd3aa2dc1262ea717e9602459ff2e2c7d49"),
+    "strict2": Pin("diag-perm --n 2 --k 2 --steps 50", "ledger-violation",
+                   "444ea40e60e7cbf2199e53d23ee142b67ed24873b82377ac7fdc4c625b78d9ec",
+                   "c8baa36b53aaaca6584424668ec5a23d411586a47a90f06aea53d49cf65e81ff"),
+    # violated after 23 steps
+    "strict5": Pin("diag-perm --n 2 --k 5 --steps 50", "ledger-violation",
+                   "0f1c05fffd4e2ea276d1c883710ee98d4ed6df6105d1ec9123a28b672eead7f5"),
+    "opp200": Pin("diag-perm --n 2 --k 200 --mode opportunistic --steps 400", "perm-diag",
+                  "b74688b9485a38c8fbe8ca44ad05a7e89b3a29b13ab5a8b5c4ba35575d372eb4",
+                  "aff7eeef2341c0403b0d8fb55e537373bdcfd7e796fad49dac2f0b385fa90b6d"),
+    # violated after 42 of the 2,000 steps
+    "opp20": Pin("diag-perm --n 2 --k 20 --mode opportunistic --steps 2000", "ledger-violation",
+                 "b0e18e23f5f03525d2b432d6deae6c2a535b20c3330ed5dcfd76afafdabad1a8"),
+    "pool1": Pin("diag-perm --n 2 --k 80 --oracle pool:1 --mode opportunistic --steps 50",
+                 "ledger-violation",
+                 "563131c4097cdd2d213a3f4a3d18c82f131aeb17efe31635f3807b8c8873c3d0"),
+    "part": Pin("diag-part --k 2 --steps 100", "part-diag",
+                "02a858b33ceec7dbabf449ecdcbf822f0bdd32c5a7751ac353b78ed8e52183c8",
+                max_bytes=300000),
+    "part3": Pin("diag-part --k 3 --steps 300", "part-diag",
+                 "aab3a2d327c751d8e8859684f9028ec421ba308831224057e79e2618386ec0db",
+                 "b7a2cc52e3b786d073118b73219323e1e4e167f6d5aa893133a160305983273d"),
+    "part5": Pin("diag-part --k 5 --steps 300", "part-diag",
+                 "a33ab23c3d7fd92ae56507680c7b6b4f3fa7add6d6b3150dfe4275c59f674db4"),
+    # violated among the seeds
+    "seeds3": Pin("diag-part --k 3 --oracle pool:2 --steps 1", "ledger-violation",
+                  "4079047de19d4cca7058bc05ec6e61b9d26079b9c27587a5253d170cf6f1f863",
+                  "98704a3536f1b0689876e9ab647423e6df05694b130e7af5bf96ae4afecb1fc7"),
 }
 
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_certificate_bytes_pinned(name, monkeypatch):
-    run, kind, format1_digest, digest = GOLDEN[name]
-    cert = run(monkeypatch)
-    assert cert["kind"] == kind
-    # the outputs hold every witness and the ranked stream every part candidate
-    assert not any({"result", "q"} & trace.keys() for trace in cert["traces"])
-    assert hashlib.sha256(json.dumps(cert).encode()).hexdigest() == digest
-    assert hashlib.sha256(json.dumps(expand(cert)).encode()).hexdigest() == format1_digest
+IN_PROCESS = sorted(name for name, pin in PINS.items() if callable(pin.run))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+def _written_bytes(run, monkeypatch, tmp_path):
+    if callable(run):
+        return json.dumps(run(monkeypatch)).encode()
+    path = tmp_path / "pinned.json"
+    assert main(run.split() + ["--json", str(path)]) == 0
+    return path.read_bytes()
+
+
+def _format1_digest(cert):
+    # the sha256 of json.dumps(expand(cert)).  A format-1 trace repeats the
+    # running list of answers (91 of part3's 96 MB), and each trace's list is
+    # a prefix of the last one's, so each answer is encoded once and each list
+    # is joined from those texts where a marker stands for it in the rest
+    old = expand(cert)
+    traces = old["traces"]
+    key = "C" if traces and "C" in traces[0] else "B"
+    items = [json.dumps(x) for x in traces[-1][key]] if traces else []
+    mark = json.dumps("\0")
+    text = json.dumps({**old, "traces": [{**t, key: "\0"} for t in traces]})
+    head, *rest = text.split(mark)
+    digest = hashlib.sha256(head.encode())
+    for trace, after in zip(traces, rest):
+        digest.update(("[" + ", ".join(items[:len(trace[key])]) + "]" + after).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_certificate_bytes_pinned(name, monkeypatch, tmp_path):
+    pin = PINS[name]
+    data = _written_bytes(pin.run, monkeypatch, tmp_path)
+    assert hashlib.sha256(data).hexdigest() == pin.digest
+    record = json.loads(data)
+    assert record.get("kind") == pin.kind
+    if pin.kind is not None:
+        assert record["format"] == 3
+        # the outputs hold every witness and the ranked stream every part candidate
+        assert not any({"result", "q"} & trace.keys() for trace in record["traces"])
+    if pin.format1 is not None:
+        assert _format1_digest(record) == pin.format1
+    if pin.max_bytes is not None:
+        assert len(data) < pin.max_bytes
+
+
+@pytest.mark.parametrize("name", IN_PROCESS)
 def test_outputs_are_every_witness_text(name, monkeypatch):
     # the certificate writes the seeds from their atom pairs and the steps'
     # outputs from their witnesses; together they must be the text of every
@@ -121,7 +215,7 @@ def test_outputs_are_every_witness_text(name, monkeypatch):
         return run(self, steps)
 
     monkeypatch.setattr(WitnessEngine, "run", recording_run)
-    cert = GOLDEN[name][0](monkeypatch)
+    cert = PINS[name].run(monkeypatch)
     [engine] = engines
     assert cert["outputs"] == [str(x) for x in engine.g]
 

@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import pytest
@@ -8,9 +7,9 @@ from fiberbound import partition_engine
 from fiberbound.oracles import min_block_oracle, pool_set_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.partitions import FinitaryPartition, build_frame, lift, iter_partitions_ranked
-from format1 import expand, expand_traces
+from format1 import expand_traces
 from helpers import partition_text
-from test_golden import GOLDEN, _perm_diag, _perm_stuck
+from test_golden import PINS, _grow_thirds, _perm_diag, _perm_stuck
 
 
 def driver_seeds(k):
@@ -74,25 +73,6 @@ def test_chosen_partition_is_rank_minimal():
         assert stale in emitted
     chosen = lift(next(stream), frame)
     assert chosen == engine.g[-1]
-
-
-def _grow_thirds(p):
-    # min-block, except that a block whose size is a multiple of three gains
-    # one atom, so some steps split the frame's classes and some do not
-    b = min_block_oracle(p)
-    return b | {max(b) + 1} if b and len(b) % 3 == 0 else b
-
-
-def test_splitting_run_is_pinned():
-    # after the seeds, min-block answers are all unions of the frame's classes;
-    # grow-thirds mixes such answers with ones that split a class, so this run
-    # goes through both the union test and the refinement loop
-    cert = PartitionDiagEngine(2, _grow_thirds).run(40)
-    assert (cert["kind"], cert["steps"]) == ("part-diag", 40)
-    digest = hashlib.sha256(json.dumps(cert).encode()).hexdigest()
-    assert digest == "fcead6432a9249288efdab46c0091366df367e8cded1468df448276fa8b5d742"
-    format1_digest = hashlib.sha256(json.dumps(expand(cert)).encode()).hexdigest()
-    assert format1_digest == "2c1a746bae77b4c9168b93b0f263a6b0eb68e6e22b272bb5e6c4488cc562db76"
 
 
 @pytest.mark.parametrize("oracle, steps, resumes_every_step", [
@@ -162,7 +142,7 @@ def test_two_value_step_has_room():
 
 
 PART_RUNS = {
-    **{name: GOLDEN[name][0] for name in sorted(GOLDEN) if name.startswith("part-")},
+    **{name: PINS[name].run for name in sorted(PINS) if name.startswith("part-")},
     "min-block-k1": lambda mp: PartitionDiagEngine(1, min_block_oracle).run(100),
     "min-block-k2": lambda mp: PartitionDiagEngine(2, min_block_oracle).run(100),
     "min-block-k3": lambda mp: PartitionDiagEngine(3, min_block_oracle).run(100),
