@@ -38,11 +38,9 @@ def parse_atom_set(text: str) -> frozenset[int]:
     Each atom is spelled in ASCII decimal digits, leading zeros allowed,
     and the text is read as given: whitespace anywhere in it is refused.
     """
-    body = text
-    if body.startswith("{"):
-        if not body.endswith("}"):
-            raise ParseError(f"unbalanced braces in atom set: {text!r}")
-        body = body[1:-1]
+    if text.startswith("{") and not text.endswith("}"):
+        raise ParseError(f"unbalanced braces in atom set: {text!r}")
+    body = text[1:-1] if text.startswith("{") else text
     if not body:
         return frozenset()
     parts = body.split(",")

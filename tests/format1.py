@@ -17,10 +17,13 @@ on every trace, and tests that read it get it back from ``expand``:
   ``outputs[len(outputs) - steps + i]``, and ``None`` on the one trace
   that emitted none, the last trace of a strict ``stuck`` perm run.
 
-``expand`` drops the ``format`` key and keeps every other field in place.
+``expand`` drops the ``format`` key and keeps every other field in place,
+and ``digest`` is the sha256 of its ``json.dumps`` text.
 """
 
+import hashlib
 import itertools
+import json
 
 from fiberbound.partitions import build_frame, iter_partitions_ranked
 from fiberbound.perms import FinPerm
@@ -35,6 +38,7 @@ def expand_traces(cert: dict) -> list[dict]:
     out = []
     running: list = []
     frame = family = None
+    walk = (None, 0, iter(()))      # the last draw's l, its rank, the rest of its walk
     for i, trace in enumerate(cert["traces"]):
         fields = {**trace, "result": outputs[len(outputs) - steps + i] if i < steps else None}
         if "C_new" in trace:
@@ -42,8 +46,11 @@ def expand_traces(cert: dict) -> list[dict]:
             frame = build_frame(trace["C_new"], frame)
             old = {"m": trace["m"], "C": list(running),
                    "classes": [sorted(c) for c in frame.classes]}
-            q = next(itertools.islice(iter_partitions_ranked(trace["l"]),
-                                      trace["rank_checked"] - 1, None))
+            l, rank = trace["l"], trace["rank_checked"]
+            if walk[0] != l or walk[1] >= rank:
+                walk = (l, 0, iter_partitions_ranked(l))
+            q = next(itertools.islice(walk[2], rank - walk[1] - 1, None))
+            walk = (l, rank, walk[2])
             fields["q"] = sorted(sorted(b) for b in q)
             tail = _PART_TAIL
         else:
@@ -67,3 +74,19 @@ def expand(cert: dict) -> dict:
     old = {key: value for key, value in cert.items() if key != "format"}
     old["traces"] = expand_traces(cert)
     return old
+
+
+def digest(cert: dict) -> str:
+    """The sha256 of ``json.dumps(expand(cert))``.  Each trace's running list
+    is a prefix of the last trace's, so each of its items is encoded once."""
+    old = expand(cert)
+    traces = old["traces"]
+    key = "C" if traces and "C" in traces[0] else "B"
+    items = [json.dumps(x) for x in traces[-1][key]] if traces else []
+    mark = json.dumps("\0")
+    text = json.dumps({**old, "traces": [{**t, key: "\0"} for t in traces]})
+    head, *rest = text.split(mark)
+    sha = hashlib.sha256(head.encode())
+    for trace, after in zip(traces, rest):
+        sha.update(("[" + ", ".join(items[:len(trace[key])]) + "]" + after).encode())
+    return sha.hexdigest()

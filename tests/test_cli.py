@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,9 +68,11 @@ def test_inject_golden_records(n, m, perm, record, capsys, tmp_path):
 
 
 def test_decode_domain_error(capsys):
-    code, _, err = run_cli(["decode", "--n", "2", "--m", "4", "--perm", "()"], capsys)
-    assert code == 1
-    assert "error:" in err
+    # (2;3) is level 1's marker cycle, but (30;31) encodes at level 0, as (0;1)(30;31)
+    for perm, message in [("()", "permutation moves no reserved level"),
+                          ("(2;3)(30;31)", "re-encoding the reconstruction differs")]:
+        code, out, err = run_cli(["decode", "--n", "2", "--m", "4", "--perm", perm], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_parse_error_is_domain_error(capsys):
@@ -173,9 +176,6 @@ def test_unknown_oracle(capsys):
      "error: m0 exceeds the 2**63-1 guard for n=4, k=1"),
     (["bounds", "--n", "10000000", "--k", "1"],
      "error: m0 exceeds the 2**63-1 guard for n=10000000, k=1"),
-    # (2;3) is level 1's marker cycle, but (30;31) encodes at level 0, as (0;1)(30;31)
-    (["decode", "--n", "2", "--m", "4", "--perm", "(2;3)(30;31)"],
-     "error: re-encoding the reconstruction differs"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
         "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
         "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0", "diag-part-bogus-oracle",
@@ -183,16 +183,20 @@ def test_unknown_oracle(capsys):
         "diag-part-pool-underscore", "diag-part-pool-arabic-indic", "fraenkel-support-plus",
         "fraenkel-support-underscore", "fraenkel-support-arabic-indic",
         "fraenkel-support-spaces", "fraenkel-support-outer-spaces", "diag-perm-opportunistic-n4",
-        "bounds-huge-n", "decode-not-an-image"])
+        "bounds-huge-n"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
-    # a refused run is refused before any seed is built: the seed
-    # constructors the engines pass to the driver are never called
+    # a refused run is refused at once, before any seed is built: the seed
+    # constructors the engines pass to the driver are never called, nor is
+    # FinPerm.cycle, which builds the tableau's levels and the pool oracle
     def no_seeds(*_):
         raise AssertionError("seeds built for a refused run")
 
     monkeypatch.setattr("fiberbound.partition_engine.FinitaryPartition", no_seeds)
     monkeypatch.setattr("fiberbound.perm_engine._transposition", no_seeds)
+    monkeypatch.setattr(FinPerm, "cycle", no_seeds)
+    start = time.perf_counter()
     code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - start < 10
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err

@@ -1,22 +1,21 @@
 """The pin table: every pinned certificate and ``fraenkel`` report is a row of ``PINS``.
 
-A change to the engines, the scan or the certificate layout that alters one
-byte fails exactly the rows whose runs it touches, under ``python -O`` too.
-A row's ``run`` is an in-process call that returns a certificate, or a
-command line that ``cli.main`` runs with ``--json`` into a temporary file.
-Its ``digest`` is the sha256 of ``json.dumps(cert)`` for the first, and of
-the bytes ``--json`` wrote, that text and a newline, for the second.
-``kind`` is ``None`` for a report; ``format1`` is the digest of the format-1
-certificate that ``format1.expand`` rebuilds, recorded while format 1 was
-current; ``max_bytes`` bounds the record's size.
+A change that alters one byte of a run fails exactly its rows, under ``python -O`` too.
+A row's ``run`` is an in-process call, whose digest is the sha256 of
+``json.dumps(cert)``, or a command line that ``cli.main`` runs with ``--json``,
+whose digest is that of the file it writes: that text and a newline.  ``kind``
+is ``None`` for a report; ``format1`` is the digest of ``format1.expand``'s
+rebuild, recorded while format 1 was current; ``max_bytes`` and ``seconds``
+bound the record's size and the run's wall time.
 
-To add a row, give its run and kind and the digest of its bytes at the
-parent commit.  Change a digest only with a deliberate, versioned format
+To add a row, give its run and kind and the digest of its bytes before the
+change that adds it.  Change a digest only with a deliberate, versioned format
 change.  ``benchmarks/pins.json`` is the benchmark's own and is not here.
 """
 
 import hashlib
 import json
+import time
 from collections import namedtuple
 
 import pytest
@@ -27,7 +26,7 @@ from fiberbound.cli import main
 from fiberbound.oracles import min_block_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
-from format1 import expand
+import format1
 
 
 def _perm_diag(monkeypatch):
@@ -89,7 +88,7 @@ def _part_splitting(monkeypatch):
     return PartitionDiagEngine(2, _grow_thirds).run(40)
 
 
-Pin = namedtuple("Pin", "run kind digest format1 max_bytes", defaults=(None, None))
+Pin = namedtuple("Pin", "run kind digest format1 max_bytes seconds", defaults=(None, None, None))
 
 
 PINS = {
@@ -126,13 +125,15 @@ PINS = {
     "fraenkel3": Pin("fraenkel --atoms 64 --support {0} --n 3", None,
                      "6e60214b42151de8cbc3e2dc4acaa6f2f223b5fd7075508b7620883a9858b8db"),
     "fraenkel4": Pin("fraenkel --atoms 64 --support {0,1,2} --n 4", None,
-                     "05ebb099388d26ba748fbb0500ffdfd3aa2dc1262ea717e9602459ff2e2c7d49"),
+                     "05ebb099388d26ba748fbb0500ffdfd3aa2dc1262ea717e9602459ff2e2c7d49",
+                     seconds=30),
     "strict2": Pin("diag-perm --n 2 --k 2 --steps 50", "ledger-violation",
                    "444ea40e60e7cbf2199e53d23ee142b67ed24873b82377ac7fdc4c625b78d9ec",
                    "c8baa36b53aaaca6584424668ec5a23d411586a47a90f06aea53d49cf65e81ff"),
     # violated after 23 steps
     "strict5": Pin("diag-perm --n 2 --k 5 --steps 50", "ledger-violation",
-                   "0f1c05fffd4e2ea276d1c883710ee98d4ed6df6105d1ec9123a28b672eead7f5"),
+                   "0f1c05fffd4e2ea276d1c883710ee98d4ed6df6105d1ec9123a28b672eead7f5",
+                   seconds=60),
     "opp200": Pin("diag-perm --n 2 --k 200 --mode opportunistic --steps 400", "perm-diag",
                   "b74688b9485a38c8fbe8ca44ad05a7e89b3a29b13ab5a8b5c4ba35575d372eb4",
                   "aff7eeef2341c0403b0d8fb55e537373bdcfd7e796fad49dac2f0b385fa90b6d"),
@@ -149,7 +150,8 @@ PINS = {
                  "aab3a2d327c751d8e8859684f9028ec421ba308831224057e79e2618386ec0db",
                  "b7a2cc52e3b786d073118b73219323e1e4e167f6d5aa893133a160305983273d"),
     "part5": Pin("diag-part --k 5 --steps 300", "part-diag",
-                 "a33ab23c3d7fd92ae56507680c7b6b4f3fa7add6d6b3150dfe4275c59f674db4"),
+                 "a33ab23c3d7fd92ae56507680c7b6b4f3fa7add6d6b3150dfe4275c59f674db4",
+                 seconds=20),
     # violated among the seeds
     "seeds3": Pin("diag-part --k 3 --oracle pool:2 --steps 1", "ledger-violation",
                   "4079047de19d4cca7058bc05ec6e61b9d26079b9c27587a5253d170cf6f1f863",
@@ -167,28 +169,12 @@ def _written_bytes(run, monkeypatch, tmp_path):
     return path.read_bytes()
 
 
-def _format1_digest(cert):
-    # the sha256 of json.dumps(expand(cert)).  A format-1 trace repeats the
-    # running list of answers (91 of part3's 96 MB), and each trace's list is
-    # a prefix of the last one's, so each answer is encoded once and each list
-    # is joined from those texts where a marker stands for it in the rest
-    old = expand(cert)
-    traces = old["traces"]
-    key = "C" if traces and "C" in traces[0] else "B"
-    items = [json.dumps(x) for x in traces[-1][key]] if traces else []
-    mark = json.dumps("\0")
-    text = json.dumps({**old, "traces": [{**t, key: "\0"} for t in traces]})
-    head, *rest = text.split(mark)
-    digest = hashlib.sha256(head.encode())
-    for trace, after in zip(traces, rest):
-        digest.update(("[" + ", ".join(items[:len(trace[key])]) + "]" + after).encode())
-    return digest.hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_certificate_bytes_pinned(name, monkeypatch, tmp_path):
     pin = PINS[name]
+    start = time.perf_counter()
     data = _written_bytes(pin.run, monkeypatch, tmp_path)
+    elapsed = time.perf_counter() - start
     assert hashlib.sha256(data).hexdigest() == pin.digest
     record = json.loads(data)
     assert record.get("kind") == pin.kind
@@ -197,9 +183,11 @@ def test_certificate_bytes_pinned(name, monkeypatch, tmp_path):
         # the outputs hold every witness and the ranked stream every part candidate
         assert not any({"result", "q"} & trace.keys() for trace in record["traces"])
     if pin.format1 is not None:
-        assert _format1_digest(record) == pin.format1
+        assert format1.digest(record) == pin.format1
     if pin.max_bytes is not None:
         assert len(data) < pin.max_bytes
+    if pin.seconds is not None:
+        assert elapsed < pin.seconds
 
 
 @pytest.mark.parametrize("name", IN_PROCESS)
