@@ -34,10 +34,12 @@ on a carrier of c atoms with |E| = e.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterator, Union
 
 from .atoms import fresh_atoms
@@ -130,13 +132,41 @@ def classify(s: FinPerm, t: FinPerm, cfg: SupportConfig) -> ProbeVerdict:
     return ForcedFixedPoint(e, t(e), t.conjugate(s))
 
 
+@cache
+def _shapes(count: int) -> tuple[tuple[itemgetter, str, itemgetter], ...]:
+    """One row per derangement of ``range(count)``, in ``permutations`` order.
+
+    A row holds an ``itemgetter`` of the derangement's images, its canonical
+    text over the positions with each position written as ``%d``, and an
+    ``itemgetter`` of the positions in the order that text names them.
+    Rows need ``count >= 2``, so each getter returns a tuple.
+    """
+    rows = []
+    for images in permutations(range(count)):
+        if any(map(eq, range(count), images)):
+            continue
+        text = FinPerm._of(dict(enumerate(images))).to_cycles()
+        order = [int(a) for a in re.findall(r"[0-9]+", text)]
+        rows.append((itemgetter(*images), re.sub(r"[0-9]+", "%d", text), itemgetter(*order)))
+    return tuple(rows)
+
+
 def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
     """All permutations of the given atoms moving exactly ``count`` of them.
 
-    The atoms must be distinct non-negative ints and ``count`` non-negative;
-    both are checked before anything is yielded.
+    The atoms must be distinct non-negative ints and ``count`` a
+    non-negative ``int`` by exact type; both are checked before anything
+    is yielded.  The order is that of ``combinations`` of the sorted atoms,
+    and within each subset that of ``permutations`` of it, fixed points
+    dropped.  Each subset's permutations come from the table of the
+    derangements of ``range(count)``, which also hands over each one's
+    canonical text.  The table is built on first use and kept for the life
+    of the process; it holds D(count) rows, so it suits the small counts
+    that the scan and the codec sweep (at most 5).
     """
     pool = list(atoms)
+    if type(count) is not int:
+        raise BadParametersError(f"count must be an int, got {count!r}")
     if count < 0:
         raise BadParametersError(f"count must be non-negative, got {count}")
     if any(type(a) is not int or a < 0 for a in pool):
@@ -147,10 +177,16 @@ def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
     if count == 0:
         yield FinPerm.identity()
         return
+    if count > len(pool):
+        return
+    shapes = _shapes(count)
     for subset in combinations(pool, count):
-        for image in permutations(subset):
-            if not any(map(eq, subset, image)):
-                yield FinPerm._of(dict(zip(subset, image)))
+        # the subset ascends as the positions do, so the rotations and the
+        # cycle order of the positions' text are those of the atoms' text
+        for images, text, order in shapes:
+            perm = FinPerm._of(dict(zip(subset, images(subset))))
+            perm._text = text % order(subset)
+            yield perm
 
 
 def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -> bool:

@@ -36,7 +36,10 @@ Operations on valid permutations wrap their results with the unchecked
   conjugated by the level's swap, an involution made of disjoint
   transpositions.
 - ``fraenkel.perms_moving_exactly``: derangements of a checked pool of
-  distinct non-negative int atoms.
+  distinct non-negative int atoms.  The text it keeps on each is
+  canonical: the subset it renames ``range(count)`` onto ascends, so
+  renaming the canonical text of the derangement over the positions
+  keeps which atom is least in each cycle and the order of the cycles.
 - ``fraenkel.classify``'s transpositions: each swaps an atom of ``s`` or
   ``t`` with an atom that ``fresh_atoms`` picked outside a set holding it,
   so two distinct non-negative int atoms.
@@ -49,12 +52,13 @@ Operations on valid permutations wrap their results with the unchecked
   checks once as a non-negative int before it builds any seed.
 
 A permutation's hash and its canonical text are each computed on first use
-and kept on it.  That is safe because a permutation never changes once it
-is built: no method writes to its map, and every caller of
-:meth:`FinPerm._of` hands its dict over and keeps no reference to it.  It
-pays where one value is asked about again and again: a pool oracle keys on
-a witness's text, and the engines re-ask about every recorded witness on
-each audit.
+and kept on it; the one exception is ``fraenkel.perms_moving_exactly``,
+which sets each permutation's text as it builds it.  That is safe because
+a permutation never changes once it is built: no method writes to its map,
+and every caller of :meth:`FinPerm._of` hands its dict over and keeps no
+reference to it.  It pays where one value is asked about again and again:
+a pool oracle keys on a witness's text, and the engines re-ask about every
+recorded witness on each audit.
 """
 
 from __future__ import annotations
@@ -73,10 +77,11 @@ class FinPerm:
     """A permutation of the atom universe moving finitely many points.
 
     The hash and the canonical text are each computed on first use and
-    kept: most permutations are intermediates that are never hashed or
-    written, and a witness is both on every audit.  Keeping them is safe
-    because no method mutates ``_map`` and :meth:`_of`'s callers hand
-    their dict over.
+    kept, except that ``fraenkel.perms_moving_exactly`` sets the text of
+    each permutation it yields: most permutations are intermediates that
+    are never hashed or written, and a witness is both on every audit.
+    Keeping them is safe because no method mutates ``_map`` and
+    :meth:`_of`'s callers hand their dict over.
     """
 
     __slots__ = ("_map", "_hash", "_text")

@@ -1,8 +1,11 @@
 import collections
 import itertools
 import json
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberbound.auditing import BoundParams, OracleLedger, compute_bounds
 from fiberbound.errors import BadParametersError, InconsistentOracleError, OverflowGuardError
@@ -103,8 +106,10 @@ def test_moved_set_fiber_exactness():
 
 
 def test_seed_partitions_counts():
-    # the driver builds seed j from the atom pair (base, base + 1 + j)
-    for k, count in ((1, 73), (2, 289)):
+    # the driver builds seed j from the atom pair (base, base + 1 + j); this
+    # is the one test that pins the count 72k² + 1 by value, and every other
+    # test reads it from the engine
+    for k, count in ((1, 73), (2, 289), (3, 649)):
         engine = PartitionDiagEngine(k, min_block_oracle)
         seeds = engine.g[:engine.seed_count]
         assert len(seeds) == count
@@ -329,7 +334,8 @@ def test_each_trace_carries_only_new_answers(make_engine, steps):
 
 @pytest.mark.parametrize("make_engine, oracle, steps, want", [
     (lambda oracle: PermDiagEngine(2, 1, oracle, "opportunistic", 64), injective_perms(), 200, 1214),
-    (lambda oracle: PartitionDiagEngine(2, oracle), min_block_oracle, 60, 2193),
+    # the part count follows the seed count, so it is read from the formula alone
+    (lambda oracle: PartitionDiagEngine(2, oracle), min_block_oracle, 60, None),
 ], ids=["perm-injective", "part-min-block"])
 def test_each_witness_is_queried_once_plus_audits(make_engine, oracle, steps, want):
     # 2·(seeds + steps − 1) for the new witnesses and the final audit, plus
@@ -344,8 +350,9 @@ def test_each_witness_is_queried_once_plus_audits(make_engine, oracle, steps, wa
     assert engine.run(steps)["steps"] == steps
     s = engine.seed_count
     audits = [t for t in range(2, steps + 1) if t & (t - 1) == 0]
-    assert want == 2 * (s + steps - 1) + sum(s + t - 2 for t in audits)
-    assert len(calls) == want
+    expected = 2 * (s + steps - 1) + sum(s + t - 2 for t in audits)
+    assert want in (None, expected)
+    assert len(calls) == expected
 
 
 def flip_after(monkeypatch, engine, steps, other):
@@ -466,3 +473,65 @@ def test_flip_before_a_violation_raises(monkeypatch, make_engine, answer, other)
     with pytest.raises(InconsistentOracleError):
         engine.run(10)
     assert len(engine.traces) == 5
+
+
+# Seeds sit at 1000·(id + 1) and fallbacks at the base + 500,000, and these
+# oracles commute with adding a constant to every atom, so instance id must
+# give instance 0's certificate with every atom shifted by 1000·id.
+TRANSLATION_RUNS = {
+    "min-block-k2": (lambda iid: PartitionDiagEngine(2, min_block_oracle, instance_id=iid), 60),
+    "strict-n2": (lambda iid: PermDiagEngine(2, 1, truncate_oracle(2), "strict",
+                                             instance_id=iid), 50),
+    "opportunistic-n2-k8": (lambda iid: PermDiagEngine(2, 8, truncate_oracle(2), "opportunistic",
+                                                       4, instance_id=iid), 50),
+}
+
+
+@cache
+def _at_instance_0(name):
+    make, steps = TRANSLATION_RUNS[name]
+    return make(0).run(steps)
+
+
+def _shift_perm(text, d):
+    # a shift keeps the order of the atoms, so canonical text stays canonical
+    cycles = text[1:-1].split(")(") if text != "()" else []
+    return "".join("(" + ";".join(str(int(a) + d) for a in c.split(";")) + ")"
+                   for c in cycles) or "()"
+
+
+def _shift_partition(text, d):
+    blocks = FinitaryPartition.parse(text).exceptional_blocks
+    return str(FinitaryPartition([{a + d for a in block} for block in blocks]))
+
+
+def _shift_trace(trace, d):
+    if "C_new" in trace:
+        return dict(trace, C_new=[[a + d for a in answer] for answer in trace["C_new"]])
+    family, stuck = trace["family"], trace["stuck_at"]
+    return dict(
+        trace,
+        B_new=[[i, _shift_perm(text, d)] for i, text in trace["B_new"]],
+        family=family and [dict(e, x=e["x"] + d, t=_shift_perm(e["t"], d)) for e in family],
+        stuck_at=stuck and [stuck[0], [a + d for a in stuck[1]]])
+
+
+def _shift_certificate(cert, d):
+    """``cert`` with every atom shifted by ``d``, field by field."""
+    text = _shift_partition if cert["n"] is None else _shift_perm
+    shifted = dict(cert, outputs=[text(x, d) for x in cert["outputs"]],
+                   traces=[_shift_trace(t, d) for t in cert["traces"]])
+    if cert["violation"] is not None:
+        # only the perm runs end in a violation, whose output is a permutation
+        v = cert["violation"]
+        shifted["violation"] = {"output": _shift_perm(v["output"], d),
+                                "witnesses": [text(w, d) for w in v["witnesses"]]}
+    return shifted
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 40))
+def test_instances_are_translates_of_instance_0(iid):
+    for name, (make, steps) in TRANSLATION_RUNS.items():
+        want = _shift_certificate(_at_instance_0(name), 1000 * iid)
+        assert make(iid).run(steps) == want, name

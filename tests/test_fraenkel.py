@@ -1,4 +1,6 @@
+from itertools import combinations, permutations
 from math import comb
+from operator import eq
 
 import pytest
 
@@ -7,8 +9,10 @@ from fiberbound.errors import BadParametersError, BudgetExceededError
 from fiberbound.fraenkel import (ExtraOutside, ForcedFixedPoint, MissingMoved,
                                  PreconditionFail, SupportConfig, classify,
                                  _verify, perms_moving_exactly, scan)
+from fiberbound.inject import Tableau
 from fiberbound.partitions import derangement
 from fiberbound.perms import FinPerm
+from helpers import cycle_text
 
 c = FinPerm.cycle
 CFG = SupportConfig(frozenset({0}), 2, 8)
@@ -99,14 +103,59 @@ def test_perms_moving_exactly_counts():
     assert len(list(perms_moving_exactly(iter(range(7)), 4))) == 315
 
 
+def _criterion_1_pool(n, m):
+    reserved = len(Tableau(n, m).reserved)
+    return list(range(reserved + 4))
+
+
+# each criterion 1 pool at counts 0..3, which hold every count the codec
+# sweeps; its count-5 sweep of (3, 5) alone would be 12 million permutations
+@pytest.mark.parametrize("pool, counts", [
+    (list(range(8)), range(6)),
+    ([40, 3, 17, 1000, 8, 2, 9], range(6)),
+    (_criterion_1_pool(2, 4), range(4)),
+    (_criterion_1_pool(2, 5), range(4)),
+    (_criterion_1_pool(3, 5), range(4)),
+], ids=["sorted", "unsorted-sparse", "criterion-1-2-4", "criterion-1-2-5", "criterion-1-3-5"])
+def test_perms_moving_exactly_matches_the_filtered_permutations(pool, counts):
+    # the reference: every permutation of each subset of the sorted pool, in
+    # the order itertools gives them, minus those with a fixed point
+    for count in counts:
+        want = [dict(zip(subset, image))
+                for subset in combinations(sorted(pool), count)
+                for image in permutations(subset)
+                if not any(map(eq, subset, image))]
+        got = list(perms_moving_exactly(iter(pool), count))
+        assert [p._map for p in got] == want
+        for p in got:
+            if count:
+                # the kept text, set as the permutation is yielded
+                assert p._text == cycle_text(p)
+            else:
+                assert p.to_cycles() == cycle_text(p) == "()"
+
+
+def test_count_past_the_pool_yields_nothing_and_builds_no_table(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the derangement table was built")
+
+    fraenkel._shapes.cache_clear()
+    monkeypatch.setattr(fraenkel, "permutations", unreachable)
+    assert list(perms_moving_exactly(iter([4, 1, 6]), 4)) == []
+    assert list(perms_moving_exactly(iter([]), 2)) == []
+    assert fraenkel._shapes.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("atoms, count", [
     ([0, 1, 2], -1),
     ([0, 0, 1, 1], 2),
     ([0, -1, 2], 2),
     ([0, "1", 2], 2),
     ([5, 5], 0),
+    ([0, 1, 2], True),
+    ([0, 1, 2], 2.0),
 ], ids=["negative-count", "repeated-atom", "negative-atom", "non-int-atom",
-        "checked-before-identity"])
+        "checked-before-identity", "bool-count", "float-count"])
 def test_perms_moving_exactly_rejects_bad_pools(atoms, count):
     with pytest.raises(BadParametersError):
         next(perms_moving_exactly(iter(atoms), count))

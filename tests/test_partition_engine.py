@@ -18,13 +18,10 @@ def driver_seeds(k):
 
 
 def test_seed_shapes():
-    first = driver_seeds(1)
-    assert len(first) == 73
-    assert first[0] == FinitaryPartition([{1000, 1001}])
-    assert first[-1] == FinitaryPartition([{1000, 1073}])
-    last = driver_seeds(2)
-    assert len(last) == 289
-    assert last[-1] == FinitaryPartition([{1000, 1289}])
+    for k in (1, 2):
+        seeds = driver_seeds(k)
+        assert seeds[0] == FinitaryPartition([{1000, 1001}])
+        assert seeds[-1] == FinitaryPartition([{1000, 1000 + len(seeds)}])
 
 
 def test_constant_empty_oracle_violates_immediately():
@@ -36,13 +33,14 @@ def test_constant_empty_oracle_violates_immediately():
 
 
 def test_min_block_run_handles_huge_class_counts():
-    cert = PartitionDiagEngine(1, min_block_oracle).run(100)
+    engine = PartitionDiagEngine(1, min_block_oracle)
+    cert = engine.run(100)
     assert cert["kind"] in ("part-diag", "ledger-violation")
     assert cert["all_distinct"]
     assert cert["traces"], "at least one constructed step expected"
     first = cert["traces"][0]
-    assert first["m"] == 73
-    assert first["l"] == 74
+    assert first["m"] == engine.seed_count
+    assert first["l"] == engine.seed_count + 1
     assert first["rank_checked"] == 1
     for trace in expand_traces(cert):
         m, l, values = trace["m"], trace["l"], trace["C"]
@@ -55,7 +53,8 @@ def test_min_block_run_handles_huge_class_counts():
 def test_first_constructed_partition_is_single_block():
     engine = PartitionDiagEngine(1, min_block_oracle)
     engine.step()
-    assert str(engine.g[-1]) == str(FinitaryPartition([set(range(1000, 1074))]))
+    atoms = range(1000, 1000 + engine.seed_count + 1)
+    assert str(engine.g[-1]) == str(FinitaryPartition([set(atoms)]))
 
 
 def test_chosen_partition_is_rank_minimal():
@@ -94,7 +93,7 @@ def test_resumed_walk_matches_a_restarted_walk(monkeypatch, oracle, steps, resum
     else:
         assert 1 < len(starts) < steps
     # recompute every step from the certificate alone, walking from rank 1
-    seeds = 72 * 2 * 2 + 1
+    seeds = len(cert["outputs"]) - cert["steps"]
     for i, trace in enumerate(expand_traces(cert)):
         emitted = set(cert["outputs"][:seeds + i])
         frame = build_frame([frozenset(v) for v in trace["C"]])
@@ -218,10 +217,11 @@ def test_injective_oracle_streams_forever():
             memo[p] = frozenset(range(len(memo) + 1))
         return memo[p]
 
-    cert = PartitionDiagEngine(1, injective).run(12)
+    engine = PartitionDiagEngine(1, injective)
+    cert = engine.run(12)
     assert cert["kind"] == "part-diag"
     assert cert["steps"] == 12
-    assert len(cert["outputs"]) == 85
+    assert len(cert["outputs"]) == engine.seed_count + 12
     assert cert["all_distinct"]
 
 
@@ -259,7 +259,7 @@ def test_flipping_oracle_detected():
 
     def unstable(p):
         calls["n"] += 1
-        return min_block_oracle(p) if calls["n"] <= 73 else frozenset()
+        return min_block_oracle(p) if calls["n"] <= engine.seed_count else frozenset()
 
     engine = PartitionDiagEngine(1, unstable)
     engine.step()
@@ -289,9 +289,10 @@ def test_stale_lifts_report_stuck(monkeypatch):
 
 
 def test_certificate_shape(monkeypatch):
-    cert = PartitionDiagEngine(1, min_block_oracle).run(1)
+    engine = PartitionDiagEngine(1, min_block_oracle)
+    cert = engine.run(1)
     assert cert["n"] is None and cert["l0"] is None
-    assert cert["m0"] == 72
+    assert cert["m0"] == engine.seed_count - 1
     # a perm run with fallback and constructed steps, and a strict stuck run,
     # whose last trace emitted no witness
     perm = _perm_diag(monkeypatch)
