@@ -31,8 +31,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_inject(args) -> dict:
-    tab = Tableau(args.n, args.m)
     s = FinPerm.parse(args.perm)
+    tab = Tableau(args.n, args.m)
     image, trace = encode(s, tab)
     print(f"image: {image}")
     print(f"level: {trace.level}")
@@ -53,8 +53,8 @@ def _cmd_inject(args) -> dict:
 
 
 def _cmd_decode(args) -> dict:
-    tab = Tableau(args.n, args.m)
-    s = decode(FinPerm.parse(args.perm), tab)
+    # the permutation is read before the tableau is built
+    s = decode(FinPerm.parse(args.perm), Tableau(args.n, args.m))
     print(f"decoded: {s}")
     return {"kind": "decode", "n": args.n, "m": args.m, "perm": args.perm, "decoded": str(s)}
 

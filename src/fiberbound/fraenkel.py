@@ -193,6 +193,8 @@ def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -
     e_set = cfg.support
     if isinstance(verdict, MissingMoved):
         a, ms, mt = verdict.atom, s._map.keys(), t._map.keys()
+        # a in moved(s) also makes a != b below, since b is not: so {a: b, b: a}
+        # is a transposition, as FinPerm._of requires
         if type(a) is not int or a not in ms or a in mt or a in e_set:
             return False
         if len(verdict.samples) < 2 or len(set(verdict.samples)) != len(verdict.samples):
@@ -211,7 +213,8 @@ def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -
         return True
     if isinstance(verdict, ExtraOutside):
         a, swapped, ms = verdict.atom, verdict.swap._map.keys(), s._map.keys()
-        if a not in t._map or a not in swapped or a in ms or a in e_set:
+        # a in swapped with the two disjointness tests puts a outside moved(s) and E
+        if a not in t._map or a not in swapped:
             return False
         if not (swapped.isdisjoint(e_set) and swapped.isdisjoint(ms)):
             return False

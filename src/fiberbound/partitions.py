@@ -267,15 +267,11 @@ class QuotientFrame:
             self._after.append(self._after[left])
             self._after[left] = cid
 
-    def _refine(self, v: Block) -> bool:
-        """Append ``v`` as the least significant bit, in O(|v|); return
-        whether a class split or a class of new atoms came in."""
+    def _refine(self, v: Block) -> None:
+        """Append ``v``, which :func:`build_frame` found to be no union of
+        the classes when its call began, as the least significant bit, in
+        O(|v|)."""
         class_of, members = self._class_of, self._members
-        cids = set(map(class_of.get, v))
-        if None not in cids and sum(map(len, map(members.__getitem__, cids))) == len(v):
-            # v is the union of the classes it meets: mask μ becomes 2μ + 1
-            # for those and 2μ for the rest, no class splits, order holds
-            return False
         hits: dict[int, list[int]] = {}
         fresh = []
         for a in v:
@@ -296,8 +292,6 @@ class QuotientFrame:
             # mask 1, below every class already present
             self._new_class(fresh, -1)
             self._atom_text.update(zip(fresh, map(str, fresh)))
-        # past the union test, some atom was new or some class was cut
-        return True
 
     def _emit(self) -> tuple[Block, ...]:
         """The classes in order; O(l) plus the sizes of changed classes, and
@@ -325,43 +319,48 @@ def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] 
     induces their well-order (first occurrence order at the call sites).
     A value repeated in ``values``, or already listed, raises
     :class:`BadParametersError` before any refinement, and so does an atom
-    new to the frame that is not a non-negative ``int`` (a ``bool`` is not
-    one): every atom of a frame is a non-negative int, which :func:`lift`
-    relies on when it builds its result unchecked from the frame's classes.
-    A value inside ``frame.atoms`` brings no new atom, which one subset
-    test finds in builtins; only the atoms new to the frame, of the values
-    outside it, are checked one by one, since atoms already in the frame
-    were checked when they came in.
+    that is not a non-negative ``int`` (a ``bool`` or a ``float`` is not
+    one) in a value that is not a union of the frame's classes: every atom
+    of a frame is a non-negative int, which :func:`lift` relies on when it
+    builds its result unchecked from the frame's classes.  Only such a
+    value can put an atom into a class, by bringing it in or by splitting
+    a class, and a ``True`` or a ``1.0`` that equals an atom of the frame
+    would enter the split class as itself.  A union of the frame's classes
+    stays a union as later values of the call make the classes finer, so
+    it never splits and its atoms need no check.
 
     Appending ``v`` as the least significant bit splits each class C into
     C∖v and C∩v, in that order, and gathers the atoms new to the union into
     a first class, whose atoms' decimal texts go into the frame's table, at
     O(|v|).  When ``v`` is a union of existing classes
     nothing splits and nothing is new; one set of class ids and a sum of
-    their sizes find that, at O(|v|) in builtins, and the Python loop is
-    skipped.  Emitting the frame costs O(l) and the sizes of the changed
-    classes; a class no value splits keeps its frozenset object, and a call
-    whose values are all unions of classes emits nothing and keeps the
-    ``classes`` tuple object.  Nothing is walked for the values already
-    listed, so a list folded in pieces costs O(Σ|v|) plus O(l) per call that
-    changes a class.
+    their sizes find that, at O(|v|) in builtins, and ``v`` is listed
+    without a check or a refinement.  Emitting the frame costs O(l) and the
+    sizes of the changed classes; a class no value splits keeps its
+    frozenset object, and a call whose values are all unions of classes
+    emits nothing and keeps the ``classes`` tuple object.  Nothing is
+    walked for the values already listed, so a list folded in pieces costs
+    O(Σ|v|) plus O(l) per call that changes a class.
     """
     frame = QuotientFrame() if frame is None else frame
     vals = [frozenset(v) for v in values]
     new = dict.fromkeys(vals)
     if len(new) != len(vals) or any(v in frame._listed for v in vals):
         raise BadParametersError("values must be duplicate-free")
-    atoms = frame.atoms
-    outside = [v for v in vals if not v <= atoms]
-    if outside:
-        fresh = frozenset().union(*outside).difference(atoms)
-        if not all(type(a) is int and a >= 0 for a in fresh):
-            raise BadParametersError("atoms must be non-negative integers")
-    changed = False
+    class_of, members = frame._class_of, frame._members
+    splitting = []
     for v in vals:
-        changed |= frame._refine(v)
+        cids = set(map(class_of.get, v))
+        if None in cids or sum(map(len, map(members.__getitem__, cids))) != len(v):
+            if not all(type(a) is int and a >= 0 for a in v):
+                raise BadParametersError("atoms must be non-negative integers")
+            splitting.append(v)
+    # a union of classes splits none and brings no atom: mask μ becomes
+    # 2μ + 1 for the classes it meets and 2μ for the rest, order holds
+    for v in splitting:
+        frame._refine(v)
     frame._listed.update(new)
-    if changed:
+    if splitting:
         frame.classes = frame._emit()
     return frame
 

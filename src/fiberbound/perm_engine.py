@@ -8,9 +8,9 @@ answer record, and emits the first product of family members not seen
 before.  The answers only ever extend, so a step keeps the leading case-1
 levels of the last step's family and rebuilds from its first case-2 or
 stuck level.  The engine owns one :class:`FamilyIndex`, which holds the
-last step's family and knows which answers move each atom, so a rebuilt
-level touches only the answers that move atoms whose occupancy changed,
-and a step that keeps every level leaves it alone.  Strict mode seeds
+last step's family and lists which answers move each atom, so a rebuilt
+case-2 level walks only the answers that move its occupied atoms, and a
+step that keeps every level leaves it alone.  Strict mode seeds
 ``m0 + 1`` witnesses, with ``m0`` from :func:`strict_bounds`, the least
 count the stuck-family argument needs, so that a failed family
 construction is a genuine inconsistency; that count is feasible for n <= 2.
@@ -70,24 +70,19 @@ class FamilyIndex:
     """What :func:`build_family` keeps from one call to the next.
 
     ``entries`` is the family the last call returned, which the next call
-    keeps up to its first case-2 or stuck level.  ``values`` is the
-    driver's answer record itself, its ``(answer, first index)`` pairs in
-    index order, and its first ``indexed`` pairs are indexed: ``movers``
-    lists, for each atom, the positions of the indexed answers that move
-    it, ascending.  No indexed answer escapes the occupied set, that is,
-    sends an atom outside it to another atom outside it, whenever a level
-    begins: a case-1 member is its answer deflated onto the free atoms, so
-    occupying it occupies every atom where that answer escaped; the answers
-    indexed before it did not escape, and occupying atoms only ends
-    escapes; a case-2 level is reached with every answer indexed and none
-    escaping; and :meth:`_cut` frees only the atoms of the levels from the
-    first case-2 or stuck level on, whose build found none escaping.
-    ``occupied`` is the set of atoms ``entries`` moves.  For each occupied
-    atom ``x``, ``least`` holds the position of the least answer that is
-    live at ``x`` (sends it outside the occupied set) and of the least one
-    live there with another image, or ``None``; ``dirty`` names the
-    occupied atoms whose pair may be stale, and the entries of atoms no
-    longer occupied are never read.
+    keeps up to its first case-2 or stuck level, and ``occupied`` is the
+    set of atoms ``entries`` moves.  ``values`` is the driver's answer
+    record itself, its ``(answer, first index)`` pairs in index order, and
+    its first ``indexed`` pairs are indexed: ``movers`` lists, for each
+    atom, the positions of the indexed answers that move it, ascending.
+    No indexed answer escapes the occupied set, that is, sends an atom
+    outside it to another atom outside it, whenever a level begins: a
+    case-1 member is its answer deflated onto the free atoms, so occupying
+    it occupies every atom where that answer escaped; the answers indexed
+    before it did not escape, and occupying atoms only ends escapes; a
+    case-2 level is reached with every answer indexed and none escaping;
+    and :meth:`_cut` frees only the atoms of the levels from the first
+    case-2 or stuck level on, whose build found none escaping.
     """
 
     def __init__(self):
@@ -96,75 +91,41 @@ class FamilyIndex:
         self.indexed = 0
         self.entries: list[FamilyEntry] = []
         self.occupied: set[int] = set()
-        self.least: dict[int, tuple[Optional[int], Optional[int]]] = {}
-        self.dirty: set[int] = set()
 
     def _cut(self, count: int) -> None:
-        """Cut the family back to its first ``count`` entries.
+        """Cut the family back to its first ``count`` entries and rebuild
+        the occupied set from their atoms, at most 2n·count of them.
 
         :func:`build_family` passes the number of leading case-1 entries,
         so this frees the atoms of the levels from the family's first
         case-2 or stuck level on.  Building that level indexed every answer
-        and found none escaping, so freeing them makes none escape: it only
-        changes which answers are live at the occupied atoms.
+        and found none escaping, so freeing them makes none escape.
         """
-        self._move({x for e in self.entries[count:] for x in e.perm._map}, False)
         self.entries = self.entries[:count]
-
-    def _move(self, atoms, occupy: bool) -> None:
-        """Occupy or free ``atoms`` and mark the occupied atoms where an
-        indexed answer that moves one of them changed its liveness."""
-        occupied, dirty = self.occupied, self.dirty
-        if occupy:
-            occupied.update(atoms)
-            dirty.update(atoms)
-        else:
-            occupied.difference_update(atoms)
-            dirty.difference_update(atoms)
-        touched = set()
-        for a in atoms:
-            touched.update(self.movers.get(a, ()))
-        values = self.values
-        for p in touched:
-            for x, y in values[p][0]._map.items():
-                if x in occupied and y in atoms:    # the answer's liveness at x changed
-                    dirty.add(x)
-
-    def _index_next(self) -> bool:
-        """Index the next answer read, against the occupied set; return
-        whether it escapes."""
-        p = self.indexed
-        self.indexed = p + 1
-        occupied = self.occupied
-        escaping = False
-        for x, y in self.values[p][0]._map.items():
-            self.movers.setdefault(x, []).append(p)
-            if x in occupied:
-                if y not in occupied:
-                    self.dirty.add(x)
-            elif y not in occupied:
-                escaping = True
-        return escaping
+        self.occupied = {x for e in self.entries for x in e.perm._map}
 
     def _case_one(self, level: int) -> Optional[FamilyEntry]:
-        """The least escaping answer's member.  No indexed answer escapes, so
-        the walk indexes the answers past them until one does."""
-        values = self.values
+        """The least escaping answer's member, at its least escaping atom.
+        No indexed answer escapes, so the walk indexes the answers past
+        them into ``movers`` until one does."""
+        values, movers, occupied = self.values, self.movers, self.occupied
         while self.indexed < len(values):
-            if self._index_next():
-                s, i = values[self.indexed - 1]
-                occupied = self.occupied
-                x = min(x for x, y in s._map.items() if x not in occupied and y not in occupied)
-                return FamilyEntry(level, 1, i, None, x, s.deflate(SetSpec.cofinite(occupied)))
+            p = self.indexed
+            self.indexed = p + 1
+            s, i = values[p]
+            escapes = []
+            for x, y in s._map.items():
+                movers.setdefault(x, []).append(p)
+                if x not in occupied and y not in occupied:
+                    escapes.append(x)
+            if escapes:
+                return FamilyEntry(level, 1, i, None, min(escapes),
+                                   s.deflate(SetSpec.cofinite(occupied)))
         return None
 
     def _case_two(self, level: int) -> Optional[FamilyEntry]:
         """The least disagreeing pair's member; every answer is indexed and none escapes."""
-        least = self.least
-        for x in self.dirty:
-            least[x] = self._least(x)
-        self.dirty.clear()
-        pairs = [least[x] for x in self.occupied if least[x][1] is not None]
+        pairs = [pair for pair in map(self._least, self.occupied) if pair[1] is not None]
         if not pairs:
             return None
         (s_i, i), (s_j, j) = (self.values[p] for p in min(pairs))
@@ -216,28 +177,31 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
     case-1 levels followed by case-2 levels.
 
     A call that keeps every level returns the kept family without touching
-    the index.  Otherwise the index frees the atoms of the levels it
-    rebuilds and occupies the atoms of each level it builds, and each
-    change marks stale the liveness pairs of only the indexed answers that
-    move those atoms, at O(n) each, since an answer moves at most n atoms.
-    The returned entries are the index's ``entries``, which the next call
-    reads.  No indexed answer escapes when a level begins (see
-    :class:`FamilyIndex`), so case 1 indexes the answers past the indexed
-    ones until one escapes.  Case 2, reached
-    with every answer indexed and none escaping, first renews the pair
-    in ``least`` of each atom whose answers' liveness changed, walking
-    that atom's movers in order past the dead ones to the first
-    disagreement.  The least disagreeing pair of answers ``(i, j)`` in
-    index order is then the least pair in ``least``: ``i`` is the least first entry over atoms with a
-    disagreement, since any disagreeing pair at ``x`` has ``i`` at or
-    after ``x``'s first entry; and where ``x``'s first entry comes before
-    ``i``, every live answer at ``x`` agrees with it, so ``j`` is the
-    least disagreeing entry over the atoms whose first entry is ``i``.
-    Its ``x`` is the least atom where the two disagree.  Each answer is
-    indexed once, at O(n).  A level then costs O(n) per indexed answer
-    that moves an atom it occupies or frees, the movers walked to renew
-    stale pairs, and O(n·level) for the least pair, however many answers
-    the record holds.
+    the index.  Otherwise the index cuts the family back to the kept levels
+    and rebuilds the occupied set from their atoms, at most 2n·level, and
+    adds each new member's atoms to it.  The returned entries are the
+    index's ``entries``, which the next call reads.  No indexed answer
+    escapes when a level begins (see :class:`FamilyIndex`), so case 1
+    indexes the answers past the indexed ones until one escapes, at O(n)
+    each, since an answer moves at most n atoms; each answer is indexed
+    once.  Case 2, reached with every answer indexed and none escaping,
+    walks the movers of each occupied atom ``x`` in order, past the dead
+    ones (which send ``x`` into the occupied set), up to its second
+    distinct live image.  That gives ``x``'s first live entry and its
+    first live entry with another image.  The least disagreeing pair of
+    answers ``(i, j)`` in index order is then the least of these pairs:
+    ``i`` is the least first entry over atoms with a disagreement, since
+    any disagreeing pair at ``x`` has ``i`` at or after ``x``'s first
+    entry; and where ``x``'s first entry comes before ``i``, every live
+    answer at ``x`` agrees with it, so ``j`` is the least disagreeing
+    entry over the atoms whose first entry is ``i``.  Its ``x`` is the
+    least atom where the two disagree.  A case-2 level thus costs the
+    movers walked at each occupied atom, however many answers the record
+    holds.  For n <= 2 every answer that moves an atom is a transposition,
+    so the dead movers at an atom number at most |occupied| and no live one
+    agrees with the first, so a level costs O(|occupied|²).  For n >= 3 an
+    atom may have any number of dead or agreeing movers, and the walk
+    passes them all.
 
     Each member holds by construction what a family needs.  It is
     nontrivial: a case-1 answer sends its escaping ``x`` to ``s(x)``
@@ -263,7 +227,7 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
         if chosen is None:
             return entries, (level, frozenset(index.occupied))
         entries.append(chosen)
-        index._move(chosen.perm._map.keys(), True)
+        index.occupied.update(chosen.perm._map)
     return entries, None
 
 

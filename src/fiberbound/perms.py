@@ -151,9 +151,12 @@ class FinPerm:
             except ValueError:
                 # an atom past Python's limit on digits in an int string
                 raise ParseError(f"bad atom in cycle notation: {text!r}") from None
-            if len(set(pts)) != len(pts) or seen & set(pts):
+            atoms = set(pts)
+            if len(atoms) != len(pts):
+                raise ParseError(f"repeated atom in cycle {m.group(0)!r} in {text!r}")
+            if not seen.isdisjoint(atoms):
                 raise ParseError(f"atom repeated across cycles in {text!r}")
-            seen.update(pts)
+            seen.update(atoms)
             for i, a in enumerate(pts):
                 mapping[a] = pts[(i + 1) % len(pts)]
         return cls(mapping)

@@ -176,6 +176,11 @@ def test_unknown_oracle(capsys):
      "error: m0 exceeds the 2**63-1 guard for n=4, k=1"),
     (["bounds", "--n", "10000000", "--k", "1"],
      "error: m0 exceeds the 2**63-1 guard for n=10000000, k=1"),
+    # the permutation is read before the tableau is built
+    (["inject", "--n", "2", "--m", "5", "--perm", "(5;5)"],
+     "error: repeated atom in cycle '(5;5)' in '(5;5)'"),
+    (["decode", "--n", "2", "--m", "5", "--perm", "(1;2)(2;3)"],
+     "error: atom repeated across cycles in '(1;2)(2;3)'"),
 ], ids=["diag-perm-k0", "bounds-k0", "diag-perm-pool-abc", "diag-part-pool-abc", "bell-negative",
         "inject-tableau-too-large", "fraenkel-work-too-large", "fraenkel-huge-n",
         "diag-part-seed-cap", "diag-perm-seed-cap", "diag-perm-seeds-0", "diag-part-bogus-oracle",
@@ -183,7 +188,7 @@ def test_unknown_oracle(capsys):
         "diag-part-pool-underscore", "diag-part-pool-arabic-indic", "fraenkel-support-plus",
         "fraenkel-support-underscore", "fraenkel-support-arabic-indic",
         "fraenkel-support-spaces", "fraenkel-support-outer-spaces", "diag-perm-opportunistic-n4",
-        "bounds-huge-n"])
+        "bounds-huge-n", "inject-repeated-in-cycle", "decode-repeated-across-cycles"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
     # a refused run is refused at once, before any seed is built: the seed
     # constructors the engines pass to the driver are never called, nor is

@@ -298,6 +298,11 @@ CORRUPTIONS = {
     # the swap and conjugate stay honest for atom 3; only the atom is wrong
     "eo-atom-not-moved-by-t": (EO_PAIR, lambda v, s: (ExtraOutside(4, v.swap, v.conjugate), s)),
     "eo-atom-moved-by-s": (EO_PAIR, lambda v, s: (ExtraOutside(1, v.swap, v.conjugate), s)),
+    # the swap moves the atom, and with it moved(s), then E: no check on the atom
+    # alone is left to refuse these, the swap's disjointness tests do
+    "eo-atom-moved-by-s-and-swap": (EO_PAIR, lambda v, s: (
+        ExtraOutside(1, c([1, 5]), c([2, 3, 5])), s)),
+    "eo-atom-in-e-and-swap": (FF_PAIR, lambda v, s: (ExtraOutside(0, c([0, 5]), c([1, 2, 5])), s)),
     # each forged swap comes with the conjugate it gives, so only the swap is wrong
     "eo-swap-moves-moved-s": (EO_PAIR, lambda v, s: (
         ExtraOutside(v.atom, c([1, 3]), c([1, 3, 2])), s)),

@@ -26,6 +26,7 @@ from fiberbound.cli import main
 from fiberbound.oracles import min_block_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
+from fiberbound.perms import FinPerm
 import format1
 
 
@@ -54,6 +55,27 @@ def _perm_stuck(monkeypatch):
     engine = PermDiagEngine(2, 8, truncate_oracle(2), mode="opportunistic", seed_count=4)
     engine.mode = "strict"          # the first stalled family now counts as inconsistent
     return engine.run(3)
+
+
+def _agreeing_three_cycles(s):
+    # (a b c): a is s's least moved atom mod 10**6, b one of the 3 atoms kept
+    # for a, picked by md5, and c s's greatest moved atom, or (a b) when that
+    # is b.  A witness moves only family atoms, so a and c are mostly occupied
+    # and b free: the answer escapes nowhere, and the answers on one a send it
+    # to one of only 3 free atoms, so many live answers agree there
+    if not s._map:
+        return s
+    a = min(s._map) % 10**6
+    b = 10**6 + 3 * a + hashlib.md5(str(s).encode()).digest()[0] % 3
+    c = max(s._map)
+    return FinPerm.cycle([a, b] if c == b else [a, b, c])
+
+
+def _perm_n3_agreeing(monkeypatch):
+    # opportunistic n=3, 300 steps, 3 of them fallbacks; its case-2 levels walk
+    # past live answers that agree with the first at an occupied atom
+    return PermDiagEngine(3, 1000, _agreeing_three_cycles, mode="opportunistic",
+                          seed_count=4).run(300)
 
 
 def _part_diag(monkeypatch):
@@ -104,6 +126,9 @@ PINS = {
     "perm-strict-n2": Pin(_perm_strict_n2, "ledger-violation",
                           "bf1a732779290353808627f746cf4f7127ba9af4ece0857b5bd80ca6db6bcd65",
                           "c876d93a133e6c08d7a542405f2bb8dcef7071efb638d7559400b90066913a87"),
+    "perm-n3-agreeing": Pin(_perm_n3_agreeing, "perm-diag",
+                            "1e2170859cf7bb9fbc1cc4a28828d7fa7d8899e35ce0b05f8bdaf7e04734d6f5",
+                            seconds=2),
     "perm-stuck": Pin(_perm_stuck, "stuck",
                       "a0ed548ba52d47c34d05ebf1a91ed21cab40a8d6de23d37c809f14fcbf28fdf7",
                       "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f"),

@@ -176,33 +176,37 @@ def _frame_state(frame):
             [set(m) for m in frame._members], list(frame._after), frame._head)
 
 
-# each holds an atom new to a frame of {10, 11} that is not a non-negative int;
-# True == 1 and False == 0, so neither is already in that frame
+# each pairs a frame's first value with a value holding an atom that is not a
+# non-negative int.  True == 1 and False == 0, so over {10, 11} neither is
+# already in the frame; over {1, 2, 3} a True or a 1.0 equals an atom of the
+# frame, and the value would split that class with it
 BAD_ATOMS = {
-    "negative": frozenset({-1, -2}),
-    "negative-beside-good": frozenset({11, 12, -3}),
-    "str": frozenset({"a", "b"}),
-    "bool": frozenset({True, 12}),
-    "false": frozenset({False, 10}),
+    "negative": ({10, 11}, frozenset({-1, -2})),
+    "negative-beside-good": ({10, 11}, frozenset({11, 12, -3})),
+    "str": ({10, 11}, frozenset({"a", "b"})),
+    "bool": ({10, 11}, frozenset({True, 12})),
+    "false": ({10, 11}, frozenset({False, 10})),
+    "bool-in-frame": ({1, 2, 3}, frozenset({True, 2})),
+    "float-in-frame": ({1, 2, 3}, frozenset({1.0, 2})),
 }
 
 
-@pytest.mark.parametrize("bad", BAD_ATOMS.values(), ids=BAD_ATOMS.keys())
-def test_build_frame_refuses_atoms_that_are_not_non_negative_ints(bad):
+@pytest.mark.parametrize("start, bad", BAD_ATOMS.values(), ids=BAD_ATOMS.keys())
+def test_build_frame_refuses_atoms_that_are_not_non_negative_ints(start, bad):
     # folded whole, alone or after a good value
-    for values in ([bad], [frozenset({10, 11}), bad]):
+    for values in ([bad], [frozenset(start), bad]):
         with pytest.raises(BadParametersError, match="atoms must be non-negative integers"):
             build_frame(values)
     # folded in pieces: a good value before the bad one in the same call
-    # would split {10, 11} and bring 12 in, but the frame does not change
-    frame = build_frame([frozenset({10, 11})])
+    # would split the frame's class and bring 12 in, but the frame does not change
+    frame = build_frame([frozenset(start)])
     before = _frame_state(frame)
-    for values in ([bad], [frozenset({11, 12}), bad]):
+    for values in ([bad], [frozenset({min(start) + 1, 12}), bad]):
         with pytest.raises(BadParametersError, match="atoms must be non-negative integers"):
             build_frame(values, frame)
         assert _frame_state(frame) == before
     # so no lift can hold such an atom
-    assert lift([{0}], frame) == FinitaryPartition([{10, 11}])
+    assert lift([{0}], frame) == FinitaryPartition([start])
 
 @given(st.lists(st.frozensets(st.integers(0, 9), max_size=4), max_size=5, unique=True))
 def test_frame_properties(values):
