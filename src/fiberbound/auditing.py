@@ -27,8 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .errors import (BadParametersError, InconsistentOracleError, InfeasibleRunError,
-                     OverflowGuardError)
+from .errors import BadParametersError, BudgetExceededError, InconsistentOracleError
 
 SEED_CAP = 1_000_000
 _UNRECORDED = object()  # a recorded answer may be None
@@ -60,7 +59,14 @@ def _growth_ok(n: int, k: int, l: int) -> bool:
     return k * (2 * n * l) ** (2 * n) < 2**l
 
 
+def _require_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise BadParametersError(f"{name} must be an int, got {value!r}")
+
+
 def compute_bounds(n: int, k: int) -> BoundParams:
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 0:
         raise BadParametersError("n must be non-negative")
     if k < 1:
@@ -74,7 +80,7 @@ def compute_bounds(n: int, k: int) -> BoundParams:
         # bit lengths test it first, so no power far past it is built
         base = 2 * n * max(start, 1)
         if k.bit_length() - 1 + e * (base.bit_length() - 1) >= 63 or k * base**e > _INT64_MAX:
-            raise OverflowGuardError(f"m0 exceeds the 2**63-1 guard for n={n}, k={k}")
+            raise BudgetExceededError(f"m0 exceeds the 2**63-1 guard for n={n}, k={k}")
         # Every l > start passes exactly when start + 1 does: past a passing
         # l >= 2, which has l > 4n, the ratio 2**l / l**e never falls, since
         # (1 - 1/(l + 1))**e >= 1 - e/(l + 1) > 1/2 (n = 0: 2 >= 1).
@@ -179,10 +185,11 @@ class WitnessEngine:
         self.k = k
         self.oracle = oracle
         self.ledger = OracleLedger(k, serialize_output)
+        _require_int("seed count", seed_count)
         if seed_count < 1:
             raise BadParametersError("seed count must be at least 1")
         if seed_count > SEED_CAP:
-            raise InfeasibleRunError(self._refuse_seeds(seed_count))
+            raise BudgetExceededError(f"the run needs {seed_count} seeds, over the cap {SEED_CAP}")
         self.base = base = 1000 * (instance_id + 1)
         # every seed atom is at least the base, so this one check covers them all
         if type(base) is not int or base < 0:
@@ -194,10 +201,6 @@ class WitnessEngine:
         self.traces: list[dict] = []
         # (key, candidate stream, candidates drawn) of the last completed walk
         self._walk = None
-
-    def _refuse_seeds(self, count: int) -> str:
-        """The error text for a run that needs ``count`` seeds, over the cap."""
-        return f"the run needs {count} seeds, over the cap {SEED_CAP}"
 
     def _query_new(self) -> list:
         """Ask the oracle about the witnesses emitted since the last step, in
@@ -283,6 +286,7 @@ class WitnessEngine:
                 + list(map(text, self.g[count:])))
 
     def run(self, steps: int) -> dict:
+        _require_int("steps", steps)
         if steps < 1:
             raise BadParametersError("steps must be at least 1")
         kind = self.kind

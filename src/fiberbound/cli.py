@@ -16,7 +16,7 @@ from .atoms import parse_atom_set
 from .auditing import compute_bounds
 from .errors import BadParametersError, FiberboundError
 from .fraenkel import SupportConfig, scan
-from .inject import Tableau, decode, encode
+from .inject import Tableau, decode, encode, level_swap
 from .oracles import from_spec
 from .partitions import bell
 from .partition_engine import PartitionDiagEngine
@@ -33,23 +33,22 @@ def _write_json(path: str, payload: dict) -> None:
 def _cmd_inject(args) -> dict:
     s = FinPerm.parse(args.perm)
     tab = Tableau(args.n, args.m)
-    image, trace = encode(s, tab)
-    print(f"image: {image}")
-    print(f"level: {trace.level}")
-    print(f"swap: {trace.swap}")
-    print(f"conjugated: {trace.conjugated}")
-    print(f"marker cycle: {trace.marker_cycle}")
-    return {
+    image, level = encode(s, tab)
+    swap = level_swap(s, tab, level)
+    record = {
         "kind": "inject",
         "n": args.n,
         "m": args.m,
         "perm": str(s),
         "image": str(image),
-        "level": trace.level,
-        "swap": str(trace.swap),
-        "conjugated": str(trace.conjugated),
-        "marker_cycle": str(trace.marker_cycle),
+        "level": level,
+        "swap": str(swap),
+        "conjugated": str(s.conjugate(swap)),
+        "marker_cycle": str(tab.marker_cycles[level]),
     }
+    for key in ("image", "level", "swap", "conjugated", "marker_cycle"):
+        print(f"{key.replace('_', ' ')}: {record[key]}")
+    return record
 
 
 def _cmd_decode(args) -> dict:
@@ -59,7 +58,8 @@ def _cmd_decode(args) -> dict:
     return {"kind": "decode", "n": args.n, "m": args.m, "perm": args.perm, "decoded": str(s)}
 
 
-def _summarize_certificate(cert: dict) -> None:
+def _summarized(cert: dict) -> dict:
+    """Print the summary lines of an engine certificate and return it."""
     print(f"kind: {cert['kind']}")
     print(f"steps: {cert['steps']}")
     print(f"outputs: {len(cert['outputs'])}")
@@ -67,20 +67,17 @@ def _summarize_certificate(cert: dict) -> None:
     if cert["violation"] is not None:
         v = cert["violation"]
         print(f"violation: {len(v['witnesses'])} inputs share {v['output']}")
+    return cert
 
 
 def _cmd_diag_perm(args) -> dict:
-    oracle = from_spec("perm", args.oracle, args.n)
-    cert = PermDiagEngine(args.n, args.k, oracle, args.mode, args.seeds).run(args.steps)
-    _summarize_certificate(cert)
-    return cert
+    engine = PermDiagEngine(args.n, args.k, from_spec("perm", args.oracle, args.n), args.mode,
+                            args.seeds)
+    return _summarized(engine.run(args.steps))
 
 
 def _cmd_diag_part(args) -> dict:
-    oracle = from_spec("part", args.oracle)
-    cert = PartitionDiagEngine(args.k, oracle).run(args.steps)
-    _summarize_certificate(cert)
-    return cert
+    return _summarized(PartitionDiagEngine(args.k, from_spec("part", args.oracle)).run(args.steps))
 
 
 def _cmd_fraenkel(args) -> dict:
@@ -153,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upto", type=int, required=True)
     p.set_defaults(func=_cmd_bell)
 
-    p = sub.add_parser("bounds", help="threshold parameters for the permutation engine")
+    p = sub.add_parser("bounds", help="print the paper's l0 and m0 (compute_bounds); "
+                                      "strict mode seeds from strict_bounds instead")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_bounds)

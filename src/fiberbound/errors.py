@@ -5,44 +5,20 @@ class FiberboundError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class DuplicatePointError(FiberboundError):
-    """A cycle listed the same atom twice."""
-
-
-class SinglePointError(FiberboundError):
-    """A permutation cannot move exactly one point."""
-
-
 class ParseError(FiberboundError):
     """Text does not match the cycle or partition grammar."""
 
 
-class OverlappingBlocksError(FiberboundError):
-    """Two blocks of a partition intersect."""
-
-
-class OutOfRangeError(FiberboundError):
-    """Argument exceeds a counting guard (values must stay below 2**63)."""
-
-
 class BudgetExceededError(FiberboundError):
-    """A combinatorial enumeration would exceed its configured cap."""
+    """A run, enumeration or count would pass a fixed cap or the 2**63 guard."""
 
 
 class BadParametersError(FiberboundError):
     """Parameters violate a structural precondition."""
 
 
-class WrongMovedSizeError(FiberboundError):
-    """Permutation does not move the required number of points."""
-
-
 class NotInImageError(FiberboundError):
     """Value is not in the image of the injection being decoded."""
-
-
-class OverflowGuardError(FiberboundError):
-    """Bound computation left the supported integer range."""
 
 
 class InconsistentOracleError(FiberboundError):
@@ -51,7 +27,3 @@ class InconsistentOracleError(FiberboundError):
 
 class OracleCodomainError(FiberboundError):
     """An oracle returned a value outside its declared codomain."""
-
-
-class InfeasibleRunError(FiberboundError):
-    """The requested run needs more seeds than desk scale allows."""

@@ -17,6 +17,8 @@ with the cycle on the level's marker atoms, which the renamed map does not
 touch.  This equals ``s.conjugate(swap).after(marker_cycle)``, where
 ``swap`` exchanges the atoms of ``s`` below the level with their shadows.
 The image moves exactly ``m`` points and determines ``s`` uniquely.
+:func:`encode` returns the image and the level; :func:`level_swap` builds
+``swap`` from them when it is wanted, as ``fiberbound inject`` shows it.
 
 :func:`decode` takes the least level ``t`` touches, checks that ``t``
 carries that level's marker cycle, and renames the rest of ``t`` through
@@ -29,8 +31,7 @@ re-encoding it.
 
 from __future__ import annotations
 
-from .errors import (BadParametersError, BudgetExceededError, NotInImageError,
-                     WrongMovedSizeError)
+from .errors import BadParametersError, BudgetExceededError, NotInImageError
 from .perms import FinPerm
 
 TABLEAU_ATOM_CAP = 2**20
@@ -75,39 +76,10 @@ class Tableau:
         return f"Tableau(n={self.n}, m={self.m})"
 
 
-class EncodeTrace:
-    """The intermediate objects of one encoding, each built only when read."""
-
-    __slots__ = ("level", "s", "tab")
-
-    def __init__(self, level: int, s: FinPerm, tab: Tableau):
-        self.level = level
-        self.s = s
-        self.tab = tab
-
-    @property
-    def swap(self) -> FinPerm:
-        """The transpositions ``x <-> shadow(x)`` over the atoms ``s`` moves below the level."""
-        swap = self.tab.swaps[self.level]
-        # s avoids the level, so the swap's keys among its atoms lie below it;
-        # the swap is an involution, so these are disjoint transpositions
-        pairs = {x: swap[x] for x in self.s._map.keys() & swap.keys()}
-        pairs.update([(b, a) for a, b in pairs.items()])
-        return FinPerm._of(pairs)
-
-    @property
-    def conjugated(self) -> FinPerm:
-        return self.s.conjugate(self.swap)
-
-    @property
-    def marker_cycle(self) -> FinPerm:
-        return self.tab.marker_cycles[self.level]
-
-
 def _image(s_map: dict[int, int], tab: Tableau) -> tuple[int, dict[int, int]]:
     """The level and the map of the encoding of the permutation ``s_map``."""
     if len(s_map) != tab.n:
-        raise WrongMovedSizeError(
+        raise BadParametersError(
             f"permutation moves {len(s_map)} points, tableau expects {tab.n}")
     moved = s_map.keys()
     # n + 1 disjoint levels versus n moved points: one level is untouched
@@ -123,9 +95,21 @@ def _image(s_map: dict[int, int], tab: Tableau) -> tuple[int, dict[int, int]]:
     return level, image
 
 
-def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, EncodeTrace]:
+def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, int]:
+    """The image of ``s`` and the level it was encoded at."""
     level, image = _image(s._map, tab)
-    return FinPerm._of(image), EncodeTrace(level, s, tab)
+    return FinPerm._of(image), level
+
+
+def level_swap(s: FinPerm, tab: Tableau, level: int) -> FinPerm:
+    """The transpositions ``x <-> shadow(x)`` over the atoms ``s`` moves below ``level``,
+    the level ``s`` was encoded at."""
+    swap = tab.swaps[level]
+    # s avoids the level, so the swap's keys among its atoms lie below it;
+    # the swap is an involution, so these are disjoint transpositions
+    pairs = {x: swap[x] for x in s._map.keys() & swap.keys()}
+    pairs.update([(b, a) for a, b in pairs.items()])
+    return FinPerm._of(pairs)
 
 
 def decode(t: FinPerm, tab: Tableau) -> FinPerm:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .atoms import format_atom_set
-from .auditing import WitnessEngine, assemble_certificate
+from .auditing import WitnessEngine, _require_int, assemble_certificate
 from .errors import OracleCodomainError
 from .partitions import FinitaryPartition, QuotientFrame, build_frame, iter_partitions_ranked, lift
 
@@ -39,6 +39,7 @@ class PartitionDiagEngine(WitnessEngine):
 
     def __init__(self, k: int, oracle: Callable[[FinitaryPartition], frozenset[int]],
                  instance_id: int = 0):
+        _require_int("k", k)
         self.threshold = 72 * k * k
         # the last step's frame, refined by the next step's new answers
         self._frame = QuotientFrame()

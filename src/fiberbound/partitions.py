@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .atoms import parse_atom_set
-from .errors import BadParametersError, OutOfRangeError, OverlappingBlocksError, ParseError
+from .errors import BadParametersError, ParseError
 
 # Guards keep every count below 2**63 so serialized certificates stay exact
 # in fixed-width consumers.
@@ -84,7 +84,7 @@ class FinitaryPartition:
                 if type(a) is not int or a < 0:
                     raise BadParametersError("atoms must be non-negative integers")
             if seen & b:
-                raise OverlappingBlocksError("blocks must be pairwise disjoint")
+                raise BadParametersError("blocks must be pairwise disjoint")
             seen |= b
             if len(b) >= 2:
                 normal.append(b)
@@ -166,7 +166,7 @@ class FinitaryPartition:
 def bell(l: int) -> int:
     """Exact Bell number by the Bell triangle."""
     if l < 0 or l > BELL_MAX:
-        raise OutOfRangeError(f"bell defined here for 0 <= l <= {BELL_MAX}")
+        raise BadParametersError(f"bell defined here for 0 <= l <= {BELL_MAX}")
     row = [1]
     for _ in range(l):
         nxt = [row[-1]]
@@ -179,7 +179,7 @@ def bell(l: int) -> int:
 def derangement(j: int) -> int:
     """Count of fixed-point-free permutations of a j-element set."""
     if j < 0 or j > DERANGEMENT_MAX:
-        raise OutOfRangeError(f"derangement defined here for 0 <= j <= {DERANGEMENT_MAX}")
+        raise BadParametersError(f"derangement defined here for 0 <= j <= {DERANGEMENT_MAX}")
     if j == 0:
         return 1
     if j == 1:
@@ -202,8 +202,10 @@ class QuotientFrame:
     ``atoms`` is the frozenset of every atom in the frame, the union of
     the classes; :meth:`_emit` builds it again only when atoms new to the
     frame came in, so it is the same object across lifts and across steps
-    that only split classes.  :func:`build_frame` tests each value against
-    it to find the values that bring new atoms.
+    that only split classes.  :func:`lift` takes its largest block from it.
+    :func:`build_frame` does not read it: a value that is a union of the
+    classes, found through ``_class_of`` and ``_members``, brings no new
+    atom, and only the other values are type-checked and refine the frame.
 
     ``_atom_text`` maps each atom of the frame to its decimal text, written
     once, when the atom first comes in, at O(new atoms) per refinement.

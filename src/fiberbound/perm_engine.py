@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .atoms import SetSpec
-from .auditing import (BoundParams, WitnessEngine, _Inconsistent, assemble_certificate,
-                       compute_bounds)
-from .errors import BadParametersError, OracleCodomainError
+from .auditing import (SEED_CAP, BoundParams, WitnessEngine, _Inconsistent,
+                       assemble_certificate, compute_bounds)
+from .errors import BadParametersError, BudgetExceededError, OracleCodomainError
 from .partitions import derangement
 from .perms import FinPerm
 
@@ -298,6 +298,9 @@ class PermDiagEngine(WitnessEngine):
         if mode == "strict":
             self.bounds = strict_bounds(n, k)
             seed_count = self.bounds.m0 + 1
+            if seed_count > SEED_CAP:
+                raise BudgetExceededError(f"strict mode needs {seed_count} seeds "
+                                          f"(m0 = {self.bounds.m0}); use opportunistic mode")
         else:
             self.bounds = compute_bounds(n, k)
         super().__init__(k, oracle, instance_id, seed_count, _transposition, str)
@@ -305,11 +308,6 @@ class PermDiagEngine(WitnessEngine):
         # the last step's family; a trace's ``family`` is null while the entries equal it
         self._family = None
         self._index = FamilyIndex()
-
-    def _refuse_seeds(self, count: int) -> str:
-        if self.mode == "strict":
-            return f"strict mode needs {count} seeds (m0 = {self.bounds.m0}); use opportunistic mode"
-        return super()._refuse_seeds(count)
 
     def _check_output(self, out) -> None:
         if not isinstance(out, FinPerm) or len(out._map) > self.n:

@@ -32,6 +32,8 @@ Operations on valid permutations wrap their results with the unchecked
   ``region`` ∩ moved; it drops fixed points as it goes.
 - ``inject.encode``: the image is an injective rename of a bijection,
   joined on disjoint atoms with a cycle.
+- ``inject.level_swap``: pairs of the level's swap, an involution without
+  fixed points, closed under it, so disjoint transpositions.
 - ``inject.decode``: the reconstruction is ``t`` off a cycle of ``t``,
   conjugated by the level's swap, an involution made of disjoint
   transpositions.
@@ -67,7 +69,7 @@ import re
 from typing import Iterable, Mapping
 
 from .atoms import SetSpec
-from .errors import BadParametersError, DuplicatePointError, ParseError, SinglePointError
+from .errors import BadParametersError, ParseError
 
 _CYCLE_RE = re.compile(r"\(([0-9;]*)\)")
 _PERM_RE = re.compile(r"^(\([0-9;]*\))+$")
@@ -89,7 +91,7 @@ class FinPerm:
     def __init__(self, mapping: Mapping[int, int]):
         cleaned = {a: b for a, b in mapping.items() if a != b}
         if len(cleaned) == 1:
-            raise SinglePointError("a permutation cannot move exactly one point")
+            raise BadParametersError("a permutation cannot move exactly one point")
         if cleaned.keys() != set(cleaned.values()):
             raise BadParametersError("mapping is not a bijection of its moved points")
         for a, b in cleaned.items():
@@ -124,9 +126,9 @@ class FinPerm:
         """
         pts = list(points)
         if len(set(pts)) != len(pts):
-            raise DuplicatePointError(f"repeated atom in cycle {pts}")
+            raise BadParametersError(f"repeated atom in cycle {pts}")
         if len(pts) == 1:
-            raise SinglePointError("cycle of length one is not a permutation move")
+            raise BadParametersError("cycle of length one is not a permutation move")
         for a in pts:
             if type(a) is not int or a < 0:
                 raise BadParametersError("atoms must be non-negative integers")

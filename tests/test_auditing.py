@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberbound.auditing import BoundParams, OracleLedger, compute_bounds
-from fiberbound.errors import BadParametersError, InconsistentOracleError, OverflowGuardError
+from fiberbound.errors import BadParametersError, BudgetExceededError, InconsistentOracleError
 from fiberbound.oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
@@ -49,7 +49,7 @@ def test_compute_bounds_against_independent_search(n, k):
 @pytest.mark.parametrize("n,k", [(4, 1), (10**4, 1), (10**7, 1), (1, 10**21)])
 def test_compute_bounds_overflow_guard(n, k):
     # refused at once, naming n and k rather than the digits of m0
-    with pytest.raises(OverflowGuardError, match=rf"2\*\*63-1 guard for n={n}, k={k}$"):
+    with pytest.raises(BudgetExceededError, match=rf"2\*\*63-1 guard for n={n}, k={k}$"):
         compute_bounds(n, k)
 
 

@@ -15,6 +15,7 @@ from fiberbound.cli import main
 from fiberbound.errors import BadParametersError, BudgetExceededError, ParseError
 from fiberbound.oracles import (POOL_CAP, _stable_index, from_spec, min_block_oracle,
                                 pool_perm_oracle, pool_set_oracle, truncate_oracle)
+from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.partitions import FinitaryPartition
 from fiberbound.perm_engine import FamilyIndex, PermDiagEngine, build_family
 from fiberbound.perms import FinPerm
@@ -231,6 +232,22 @@ LIBRARY_GUARDS = {
                             "unbalanced braces in atom set: '{1,2'"),
     "atom-set-negative": (lambda: parse_atom_set("{-1}"), ParseError,
                           "negative atom in set: '{-1}'"),
+    # engine parameters are ints exactly: a bool or a float is refused before any seed
+    "bounds-float-k": (lambda: compute_bounds(2, 1.5), BadParametersError,
+                       "k must be an int, got 1.5"),
+    "part-engine-bool-k": (lambda: PartitionDiagEngine(True, min_block_oracle),
+                           BadParametersError, "k must be an int, got True"),
+    "part-engine-float-k": (lambda: PartitionDiagEngine(1.5, min_block_oracle),
+                            BadParametersError, "k must be an int, got 1.5"),
+    "strict-engine-bool-n": (lambda: PermDiagEngine(True, True, truncate_oracle(1)),
+                             BadParametersError, "n must be an int, got True"),
+    "engine-float-n": (lambda: PermDiagEngine(2.0, 1, truncate_oracle(2), "opportunistic"),
+                       BadParametersError, "n must be an int, got 2.0"),
+    "engine-float-seed-count": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic",
+                                                       4.0),
+                                BadParametersError, "seed count must be an int, got 4.0"),
+    "run-float-steps": (lambda: PartitionDiagEngine(1, min_block_oracle).run(2.5),
+                        BadParametersError, "steps must be an int, got 2.5"),
 }
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from fiberbound import perm_engine
 from fiberbound.atoms import SetSpec
 from fiberbound.auditing import compute_bounds
-from fiberbound.errors import (BadParametersError, InfeasibleRunError, OracleCodomainError,
-                               OverflowGuardError)
+from fiberbound.errors import BadParametersError, BudgetExceededError, OracleCodomainError
 from fiberbound.oracles import pool_perm_oracle, truncate_oracle
 from fiberbound.perm_engine import (FamilyIndex, PermDiagEngine, assemble, build_family,
                                     strict_bounds, stuck_answer_bound)
@@ -297,8 +296,8 @@ def test_strict_low_n_violates_at_seed_queries():
 
 
 def test_strict_high_n_refused():
-    with pytest.raises(InfeasibleRunError, match=r"^strict mode needs 6098446 seeds \(m0 = 6098445\); "
-                                                 "use opportunistic mode$"):
+    with pytest.raises(BudgetExceededError, match=r"^strict mode needs 6098446 seeds \(m0 = 6098445\); "
+                                                  "use opportunistic mode$"):
         PermDiagEngine(3, 1, truncate_oracle(3), mode="strict")
 
 
@@ -337,7 +336,7 @@ def test_strict_bounds_are_least_and_valid():
         for k in range(1, 65):
             try:
                 paper = compute_bounds(n, k)
-            except OverflowGuardError:
+            except BudgetExceededError:
                 continue
             sharp = strict_bounds(n, k)
             assert sharp.m0 <= paper.m0
