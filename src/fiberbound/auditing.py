@@ -105,9 +105,11 @@ class OracleLedger:
     ``fibers`` counts the inputs over each distinct output; a violation
     reads its inputs back from ``queries``, in the order recorded.
     An input's text is ``str(input)``; an output's is ``serialize_output(output)``.
+    The claimed bound ``k`` is an ``int`` by exact type, at least 1.
     """
 
     def __init__(self, k: int, serialize_output: Callable):
+        _require_int("k", k)
         if k < 1:
             raise BadParametersError("k must be at least 1")
         self.k = k
@@ -156,7 +158,12 @@ class _Violated(Exception):
 
 
 class _Inconsistent(Exception):
-    """A step found no fresh witness where the counting argument promises one."""
+    """A step stalled where a count forbids it, so the engine, not the oracle, is at fault.
+
+    A candidate walk that runs out, or passes more stale candidates than
+    there are emitted witnesses, is one such stall; a permutation family
+    stuck at level ``L`` on more than ``k*N(L)`` witnesses is the other.
+    """
 
 
 class WitnessEngine:

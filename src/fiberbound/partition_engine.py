@@ -8,7 +8,11 @@ partitions until one lifts to a partition not emitted before.  At most
 ``m`` lifts can be stale at step ``m``, so the walk stops within ``m + 1``
 candidates no matter how many class partitions exist; the ranked stream is
 generated lazily for exactly this reason, since the class count routinely
-exceeds any materialization budget.
+exceeds any materialization budget.  A walk runs out only once all
+``B(l)`` lifts are emitted, and the distinct answers, each a union of
+classes, number at most ``2**l``, so a stall needs ``B(l) <= m <= k*2**l``;
+the ``72*k**2 + 1`` seeds leave no such ``m`` for any ``k`` the seed cap
+allows, so every stall ends the run as ``stuck``.
 
 A lift depends only on the frame's classes, so the driver's walk resumes
 while they are unchanged, even if new distinct answers arrived, and

@@ -10,15 +10,25 @@ levels of the last step's family and rebuilds from its first case-2 or
 stuck level.  The engine owns one :class:`FamilyIndex`, which holds the
 last step's family and lists which answers move each atom, so a rebuilt
 case-2 level walks only the answers that move its occupied atoms, and a
-step that keeps every level leaves it alone.  Strict mode seeds
-``m0 + 1`` witnesses, with ``m0`` from :func:`strict_bounds`, the least
-count the stuck-family argument needs, so that a failed family
-construction is a genuine inconsistency; that count is feasible for n <= 2.
-Opportunistic mode runs from a small seed count and patches over
-legitimate early failures with fresh transpositions, which keeps the
-construction machinery exercised wherever :func:`compute_bounds` accepts
-n and k, since its header carries that function's ``l0`` and ``m0``: at
-k = 1 that is n <= 3.
+step that keeps every level leaves it alone.
+
+A family stuck at level ``L`` on ``m`` witnesses, all queried without a
+violation, admits at most ``N(L)`` distinct answers
+(:func:`stuck_answer_bound`; the argument is in :func:`strict_bounds`'
+docstring and holds for any emitted set), so ``m <= k*N(L)``.  A stall
+with ``m > k*N(L)`` is forbidden: the step appends its trace and the run
+ends as ``stuck``.  Any other stall is admitted and emits a fresh
+transposition, a fallback.  The mode picks only the seed count and the
+header's ``l0`` and ``m0``.  Strict mode seeds ``m0 + 1`` witnesses, with
+``l0`` and ``m0`` from :func:`strict_bounds`, the count at which no stall
+is admitted: every stall has ``m > m0``, a level ``L <= l0`` has
+``k*N(L) <= k*N(l0) = m0``, and a level ``L > l0`` has
+``k*N(L) < 2**L <= m``, since a family's levels stop at ``2**L <= m``.
+That count is feasible for n <= 2.  Opportunistic mode runs from a small
+seed count, so its early stalls are admitted and fall back, which keeps
+the construction machinery exercised wherever :func:`compute_bounds`
+accepts n and k, since its header carries that function's ``l0`` and
+``m0``: at k = 1 that is n <= 3.
 
 A candidate depends only on the family's members, so the driver's walk
 over the index sets resumes while they are unchanged, and ``chosen_a`` is
@@ -294,7 +304,6 @@ class PermDiagEngine(WitnessEngine):
         if mode not in ("strict", "opportunistic"):
             raise BadParametersError(f"unknown mode {mode!r}")
         self.n = n
-        self.mode = mode
         if mode == "strict":
             self.bounds = strict_bounds(n, k)
             seed_count = self.bounds.m0 + 1
@@ -339,7 +348,7 @@ class PermDiagEngine(WitnessEngine):
         if stuck is not None:
             level, occupied = stuck
             trace["stuck_at"] = [level, sorted(occupied)]
-            if self.mode == "strict":
+            if m > self.k * stuck_answer_bound(self.n, level):
                 self.traces.append(trace)
                 raise _Inconsistent
             result = self._fresh_fallback()

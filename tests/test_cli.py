@@ -246,6 +246,10 @@ LIBRARY_GUARDS = {
     "engine-float-seed-count": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic",
                                                        4.0),
                                 BadParametersError, "seed count must be an int, got 4.0"),
+    "ledger-float-k": (lambda: OracleLedger(1.5, str), BadParametersError,
+                       "k must be an int, got 1.5"),
+    "ledger-bool-k": (lambda: OracleLedger(True, str), BadParametersError,
+                      "k must be an int, got True"),
     "run-float-steps": (lambda: PartitionDiagEngine(1, min_block_oracle).run(2.5),
                         BadParametersError, "steps must be an int, got 2.5"),
 }

@@ -20,7 +20,7 @@ from collections import namedtuple
 
 import pytest
 
-from fiberbound import partition_engine
+from fiberbound import partition_engine, perm_engine
 from fiberbound.auditing import WitnessEngine
 from fiberbound.cli import main
 from fiberbound.oracles import min_block_oracle, pool_set_oracle, truncate_oracle
@@ -52,9 +52,9 @@ def _perm_strict_n2(monkeypatch):
 
 
 def _perm_stuck(monkeypatch):
-    engine = PermDiagEngine(2, 8, truncate_oracle(2), mode="opportunistic", seed_count=4)
-    engine.mode = "strict"          # the first stalled family now counts as inconsistent
-    return engine.run(3)
+    # with every count N(L) read as 0, the first stalled family is a forbidden stall
+    monkeypatch.setattr(perm_engine, "stuck_answer_bound", lambda n, level: 0)
+    return PermDiagEngine(2, 8, truncate_oracle(2), mode="opportunistic", seed_count=4).run(3)
 
 
 def _agreeing_three_cycles(s):

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from fiberbound.errors import BadParametersError, InconsistentOracleError, OracleCodomainError
 from fiberbound import partition_engine
+from fiberbound.auditing import SEED_CAP
+from fiberbound.errors import BadParametersError, InconsistentOracleError, OracleCodomainError
 from fiberbound.oracles import min_block_oracle, pool_set_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
-from fiberbound.partitions import FinitaryPartition, build_frame, lift, iter_partitions_ranked
+from fiberbound.partitions import (FinitaryPartition, bell, build_frame, lift,
+                                   iter_partitions_ranked)
 from format1 import expand_traces
 from helpers import partition_text
 from test_golden import PINS, _grow_thirds, _perm_diag, _perm_stuck
@@ -278,6 +280,21 @@ def test_exhausted_stream_reports_stuck(monkeypatch):
                         lambda l: iter(()))
     cert = engine.run(2)
     assert cert["kind"] == "stuck"
+
+
+def test_no_partition_stall_is_admitted_at_the_seed_count():
+    # a stall needs B(l) <= m <= k*2**l (see the module docstring); every k the
+    # seed cap allows seeds more than k*2**l at each l where B(l) <= k*2**l
+    ks = [k for k in range(1, 200) if 72 * k * k + 1 <= SEED_CAP]
+    assert ks == list(range(1, 118))
+    for k in ks:
+        l = 0
+        while bell(l) <= k * 2**l:
+            assert k * 2**l < 72 * k * k + 1
+            l += 1
+        # past here each partition of l atoms extends in at least two ways, so
+        # B(l + 1) >= 2*B(l) > k*2**(l + 1) and the window stays empty
+        assert l >= 1 and bell(l + 1) >= 2 * bell(l)
 
 
 def test_stale_lifts_report_stuck(monkeypatch):

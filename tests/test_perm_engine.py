@@ -9,7 +9,7 @@ from fiberbound import perm_engine
 from fiberbound.atoms import SetSpec
 from fiberbound.auditing import compute_bounds
 from fiberbound.errors import BadParametersError, BudgetExceededError, OracleCodomainError
-from fiberbound.oracles import pool_perm_oracle, truncate_oracle
+from fiberbound.oracles import from_spec, pool_perm_oracle, truncate_oracle
 from fiberbound.perm_engine import (FamilyIndex, PermDiagEngine, assemble, build_family,
                                     strict_bounds, stuck_answer_bound)
 from fiberbound.perms import FinPerm
@@ -500,14 +500,50 @@ def test_flipping_oracle_detected():
 
 
 def test_stuck_in_strict_reports_inconsistency(monkeypatch):
-    engine = PermDiagEngine(1, 4, lambda s: FinPerm.identity(), mode="opportunistic",
-                            seed_count=4)
-    engine.mode = "strict"
-    monkeypatch.setattr("fiberbound.perm_engine.build_family",
-                        lambda answers, m, index: ([], (0, frozenset())))
-    cert = engine.run(3)
+    # strict n=2, k=1 seeds m0 + 1 = 4,562 witnesses, more than k*N(L) at every
+    # level a family reaches (N(12) = m0, and 2**13 > m), so no stall is admitted
+    for level in (0, 12):
+        monkeypatch.setattr("fiberbound.perm_engine.build_family",
+                            lambda answers, m, index: ([], (level, frozenset())))
+        cert = PermDiagEngine(2, 1, hash_injective).run(3)
+        assert cert["kind"] == "stuck"
+        assert cert["steps"] == 0
+        assert cert["traces"][-1]["stuck_at"] == [level, []]
+
+
+def test_stall_rule_in_opportunistic_mode(monkeypatch):
+    # truncate at n=2, k=2 from one seed stalls at m = 2 and again at m = 4;
+    # with N(L) read as 1, k*N(L) = 2 admits the first stall and forbids the second
+    monkeypatch.setattr(perm_engine, "stuck_answer_bound", lambda n, level: 1)
+    cert = PermDiagEngine(2, 2, truncate_oracle(2), mode="opportunistic", seed_count=1).run(10)
+    stalls = [(t["m"], t["fallback"]) for t in cert["traces"] if t["stuck_at"] is not None]
+    assert stalls == [(2, True), (4, False)]
     assert cert["kind"] == "stuck"
-    assert cert["traces"][-1]["stuck_at"] == [0, []]
+    assert len(cert["traces"]) == cert["steps"] + 1
+
+
+@given(st.sampled_from([2, 3]),
+       st.one_of(st.just("truncate"), st.integers(1, 64).map("pool:{}".format)),
+       st.integers(1, 8), st.integers(1, 8), st.integers(1, 60))
+@settings(max_examples=150)
+def test_every_opportunistic_stall_is_admitted(n, spec, k, seeds, steps):
+    # the stuck-family count holds for any emitted set, so no honest run is
+    # stuck, and every fallback stands on a stall with m <= k*N(L)
+    cert = PermDiagEngine(n, k, from_spec("perm", spec, n), mode="opportunistic",
+                          seed_count=seeds).run(steps)
+    assert cert["kind"] != "stuck"
+    for t in cert["traces"]:
+        assert t["fallback"] == (t["stuck_at"] is not None)
+        if t["fallback"]:
+            assert t["m"] <= k * stuck_answer_bound(n, t["stuck_at"][0])
+
+
+def test_fallback_skips_an_emitted_pair():
+    engine = PermDiagEngine(2, 1, truncate_oracle(2), mode="opportunistic", seed_count=4)
+    start = engine._next_fallback
+    engine.ledger.record(c([start, start + 1]), FinPerm.identity())
+    assert engine._fresh_fallback() == c([start + 2, start + 3])
+    assert engine._next_fallback == start + 4
 
 
 def test_family_reads_the_driver_answer_record(monkeypatch):
