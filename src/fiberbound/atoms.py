@@ -1,21 +1,19 @@
-"""The countable atom universe and finite/cofinite region descriptions.
+"""The countable atom universe and its finite atom sets.
 
-Atoms are plain non-negative integers.  Finite atom sets print as
-``{a,b,c}`` with the atoms ascending.  A :class:`SetSpec` describes either a
-finite region or the complement of a finite region, which is enough to
-decide membership for every region the engines ever restrict to.
+Atoms are plain non-negative integers.  Finite atom sets are plain
+Python sets and print as ``{a,b,c}`` with the atoms ascending.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BadParametersError, ParseError
+from .errors import BadParametersError, ParseError, _require_int
 
 
 def fresh_atoms(count: int, avoid: Iterable[int]) -> tuple[int, ...]:
     """The ``count`` smallest atoms outside ``avoid``, ascending."""
+    _require_int("count", count)
     if count < 0:
         raise BadParametersError("count must be non-negative")
     avoid = set(avoid)
@@ -57,27 +55,3 @@ def parse_atom_set(text: str) -> frozenset[int]:
         raise ParseError(f"duplicate atom in set: {text!r}")
     return frozenset(atoms)
 
-
-@dataclass(frozen=True)
-class SetSpec:
-    """A finite set of atoms or the complement of one.
-
-    ``complement=False`` means the region is exactly ``atoms``;
-    ``complement=True`` means the region is the whole universe minus
-    ``atoms``.  Membership is decidable either way.
-    """
-
-    atoms: frozenset[int]
-    complement: bool
-
-    @classmethod
-    def finite(cls, atoms: Iterable[int]) -> "SetSpec":
-        return cls(frozenset(atoms), False)
-
-    @classmethod
-    def cofinite(cls, excluded: Iterable[int]) -> "SetSpec":
-        """The universe minus ``excluded``."""
-        return cls(frozenset(excluded), True)
-
-    def __contains__(self, atom: int) -> bool:
-        return (atom in self.atoms) != self.complement

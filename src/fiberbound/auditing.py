@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .errors import BadParametersError, BudgetExceededError, InconsistentOracleError
+from .errors import BadParametersError, BudgetExceededError, InconsistentOracleError, _require_int
 
 SEED_CAP = 1_000_000
 _UNRECORDED = object()  # a recorded answer may be None
@@ -36,7 +36,8 @@ _INT64_MAX = 2**63 - 1
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Threshold parameters for the permutation engine.
+    """Threshold parameters for the permutation engine at some ``n`` and
+    ``k``, which the caller keeps; the record holds only ``l0`` and ``m0``.
 
     ``l0`` is the least integer such that ``k*f(l) < 2**l`` holds for
     every ``l > l0``, and ``m0 = k*f(l0)``, for a growth function ``f``.
@@ -49,19 +50,12 @@ class BoundParams:
     seeds strict runs from it.
     """
 
-    n: int
-    k: int
     l0: int
     m0: int
 
 
 def _growth_ok(n: int, k: int, l: int) -> bool:
     return k * (2 * n * l) ** (2 * n) < 2**l
-
-
-def _require_int(name: str, value) -> None:
-    if type(value) is not int:
-        raise BadParametersError(f"{name} must be an int, got {value!r}")
 
 
 def compute_bounds(n: int, k: int) -> BoundParams:
@@ -85,7 +79,7 @@ def compute_bounds(n: int, k: int) -> BoundParams:
         # l >= 2, which has l > 4n, the ratio 2**l / l**e never falls, since
         # (1 - 1/(l + 1))**e >= 1 - e/(l + 1) > 1/2 (n = 0: 2 >= 1).
         if _growth_ok(n, k, start + 1):
-            return BoundParams(n, k, start, k * (2 * n * start) ** e)
+            return BoundParams(start, k * (2 * n * start) ** e)
 
 
 @dataclass(frozen=True)
@@ -197,9 +191,10 @@ class WitnessEngine:
             raise BadParametersError("seed count must be at least 1")
         if seed_count > SEED_CAP:
             raise BudgetExceededError(f"the run needs {seed_count} seeds, over the cap {SEED_CAP}")
+        _require_int("instance id", instance_id)
         self.base = base = 1000 * (instance_id + 1)
         # every seed atom is at least the base, so this one check covers them all
-        if type(base) is not int or base < 0:
+        if base < 0:
             raise BadParametersError("atoms must be non-negative integers")
         self.g: list = [seed((base, base + 1 + j)) for j in range(seed_count)]
         self.seed_count = seed_count

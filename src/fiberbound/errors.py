@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the int check that raises one."""
 
 
 class FiberboundError(Exception):
@@ -27,3 +27,10 @@ class InconsistentOracleError(FiberboundError):
 
 class OracleCodomainError(FiberboundError):
     """An oracle returned a value outside its declared codomain."""
+
+
+def _require_int(name: str, value) -> None:
+    """Refuse a count that is not an ``int`` by exact type, so a ``bool``
+    or a ``float`` is a domain error and never a raw ``TypeError``."""
+    if type(value) is not int:
+        raise BadParametersError(f"{name} must be an int, got {value!r}")

@@ -31,7 +31,7 @@ re-encoding it.
 
 from __future__ import annotations
 
-from .errors import BadParametersError, BudgetExceededError, NotInImageError
+from .errors import BadParametersError, BudgetExceededError, NotInImageError, _require_int
 from .perms import FinPerm
 
 TABLEAU_ATOM_CAP = 2**20
@@ -41,6 +41,8 @@ class Tableau:
     """Reserved-atom structure for one (n, m) instance."""
 
     def __init__(self, n: int, m: int):
+        _require_int("n", n)
+        _require_int("m", m)
         if n < 0 or m < n + 2:
             raise BadParametersError(f"need m >= n + 2, got n={n}, m={m}")
         width = m - n

@@ -15,8 +15,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Optional
 
-from .atoms import SetSpec
-from .errors import BadParametersError, BudgetExceededError, ParseError
+from .errors import BadParametersError, BudgetExceededError, ParseError, _require_int
 from .partitions import FinitaryPartition
 from .perms import FinPerm
 
@@ -25,6 +24,7 @@ POOL_CAP = 1024
 
 
 def _check_pool_size(pool_size: int) -> None:
+    _require_int("pool size", pool_size)
     if pool_size < 1:
         raise BadParametersError("pool size must be at least 1")
     if pool_size > POOL_CAP:
@@ -37,15 +37,15 @@ def _stable_index(text: str, modulus: int) -> int:
 
 
 def truncate_oracle(n: int) -> Callable[[FinPerm], FinPerm]:
-    """Deflate each input onto its n least moved atoms."""
+    """Deflate each input onto its n least moved atoms, pushing it off the rest."""
+    _require_int("n", n)
     if n < 0:
         raise BadParametersError("n must be non-negative")
 
     def oracle(s: FinPerm) -> FinPerm:
         if len(s._map) <= n:
             return s
-        keep = sorted(s._map)[:n]
-        return s.deflate(SetSpec.finite(keep))
+        return s.deflate(set(sorted(s._map)[n:]))
 
     return oracle
 
@@ -57,6 +57,7 @@ def pool_perm_oracle(pool_size: int, n: int) -> Callable[[FinPerm], FinPerm]:
     collapses to it whatever size up to the cap is requested.
     """
     _check_pool_size(pool_size)
+    _require_int("n", n)
     if n < 2:
         pool = [FinPerm.identity()]
     else:

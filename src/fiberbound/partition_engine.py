@@ -32,8 +32,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .atoms import format_atom_set
-from .auditing import WitnessEngine, _require_int, assemble_certificate
-from .errors import OracleCodomainError
+from .auditing import WitnessEngine, assemble_certificate
+from .errors import OracleCodomainError, _require_int
 from .partitions import FinitaryPartition, QuotientFrame, build_frame, iter_partitions_ranked, lift
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .atoms import parse_atom_set
-from .errors import BadParametersError, ParseError
+from .errors import BadParametersError, ParseError, _require_int
 
 # Guards keep every count below 2**63 so serialized certificates stay exact
 # in fixed-width consumers.
@@ -60,10 +60,11 @@ def _write_blocks(blocks: tuple[Block, ...], atom_text: Callable[[int], str]) ->
 class FinitaryPartition:
     """A partition of the atom universe whose blocks are all finite.
 
-    Three fields are kept beside the blocks: the hash, computed when the
-    partition is built, and the canonical text and the blocks in canonical
-    order, each computed on first use.  That is safe because a partition
-    never changes once built: its blocks are a frozenset of frozensets.
+    Two fields are kept beside the blocks: the canonical text and the
+    blocks in canonical order, each computed on first use.  The hash is
+    the blocks' own, which the frozenset computes once and keeps.  That is
+    safe because a partition never changes once built: its blocks are a
+    frozenset of frozensets.
     The kept fields pay where one partition is asked about again, as when
     the audit re-asks an oracle about every witness.  The order
     (:meth:`_by_least`) is a tuple of the stored frozenset objects by least
@@ -73,7 +74,7 @@ class FinitaryPartition:
     text through the frame's atom texts, and whichever comes first keeps it.
     """
 
-    __slots__ = ("_blocks", "_hash", "_text", "_order")
+    __slots__ = ("_blocks", "_text", "_order")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         normal = []
@@ -89,7 +90,6 @@ class FinitaryPartition:
             if len(b) >= 2:
                 normal.append(b)
         self._blocks = frozenset(normal)
-        self._hash = hash(self._blocks)
         self._text = self._order = None
 
     @classmethod
@@ -112,7 +112,6 @@ class FinitaryPartition:
         """
         part = object.__new__(cls)
         part._blocks = blocks
-        part._hash = hash(blocks)
         part._text = part._order = None
         return part
 
@@ -160,11 +159,12 @@ class FinitaryPartition:
         return self._blocks == other._blocks
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._blocks)
 
 
 def bell(l: int) -> int:
     """Exact Bell number by the Bell triangle."""
+    _require_int("l", l)
     if l < 0 or l > BELL_MAX:
         raise BadParametersError(f"bell defined here for 0 <= l <= {BELL_MAX}")
     row = [1]
@@ -178,6 +178,7 @@ def bell(l: int) -> int:
 
 def derangement(j: int) -> int:
     """Count of fixed-point-free permutations of a j-element set."""
+    _require_int("j", j)
     if j < 0 or j > DERANGEMENT_MAX:
         raise BadParametersError(f"derangement defined here for 0 <= j <= {DERANGEMENT_MAX}")
     if j == 0:

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .atoms import SetSpec
 from .auditing import (SEED_CAP, BoundParams, WitnessEngine, _Inconsistent,
                        assemble_certificate, compute_bounds)
 from .errors import BadParametersError, BudgetExceededError, OracleCodomainError
@@ -129,8 +128,7 @@ class FamilyIndex:
                 if x not in occupied and y not in occupied:
                     escapes.append(x)
             if escapes:
-                return FamilyEntry(level, 1, i, None, min(escapes),
-                                   s.deflate(SetSpec.cofinite(occupied)))
+                return FamilyEntry(level, 1, i, None, min(escapes), s.deflate(occupied))
         return None
 
     def _case_two(self, level: int) -> Optional[FamilyEntry]:
@@ -142,7 +140,7 @@ class FamilyIndex:
         occupied = self.occupied
         x = min(x for x, y in s_i._map.items()
                 if x in occupied and y not in occupied and s_j(x) not in occupied and s_j(x) != y)
-        perm = s_j.after(s_i.inverse()).deflate(SetSpec.cofinite(occupied))
+        perm = s_j.after(s_i.inverse()).deflate(occupied)
         return FamilyEntry(level, 2, i, j, x, perm)
 
     def _least(self, x: int) -> tuple[Optional[int], Optional[int]]:
@@ -216,8 +214,8 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
     Each member holds by construction what a family needs.  It is
     nontrivial: a case-1 answer sends its escaping ``x`` to ``s(x)``
     outside the occupied set, and a case-2 member sends ``s_i(x)`` to
-    ``s_j(x)``, two distinct atoms outside it, and deflating onto the
-    complement of the occupied set keeps a step that lands there.  It
+    ``s_j(x)``, two distinct atoms outside it, and pushing it off the
+    occupied set keeps a step that lands outside it.  It
     moves at most 2n points, since ``s`` moves at most n and
     ``s_j∘s_i⁻¹`` at most 2n, and deflating moves no new point.  It is
     disjoint from the occupied set, which the deflation fixes.  So the
@@ -272,7 +270,7 @@ def strict_bounds(n: int, k: int) -> BoundParams:
     l0 = compute_bounds(n, k).l0
     while l0 > 0 and k * stuck_answer_bound(n, l0) < 2**l0:
         l0 -= 1
-    return BoundParams(n, k, l0, k * stuck_answer_bound(n, l0))
+    return BoundParams(l0, k * stuck_answer_bound(n, l0))
 
 
 def assemble(entries: list[FamilyEntry], indices) -> FinPerm:

@@ -28,8 +28,8 @@ Operations on valid permutations wrap their results with the unchecked
   and keeps ``a != b``.
 - :meth:`~FinPerm.after`: a composition of bijections is a bijection; it
   drops fixed points as it goes, and no bijection moves exactly one point.
-- :meth:`~FinPerm.deflate`: the first-return map is a bijection of
-  ``region`` ∩ moved; it drops fixed points as it goes.
+- :meth:`~FinPerm.deflate`: the first-return map is a bijection of the
+  moved points outside ``off``; it drops fixed points as it goes.
 - ``inject.encode``: the image is an injective rename of a bijection,
   joined on disjoint atoms with a cycle.
 - ``inject.level_swap``: pairs of the level's swap, an involution without
@@ -66,9 +66,8 @@ recorded witness on each audit.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
-from .atoms import SetSpec
 from .errors import BadParametersError, ParseError
 
 _CYCLE_RE = re.compile(r"\(([0-9;]*)\)")
@@ -192,21 +191,27 @@ class FinPerm:
         rename = g._map.get
         return FinPerm._of({rename(a, a): rename(b, b) for a, b in self._map.items()})
 
-    def deflate(self, region: SetSpec) -> "FinPerm":
-        """Push this permutation onto ``region``, identity elsewhere.
+    def deflate(self, off: Container[int]) -> "FinPerm":
+        """Push this permutation off the atoms ``off``, identity on them.
 
-        Each point of the region is sent to the first point of its orbit
-        that lands back inside the region.  Well defined because every
-        orbit is finite and eventually returns to its start; points whose
-        orbit meets the region only in themselves become fixed.
+        Each moved point outside ``off`` is sent to the first point of its
+        orbit that lands back outside ``off``, and each moved point in
+        ``off`` becomes fixed.  Well defined because every orbit is finite
+        and eventually returns to its start; a point outside ``off`` whose
+        orbit meets no other point outside it becomes fixed too.  ``off``
+        is read only through ``in``, so any set of atoms will do.  The two
+        usual regions are written:
+
+        - onto a finite region ``R``: ``s.deflate(s.moved - R)``;
+        - onto the complement of a finite set ``E``: ``s.deflate(E)``.
         """
         mapping = self._map
         out: dict[int, int] = {}
         for x, y in mapping.items():
-            if x not in region:
+            if x in off:
                 continue
             # the orbit of a moved point is moved, so it stays in the map
-            while y not in region:
+            while y in off:
                 y = mapping[y]
             if y != x:
                 out[x] = y

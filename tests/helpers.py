@@ -14,7 +14,6 @@ indexed build with it.
 import itertools
 from typing import Optional
 
-from fiberbound.atoms import SetSpec
 from fiberbound.errors import BadParametersError
 from fiberbound.perm_engine import FamilyEntry
 from fiberbound.perms import FinPerm
@@ -117,7 +116,7 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
                     else:
                         escapes.append(x)
             if escapes:
-                perm = s.deflate(SetSpec.cofinite(occupied))
+                perm = s.deflate(occupied)
                 chosen = FamilyEntry(level, 1, i, None, min(escapes), perm)
                 break
             if reach:
@@ -135,7 +134,7 @@ def build_family(answers: dict[FinPerm, int], m: int, n: int,
             if found is None:
                 return entries, (level, frozenset(occupied))
             i, s_i, j, s_j, x = found
-            perm = s_j.after(s_i.inverse()).deflate(SetSpec.cofinite(occupied))
+            perm = s_j.after(s_i.inverse()).deflate(occupied)
             chosen = FamilyEntry(level, 2, i, j, x, perm)
         moved = chosen.perm._map.keys()
         assert moved, "family members must be nontrivial"

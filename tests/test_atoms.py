@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fiberbound.atoms import SetSpec, format_atom_set, fresh_atoms, parse_atom_set
+from fiberbound.atoms import format_atom_set, fresh_atoms, parse_atom_set
 from fiberbound.errors import BadParametersError, ParseError
 from fiberbound.partitions import FinitaryPartition, build_frame
 from fiberbound.perms import FinPerm
@@ -21,13 +21,6 @@ def test_fresh_atoms_properties(count, avoid):
     assert len(out) == count
     assert len(set(out)) == count
     assert not (set(out) & avoid)
-
-
-def test_spec_contains():
-    assert 3 in SetSpec.finite({1, 3})
-    assert 2 not in SetSpec.cofinite({2})
-    assert 42 in SetSpec.cofinite(set())
-    assert 7 in SetSpec.cofinite(())
 
 
 def test_atom_set_text():

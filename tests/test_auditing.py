@@ -29,8 +29,8 @@ def minimal_window_start(n, k, width=100):
 
 
 def test_compute_bounds_examples():
-    assert compute_bounds(1, 1) == BoundParams(1, 1, 8, 256)
-    assert compute_bounds(1, 2) == BoundParams(1, 2, 9, 648)
+    assert compute_bounds(1, 1) == BoundParams(8, 256)
+    assert compute_bounds(1, 2) == BoundParams(9, 648)
     assert compute_bounds(0, 1).m0 == 1
     assert compute_bounds(2, 1).m0 == 108**4
 
@@ -137,7 +137,7 @@ def _checked_twin(engine, pair):
     return FinPerm.cycle(pair)
 
 
-@pytest.mark.parametrize("iid", [-1, 0, 8, True], ids=["iid-1", "iid0", "iid8", "iidTrue"])
+@pytest.mark.parametrize("iid", [-1, 0, 8], ids=["iid-1", "iid0", "iid8"])
 @pytest.mark.parametrize("name", sorted(SEED_ENGINES))
 def test_unchecked_seeds_equal_checked_ones(name, iid):
     # the driver builds its seeds without the public constructors' checks,
@@ -160,17 +160,21 @@ def test_unchecked_seeds_equal_checked_ones(name, iid):
     assert cert["outputs"][:count] == [str(x) for x in engine.g[:count]]
 
 
-@pytest.mark.parametrize("iid", [-2, 1.5])
+@pytest.mark.parametrize("iid", [-2, 1.5, True])
 @pytest.mark.parametrize("make", [
     lambda oracle, iid: PartitionDiagEngine(1, oracle, instance_id=iid),
     lambda oracle, iid: PermDiagEngine(2, 1, oracle, "opportunistic", seed_count=8, instance_id=iid),
     lambda oracle, iid: PermDiagEngine(1, 1, oracle, instance_id=iid),
 ], ids=["part", "perm-opportunistic", "perm-strict"])
 def test_bad_instance_ids_are_refused(make, iid):
-    # base -1000 or 2500.0 is no atom; refused before the oracle is asked
+    # base -1000 is no atom, and an instance id is an int by exact type, so
+    # True does not run as instance 1; refused before the oracle is asked
     calls = []
-    with pytest.raises(BadParametersError, match="^atoms must be non-negative integers$"):
+    message = ("atoms must be non-negative integers" if type(iid) is int
+               else f"instance id must be an int, got {iid!r}")
+    with pytest.raises(BadParametersError) as exc:
         make(lambda x: calls.append(x), iid).run(1)
+    assert str(exc.value) == message
     assert calls == []
 
 

@@ -9,14 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from fiberbound.atoms import parse_atom_set
+from fiberbound.atoms import fresh_atoms, parse_atom_set
 from fiberbound.auditing import OracleLedger, compute_bounds
 from fiberbound.cli import main
 from fiberbound.errors import BadParametersError, BudgetExceededError, ParseError
+from fiberbound.inject import Tableau
 from fiberbound.oracles import (POOL_CAP, _stable_index, from_spec, min_block_oracle,
                                 pool_perm_oracle, pool_set_oracle, truncate_oracle)
 from fiberbound.partition_engine import PartitionDiagEngine
-from fiberbound.partitions import FinitaryPartition
+from fiberbound.partitions import FinitaryPartition, bell, derangement
 from fiberbound.perm_engine import FamilyIndex, PermDiagEngine, build_family
 from fiberbound.perms import FinPerm
 
@@ -252,6 +253,27 @@ LIBRARY_GUARDS = {
                       "k must be an int, got True"),
     "run-float-steps": (lambda: PartitionDiagEngine(1, min_block_oracle).run(2.5),
                         BadParametersError, "steps must be an int, got 2.5"),
+    # every other public count is an int exactly too, refused where it enters
+    "truncate-float-n": (lambda: truncate_oracle(2.5), BadParametersError,
+                         "n must be an int, got 2.5"),
+    "from-spec-truncate-no-n": (lambda: from_spec("perm", "truncate"), BadParametersError,
+                                "n must be an int, got None"),
+    "perm-pool-float-size": (lambda: pool_perm_oracle(2.5, 2), BadParametersError,
+                             "pool size must be an int, got 2.5"),
+    "perm-pool-float-n": (lambda: pool_perm_oracle(3, 2.5), BadParametersError,
+                          "n must be an int, got 2.5"),
+    "set-pool-float-size": (lambda: pool_set_oracle(2.5), BadParametersError,
+                            "pool size must be an int, got 2.5"),
+    "tableau-float-n": (lambda: Tableau(2.0, 4), BadParametersError, "n must be an int, got 2.0"),
+    "tableau-bool-n": (lambda: Tableau(True, 3), BadParametersError, "n must be an int, got True"),
+    "tableau-float-m": (lambda: Tableau(2, 4.0), BadParametersError, "m must be an int, got 4.0"),
+    "fresh-atoms-float-count": (lambda: fresh_atoms(2.5, []), BadParametersError,
+                                "count must be an int, got 2.5"),
+    "bell-float": (lambda: bell(2.5), BadParametersError, "l must be an int, got 2.5"),
+    "derangement-float": (lambda: derangement(2.5), BadParametersError,
+                          "j must be an int, got 2.5"),
+    "part-engine-bool-instance": (lambda: PartitionDiagEngine(1, min_block_oracle, True),
+                                  BadParametersError, "instance id must be an int, got True"),
 }
 
 

@@ -118,6 +118,23 @@ def test_partition_text():
         FinitaryPartition.parse("1,2")
 
 
+def test_equal_partitions_hash_equal_however_built():
+    # the ledger keys its queries and fibers by value, so a partition built
+    # one way must find an equal one built by the constructor, parse or lift
+    frame = build_frame([frozenset({1, 2}), frozenset({5, 6, 7})])  # classes {5,6,7},{1,2}
+    one = build_frame([frozenset({4})])
+    for builds in ([FinitaryPartition([{1, 2}, {5, 6, 7}, {9}]),
+                    FinitaryPartition([[7, 6, 5], [2, 1]]),
+                    FinitaryPartition.parse("{1,2}{5,6,7}"),
+                    lift([{1}, {0}], frame)],
+                   [FinitaryPartition(()), FinitaryPartition([{3}]),
+                    FinitaryPartition.parse("{}*"), lift([{0}], one)]):
+        assert len(set(builds)) == 1
+        assert len({hash(p) for p in builds}) == 1
+        ledger = {builds[0]: "first"}
+        assert all(ledger[p] == "first" for p in builds)
+
+
 @given(st.lists(st.frozensets(st.integers(0, 30), min_size=2, max_size=4), max_size=4))
 def test_partition_round_trip(blocks):
     flat = []

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fiberbound.atoms import SetSpec
 from fiberbound.errors import BadParametersError, ParseError
 from fiberbound.fraenkel import perms_moving_exactly
 from fiberbound.inject import Tableau, decode, encode, level_swap
@@ -22,11 +21,9 @@ def fin_perms(draw, max_support=8, pool=16):
     return FinPerm(dict(zip(atoms, image)))
 
 
-@st.composite
-def regions(draw, pool=16):
-    atoms = draw(st.frozensets(st.integers(0, pool - 1), max_size=pool))
-    cofinite = draw(st.booleans())
-    return SetSpec.cofinite(atoms) if cofinite else SetSpec.finite(atoms)
+def offs(pool=16):
+    """The atoms a deflation pushes off."""
+    return st.frozensets(st.integers(0, pool - 1), max_size=pool)
 
 
 def test_cycle_examples():
@@ -106,39 +103,43 @@ def test_moved():
 
 
 def test_deflate_examples():
-    assert c([1, 2, 3]).deflate(SetSpec.finite({1, 3})) == c([1, 3])
-    assert c([1, 2]).deflate(SetSpec.cofinite(())) == c([1, 2])
-    assert c([1, 2, 3, 4]).deflate(SetSpec.cofinite({2})) == c([1, 3, 4])
+    s = c([1, 2, 3])
+    assert s.deflate(s.moved - {1, 3}) == c([1, 3])
+    assert c([1, 2]).deflate(()) == c([1, 2])
+    assert c([1, 2, 3, 4]).deflate({2}) == c([1, 3, 4])
 
 
-def _deflate_by_cycle_filter(s, region):
-    # independent route: keep each cycle's members of the region in cyclic order
+def _deflate_by_cycle_filter(s, off):
+    # independent route: keep each cycle's members outside off in cyclic order
     out = {}
     for cyc in cycles(s):
-        members = [a for a in cyc if a in region]
+        members = [a for a in cyc if a not in off]
         for i, a in enumerate(members):
             out[a] = members[(i + 1) % len(members)]
     return FinPerm(out)
 
 
-@given(fin_perms(), regions())
-def test_deflate_matches_cycle_filter(s, region):
-    result = s.deflate(region)
-    assert result == _deflate_by_cycle_filter(s, region)
-    assert all(a in region for a in result.moved)
-    assert result.moved <= s.moved
+@given(fin_perms(), offs(), st.booleans())
+def test_deflate_matches_cycle_filter(s, atoms, onto):
+    # onto: the atoms are a finite region R, reached by pushing off moved − R
+    off = s.moved - atoms if onto else atoms
+    result = s.deflate(off)
+    assert result == _deflate_by_cycle_filter(s, off)
+    assert result.moved.isdisjoint(off)
+    assert result.moved <= (s.moved & atoms if onto else s.moved)
 
 
 @given(fin_perms())
 def test_deflate_degenerate_regions(s):
-    assert s.deflate(SetSpec.cofinite(())) == s
-    assert FinPerm.identity().deflate(SetSpec.finite(s.moved)) == FinPerm.identity()
+    assert s.deflate(()) == s
+    assert s.deflate(s.moved) == FinPerm.identity()
+    assert FinPerm.identity().deflate(s.moved) == FinPerm.identity()
 
 
 @given(fin_perms())
 def test_deflate_bijects_finite_region(s):
     region = frozenset(list(sorted(s.moved))[::2])
-    result = s.deflate(SetSpec.finite(region))
+    result = s.deflate(s.moved - region)
     images = {result(a) for a in region}
     assert images == set(region)
 
@@ -268,10 +269,10 @@ def _validates(r):
     return FinPerm(dict(r._map))._map == r._map
 
 
-@given(fin_perms(), fin_perms(), regions())
-def test_trusted_results_are_valid(s, g, region):
+@given(fin_perms(), fin_perms(), offs())
+def test_trusted_results_are_valid(s, g, off):
     for r in (s.after(g), g.after(s), s.after(s.inverse()), s.inverse(),
-              s.conjugate(g), s.deflate(region), g.deflate(region)):
+              s.conjugate(g), s.deflate(off), g.deflate(off)):
         assert _validates(r)
 
 
@@ -304,7 +305,7 @@ PERM_BUILDS = {
     "after": lambda: c([5, 6]).after(c([1, 2, 3])),
     "inverse": lambda: c([1, 4, 2, 9]).inverse(),
     "conjugate": lambda: c([1, 2, 3]).conjugate(c([3, 8])),
-    "deflate": lambda: c([1, 5, 2, 7, 3]).deflate(SetSpec.finite({1, 2, 3})),
+    "deflate": lambda: c([1, 5, 2, 7, 3]).deflate({5, 7}),
     "encode": lambda: encode(c([0, 2]), Tableau(2, 4))[0],
     "level-swap": lambda: level_swap(c([0, 2]), Tableau(2, 4), 1),
     "decode": lambda: decode(FinPerm.parse("(6;7)(8;10)"), Tableau(2, 4)),
@@ -321,9 +322,9 @@ def test_cycle_text_is_walked_once_and_kept(build):
     assert str(s) is text
 
 
-@given(fin_perms(pool=40), fin_perms(pool=40), regions(pool=40))
-def test_kept_cycle_text_matches_a_fresh_walk(s, g, region):
-    for r in (s, s.after(g), s.inverse(), s.conjugate(g), s.deflate(region)):
+@given(fin_perms(pool=40), fin_perms(pool=40), offs(pool=40))
+def test_kept_cycle_text_matches_a_fresh_walk(s, g, off):
+    for r in (s, s.after(g), s.inverse(), s.conjugate(g), s.deflate(off)):
         text = r.to_cycles()
         assert text == cycle_text(r)
         assert r.to_cycles() is text
