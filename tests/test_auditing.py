@@ -137,11 +137,18 @@ def _checked_twin(engine, pair):
     return FinPerm.cycle(pair)
 
 
-@pytest.mark.parametrize("iid", [-1, 0, 8], ids=["iid-1", "iid0", "iid8"])
+@pytest.mark.parametrize("iid", [-1, 0, 8, True], ids=["iid-1", "iid0", "iid8", "iidTrue"])
 @pytest.mark.parametrize("name", sorted(SEED_ENGINES))
 def test_unchecked_seeds_equal_checked_ones(name, iid):
     # the driver builds its seeds without the public constructors' checks,
-    # and writes their text from the pairs; both must agree with a checked build
+    # and writes their text from the pairs; both must agree with a checked build.
+    # Only an int instance id gets that far: True is refused before any seed
+    # is built, not run as instance 1
+    if type(iid) is not int:
+        with pytest.raises(BadParametersError) as exc:
+            SEED_ENGINES[name](iid)
+        assert str(exc.value) == f"instance id must be an int, got {iid!r}"
+        return
     engine = SEED_ENGINES[name](iid)
     base = engine.base
     assert base == 1000 * (iid + 1)
@@ -160,15 +167,15 @@ def test_unchecked_seeds_equal_checked_ones(name, iid):
     assert cert["outputs"][:count] == [str(x) for x in engine.g[:count]]
 
 
-@pytest.mark.parametrize("iid", [-2, 1.5, True])
+@pytest.mark.parametrize("iid", [-2, 1.5])
 @pytest.mark.parametrize("make", [
     lambda oracle, iid: PartitionDiagEngine(1, oracle, instance_id=iid),
     lambda oracle, iid: PermDiagEngine(2, 1, oracle, "opportunistic", seed_count=8, instance_id=iid),
     lambda oracle, iid: PermDiagEngine(1, 1, oracle, instance_id=iid),
 ], ids=["part", "perm-opportunistic", "perm-strict"])
 def test_bad_instance_ids_are_refused(make, iid):
-    # base -1000 is no atom, and an instance id is an int by exact type, so
-    # True does not run as instance 1; refused before the oracle is asked
+    # base -1000 is no atom, and an instance id is an int by exact type;
+    # refused before the oracle is asked
     calls = []
     message = ("atoms must be non-negative integers" if type(iid) is int
                else f"instance id must be an int, got {iid!r}")
