@@ -6,12 +6,21 @@ streams and ledger violations.  All of them are deterministic across
 processes; pool oracles hash canonical serializations with md5 rather
 than the salted builtin hash.  They read that text through
 :meth:`FinPerm.to_cycles` and ``str`` of a :class:`FinitaryPartition`,
-which write it once per value and keep it, so re-asking about a witness
-on every audit does not write its text again.
+which write it once per value and keep it.
+
+Each oracle that :func:`truncate_oracle`, :func:`pool_perm_oracle` and
+:func:`pool_set_oracle` build keeps its answers for as long as that oracle
+object lives, which on the command line is one run.  It computes each
+distinct input once, and a re-ask costs one lookup and returns the answer
+object it gave first, so an engine's audit, which still calls the oracle on
+the same schedule, finds the recorded answer without comparing it.  Nothing
+is kept across oracle objects: two built by the same call compute afresh.
+:func:`min_block_oracle` already answers a re-ask in O(1) and keeps nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Callable, Optional
 
@@ -42,6 +51,7 @@ def truncate_oracle(n: int) -> Callable[[FinPerm], FinPerm]:
     if n < 0:
         raise BadParametersError("n must be non-negative")
 
+    @functools.cache
     def oracle(s: FinPerm) -> FinPerm:
         if len(s._map) <= n:
             return s
@@ -63,6 +73,7 @@ def pool_perm_oracle(pool_size: int, n: int) -> Callable[[FinPerm], FinPerm]:
     else:
         pool = [FinPerm.cycle([0, i + 1]) for i in range(pool_size)]
 
+    @functools.cache
     def oracle(s: FinPerm) -> FinPerm:
         return pool[_stable_index(s.to_cycles(), len(pool))]
 
@@ -97,6 +108,7 @@ def pool_set_oracle(pool_size: int) -> Callable[[FinitaryPartition], frozenset[i
     _check_pool_size(pool_size)
     pool = [frozenset(range(i)) for i in range(pool_size)]
 
+    @functools.cache
     def oracle(p: FinitaryPartition) -> frozenset[int]:
         return pool[_stable_index(str(p), len(pool))]
 

@@ -419,7 +419,13 @@ def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:
     significant, so the block's own mask counts down.  A draw reads only
     the bits of ``out``, so it costs O(|left out|) in Python plus one set
     difference, not O(t): the stream's first draws leave out the fewest.
+
+    ``l`` is checked at the call, before the first draw: it must be an
+    ``int`` by exact type and non-negative.
     """
+    _require_int("l", l)
+    if l < 0:
+        raise BadParametersError("l must be non-negative")
 
     def gen(avail: tuple[int, ...], upper: int) -> Iterator[tuple[Block, ...]]:
         # avail[0] < upper: a recursive call keeps avail[0] < avail[jpos] = upper,
@@ -452,4 +458,4 @@ def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:
                 for sub in gen(head + tuple(left), m1):
                     yield (block,) + sub
 
-    yield from gen(tuple(range(l)), l)
+    return gen(tuple(range(l)), l)

@@ -10,7 +10,11 @@ levels of the last step's family and rebuilds from its first case-2 or
 stuck level.  The engine owns one :class:`FamilyIndex`, which holds the
 last step's family and lists which answers move each atom, so a rebuilt
 case-2 level walks only the answers that move its occupied atoms, and a
-step that keeps every level leaves it alone.
+step that keeps every level leaves it alone.  The index also keeps the
+level and occupied set of its last stuck build, and each later step
+returns them at once while no answer is new: with the same answers the
+kept levels rebuild the same way and stall at the same level, which a
+larger ``m`` leaves below its top.
 
 A family stuck at level ``L`` on ``m`` witnesses, all queried without a
 violation, admits at most ``N(L)`` distinct answers
@@ -46,7 +50,7 @@ from typing import Callable, Optional
 
 from .auditing import (SEED_CAP, BoundParams, WitnessEngine, _Inconsistent,
                        assemble_certificate, compute_bounds)
-from .errors import BadParametersError, BudgetExceededError, OracleCodomainError
+from .errors import BadParametersError, BudgetExceededError, OracleCodomainError, _require_int
 from .partitions import derangement
 from .perms import FinPerm
 
@@ -92,6 +96,11 @@ class FamilyIndex:
     case-2 level is reached with every answer indexed and none escaping;
     and :meth:`_cut` frees only the atoms of the levels from the first
     case-2 or stuck level on, whose build found none escaping.
+
+    ``stuck`` is the ``(level, occupied)`` the last call returned when it
+    got stuck, and ``None`` otherwise; every rebuild clears it first.  A
+    stuck build indexes every answer, so ``indexed`` equals the record's
+    length until an answer is appended.
     """
 
     def __init__(self):
@@ -100,6 +109,7 @@ class FamilyIndex:
         self.indexed = 0
         self.entries: list[FamilyEntry] = []
         self.occupied: set[int] = set()
+        self.stuck: Optional[tuple[int, frozenset[int]]] = None
 
     def _cut(self, count: int) -> None:
         """Cut the family back to its first ``count`` entries and rebuild
@@ -185,9 +195,16 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
     case-1 levels followed by case-2 levels.
 
     A call that keeps every level returns the kept family without touching
-    the index.  Otherwise the index cuts the family back to the kept levels
-    and rebuilds the occupied set from their atoms, at most 2n·level, and
-    adds each new member's atoms to it.  The returned entries are the
+    the index.  So does a call after a stuck one on a record that gained no
+    answer, which returns the index's kept ``stuck`` as well: with the same
+    answers the kept case-1 levels are kept again, each case-2 level picks
+    the same least pair on the same occupied set, and the stuck level finds
+    no escape and no pair again.  The caller's ``m`` never shrinks, and a
+    larger one only raises the top level, while the stall lies at or below
+    the old top, so the result is the one a rebuild would give.  Otherwise
+    the index cuts the family back to the kept levels and rebuilds the
+    occupied set from their atoms, at most 2n·level, and adds each new
+    member's atoms to it.  The returned entries are the
     index's ``entries``, which the next call reads.  No indexed answer
     escapes when a level begins (see :class:`FamilyIndex`), so case 1
     indexes the answers past the indexed ones until one escapes, at O(n)
@@ -224,16 +241,20 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
     if m < 1:
         raise BadParametersError("need at least one value")
     top = m.bit_length() - 1
+    if index.stuck is not None and index.values is answers and index.indexed == len(answers):
+        return index.entries, index.stuck
     kept = next((e.level for e in index.entries if e.case == 2), len(index.entries))
     if kept > top:
         return index.entries, None
     index.values = answers
+    index.stuck = None
     index._cut(kept)
     entries = index.entries
     for level in range(kept, top + 1):
         chosen = index._case_one(level) or index._case_two(level)
         if chosen is None:
-            return entries, (level, frozenset(index.occupied))
+            index.stuck = (level, frozenset(index.occupied))
+            return entries, index.stuck
         entries.append(chosen)
         index.occupied.update(chosen.perm._map)
     return entries, None
@@ -241,7 +262,14 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
 
 def stuck_answer_bound(n: int, level: int) -> int:
     """``N(level)``: how many permutations moving at most ``n`` points
-    move only atoms of a fixed set of ``4*n*level`` atoms."""
+    move only atoms of a fixed set of ``4*n*level`` atoms.
+
+    Both counts are ``int``s by exact type and non-negative.
+    """
+    _require_int("n", n)
+    _require_int("level", level)
+    if n < 0 or level < 0:
+        raise BadParametersError("n and level must be non-negative")
     return sum(math.comb(4 * n * level, j) * derangement(j) for j in range(n + 1))
 
 

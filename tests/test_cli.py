@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fiberbound import oracles
 from fiberbound.atoms import fresh_atoms, parse_atom_set
 from fiberbound.auditing import OracleLedger, compute_bounds
 from fiberbound.cli import main
@@ -17,8 +18,9 @@ from fiberbound.inject import Tableau
 from fiberbound.oracles import (POOL_CAP, _stable_index, from_spec, min_block_oracle,
                                 pool_perm_oracle, pool_set_oracle, truncate_oracle)
 from fiberbound.partition_engine import PartitionDiagEngine
-from fiberbound.partitions import FinitaryPartition, bell, derangement
-from fiberbound.perm_engine import FamilyIndex, PermDiagEngine, build_family
+from fiberbound.partitions import FinitaryPartition, bell, derangement, iter_partitions_ranked
+from fiberbound.perm_engine import (FamilyIndex, PermDiagEngine, build_family,
+                                    stuck_answer_bound)
 from fiberbound.perms import FinPerm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -274,6 +276,23 @@ LIBRARY_GUARDS = {
                           "j must be an int, got 2.5"),
     "part-engine-bool-instance": (lambda: PartitionDiagEngine(1, min_block_oracle, True),
                                   BadParametersError, "instance id must be an int, got True"),
+    # checked when called, before the first draw
+    "ranked-negative-l": (lambda: iter_partitions_ranked(-1), BadParametersError,
+                          "l must be non-negative"),
+    "ranked-bool-l": (lambda: iter_partitions_ranked(True), BadParametersError,
+                      "l must be an int, got True"),
+    "ranked-float-l": (lambda: iter_partitions_ranked(2.5), BadParametersError,
+                       "l must be an int, got 2.5"),
+    "answer-bound-bool-n": (lambda: stuck_answer_bound(True, 1), BadParametersError,
+                            "n must be an int, got True"),
+    "answer-bound-negative-n": (lambda: stuck_answer_bound(-1, 2), BadParametersError,
+                                "n and level must be non-negative"),
+    "answer-bound-negative-level": (lambda: stuck_answer_bound(2, -1), BadParametersError,
+                                    "n and level must be non-negative"),
+    "answer-bound-float-n": (lambda: stuck_answer_bound(2.5, 1), BadParametersError,
+                             "n must be an int, got 2.5"),
+    "answer-bound-bool-level": (lambda: stuck_answer_bound(2, True), BadParametersError,
+                                "level must be an int, got True"),
 }
 
 
@@ -323,6 +342,85 @@ def test_oracle_edge_cases():
     assert {oracle(FinPerm.cycle([a, a + 1 + j])).to_cycles()
             for a in range(10) for j in range(3)} == {"()"}
     assert min_block_oracle(FinitaryPartition(())) == frozenset()
+
+
+def asking(oracle):
+    # the oracle, wrapped to list every input it is asked, re-asks included
+    asked = []
+
+    def spy(x):
+        asked.append(x)
+        return oracle(x)
+
+    return spy, asked
+
+
+def test_pool_oracle_digests_each_distinct_input_once(monkeypatch):
+    # the pool1 pin's run: its audits re-ask every witness, yet each distinct
+    # input is digested once; a second oracle from the same call digests them
+    # all again, so no answer outlives the oracle object that computed it
+    digests = []
+    stable_index = oracles._stable_index
+    monkeypatch.setattr(oracles, "_stable_index",
+                        lambda text, modulus: digests.append(text) or stable_index(text, modulus))
+    spy, asked = asking(pool_perm_oracle(1, 2))
+    cert = PermDiagEngine(2, 80, spy, "opportunistic", 64).run(50)
+    assert cert["kind"] == "ledger-violation"
+    distinct = set(asked)
+    assert len(asked) > 2 * len(distinct)
+    assert len(digests) == len(distinct)
+    again = pool_perm_oracle(1, 2)
+    for x in distinct:
+        again(x)
+    assert len(digests) == 2 * len(distinct)
+
+
+def test_truncate_oracle_deflates_each_distinct_input_once(monkeypatch):
+    # the perm-diag pin's run, counting only the deflates made inside an oracle
+    inside, deflated = [], []
+    deflate = FinPerm.deflate
+
+    def counted(self, off):
+        if inside:
+            deflated.append(self)
+        return deflate(self, off)
+
+    def entered(oracle):
+        def call(x):
+            inside.append(x)
+            try:
+                return oracle(x)
+            finally:
+                inside.pop()
+
+        return call
+
+    monkeypatch.setattr(FinPerm, "deflate", counted)
+    spy, asked = asking(entered(truncate_oracle(2)))
+    PermDiagEngine(2, 8, spy, "opportunistic", 4).run(20)
+    wide = {x for x in asked if len(x.moved) > 2}
+    assert len(asked) > 2 * len(set(asked)) and wide
+    assert len(deflated) == len(wide)
+    again = entered(truncate_oracle(2))
+    for x in wide:
+        again(x)
+    assert len(deflated) == 2 * len(wide)
+
+
+@pytest.mark.parametrize("make_engine, parse", [
+    (lambda: PermDiagEngine(2, 8, truncate_oracle(2), "opportunistic", 4), FinPerm.parse),
+    (lambda: PermDiagEngine(2, 8, pool_perm_oracle(10, 2), "opportunistic", 8), FinPerm.parse),
+    (lambda: PartitionDiagEngine(1, pool_set_oracle(1000), instance_id=7),
+     FinitaryPartition.parse),
+], ids=["truncate", "pool-perm", "pool-set"])
+def test_reask_returns_the_recorded_answer(make_engine, parse):
+    # a re-ask, even on an equal input built afresh, hands back the very
+    # answer object the ledger recorded, so the audit skips its compare
+    engine = make_engine()
+    engine.run(20)
+    for x, prior in engine.ledger.queries.items():
+        assert engine.oracle(x) is prior
+        assert engine.oracle(parse(str(x))) is prior
 
 
 def test_stable_index_reads_the_digest_like_its_hex_form():

@@ -168,6 +168,11 @@ PINS = {
     "pool1": Pin("diag-perm --n 2 --k 80 --oracle pool:1 --mode opportunistic --steps 50",
                  "ledger-violation",
                  "563131c4097cdd2d213a3f4a3d18c82f131aeb17efe31635f3807b8c8873c3d0"),
+    # one seed, violated after 8 steps; traces (fallback, |B_new|) read F1 T1 F1 T0 T0
+    # T1 T0 T0, so its stalls both reuse a stuck family and rebuild one on a new answer
+    "pool10": Pin("diag-perm --n 2 --k 3 --oracle pool:10 --mode opportunistic --seeds 1 "
+                  "--steps 50", "ledger-violation",
+                  "ee45a61806b7f8a31b05f7139e57c35b4201a562d9aa7ca6d200c18ff11997de"),
     "part": Pin("diag-part --k 2 --steps 100", "part-diag",
                 "02a858b33ceec7dbabf449ecdcbf822f0bdd32c5a7751ac353b78ed8e52183c8",
                 max_bytes=300000),

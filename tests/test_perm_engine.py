@@ -265,6 +265,55 @@ def test_incremental_family_examples_reach_each_case(values, cases):
     assert grow_family(values, 2) == cases
 
 
+@st.composite
+def stalled_records(draw):
+    # distinct answers, each followed by 1..6 calls on the record it ends,
+    # with m growing by one per call
+    values, n = draw(growing_answers())
+    return list(dict.fromkeys(values)), draw(st.lists(st.integers(1, 6), min_size=len(values),
+                                                      max_size=len(values))), n
+
+
+def replay_stalls(values, gaps, n):
+    # call build_family again and again on a record that gains nothing, then
+    # append the next answer; compare every call with the reference and with
+    # a fresh index.  A call after a stuck one on an unchanged record returns
+    # the kept stall itself.  Returns, per answer, how many calls on its
+    # record reused a stall and the level of the last call's stall.
+    answers, record, index = {}, [], FamilyIndex()
+    m = 0
+    seen = []
+    for v, gap in zip(values, gaps):
+        answers[v] = m
+        record.append((v, m))
+        last = None
+        reused = 0
+        for m in range(m + 1, m + 1 + gap):
+            entries, stuck = build_family(record, m, index)
+            assert (entries, stuck) == reference_family(answers, m, n)
+            assert (entries, stuck) == build_family(record, m, FamilyIndex())
+            assert index.entries is entries and index.stuck is stuck
+            if last is not None:
+                assert stuck is last
+                reused += 1
+            last = stuck
+        seen.append((reused, last and last[0]))
+    return seen
+
+
+@given(stalled_records())
+@settings(max_examples=300)
+def test_stuck_family_is_reused_until_an_answer_is_new(drawn):
+    replay_stalls(*drawn)
+
+
+def test_stuck_family_reuse_examples():
+    # (1;2) alone sticks at level 1 from m = 2 on; (5;6) unsticks level 1 at
+    # m = 41 and sticks at level 2, and (0;3) unsticks that at m = 44
+    values = [c([1, 2]), c([5, 6]), c([0, 3])]
+    assert replay_stalls(values, [40, 3, 100], 2) == [(38, 1), (2, 2), (99, 3)]
+
+
 def test_assemble_examples():
     entries, _ = family([c([1000, 1001 + j]) for j in range(4)])
     members = [e.perm for e in entries]
