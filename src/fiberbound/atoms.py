@@ -2,20 +2,31 @@
 
 Atoms are plain non-negative integers.  Finite atom sets are plain
 Python sets and print as ``{a,b,c}`` with the atoms ascending.
+
+:func:`_atoms_ok` is the one definition of an atom: an ``int`` by exact
+type, so a ``bool`` is not one, and non-negative.  Every entry point that
+takes atoms from a caller checks them through it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import BadParametersError, ParseError, _require_int
+from .errors import ParseError, _require_int
+
+
+def _atoms_ok(xs: Iterable) -> bool:
+    """Whether every item of ``xs`` is an atom: an ``int`` by exact type
+    and non-negative."""
+    for a in xs:
+        if type(a) is not int or a < 0:
+            return False
+    return True
 
 
 def fresh_atoms(count: int, avoid: Iterable[int]) -> tuple[int, ...]:
     """The ``count`` smallest atoms outside ``avoid``, ascending."""
-    _require_int("count", count)
-    if count < 0:
-        raise BadParametersError("count must be non-negative")
+    _require_int("count", count, 0)
     avoid = set(avoid)
     out = []
     a = 0

@@ -59,12 +59,8 @@ def _growth_ok(n: int, k: int, l: int) -> bool:
 
 
 def compute_bounds(n: int, k: int) -> BoundParams:
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < 0:
-        raise BadParametersError("n must be non-negative")
-    if k < 1:
-        raise BadParametersError("k must be at least 1")
+    _require_int("n", n, 0)
+    _require_int("k", k, 1)
     e = 2 * n
     # The loop ends: for n >= 1 the guard's lower bound on m0 grows with
     # the start, and for n = 0 every l > start holds once 2**(start + 1) > k.
@@ -103,9 +99,7 @@ class OracleLedger:
     """
 
     def __init__(self, k: int, serialize_output: Callable):
-        _require_int("k", k)
-        if k < 1:
-            raise BadParametersError("k must be at least 1")
+        _require_int("k", k, 1)
         self.k = k
         self._ser_out = serialize_output
         self.queries: dict = {}
@@ -186,9 +180,7 @@ class WitnessEngine:
         self.k = k
         self.oracle = oracle
         self.ledger = OracleLedger(k, serialize_output)
-        _require_int("seed count", seed_count)
-        if seed_count < 1:
-            raise BadParametersError("seed count must be at least 1")
+        _require_int("seed count", seed_count, 1)
         if seed_count > SEED_CAP:
             raise BudgetExceededError(f"the run needs {seed_count} seeds, over the cap {SEED_CAP}")
         _require_int("instance id", instance_id)
@@ -288,9 +280,7 @@ class WitnessEngine:
                 + list(map(text, self.g[count:])))
 
     def run(self, steps: int) -> dict:
-        _require_int("steps", steps)
-        if steps < 1:
-            raise BadParametersError("steps must be at least 1")
+        _require_int("steps", steps, 1)
         kind = self.kind
         violation = None
         try:

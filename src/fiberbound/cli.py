@@ -14,7 +14,7 @@ import sys
 
 from .atoms import parse_atom_set
 from .auditing import compute_bounds
-from .errors import BadParametersError, FiberboundError
+from .errors import FiberboundError, _require_int
 from .fraenkel import SupportConfig, scan
 from .inject import Tableau, decode, encode, level_swap
 from .oracles import from_spec
@@ -90,8 +90,7 @@ def _cmd_fraenkel(args) -> dict:
 
 
 def _cmd_bell(args) -> dict:
-    if args.upto < 0:
-        raise BadParametersError("upto must be non-negative")
+    _require_int("upto", args.upto, 0)
     values = [bell(i) for i in range(args.upto + 1)]
     print(" ".join(str(v) for v in values))
     return {"kind": "bell", "upto": args.upto, "values": values}

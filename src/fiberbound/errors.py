@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the int check that raises one."""
+"""Exception types shared across the package, and the count check that raises one.
+
+:func:`_require_int` is the one check of a count: an ``int`` by exact
+type, so a ``bool`` or a ``float`` is refused, and at least ``least``
+when a bound is given.  A value under the bound reads
+``"{name} must be non-negative"`` when ``least`` is 0 and
+``"{name} must be at least {least}"`` otherwise.
+"""
 
 
 class FiberboundError(Exception):
@@ -29,8 +36,13 @@ class OracleCodomainError(FiberboundError):
     """An oracle returned a value outside its declared codomain."""
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value, least=None) -> None:
     """Refuse a count that is not an ``int`` by exact type, so a ``bool``
-    or a ``float`` is a domain error and never a raw ``TypeError``."""
+    or a ``float`` is a domain error and never a raw ``TypeError``, and,
+    when ``least`` is given, one below it: "must be non-negative" for a
+    ``least`` of 0 and "must be at least {least}" for any other."""
     if type(value) is not int:
         raise BadParametersError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise BadParametersError(f"{name} must be {bound}")

@@ -42,9 +42,9 @@ from math import comb
 from operator import eq, itemgetter
 from typing import Iterator, Union
 
-from .atoms import fresh_atoms
-from .errors import BadParametersError, BudgetExceededError
-from .partitions import derangement
+from .atoms import _atoms_ok, fresh_atoms
+from .errors import BadParametersError, BudgetExceededError, _require_int
+from .partitions import DERANGEMENT_MAX, derangement
 from .perms import FinPerm
 
 # permutation pairs classified per scan: one D(n)·D(n+1) block per orbit
@@ -60,16 +60,16 @@ class SupportConfig:
     def __post_init__(self):
         if not isinstance(self.support, frozenset):
             raise BadParametersError("support must be a frozenset of atoms")
-        if type(self.n) is not int or type(self.carrier_size) is not int:
-            raise BadParametersError("n and carrier_size must be integers")
+        _require_int("n", self.n)
+        _require_int("carrier_size", self.carrier_size)
         if self.n < 2:
             raise BadParametersError("n must be at least 2 (nothing moves exactly one point)")
         if self.carrier_size < len(self.support) + self.n + 2:
             raise BadParametersError(
                 "carrier must hold the support, the moved points, and a spare atom")
-        if any(type(a) is not int for a in self.support):
+        if not _atoms_ok(self.support):
             raise BadParametersError("support atoms must be integers")
-        if any(a >= self.carrier_size or a < 0 for a in self.support):
+        if any(a >= self.carrier_size for a in self.support):
             raise BadParametersError("support atoms must lie inside the carrier")
 
 
@@ -139,8 +139,12 @@ def _shapes(count: int) -> tuple[tuple[itemgetter, str, itemgetter], ...]:
     A row holds an ``itemgetter`` of the derangement's images, its canonical
     text over the positions with each position written as ``%d``, and an
     ``itemgetter`` of the positions in the order that text names them.
-    Rows need ``count >= 2``, so each getter returns a tuple.
+    Rows need ``count >= 2``, so each getter returns a tuple.  A table of
+    more than ``SCAN_PAIR_CAP`` rows is refused before any is built.
     """
+    if count > DERANGEMENT_MAX or derangement(count) > SCAN_PAIR_CAP:
+        raise BudgetExceededError(f"count {count} needs D({count}) derangements, "
+                                  f"over the cap {SCAN_PAIR_CAP}")
     rows = []
     for images in permutations(range(count)):
         if any(map(eq, range(count), images)):
@@ -154,39 +158,42 @@ def _shapes(count: int) -> tuple[tuple[itemgetter, str, itemgetter], ...]:
 def perms_moving_exactly(atoms: Iterator[int], count: int) -> Iterator[FinPerm]:
     """All permutations of the given atoms moving exactly ``count`` of them.
 
-    The atoms must be distinct non-negative ints and ``count`` a
-    non-negative ``int`` by exact type; both are checked before anything
-    is yielded.  The order is that of ``combinations`` of the sorted atoms,
-    and within each subset that of ``permutations`` of it, fixed points
-    dropped.  Each subset's permutations come from the table of the
+    It checks its arguments when called, before the first draw: the atoms
+    must be distinct non-negative ints and ``count`` a non-negative ``int``
+    by exact type.  The order is that of ``combinations`` of the sorted
+    atoms, and within each subset that of ``permutations`` of it, fixed
+    points dropped.  Each subset's permutations come from the table of the
     derangements of ``range(count)``, which also hands over each one's
-    canonical text.  The table is built on first use and kept for the life
-    of the process; it holds D(count) rows, so it suits the small counts
-    that the scan and the codec sweep (at most 5).
+    canonical text.  The table is built at the first call with a ``count``
+    the pool can move and kept for the life of the process.  It holds
+    D(count) rows, read off all ``count!`` permutations, so a ``count``
+    whose table would pass ``SCAN_PAIR_CAP`` rows (8 or more, D(8) =
+    14,833) is refused with :class:`BudgetExceededError` when the pool
+    holds that many atoms; the scan needs at most 5 and the codec at most 3.
     """
     pool = list(atoms)
-    if type(count) is not int:
-        raise BadParametersError(f"count must be an int, got {count!r}")
-    if count < 0:
-        raise BadParametersError(f"count must be non-negative, got {count}")
-    if any(type(a) is not int or a < 0 for a in pool):
+    _require_int("count", count, 0)
+    if not _atoms_ok(pool):
         raise BadParametersError("atoms must be non-negative integers")
     if len(set(pool)) != len(pool):
         raise BadParametersError("repeated atom in the pool")
     pool.sort()
     if count == 0:
-        yield FinPerm.identity()
-        return
+        return iter((FinPerm.identity(),))
     if count > len(pool):
-        return
+        return iter(())
     shapes = _shapes(count)
-    for subset in combinations(pool, count):
-        # the subset ascends as the positions do, so the rotations and the
-        # cycle order of the positions' text are those of the atoms' text
-        for images, text, order in shapes:
-            perm = FinPerm._of(dict(zip(subset, images(subset))))
-            perm._text = text % order(subset)
-            yield perm
+
+    def gen() -> Iterator[FinPerm]:
+        for subset in combinations(pool, count):
+            # the subset ascends as the positions do, so the rotations and the
+            # cycle order of the positions' text are those of the atoms' text
+            for images, text, order in shapes:
+                perm = FinPerm._of(dict(zip(subset, images(subset))))
+                perm._text = text % order(subset)
+                yield perm
+
+    return gen()
 
 
 def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -> bool:
@@ -195,7 +202,7 @@ def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -
         a, ms, mt = verdict.atom, s._map.keys(), t._map.keys()
         # a in moved(s) also makes a != b below, since b is not: so {a: b, b: a}
         # is a transposition, as FinPerm._of requires
-        if type(a) is not int or a not in ms or a in mt or a in e_set:
+        if not _atoms_ok((a,)) or a not in ms or a in mt or a in e_set:
             return False
         if len(verdict.samples) < 2 or len(set(verdict.samples)) != len(verdict.samples):
             return False
@@ -204,11 +211,10 @@ def _verify(verdict: ProbeVerdict, s: FinPerm, t: FinPerm, cfg: SupportConfig) -
         # and b, read off the sample, must be a non-negative int before (a b) is built
         for p in verdict.samples:
             extra = p._map.keys() - ms
-            if len(extra) != 1:
+            if len(extra) != 1 or not _atoms_ok(extra):
                 return False
             (b,) = extra
-            if (type(b) is not int or b < 0 or b in mt or b in e_set
-                    or p != s.conjugate(FinPerm._of({a: b, b: a}))):
+            if b in mt or b in e_set or p != s.conjugate(FinPerm._of({a: b, b: a})):
                 return False
         return True
     if isinstance(verdict, ExtraOutside):

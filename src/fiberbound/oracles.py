@@ -24,7 +24,7 @@ import functools
 import hashlib
 from typing import Callable, Optional
 
-from .errors import BadParametersError, BudgetExceededError, ParseError, _require_int
+from .errors import BudgetExceededError, ParseError, _require_int
 from .partitions import FinitaryPartition
 from .perms import FinPerm
 
@@ -33,9 +33,7 @@ POOL_CAP = 1024
 
 
 def _check_pool_size(pool_size: int) -> None:
-    _require_int("pool size", pool_size)
-    if pool_size < 1:
-        raise BadParametersError("pool size must be at least 1")
+    _require_int("pool size", pool_size, 1)
     if pool_size > POOL_CAP:
         raise BudgetExceededError(f"pool size {pool_size} is over the cap {POOL_CAP}")
 
@@ -47,9 +45,7 @@ def _stable_index(text: str, modulus: int) -> int:
 
 def truncate_oracle(n: int) -> Callable[[FinPerm], FinPerm]:
     """Deflate each input onto its n least moved atoms, pushing it off the rest."""
-    _require_int("n", n)
-    if n < 0:
-        raise BadParametersError("n must be non-negative")
+    _require_int("n", n, 0)
 
     @functools.cache
     def oracle(s: FinPerm) -> FinPerm:
@@ -67,7 +63,7 @@ def pool_perm_oracle(pool_size: int, n: int) -> Callable[[FinPerm], FinPerm]:
     collapses to it whatever size up to the cap is requested.
     """
     _check_pool_size(pool_size)
-    _require_int("n", n)
+    _require_int("n", n, 0)
     if n < 2:
         pool = [FinPerm.identity()]
     else:

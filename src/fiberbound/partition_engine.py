@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .atoms import format_atom_set
+from .atoms import _atoms_ok, format_atom_set
 from .auditing import WitnessEngine, assemble_certificate
 from .errors import OracleCodomainError, _require_int
 from .partitions import FinitaryPartition, QuotientFrame, build_frame, iter_partitions_ranked, lift
@@ -52,7 +52,7 @@ class PartitionDiagEngine(WitnessEngine):
                          format_atom_set)
 
     def _check_output(self, out) -> None:
-        if not isinstance(out, frozenset) or not all(type(a) is int and a >= 0 for a in out):
+        if not isinstance(out, frozenset) or not _atoms_ok(out):
             raise OracleCodomainError("oracle must return finite sets of atoms")
 
     def step(self) -> dict:

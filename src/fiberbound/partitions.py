@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
-from .atoms import parse_atom_set
+from .atoms import _atoms_ok, parse_atom_set
 from .errors import BadParametersError, ParseError, _require_int
 
 # Guards keep every count below 2**63 so serialized certificates stay exact
@@ -81,9 +81,8 @@ class FinitaryPartition:
         seen: set[int] = set()
         for block in blocks:
             b = frozenset(block)
-            for a in b:
-                if type(a) is not int or a < 0:
-                    raise BadParametersError("atoms must be non-negative integers")
+            if not _atoms_ok(b):
+                raise BadParametersError("atoms must be non-negative integers")
             if seen & b:
                 raise BadParametersError("blocks must be pairwise disjoint")
             seen |= b
@@ -355,7 +354,7 @@ def build_frame(values: Iterable[Iterable[int]], frame: Optional[QuotientFrame] 
     for v in vals:
         cids = set(map(class_of.get, v))
         if None in cids or sum(map(len, map(members.__getitem__, cids))) != len(v):
-            if not all(type(a) is int and a >= 0 for a in v):
+            if not _atoms_ok(v):
                 raise BadParametersError("atoms must be non-negative integers")
             splitting.append(v)
     # a union of classes splits none and brings no atom: mask μ becomes
@@ -423,9 +422,7 @@ def iter_partitions_ranked(l: int) -> Iterator[tuple[Block, ...]]:
     ``l`` is checked at the call, before the first draw: it must be an
     ``int`` by exact type and non-negative.
     """
-    _require_int("l", l)
-    if l < 0:
-        raise BadParametersError("l must be non-negative")
+    _require_int("l", l, 0)
 
     def gen(avail: tuple[int, ...], upper: int) -> Iterator[tuple[Block, ...]]:
         # avail[0] < upper: a recursive call keeps avail[0] < avail[jpos] = upper,

@@ -266,10 +266,8 @@ def stuck_answer_bound(n: int, level: int) -> int:
 
     Both counts are ``int``s by exact type and non-negative.
     """
-    _require_int("n", n)
-    _require_int("level", level)
-    if n < 0 or level < 0:
-        raise BadParametersError("n and level must be non-negative")
+    _require_int("n", n, 0)
+    _require_int("level", level, 0)
     return sum(math.comb(4 * n * level, j) * derangement(j) for j in range(n + 1))
 
 

@@ -68,6 +68,7 @@ from __future__ import annotations
 import re
 from typing import Container, Iterable, Mapping
 
+from .atoms import _atoms_ok
 from .errors import BadParametersError, ParseError
 
 _CYCLE_RE = re.compile(r"\(([0-9;]*)\)")
@@ -93,9 +94,8 @@ class FinPerm:
             raise BadParametersError("a permutation cannot move exactly one point")
         if cleaned.keys() != set(cleaned.values()):
             raise BadParametersError("mapping is not a bijection of its moved points")
-        for a, b in cleaned.items():
-            if type(a) is not int or type(b) is not int or a < 0:
-                raise BadParametersError("atoms must be non-negative integers")
+        if not (_atoms_ok(cleaned) and _atoms_ok(cleaned.values())):
+            raise BadParametersError("atoms must be non-negative integers")
         self._map = cleaned
         self._hash = None
         self._text = None
@@ -128,9 +128,8 @@ class FinPerm:
             raise BadParametersError(f"repeated atom in cycle {pts}")
         if len(pts) == 1:
             raise BadParametersError("cycle of length one is not a permutation move")
-        for a in pts:
-            if type(a) is not int or a < 0:
-                raise BadParametersError("atoms must be non-negative integers")
+        if not _atoms_ok(pts):
+            raise BadParametersError("atoms must be non-negative integers")
         return cls._of(dict(zip(pts, pts[1:] + pts[:1])))
 
     @classmethod

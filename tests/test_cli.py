@@ -13,12 +13,15 @@ from fiberbound import oracles
 from fiberbound.atoms import fresh_atoms, parse_atom_set
 from fiberbound.auditing import OracleLedger, compute_bounds
 from fiberbound.cli import main
-from fiberbound.errors import BadParametersError, BudgetExceededError, ParseError
+from fiberbound.errors import (BadParametersError, BudgetExceededError, OracleCodomainError,
+                               ParseError)
+from fiberbound.fraenkel import SupportConfig, perms_moving_exactly
 from fiberbound.inject import Tableau
 from fiberbound.oracles import (POOL_CAP, _stable_index, from_spec, min_block_oracle,
                                 pool_perm_oracle, pool_set_oracle, truncate_oracle)
 from fiberbound.partition_engine import PartitionDiagEngine
-from fiberbound.partitions import FinitaryPartition, bell, derangement, iter_partitions_ranked
+from fiberbound.partitions import (FinitaryPartition, bell, build_frame, derangement,
+                                   iter_partitions_ranked)
 from fiberbound.perm_engine import (FamilyIndex, PermDiagEngine, build_family,
                                     stuck_answer_bound)
 from fiberbound.perms import FinPerm
@@ -286,13 +289,49 @@ LIBRARY_GUARDS = {
     "answer-bound-bool-n": (lambda: stuck_answer_bound(True, 1), BadParametersError,
                             "n must be an int, got True"),
     "answer-bound-negative-n": (lambda: stuck_answer_bound(-1, 2), BadParametersError,
-                                "n and level must be non-negative"),
+                                "n must be non-negative"),
     "answer-bound-negative-level": (lambda: stuck_answer_bound(2, -1), BadParametersError,
-                                    "n and level must be non-negative"),
+                                    "level must be non-negative"),
     "answer-bound-float-n": (lambda: stuck_answer_bound(2.5, 1), BadParametersError,
                              "n must be an int, got 2.5"),
     "answer-bound-bool-level": (lambda: stuck_answer_bound(2, True), BadParametersError,
                                 "level must be an int, got True"),
+    # each folded sign check keeps its exact message
+    "fresh-atoms-negative-count": (lambda: fresh_atoms(-1, ()), BadParametersError,
+                                   "count must be non-negative"),
+    "part-run-zero-steps": (lambda: PartitionDiagEngine(1, min_block_oracle).run(0),
+                            BadParametersError, "steps must be at least 1"),
+    "perm-run-zero-steps": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic").run(0),
+                            BadParametersError, "steps must be at least 1"),
+    "engine-zero-seeds": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic", 0),
+                          BadParametersError, "seed count must be at least 1"),
+    "perm-pool-negative-n": (lambda: pool_perm_oracle(3, -1), BadParametersError,
+                             "n must be non-negative"),
+    # an atom is a non-negative int by exact type, and a bool is not one
+    "perm-bool-value": (lambda: FinPerm({1: 2, 2: True}), BadParametersError,
+                        "atoms must be non-negative integers"),
+    "cycle-bool-atom": (lambda: FinPerm.cycle([True, 2]), BadParametersError,
+                        "atoms must be non-negative integers"),
+    "partition-bool-atom": (lambda: FinitaryPartition([{True, 2}]), BadParametersError,
+                            "atoms must be non-negative integers"),
+    "frame-bool-atom": (lambda: build_frame([{True, 5}]), BadParametersError,
+                        "atoms must be non-negative integers"),
+    "part-oracle-bool-answer": (lambda: PartitionDiagEngine(1, lambda p: frozenset({True})).run(1),
+                                OracleCodomainError, "oracle must return finite sets of atoms"),
+    "support-bool-atom": (lambda: SupportConfig(frozenset({True}), 2, 6), BadParametersError,
+                          "support atoms must be integers"),
+    "support-float-carrier": (lambda: SupportConfig(frozenset(), 2, 6.0), BadParametersError,
+                              "carrier_size must be an int, got 6.0"),
+    # checked when called, before the first draw, and no table past the cap is built
+    "moving-exactly-float-count": (lambda: perms_moving_exactly(iter([0, 1]), 2.5),
+                                   BadParametersError, "count must be an int, got 2.5"),
+    "moving-exactly-bool-count": (lambda: perms_moving_exactly(iter([0, 1]), True),
+                                  BadParametersError, "count must be an int, got True"),
+    "moving-exactly-bool-atom": (lambda: perms_moving_exactly(iter([True, 2]), 2),
+                                 BadParametersError, "atoms must be non-negative integers"),
+    "moving-exactly-count-12": (lambda: perms_moving_exactly(iter(range(12)), 12),
+                                BudgetExceededError,
+                                "count 12 needs D(12) derangements, over the cap 10000"),
 }
 
 

@@ -36,6 +36,29 @@ def test_src_holds_no_assert():
     assert paths and not found
 
 
+def _is_type_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "type")
+
+
+def _compares_type_with_int(node) -> bool:
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    return (any(map(_is_type_call, sides))
+            and any(isinstance(side, ast.Name) and side.id == "int" for side in sides))
+
+
+def test_type_checks_live_in_one_place():
+    # a count is checked by errors._require_int and an atom by atoms._atoms_ok,
+    # so no other module compares type(...) with int by hand
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name not in ("errors.py", "atoms.py")]
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _compares_type_with_int(node)]
+    assert paths and not found
+
+
 _FIXTURE = '''"""A module docstring
 over two lines."""
 
