@@ -3,18 +3,20 @@
 An oracle is a deterministic callable paired with a claimed fiber bound
 ``k``.  Engines never trust the claim; every query goes through an
 :class:`OracleLedger` which records the fiber of each observed output and
-hands back a :class:`Violation` with exactly ``k + 1`` witnesses the moment
-any fiber overflows.  A run therefore always ends in one of two auditable
-states: a stream of pairwise distinct constructed witnesses, or a concrete
-finite refutation of the claimed bound.
+hands back the certificate's violation object, an output with exactly
+``k + 1`` witnesses, the moment any fiber overflows.  A run therefore
+always ends in one of two auditable states: a stream of pairwise distinct
+constructed witnesses, or a concrete finite refutation of the claimed bound.
 
 :class:`WitnessEngine` is the driver both witness engines share: it
 checks the seed count and the base and builds the seeds, one per atom pair
-``(base, base + 1 + j)``, keeps the emitted witnesses and each distinct
+``(base, base + 1 + j)``, hands out the next such pair when an engine needs
+a witness past its seeds, keeps the emitted witnesses and each distinct
 answer with its first index, queries the oracle once on each witness through
 the ledger, whose queries are then the emitted set, walks an engine's
 candidate stream to the first fresh witness, and turns a run into one of
-those two outcomes as a certificate.  Its traces (format 3) carry the
+those two outcomes as a certificate.  The certificate (format 4) names in
+its header the number of seeds the run built, and its traces carry the
 answers first seen at their step and the choices the step made, but not
 the witness, which the certificate's ``outputs`` already hold.  Every
 recorded answer is asked again on power-of-two steps and before any
@@ -78,17 +80,6 @@ def compute_bounds(n: int, k: int) -> BoundParams:
             return BoundParams(start, k * (2 * n * start) ** e)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A fiber observed to exceed the claimed bound: k + 1 distinct inputs."""
-
-    output: str
-    witnesses: tuple[str, ...]
-
-    def as_json(self) -> dict:
-        return {"output": self.output, "witnesses": list(self.witnesses)}
-
-
 class OracleLedger:
     """Audit log of oracle queries keyed by value; text only for violations and errors.
 
@@ -105,8 +96,10 @@ class OracleLedger:
         self.queries: dict = {}
         self.fibers: dict = {}
 
-    def record(self, inp, out) -> Optional[Violation]:
-        """Record one query; idempotent on repeats, violation on overflow."""
+    def record(self, inp, out) -> Optional[dict]:
+        """Record one query; idempotent on repeats.  On overflow, return the
+        certificate's violation object: the output's text and the texts of
+        its ``k + 1`` inputs, in the order recorded."""
         prior = self.queries.get(inp, _UNRECORDED)
         if prior is not _UNRECORDED:
             if prior != out:
@@ -116,32 +109,32 @@ class OracleLedger:
         self.queries[inp] = out
         count = self.fibers[out] = self.fibers.get(out, 0) + 1
         if count > self.k:
-            return Violation(self._ser_out(out),
-                             tuple(str(x) for x, y in self.queries.items() if y == out))
+            return {"output": self._ser_out(out),
+                    "witnesses": [str(x) for x, y in self.queries.items() if y == out]}
         return None
 
 
-def assemble_certificate(kind: str, n, k, l0, m0, steps: int,
-                         outputs: list[str], violation: Optional[Violation],
+def assemble_certificate(kind: str, n, k, seeds: int, steps: int,
+                         outputs: list[str], violation: Optional[dict],
                          traces: list[dict]) -> dict:
-    """Certificate JSON object, format 3, with its stable field order."""
+    """Certificate JSON object, format 4, with its stable field order;
+    ``seeds`` is the number of seed witnesses, which ``outputs`` lists first."""
     return {
-        "format": 3,
+        "format": 4,
         "kind": kind,
         "n": n,
         "k": k,
-        "l0": l0,
-        "m0": m0,
+        "seeds": seeds,
         "steps": steps,
         "outputs": outputs,
         "all_distinct": len(set(outputs)) == len(outputs),
-        "violation": violation.as_json() if violation is not None else None,
+        "violation": violation,
         "traces": traces,
     }
 
 
 class _Violated(Exception):
-    def __init__(self, violation: Violation):
+    def __init__(self, violation: dict):
         self.violation = violation
 
 
@@ -158,7 +151,8 @@ class WitnessEngine:
     """Driver shared by the witness engines.
 
     An engine supplies four things: a seed constructor, passed to
-    ``__init__`` and called on each atom pair ``(base, base + 1 + j)``;
+    ``__init__`` and called on each atom pair ``(base, base + 1 + j)``, for
+    ``j`` below the seed count and then for each ``_next_seed``;
     ``_check_output``, the claimed codomain; ``step``, one fresh witness
     found by ``_first_fresh`` and ending in ``_emit``, which keeps the
     witness in ``g`` and its trace in ``traces``; and ``_certificate``, its
@@ -190,6 +184,8 @@ class WitnessEngine:
             raise BadParametersError("atoms must be non-negative integers")
         self.g: list = [seed((base, base + 1 + j)) for j in range(seed_count)]
         self.seed_count = seed_count
+        self._seed = seed
+        self._next_j = seed_count
         # (answer, index of the first witness that got it), in index order
         self.answers: list = []
         self.traces: list[dict] = []
@@ -239,6 +235,18 @@ class WitnessEngine:
             out = self.oracle(x)
             if out is not prior and prior != out:
                 ledger.record(x, out)
+
+    def _next_seed(self):
+        """The seed of the least pair ``(base, base + 1 + j)`` with ``j`` at
+        least the seed count, not handed out before, whose witness is not
+        emitted yet; an engine emits it when a step has no other witness."""
+        seed, base, emitted = self._seed, self.base, self.ledger.queries
+        while True:
+            j = self._next_j
+            self._next_j = j + 1
+            witness = seed((base, base + 1 + j))
+            if witness not in emitted:
+                return witness
 
     def _first_fresh(self, key, stream: Callable[[], Iterator], build: Callable) -> tuple:
         """``(item, candidate, drawn)`` for the first item of ``stream()``

@@ -68,7 +68,7 @@ class SupportConfig:
             raise BadParametersError(
                 "carrier must hold the support, the moved points, and a spare atom")
         if not _atoms_ok(self.support):
-            raise BadParametersError("support atoms must be integers")
+            raise BadParametersError("support atoms must be non-negative integers")
         if any(a >= self.carrier_size for a in self.support):
             raise BadParametersError("support atoms must lie inside the carrier")
 

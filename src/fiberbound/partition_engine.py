@@ -44,10 +44,9 @@ class PartitionDiagEngine(WitnessEngine):
     def __init__(self, k: int, oracle: Callable[[FinitaryPartition], frozenset[int]],
                  instance_id: int = 0):
         _require_int("k", k)
-        self.threshold = 72 * k * k
         # the last step's frame, refined by the next step's new answers
         self._frame = QuotientFrame()
-        super().__init__(k, oracle, instance_id, self.threshold + 1,
+        super().__init__(k, oracle, instance_id, 72 * k * k + 1,
                          lambda pair: FinitaryPartition._of(frozenset((frozenset(pair),))),
                          format_atom_set)
 
@@ -71,5 +70,5 @@ class PartitionDiagEngine(WitnessEngine):
         return self._emit(result, trace)
 
     def _certificate(self, kind, steps, violation) -> dict:
-        return assemble_certificate(kind, None, self.k, None, self.threshold, steps,
+        return assemble_certificate(kind, None, self.k, self.seed_count, steps,
                                     self._outputs(self._frame.write), violation, self.traces)

@@ -21,18 +21,19 @@ violation, admits at most ``N(L)`` distinct answers
 (:func:`stuck_answer_bound`; the argument is in :func:`strict_bounds`'
 docstring and holds for any emitted set), so ``m <= k*N(L)``.  A stall
 with ``m > k*N(L)`` is forbidden: the step appends its trace and the run
-ends as ``stuck``.  Any other stall is admitted and emits a fresh
-transposition, a fallback.  The mode picks only the seed count and the
-header's ``l0`` and ``m0``.  Strict mode seeds ``m0 + 1`` witnesses, with
-``l0`` and ``m0`` from :func:`strict_bounds`, the count at which no stall
-is admitted: every stall has ``m > m0``, a level ``L <= l0`` has
-``k*N(L) <= k*N(l0) = m0``, and a level ``L > l0`` has
-``k*N(L) < 2**L <= m``, since a family's levels stop at ``2**L <= m``.
-That count is feasible for n <= 2.  Opportunistic mode runs from a small
-seed count, so its early stalls are admitted and fall back, which keeps
-the construction machinery exercised wherever :func:`compute_bounds`
-accepts n and k, since its header carries that function's ``l0`` and
-``m0``: at k = 1 that is n <= 3.
+ends as ``stuck``.  Any other stall is admitted and emits a fallback: the
+driver's next seed pair, the transposition ``(base; base + 1 + j)`` for the
+least ``j`` at or past the seed count not used yet whose witness is not
+emitted yet, so a run's arbitrary picks all come from one pair rule.  The
+mode picks only the seed count, which the header names as ``seeds``.
+Strict mode seeds ``m0 + 1`` witnesses, with ``m0`` from
+:func:`strict_bounds`, the count at which no stall is admitted: every
+stall has ``m > m0``, a level ``L <= l0`` has ``k*N(L) <= k*N(l0) = m0``,
+and a level ``L > l0`` has ``k*N(L) < 2**L <= m``, since a family's levels
+stop at ``2**L <= m``.  That count is feasible for n <= 2.  Opportunistic
+mode runs from the seed count it is given, at any n, so its early stalls
+are admitted and fall back, which keeps the construction machinery
+exercised.
 
 A candidate depends only on the family's members, so the driver's walk
 over the index sets resumes while they are unchanged, and ``chosen_a`` is
@@ -53,8 +54,6 @@ from .auditing import (SEED_CAP, BoundParams, WitnessEngine, _Inconsistent,
 from .errors import BadParametersError, BudgetExceededError, OracleCodomainError, _require_int
 from .partitions import derangement
 from .perms import FinPerm
-
-_FALLBACK_OFFSET = 500_000
 
 
 @dataclass(frozen=True)
@@ -329,15 +328,14 @@ class PermDiagEngine(WitnessEngine):
             raise BadParametersError(f"unknown mode {mode!r}")
         self.n = n
         if mode == "strict":
-            self.bounds = strict_bounds(n, k)
-            seed_count = self.bounds.m0 + 1
+            m0 = strict_bounds(n, k).m0
+            seed_count = m0 + 1
             if seed_count > SEED_CAP:
                 raise BudgetExceededError(f"strict mode needs {seed_count} seeds "
-                                          f"(m0 = {self.bounds.m0}); use opportunistic mode")
+                                          f"(m0 = {m0}); use opportunistic mode")
         else:
-            self.bounds = compute_bounds(n, k)
+            _require_int("n", n, 0)
         super().__init__(k, oracle, instance_id, seed_count, _transposition, str)
-        self._next_fallback = self.base + _FALLBACK_OFFSET
         # the last step's family; a trace's ``family`` is null while the entries equal it
         self._family = None
         self._index = FamilyIndex()
@@ -347,14 +345,6 @@ class PermDiagEngine(WitnessEngine):
             raise OracleCodomainError(
                 f"oracle returned a value moving {len(out._map) if isinstance(out, FinPerm) else '?'} "
                 f"points, claimed codomain moves at most {self.n}")
-
-    def _fresh_fallback(self) -> FinPerm:
-        while True:
-            pair = (self._next_fallback, self._next_fallback + 1)
-            self._next_fallback += 2
-            perm = _transposition(pair)
-            if perm not in self.ledger.queries:
-                return perm
 
     def step(self) -> dict:
         m = len(self.g)
@@ -375,7 +365,7 @@ class PermDiagEngine(WitnessEngine):
             if m > self.k * stuck_answer_bound(self.n, level):
                 self.traces.append(trace)
                 raise _Inconsistent
-            result = self._fresh_fallback()
+            result = self._next_seed()
             trace["fallback"] = True
         else:
             # A full-length family offers more candidates than emitted
@@ -387,5 +377,5 @@ class PermDiagEngine(WitnessEngine):
         return self._emit(result, trace)
 
     def _certificate(self, kind, steps, violation) -> dict:
-        return assemble_certificate(kind, self.n, self.k, self.bounds.l0, self.bounds.m0, steps,
+        return assemble_certificate(kind, self.n, self.k, self.seed_count, steps,
                                     self._outputs(str), violation, self.traces)

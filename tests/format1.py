@@ -1,8 +1,9 @@
-"""Expand a format-3 certificate into the format-1 certificate it replaces.
+"""Expand a format-4 certificate into the format-1 certificate it replaces.
 
-Format 3 puts in each trace only what is new at that step and what the
-rest of the certificate cannot give.  Format 1 repeated the whole record
-on every trace, and tests that read it get it back from ``expand``:
+Format 4 puts in each trace only what is new at that step and what the
+rest of the certificate cannot give, and its header names the seed count.
+Format 1 repeated the whole record on every trace, and tests that read it
+get it back from ``expand``:
 
 - a part trace's ``C`` is the running concatenation of the ``C_new``
   lists, and its ``classes`` are those of the frame that ``build_frame``
@@ -17,15 +18,21 @@ on every trace, and tests that read it get it back from ``expand``:
   ``outputs[len(outputs) - steps + i]``, and ``None`` on the one trace
   that emitted none, the last trace of a strict ``stuck`` perm run.
 
-``expand`` drops the ``format`` key and keeps every other field in place,
-and ``digest`` is the sha256 of its ``json.dumps`` text.
+``expand`` drops the ``format`` key, puts format 1's ``l0`` and ``m0`` in
+place of ``seeds`` and keeps every other field in place, and ``digest`` is
+the sha256 of its ``json.dumps`` text.  A partition run seeded ``m0 + 1``
+witnesses and wrote ``l0`` as ``None``.  A permutation run wrote
+``strict_bounds(n, k)`` when it seeded ``m0 + 1`` of them, as strict mode
+does, and ``compute_bounds(n, k)`` otherwise.
 """
 
 import hashlib
 import itertools
 import json
 
+from fiberbound.auditing import compute_bounds
 from fiberbound.partitions import build_frame, iter_partitions_ranked
+from fiberbound.perm_engine import strict_bounds
 from fiberbound.perms import FinPerm
 
 _PART_TAIL = ("l", "q", "rank_checked", "result")
@@ -33,7 +40,7 @@ _PERM_TAIL = ("stuck_at", "fallback", "chosen_a", "result")
 
 
 def expand_traces(cert: dict) -> list[dict]:
-    """Format-1 traces of a format-3 certificate, in order."""
+    """Format-1 traces of a format-4 certificate, in order."""
     outputs, steps = cert["outputs"], cert["steps"]
     out = []
     running: list = []
@@ -67,11 +74,27 @@ def expand_traces(cert: dict) -> list[dict]:
     return out
 
 
+def header_bounds(cert: dict) -> tuple:
+    """Format 1's ``(l0, m0)`` for a format-4 certificate."""
+    n, k, seeds = cert["n"], cert["k"], cert["seeds"]
+    if n is None:
+        return None, seeds - 1
+    bounds = strict_bounds(n, k)
+    if seeds != bounds.m0 + 1:
+        bounds = compute_bounds(n, k)
+    return bounds.l0, bounds.m0
+
+
 def expand(cert: dict) -> dict:
-    """The format-1 certificate of a format-3 one."""
-    if cert.get("format") != 3:
-        raise ValueError(f"not a format-3 certificate: format {cert.get('format')!r}")
-    old = {key: value for key, value in cert.items() if key != "format"}
+    """The format-1 certificate of a format-4 one."""
+    if cert.get("format") != 4:
+        raise ValueError(f"not a format-4 certificate: format {cert.get('format')!r}")
+    old = {}
+    for key, value in cert.items():
+        if key == "seeds":
+            old["l0"], old["m0"] = header_bounds(cert)
+        elif key != "format":
+            old[key] = value
     old["traces"] = expand_traces(cert)
     return old
 

@@ -56,10 +56,8 @@ def test_compute_bounds_overflow_guard(n, k):
 def test_ledger_violation_and_idempotence():
     led = OracleLedger(1, str)
     assert led.record("s1", "id") is None
-    violation = led.record("s2", "id")
-    assert violation is not None
-    assert violation.output == "id"
-    assert violation.witnesses == ("s1", "s2")
+    # the certificate's violation object itself
+    assert led.record("s2", "id") == {"output": "id", "witnesses": ["s1", "s2"]}
     assert led.record("s1", "id") is None
     assert led.fibers == {"id": 2}
 
@@ -70,7 +68,7 @@ def test_ledger_under_bound():
     assert led.record("z", "y") is None
     assert led.record("b", "x") is None
     # the witnesses are the inputs over "x", in the order recorded
-    assert led.record("c", "x").witnesses == ("a", "b", "c")
+    assert led.record("c", "x")["witnesses"] == ["a", "b", "c"]
 
 
 def test_ledger_inconsistent_oracle():
@@ -140,8 +138,9 @@ def _checked_twin(engine, pair):
 @pytest.mark.parametrize("iid", [-1, 0, 8, True], ids=["iid-1", "iid0", "iid8", "iidTrue"])
 @pytest.mark.parametrize("name", sorted(SEED_ENGINES))
 def test_unchecked_seeds_equal_checked_ones(name, iid):
-    # the driver builds its seeds without the public constructors' checks,
-    # and writes their text from the pairs; both must agree with a checked build.
+    # the driver builds its seeds, and the next pair it hands out past them,
+    # without the public constructors' checks, and writes the seeds' text from
+    # the pairs; each must agree with a checked build.
     # Only an int instance id gets that far: True is refused before any seed
     # is built, not run as instance 1
     if type(iid) is not int:
@@ -158,11 +157,9 @@ def test_unchecked_seeds_equal_checked_ones(name, iid):
         assert seed == twin
         assert hash(seed) == hash(twin)
         assert str(seed) == str(twin)
-    if isinstance(engine, PermDiagEngine):
-        start = engine._next_fallback
-        fallback = engine._fresh_fallback()
-        twin = FinPerm.cycle([start, start + 1])
-        assert (fallback, hash(fallback), str(fallback)) == (twin, hash(twin), str(twin))
+    after = engine._next_seed()
+    twin = _checked_twin(engine, (base, base + 1 + count))
+    assert (after, hash(after), str(after)) == (twin, hash(twin), str(twin))
     cert = engine.run(1)
     assert cert["outputs"][:count] == [str(x) for x in engine.g[:count]]
 
@@ -202,8 +199,7 @@ def test_ledger_serializes_only_violations_and_flips(monkeypatch):
     assert led.record(FinPerm.cycle([1, 2]), out) is None
     assert calls == []
     violation = led.record(FinPerm.cycle([4, 1]), out)
-    assert violation.output == "(0;1)"
-    assert violation.witnesses == ("(1;2)", "(1;3)", "(1;4)")
+    assert violation == {"output": "(0;1)", "witnesses": ["(1;2)", "(1;3)", "(1;4)"]}
     with pytest.raises(InconsistentOracleError, match=r"\(1;2\) mapped to both \(0;1\) and \(0;2\)"):
         led.record(FinPerm.cycle([2, 1]), FinPerm.cycle([2, 0]))
 
@@ -304,8 +300,7 @@ def test_ledger_queries_are_the_emitted_set(monkeypatch, make_engine, steps):
         return wrapper
 
     monkeypatch.setattr(engine, "_first_fresh", checked(engine._first_fresh))
-    if isinstance(engine, PermDiagEngine):
-        monkeypatch.setattr(engine, "_fresh_fallback", checked(engine._fresh_fallback))
+    monkeypatch.setattr(engine, "_next_seed", checked(engine._next_seed))
     cert = engine.run(steps)
     assert cert["steps"] == steps
     assert len(entries) == steps

@@ -178,9 +178,6 @@ def test_unknown_oracle(capsys):
      "error: bad atom in set: '{ 1 , 2 }'"),
     (["fraenkel", "--atoms", "8", "--support", " {0} ", "--n", "2"],
      "error: bad atom in set: ' {0} '"),
-    # the opportunistic header carries compute_bounds' l0 and m0, so its guard applies
-    (["diag-perm", "--n", "4", "--k", "1", "--mode", "opportunistic"],
-     "error: m0 exceeds the 2**63-1 guard for n=4, k=1"),
     (["bounds", "--n", "10000000", "--k", "1"],
      "error: m0 exceeds the 2**63-1 guard for n=10000000, k=1"),
     # the permutation is read before the tableau is built
@@ -194,8 +191,7 @@ def test_unknown_oracle(capsys):
         "diag-part-pool-cap", "diag-perm-pool-cap", "diag-part-pool-space", "diag-part-pool-plus",
         "diag-part-pool-underscore", "diag-part-pool-arabic-indic", "fraenkel-support-plus",
         "fraenkel-support-underscore", "fraenkel-support-arabic-indic",
-        "fraenkel-support-spaces", "fraenkel-support-outer-spaces", "diag-perm-opportunistic-n4",
-        "bounds-huge-n", "inject-repeated-in-cycle", "decode-repeated-across-cycles"])
+        "fraenkel-support-spaces", "fraenkel-support-outer-spaces", "bounds-huge-n", "inject-repeated-in-cycle", "decode-repeated-across-cycles"])
 def test_bad_parameters_are_domain_errors(args, message, capsys, monkeypatch):
     # a refused run is refused at once, before any seed is built: the seed
     # constructors the engines pass to the driver are never called, nor is
@@ -319,7 +315,9 @@ LIBRARY_GUARDS = {
     "part-oracle-bool-answer": (lambda: PartitionDiagEngine(1, lambda p: frozenset({True})).run(1),
                                 OracleCodomainError, "oracle must return finite sets of atoms"),
     "support-bool-atom": (lambda: SupportConfig(frozenset({True}), 2, 6), BadParametersError,
-                          "support atoms must be integers"),
+                          "support atoms must be non-negative integers"),
+    "support-negative-atom": (lambda: SupportConfig(frozenset({-1}), 2, 6), BadParametersError,
+                              "support atoms must be non-negative integers"),
     "support-float-carrier": (lambda: SupportConfig(frozenset(), 2, 6.0), BadParametersError,
                               "carrier_size must be an int, got 6.0"),
     # checked when called, before the first draw, and no table past the cap is built

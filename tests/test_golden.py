@@ -31,12 +31,12 @@ import format1
 
 
 def _perm_diag(monkeypatch):
-    # opportunistic, 20 steps of which 3 are fresh-transposition fallbacks
+    # opportunistic, 20 steps of which 5 are fallbacks to the next seed pair
     return PermDiagEngine(2, 8, truncate_oracle(2), mode="opportunistic", seed_count=4).run(20)
 
 
 def _perm_violation(monkeypatch):
-    # opportunistic, violated after 10 steps, one of them a fallback
+    # opportunistic, violated after 11 steps, one of them a fallback
     return PermDiagEngine(2, 4, truncate_oracle(2), mode="opportunistic", seed_count=8,
                           instance_id=1).run(20)
 
@@ -72,7 +72,7 @@ def _agreeing_three_cycles(s):
 
 
 def _perm_n3_agreeing(monkeypatch):
-    # opportunistic n=3, 300 steps, 3 of them fallbacks; its case-2 levels walk
+    # opportunistic n=3, 300 steps, 2 of them fallbacks; its case-2 levels walk
     # past live answers that agree with the first at an occupied atom
     return PermDiagEngine(3, 1000, _agreeing_three_cycles, mode="opportunistic",
                           seed_count=4).run(300)
@@ -115,37 +115,37 @@ Pin = namedtuple("Pin", "run kind digest format1 max_bytes seconds", defaults=(N
 
 PINS = {
     "perm-diag": Pin(_perm_diag, "perm-diag",
-                     "4f61d115795bc9c90ab6750bc74bb7f3c8a79de491fbba607ed7ecde7bee07d7",
-                     "17d50580cd19c8613b7534e126da445030ccc167be68fbad5db5201f703e35d9"),
+                     "4a09920765c8f837f24fc9abd9ec2a8b0ce65055dade77672962f5f392f2fd3e",
+                     "d37ea7f0901a0ecfa88d94227954096c01bb0e4190ee086f3a0c2cc24b8e4a70"),
     "perm-violation": Pin(_perm_violation, "ledger-violation",
-                          "07cc17a2f198b8740c13812ba635c8a2cef770e5afc547b9869a0382fd126c53",
-                          "90d446b8530003eee81ac084f0896ff50d5cce87e28c6f4f18c1fb6ee7029dc1"),
+                          "07fa7fa76141cd66b1f3605db81e3c09a4cb04585594fd449c727848d874f54b",
+                          "5773997d65a5eac59c3bf47446938dbb99d46408dde9bfa6c30b388772782ae6"),
     "perm-strict-n1": Pin(_perm_strict_n1, "ledger-violation",
-                          "1665f0ec83b55993ba6a22bf8269cf1eefd6f9dc7e92827cc566abb6329822e9",
+                          "6452a168a379c7ac6b299fa8c4c72e660ea3914cd650939b12be47d62761ebc5",
                           "c2906bcd310436471ba125b66b27b0edec6f8967b74c12f20733cd47c777ae39"),
     "perm-strict-n2": Pin(_perm_strict_n2, "ledger-violation",
-                          "bf1a732779290353808627f746cf4f7127ba9af4ece0857b5bd80ca6db6bcd65",
+                          "0b1ee06978ab521e4716181e89e9a081a0a98e4c805eea00287a5a23d79d8d37",
                           "c876d93a133e6c08d7a542405f2bb8dcef7071efb638d7559400b90066913a87"),
     "perm-n3-agreeing": Pin(_perm_n3_agreeing, "perm-diag",
-                            "1e2170859cf7bb9fbc1cc4a28828d7fa7d8899e35ce0b05f8bdaf7e04734d6f5",
+                            "721476cad1bd6eecf24220974cae4d913aa267095443c84fb02e0d644d9798b4",
                             seconds=2),
     "perm-stuck": Pin(_perm_stuck, "stuck",
-                      "a0ed548ba52d47c34d05ebf1a91ed21cab40a8d6de23d37c809f14fcbf28fdf7",
+                      "cc505c4765270a433b819bb053151e0ad6ff0ab6e4f6afba35c4200dbc311cfb",
                       "0281fd68da9733fee2f18a83eb41ade1bd2b5228de9bf820c9fb7c1f8622cc3f"),
     "part-diag": Pin(_part_diag, "part-diag",
-                     "1e0a2be8f69e4f66f01f4e5c9d4bbf3ac83d99af71bad92f2381706ae7474349",
+                     "70e8ed795e7175fca51fec1663e6681447c0ade46c2557a5f8d92ce35168c948",
                      "f39e08bc1c9606c520a67f8e2ba56b484eba3cbd539ca26210e0915639ae1a1a"),
     "part-violation": Pin(_part_violation, "ledger-violation",
-                          "d2ca099fa1486bc02e8bac06463cb6ec209183ad59506e5355d49e6d0b85e7ff",
+                          "28f2fa740a67773bedddeb12870ef667edee380f2042ffc9ff30e58aa13b9f76",
                           "7a9d929c92431878912d4221bac0fbe00f3ffbdc157d8b9fd82603fb3b07f440"),
     "part-pool-violation": Pin(_part_pool_violation, "ledger-violation",
-                               "d4fafef0ea344ca2ea62d94f61abc05a0ac80fe729fda89dd092f5d253ab78bb",
+                               "9739f2f1fa4312ad70b2b75df89afe3c8672b2fd8b9adbf36fcbf161d4f42965",
                                "10de8743d3675979d630ba16686528ef7220665d47a8fe41836eb1dd601b5ae2"),
     "part-stuck": Pin(_part_stuck, "stuck",
-                      "8f9cba3a3fdfca0fd7e0dcfe1f0479ba70ac9c419aa5eea8ad472423c0cfbffe",
+                      "9eb4579154f526d3378f798bfee09b37b9ebc9529746afea7f88fd6b02b94106",
                       "c5094f0fed7b7362d3ff3a67b2bae760f4518f9ae26880e4ca6ab51c66df6524"),
     "part-splitting": Pin(_part_splitting, "part-diag",
-                          "fcead6432a9249288efdab46c0091366df367e8cded1468df448276fa8b5d742",
+                          "4d1cb7487bd096f2815b0c381727bbdffe85555f458ceefd3a71fbffbbcdbaec",
                           "2c1a746bae77b4c9168b93b0f263a6b0eb68e6e22b272bb5e6c4488cc562db76"),
     "fraenkel3": Pin("fraenkel --atoms 64 --support {0} --n 3", None,
                      "6e60214b42151de8cbc3e2dc4acaa6f2f223b5fd7075508b7620883a9858b8db"),
@@ -153,38 +153,42 @@ PINS = {
                      "05ebb099388d26ba748fbb0500ffdfd3aa2dc1262ea717e9602459ff2e2c7d49",
                      seconds=30),
     "strict2": Pin("diag-perm --n 2 --k 2 --steps 50", "ledger-violation",
-                   "444ea40e60e7cbf2199e53d23ee142b67ed24873b82377ac7fdc4c625b78d9ec",
+                   "cf48776db63c2a49b88de939a03663b380ab9ddae4313b5cb7be3e00f0761dc8",
                    "c8baa36b53aaaca6584424668ec5a23d411586a47a90f06aea53d49cf65e81ff"),
     # violated after 23 steps
     "strict5": Pin("diag-perm --n 2 --k 5 --steps 50", "ledger-violation",
-                   "0f1c05fffd4e2ea276d1c883710ee98d4ed6df6105d1ec9123a28b672eead7f5",
+                   "e0d8a6ec5d8213d4c3cd6ae609f5a8513fd33a434186cb6a35cc70695c5c1201",
                    seconds=60),
     "opp200": Pin("diag-perm --n 2 --k 200 --mode opportunistic --steps 400", "perm-diag",
-                  "b74688b9485a38c8fbe8ca44ad05a7e89b3a29b13ab5a8b5c4ba35575d372eb4",
+                  "276a2651738e6009bd453bd1b8a0fbc6bc1b9a8e32b6b9aec267b1a914ca3ebd",
                   "aff7eeef2341c0403b0d8fb55e537373bdcfd7e796fad49dac2f0b385fa90b6d"),
     # violated after 42 of the 2,000 steps
     "opp20": Pin("diag-perm --n 2 --k 20 --mode opportunistic --steps 2000", "ledger-violation",
-                 "b0e18e23f5f03525d2b432d6deae6c2a535b20c3330ed5dcfd76afafdabad1a8"),
+                 "e3353dfbb41b4e08baa3ab9e6d11864d92558218b40978ed750adc54a219305f"),
     "pool1": Pin("diag-perm --n 2 --k 80 --oracle pool:1 --mode opportunistic --steps 50",
                  "ledger-violation",
-                 "563131c4097cdd2d213a3f4a3d18c82f131aeb17efe31635f3807b8c8873c3d0"),
-    # one seed, violated after 8 steps; traces (fallback, |B_new|) read F1 T1 F1 T0 T0
-    # T1 T0 T0, so its stalls both reuse a stuck family and rebuild one on a new answer
+                 "54ba10ae344484d3d7e344d657ef663355e5ebb03a6d4d58eed9342be375d17e"),
+    # one seed, violated after 16 steps; traces (fallback, |B_new|) read F1 T1 F1 T1 T0
+    # F1 F1 T0 F1 F1 F0 F0 F0 F0 F1 F0, so its stalls both reuse a stuck family
+    # and rebuild one on a new answer
     "pool10": Pin("diag-perm --n 2 --k 3 --oracle pool:10 --mode opportunistic --seeds 1 "
                   "--steps 50", "ledger-violation",
-                  "ee45a61806b7f8a31b05f7139e57c35b4201a562d9aa7ca6d200c18ff11997de"),
+                  "5341f498b4352f72afd675cf3f8d4dc75b1e3d49fb4fa28964a3c1825f39b00c"),
+    # n=4 at k=1, past compute_bounds' guard, which the run never reads; violated after 11 steps
+    "opp-n4": Pin("diag-perm --n 4 --k 1 --mode opportunistic --steps 20", "ledger-violation",
+                  "cb5ef821199b9e4537c70a2822bb68e6cf6f85b44cfbfe81509caa791d384b6e"),
     "part": Pin("diag-part --k 2 --steps 100", "part-diag",
-                "02a858b33ceec7dbabf449ecdcbf822f0bdd32c5a7751ac353b78ed8e52183c8",
+                "4366be4c2747f65229f1f0081fe1e37b80e4ccafeecb2861125f08d43e2a7bcd",
                 max_bytes=300000),
     "part3": Pin("diag-part --k 3 --steps 300", "part-diag",
-                 "aab3a2d327c751d8e8859684f9028ec421ba308831224057e79e2618386ec0db",
+                 "e30e4ae896d0ead0bf33ee4413710f2ae3834d1e1d61b2ee8212d133ba2f408d",
                  "b7a2cc52e3b786d073118b73219323e1e4e167f6d5aa893133a160305983273d"),
     "part5": Pin("diag-part --k 5 --steps 300", "part-diag",
-                 "a33ab23c3d7fd92ae56507680c7b6b4f3fa7add6d6b3150dfe4275c59f674db4",
+                 "99d6afa37ac66df653e8de6c1f96cbf3ed2e635fd5e9e375f0fb32a4c11afb86",
                  seconds=20),
     # violated among the seeds
     "seeds3": Pin("diag-part --k 3 --oracle pool:2 --steps 1", "ledger-violation",
-                  "4079047de19d4cca7058bc05ec6e61b9d26079b9c27587a5253d170cf6f1f863",
+                  "020e92bf1bac0bb2a7366e8bcf909a424cdb1b9d785ffd688bc7bbf50facc01b",
                   "98704a3536f1b0689876e9ab647423e6df05694b130e7af5bf96ae4afecb1fc7"),
 }
 
@@ -209,7 +213,7 @@ def test_certificate_bytes_pinned(name, monkeypatch, tmp_path):
     record = json.loads(data)
     assert record.get("kind") == pin.kind
     if pin.kind is not None:
-        assert record["format"] == 3
+        assert record["format"] == 4
         # the outputs hold every witness and the ranked stream every part candidate
         assert not any({"result", "q"} & trace.keys() for trace in record["traces"])
     if pin.format1 is not None:

@@ -308,8 +308,8 @@ def test_stale_lifts_report_stuck(monkeypatch):
 def test_certificate_shape(monkeypatch):
     engine = PartitionDiagEngine(1, min_block_oracle)
     cert = engine.run(1)
-    assert cert["n"] is None and cert["l0"] is None
-    assert cert["m0"] == engine.seed_count - 1
+    assert cert["n"] is None
+    assert cert["seeds"] == engine.seed_count
     # a perm run with fallback and constructed steps, and a strict stuck run,
     # whose last trace emitted no witness
     perm = _perm_diag(monkeypatch)
@@ -320,9 +320,10 @@ def test_certificate_shape(monkeypatch):
     part_keys = ["m", "C_new", "l", "rank_checked"]
     perm_keys = ["m", "B_new", "family", "stuck_at", "fallback", "chosen_a"]
     for run, keys in [(cert, part_keys), (perm, perm_keys), (stuck, perm_keys)]:
-        assert list(run) == ["format", "kind", "n", "k", "l0", "m0", "steps", "outputs",
+        assert list(run) == ["format", "kind", "n", "k", "seeds", "steps", "outputs",
                              "all_distinct", "violation", "traces"]
-        assert run["format"] == 3
+        assert run["format"] == 4
+        assert len(run["outputs"]) == run["seeds"] + run["steps"]
         assert run["traces"]
         for trace in run["traces"]:
             assert list(trace) == keys

@@ -449,8 +449,8 @@ def test_strict_n2_runs(oracle, steps, kind):
     assert engine.seed_count == 4_562
     cert = engine.run(steps)
     assert cert["kind"] == kind
-    assert (cert["l0"], cert["m0"]) == (12, 4_561)
-    assert len(cert["outputs"]) - cert["steps"] == cert["m0"] + 1
+    assert cert["seeds"] == engine.seed_count == strict_bounds(2, 1).m0 + 1
+    assert len(cert["outputs"]) - cert["steps"] == cert["seeds"]
     assert cert["all_distinct"]
     if kind == "perm-diag":
         assert cert["steps"] == steps
@@ -559,12 +559,12 @@ def test_stuck_in_strict_reports_inconsistency(monkeypatch):
 
 
 def test_stall_rule_in_opportunistic_mode(monkeypatch):
-    # truncate at n=2, k=2 from one seed stalls at m = 2 and again at m = 4;
+    # truncate at n=2, k=2 from one seed stalls at m = 2 and again at m = 3;
     # with N(L) read as 1, k*N(L) = 2 admits the first stall and forbids the second
     monkeypatch.setattr(perm_engine, "stuck_answer_bound", lambda n, level: 1)
     cert = PermDiagEngine(2, 2, truncate_oracle(2), mode="opportunistic", seed_count=1).run(10)
     stalls = [(t["m"], t["fallback"]) for t in cert["traces"] if t["stuck_at"] is not None]
-    assert stalls == [(2, True), (4, False)]
+    assert stalls == [(2, True), (3, False)]
     assert cert["kind"] == "stuck"
     assert len(cert["traces"]) == cert["steps"] + 1
 
@@ -575,22 +575,33 @@ def test_stall_rule_in_opportunistic_mode(monkeypatch):
 @settings(max_examples=150)
 def test_every_opportunistic_stall_is_admitted(n, spec, k, seeds, steps):
     # the stuck-family count holds for any emitted set, so no honest run is
-    # stuck, and every fallback stands on a stall with m <= k*N(L)
-    cert = PermDiagEngine(n, k, from_spec("perm", spec, n), mode="opportunistic",
-                          seed_count=seeds).run(steps)
+    # stuck, and every fallback stands on a stall with m <= k*N(L); its
+    # output is the least seed pair (base;base+1+j), j >= seeds, that no
+    # fallback used and no earlier step emitted
+    engine = PermDiagEngine(n, k, from_spec("perm", spec, n), mode="opportunistic",
+                            seed_count=seeds)
+    cert = engine.run(steps)
     assert cert["kind"] != "stuck"
-    for t in cert["traces"]:
+    outputs, j = cert["outputs"], seeds
+    for i, t in enumerate(cert["traces"]):
         assert t["fallback"] == (t["stuck_at"] is not None)
         if t["fallback"]:
             assert t["m"] <= k * stuck_answer_bound(n, t["stuck_at"][0])
+            emitted = set(outputs[:seeds + i])
+            while f"({engine.base};{engine.base + 1 + j})" in emitted:
+                j += 1
+            assert outputs[seeds + i] == f"({engine.base};{engine.base + 1 + j})"
+            j += 1
 
 
 def test_fallback_skips_an_emitted_pair():
+    # the driver's next pair past the 4 seeds is (base;base+5), already emitted,
+    # so it hands out (base;base+6), and then (base;base+7)
     engine = PermDiagEngine(2, 1, truncate_oracle(2), mode="opportunistic", seed_count=4)
-    start = engine._next_fallback
-    engine.ledger.record(c([start, start + 1]), FinPerm.identity())
-    assert engine._fresh_fallback() == c([start + 2, start + 3])
-    assert engine._next_fallback == start + 4
+    base = engine.base
+    engine.ledger.record(c([base, base + 5]), FinPerm.identity())
+    assert engine._next_seed() == c([base, base + 6])
+    assert engine._next_seed() == c([base, base + 7])
 
 
 def test_family_reads_the_driver_answer_record(monkeypatch):
