@@ -60,11 +60,12 @@ def _write_blocks(blocks: tuple[Block, ...], atom_text: Callable[[int], str]) ->
 class FinitaryPartition:
     """A partition of the atom universe whose blocks are all finite.
 
-    Two fields are kept beside the blocks: the canonical text and the
-    blocks in canonical order, each computed on first use.  The hash is
-    the blocks' own, which the frozenset computes once and keeps.  That is
-    safe because a partition never changes once built: its blocks are a
-    frozenset of frozensets.
+    ``_blocks`` holds the blocks of size at least two; every other atom is
+    a block of its own.  Two fields are kept beside the blocks: the
+    canonical text and the blocks in canonical order, each computed on
+    first use.  The hash is the blocks' own, which the frozenset computes
+    once and keeps.  That is safe because a partition never changes once
+    built: its blocks are a frozenset of frozensets.
     The kept fields pay where one partition is asked about again, as when
     the audit re-asks an oracle about every witness.  The order
     (:meth:`_by_least`) is a tuple of the stored frozenset objects by least
@@ -124,11 +125,6 @@ class FinitaryPartition:
         for part in text[1:-1].split("}{"):
             blocks.append(parse_atom_set("{" + part + "}"))
         return cls(blocks)
-
-    @property
-    def exceptional_blocks(self) -> frozenset[Block]:
-        """The stored blocks of size at least two."""
-        return self._blocks
 
     def _by_least(self) -> tuple[Block, ...]:
         """The stored blocks ordered by least atom, the same frozenset

@@ -5,16 +5,16 @@ Each step queries the oracle on the witnesses emitted since the last step,
 builds a family of nontrivial permutations with pairwise disjoint supports
 from the distinct answers at their first index, read from the driver's
 answer record, and emits the first product of family members not seen
-before.  The answers only ever extend, so a step keeps the leading case-1
-levels of the last step's family and rebuilds from its first case-2 or
-stuck level.  The engine owns one :class:`FamilyIndex`, which holds the
-last step's family and lists which answers move each atom, so a rebuilt
-case-2 level walks only the answers that move its occupied atoms, and a
-step that keeps every level leaves it alone.  The index also keeps the
-level and occupied set of its last stuck build, and each later step
-returns them at once while no answer is new: with the same answers the
-kept levels rebuild the same way and stall at the same level, which a
-larger ``m`` leaves below its top.
+before.  The engine owns one :class:`FamilyIndex`, which holds the last
+step's family and lists which answers move each atom, so a rebuilt case-2
+level walks only the answers that move its occupied atoms.  The answers
+only ever extend, and one rule decides what a step reuses: while the
+record gains no answer, every built level stands, since the same answers
+build the same levels, and a step builds only the levels above the last
+top, or returns a stuck family as it is, whose stall lies at or below
+that top.  A step that gains an answer keeps the leading case-1 levels,
+which no new answer changes, and rebuilds from the first case-2 or stuck
+level, which a new answer may unstick or pair differently.
 
 A family stuck at level ``L`` on ``m`` witnesses, all queried without a
 violation, admits at most ``N(L)`` distinct answers
@@ -81,46 +81,33 @@ class FamilyEntry:
 class FamilyIndex:
     """What :func:`build_family` keeps from one call to the next.
 
-    ``entries`` is the family the last call returned, which the next call
-    keeps up to its first case-2 or stuck level, and ``occupied`` is the
-    set of atoms ``entries`` moves.  ``values`` is the driver's answer
-    record itself, its ``(answer, first index)`` pairs in index order, and
-    its first ``indexed`` pairs are indexed: ``movers`` lists, for each
-    atom, the positions of the indexed answers that move it, ascending.
-    No indexed answer escapes the occupied set, that is, sends an atom
-    outside it to another atom outside it, whenever a level begins: a
-    case-1 member is its answer deflated onto the free atoms, so occupying
-    it occupies every atom where that answer escaped; the answers indexed
-    before it did not escape, and occupying atoms only ends escapes; a
-    case-2 level is reached with every answer indexed and none escaping;
-    and :meth:`_cut` frees only the atoms of the levels from the first
-    case-2 or stuck level on, whose build found none escaping.
-
-    ``stuck`` is the ``(level, occupied)`` the last call returned when it
-    got stuck, and ``None`` otherwise; every rebuild clears it first.  A
-    stuck build indexes every answer, so ``indexed`` equals the record's
-    length until an answer is appended.
+    ``entries`` is the family the last call returned, ``occupied`` is the
+    set of atoms ``entries`` moves, ``built`` is the record's length at
+    that call, and ``stuck`` is the ``(level, occupied)`` it returned when
+    it got stuck, and ``None`` otherwise.  A call on a record whose length
+    is still ``built`` gained no answer, so it keeps every level; any
+    other call keeps them up to the first case-2 or stuck level.  ``values`` is
+    the driver's answer record itself, its ``(answer, first index)`` pairs
+    in index order, and its first ``indexed`` pairs are indexed:
+    ``movers`` lists, for each atom, the positions of the indexed answers
+    that move it, ascending.  No indexed answer escapes the occupied set,
+    that is, sends an atom outside it to another atom outside it, whenever
+    a level begins: a case-1 member is its answer deflated onto the free
+    atoms, so occupying it occupies every atom where that answer escaped;
+    the answers indexed before it did not escape, and occupying atoms only
+    ends escapes; a case-2 level is reached with every answer indexed and
+    none escaping; and a cut frees only the atoms of the levels from the
+    first case-2 or stuck level on, whose build found none escaping.
     """
 
     def __init__(self):
         self.values: list[tuple[FinPerm, int]] = []
         self.movers: dict[int, list[int]] = {}
         self.indexed = 0
+        self.built = 0
         self.entries: list[FamilyEntry] = []
         self.occupied: set[int] = set()
         self.stuck: Optional[tuple[int, frozenset[int]]] = None
-
-    def _cut(self, count: int) -> None:
-        """Cut the family back to its first ``count`` entries and rebuild
-        the occupied set from their atoms, at most 2n·count of them.
-
-        :func:`build_family` passes the number of leading case-1 entries,
-        so this frees the atoms of the levels from the family's first
-        case-2 or stuck level on.  Building that level indexed every answer
-        and found none escaping, so freeing them makes none escape.
-        """
-        self.entries = self.entries[:count]
-        self.occupied = {x for e in self.entries for x in e.perm._map}
 
     def _case_one(self, level: int) -> Optional[FamilyEntry]:
         """The least escaping answer's member, at its least escaping atom.
@@ -183,49 +170,51 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
     ``index`` is a :class:`FamilyIndex` that only calls on this answer
     record were given, and ``answers`` extends the list the last of them
     read: every pair it held keeps its position, and new answers have
-    larger ones.  The family that call returned, held in ``entries``, is
-    kept up to its first case-2 or stuck level.  A case-1 level takes the
-    least index whose answer has an escaping atom; if the levels before it
-    are unchanged, so is the occupied set, the answers at smaller indices
-    still do not escape and the chosen one still does.  A case-2 level is
-    rebuilt, since a new answer may escape or form an earlier pair, and so
-    is a stuck level, which may come unstuck.  The occupied set only grows
+    larger ones.  The caller's ``m`` never shrinks.  The family that call
+    returned, held in ``entries``, is reused by one rule.  If the record
+    gained no answer since, every built level stands: with the same
+    answers each level finds the same escape or the same least pair on the
+    same occupied set, so a rebuild would give the same levels.  The call
+    builds only the levels above the last top, and a stuck family is
+    returned as it is, with the index's kept ``stuck``, since its stall
+    lies at or below the last top and a larger ``m`` only raises the top.
+    If the record gained an answer, the family is kept up to its first
+    case-2 or stuck level.  A case-1 level takes the least index whose
+    answer has an escaping atom; if the levels before it are unchanged, so
+    is the occupied set, the answers at smaller indices still do not
+    escape and the chosen one still does.  A case-2 level is rebuilt,
+    since a new answer may escape or form an earlier pair, and so is a
+    stuck level, which may come unstuck.  The occupied set only grows
     within a build, so escapes only vanish, and a family is a run of
-    case-1 levels followed by case-2 levels.
+    case-1 levels followed by case-2 levels.  Dropping levels rebuilds
+    the occupied set from the kept ones' atoms, at most 2n·level, and each
+    new member adds its atoms.  A call that tries a level returns a new
+    list and leaves the one the last call returned as it was, since the
+    engine compares the two; a call that tries none returns that list.
+    The returned entries are the index's ``entries``, which the next call
+    reads.
 
-    A call that keeps every level returns the kept family without touching
-    the index.  So does a call after a stuck one on a record that gained no
-    answer, which returns the index's kept ``stuck`` as well: with the same
-    answers the kept case-1 levels are kept again, each case-2 level picks
-    the same least pair on the same occupied set, and the stuck level finds
-    no escape and no pair again.  The caller's ``m`` never shrinks, and a
-    larger one only raises the top level, while the stall lies at or below
-    the old top, so the result is the one a rebuild would give.  Otherwise
-    the index cuts the family back to the kept levels and rebuilds the
-    occupied set from their atoms, at most 2n·level, and adds each new
-    member's atoms to it.  The returned entries are the
-    index's ``entries``, which the next call reads.  No indexed answer
-    escapes when a level begins (see :class:`FamilyIndex`), so case 1
-    indexes the answers past the indexed ones until one escapes, at O(n)
-    each, since an answer moves at most n atoms; each answer is indexed
-    once.  Case 2, reached with every answer indexed and none escaping,
-    walks the movers of each occupied atom ``x`` in order, past the dead
-    ones (which send ``x`` into the occupied set), up to its second
-    distinct live image.  That gives ``x``'s first live entry and its
-    first live entry with another image.  The least disagreeing pair of
-    answers ``(i, j)`` in index order is then the least of these pairs:
-    ``i`` is the least first entry over atoms with a disagreement, since
-    any disagreeing pair at ``x`` has ``i`` at or after ``x``'s first
-    entry; and where ``x``'s first entry comes before ``i``, every live
-    answer at ``x`` agrees with it, so ``j`` is the least disagreeing
-    entry over the atoms whose first entry is ``i``.  Its ``x`` is the
-    least atom where the two disagree.  A case-2 level thus costs the
-    movers walked at each occupied atom, however many answers the record
-    holds.  For n <= 2 every answer that moves an atom is a transposition,
-    so the dead movers at an atom number at most |occupied| and no live one
-    agrees with the first, so a level costs O(|occupied|²).  For n >= 3 an
-    atom may have any number of dead or agreeing movers, and the walk
-    passes them all.
+    No indexed answer escapes when a level begins (see
+    :class:`FamilyIndex`), so case 1 indexes the answers past the indexed
+    ones until one escapes, at O(n) each, since an answer moves at most n
+    atoms; each answer is indexed once.  Case 2, reached with every answer
+    indexed and none escaping, walks the movers of each occupied atom ``x``
+    in order, past the dead ones (which send ``x`` into the occupied set),
+    up to its second distinct live image.  That gives ``x``'s first live
+    entry and its first live entry with another image.  The least
+    disagreeing pair of answers ``(i, j)`` in index order is then the least
+    of these pairs: ``i`` is the least first entry over atoms with a
+    disagreement, since any disagreeing pair at ``x`` has ``i`` at or after
+    ``x``'s first entry; and where ``x``'s first entry comes before ``i``,
+    every live answer at ``x`` agrees with it, so ``j`` is the least
+    disagreeing entry over the atoms whose first entry is ``i``.  Its ``x``
+    is the least atom where the two disagree.  A case-2 level thus costs
+    the movers walked at each occupied atom, however many answers the
+    record holds.  For n <= 2 every answer that moves an atom is a
+    transposition, so the dead movers at an atom number at most |occupied|
+    and no live one agrees with the first, so a level costs O(|occupied|²).
+    For n >= 3 an atom may have any number of dead or agreeing movers, and
+    the walk passes them all.
 
     Each member holds by construction what a family needs.  It is
     nontrivial: a case-1 answer sends its escaping ``x`` to ``s(x)``
@@ -237,18 +226,21 @@ def build_family(answers: list[tuple[FinPerm, int]], m: int, index: FamilyIndex,
     disjoint from the occupied set, which the deflation fixes.  So the
     occupied set before level ``l`` has at most 2n·l atoms.
     """
+    _require_int("m", m)
     if m < 1:
         raise BadParametersError("need at least one value")
     top = m.bit_length() - 1
-    if index.stuck is not None and index.values is answers and index.indexed == len(answers):
-        return index.entries, index.stuck
-    kept = next((e.level for e in index.entries if e.case == 2), len(index.entries))
+    entries, kept = index.entries, len(index.entries)
+    if index.built != len(answers):
+        index.values, index.built, index.stuck = answers, len(answers), None
+        kept = next((e.level for e in entries if e.case == 2), kept)
+    elif index.stuck is not None:
+        return entries, index.stuck
     if kept > top:
-        return index.entries, None
-    index.values = answers
-    index.stuck = None
-    index._cut(kept)
-    entries = index.entries
+        return entries, None
+    if kept < len(entries):
+        index.occupied = {x for e in entries[:kept] for x in e.perm._map}
+    entries = index.entries = entries[:kept]
     for level in range(kept, top + 1):
         chosen = index._case_one(level) or index._case_two(level)
         if chosen is None:

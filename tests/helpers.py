@@ -42,7 +42,7 @@ def cycle_text(p):
 
 def partition_text(p):
     """The canonical text of the ``FinitaryPartition`` ``p``, written from its blocks."""
-    blocks = sorted(p.exceptional_blocks, key=min)
+    blocks = sorted(p._blocks, key=min)
     return "".join("{" + ",".join(map(str, sorted(b))) + "}" for b in blocks) or "{}*"
 
 

@@ -507,7 +507,7 @@ def _shift_perm(text, d):
 
 
 def _shift_partition(text, d):
-    blocks = FinitaryPartition.parse(text).exceptional_blocks
+    blocks = FinitaryPartition.parse(text)._blocks
     return str(FinitaryPartition([{a + d for a in block} for block in blocks]))
 
 

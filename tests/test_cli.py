@@ -228,6 +228,10 @@ LIBRARY_GUARDS = {
                           "pool size 1025 is over the cap 1024"),
     "family-no-values": (lambda: build_family([], 0, FamilyIndex()), BadParametersError,
                          "need at least one value"),
+    "family-float-m": (lambda: build_family([], 1.5, FamilyIndex()), BadParametersError,
+                       "m must be an int, got 1.5"),
+    "family-bool-m": (lambda: build_family([], True, FamilyIndex()), BadParametersError,
+                      "m must be an int, got True"),
     "engine-bogus-mode": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), mode="bogus"),
                           BadParametersError, "unknown mode 'bogus'"),
     "atom-set-unbalanced": (lambda: parse_atom_set("{1,2"), ParseError,

@@ -174,6 +174,11 @@ PINS = {
     "pool10": Pin("diag-perm --n 2 --k 3 --oracle pool:10 --mode opportunistic --seeds 1 "
                   "--steps 50", "ledger-violation",
                   "5341f498b4352f72afd675cf3f8d4dc75b1e3d49fb4fa28964a3c1825f39b00c"),
+    # one seed, violated after 2,554 steps; 1,619 of them are unstuck and gain no
+    # answer, so they keep every built level of the family
+    "pool1024": Pin("diag-perm --n 2 --k 10 --oracle pool:1024 --mode opportunistic --seeds 1 "
+                    "--steps 3000", "ledger-violation",
+                    "0aa670cbbda111a6f36edd8233bbc8caa3b532d2324c67376baf2612372d1a18"),
     # n=4 at k=1, past compute_bounds' guard, which the run never reads; violated after 11 steps
     "opp-n4": Pin("diag-perm --n 4 --k 1 --mode opportunistic --steps 20", "ledger-violation",
                   "cb5ef821199b9e4537c70a2822bb68e6cf6f85b44cfbfe81509caa791d384b6e"),

@@ -102,7 +102,7 @@ def derangement_by_inclusion_exclusion(j):
 
 def test_from_blocks_examples():
     p = FinitaryPartition([{1, 2}, {3}])
-    assert p.exceptional_blocks == frozenset({frozenset({1, 2})})
+    assert p._blocks == frozenset({frozenset({1, 2})})
     assert FinitaryPartition([]) == FinitaryPartition(())
     with pytest.raises(BadParametersError, match=r"^blocks must be pairwise disjoint$"):
         FinitaryPartition([{1, 2}, {2, 3}])
@@ -487,7 +487,7 @@ def test_lift_always_finitary(l, pick):
     q = parts[pick % len(parts)]
     lifted = lift(q, frame)
     union = set().union(*frame.classes) if frame.classes else set()
-    for block in lifted.exceptional_blocks:
+    for block in lifted._blocks:
         assert len(block) >= 2
         assert block <= union
 
@@ -613,10 +613,10 @@ def _check_kept_order(build, frame):
     p = build()
     answer = min_block_oracle(p)
     order = p._by_least()
-    assert order == tuple(sorted(p.exceptional_blocks, key=min))
+    assert order == tuple(sorted(p._blocks, key=min))
     assert p._by_least() is order
     # the stored frozenset objects, not copies
-    assert sorted(map(id, order)) == sorted(map(id, p.exceptional_blocks))
+    assert sorted(map(id, order)) == sorted(map(id, p._blocks))
     assert answer == (order[0] if order else frozenset())
     assert not order or answer is order[0]
     assert min_block_oracle(p) is answer
@@ -647,7 +647,7 @@ def test_partition_keeps_its_blocks_in_canonical_order(blocks, base, j):
         lambda: FinitaryPartition.parse("{}*"),
     )
     for build in builds:
-        _check_kept_order(build, build_frame(build().exceptional_blocks))
+        _check_kept_order(build, build_frame(build()._blocks))
 
 
 @given(st.lists(st.frozensets(st.integers(0, 9), max_size=4), max_size=4, unique=True), st.data())

@@ -277,9 +277,12 @@ def stalled_records(draw):
 def replay_stalls(values, gaps, n):
     # call build_family again and again on a record that gains nothing, then
     # append the next answer; compare every call with the reference and with
-    # a fresh index.  A call after a stuck one on an unchanged record returns
-    # the kept stall itself.  Returns, per answer, how many calls on its
-    # record reused a stall and the level of the last call's stall.
+    # a fresh index.  A call on an unchanged record keeps every entry of the
+    # last call's family as the same object and leaves the list that call
+    # returned as it was.  After a stuck call, or an unstuck one with the
+    # same top, it returns the last call's list and stall themselves.
+    # Returns, per answer, how many calls on its record so reused the whole
+    # family, stuck or not, and the level of the last call's stall.
     answers, record, index = {}, [], FamilyIndex()
     m = 0
     seen = []
@@ -294,10 +297,14 @@ def replay_stalls(values, gaps, n):
             assert (entries, stuck) == build_family(record, m, FamilyIndex())
             assert index.entries is entries and index.stuck is stuck
             if last is not None:
-                assert stuck is last
-                reused += 1
-            last = stuck
-        seen.append((reused, last and last[0]))
+                old, size, old_stuck = last
+                assert len(old) == size
+                assert all(a is b for a, b in zip(old, entries))
+                if old_stuck is not None or m.bit_length() == (m - 1).bit_length():
+                    assert entries is old and stuck is old_stuck
+                    reused += 1
+            last = entries, len(entries), stuck
+        seen.append((reused, stuck and stuck[0]))
     return seen
 
 
@@ -312,6 +319,45 @@ def test_stuck_family_reuse_examples():
     # m = 41 and sticks at level 2, and (0;3) unsticks that at m = 44
     values = [c([1, 2]), c([5, 6]), c([0, 3])]
     assert replay_stalls(values, [40, 3, 100], 2) == [(38, 1), (2, 2), (99, 3)]
+
+
+def test_unchanged_record_builds_only_the_levels_above_the_last_top(monkeypatch):
+    # (0;1) fills level 0, and each later level pairs the next two answers on
+    # the shared atom 0; an eighth witness repeats (0;1), so the call at m = 8
+    # gains no answer and raises the top past a case-2 level
+    record = [(c([0, 1 + j]), j) for j in range(7)]
+    index = FamilyIndex()
+    first, _ = build_family(record, 7, index)
+    built = []
+    for name in ("_case_one", "_case_two"):
+        case = getattr(FamilyIndex, name)
+        monkeypatch.setattr(FamilyIndex, name,
+                            lambda self, level, case=case: built.append(level)
+                            or case(self, level))
+    second, stuck = build_family(record, 8, index)
+    assert stuck is None and built == [3, 3]
+    assert [e.case for e in second] == [1, 2, 2, 2]
+    assert len(first) == 3 and all(a is b for a, b in zip(first, second))
+    # so the engine step that raises the top writes its family, and the next one null
+    seeds = {c([1000, 1001 + j]): c([0, 1 + j]) for j in range(7)}
+    cert = PermDiagEngine(2, 8, lambda p: seeds.get(p, c([0, 1])), "opportunistic", 7).run(3)
+    traces = cert["traces"]
+    assert [len(t["B_new"]) for t in traces] == [7, 0, 0]
+    assert [t["family"] and len(t["family"]) for t in traces] == [3, 4, None]
+
+
+def test_case_two_builds_on_the_pool1024_run(monkeypatch):
+    # the pool1024 pin's run: 1,619 of its 2,554 steps gain no answer on an
+    # unstuck family and build no kept level again, so case 2 runs 7,899
+    # times; cutting back to the first case-2 level on every step runs it
+    # 24,011 times
+    calls = []
+    case_two = FamilyIndex._case_two
+    monkeypatch.setattr(FamilyIndex, "_case_two",
+                        lambda self, level: calls.append(level) or case_two(self, level))
+    cert = PermDiagEngine(2, 10, from_spec("perm", "pool:1024", 2), "opportunistic", 1).run(3000)
+    assert cert["kind"] == "ledger-violation" and cert["steps"] == 2554
+    assert len(calls) == 7899
 
 
 def test_assemble_examples():
