@@ -20,13 +20,20 @@ The image moves exactly ``m`` points and determines ``s`` uniquely.
 :func:`encode` returns the image and the level; :func:`level_swap` builds
 ``swap`` from them when it is wanted, as ``fiberbound inject`` shows it.
 
+Level 0 has no lower levels, so its swap is empty: there the rename is a
+copy of ``s``'s map, and the image's canonical text is known without a
+walk.  Level 0 is ``range(m - n)``, so its marker cycle's text comes first,
+and ``s`` moves only atoms past it, so ``s``'s cycles follow unchanged;
+:func:`encode` keeps that text on the image whenever ``s`` moves a point.
+
 :func:`decode` takes the least level ``t`` touches, checks that ``t``
 carries that level's marker cycle, and renames the rest of ``t`` through
 the level's swap in one pass.  That is exact for every ``t``, valid or
 not: ``t`` moves no atom of a lower level, so on ``t``'s atoms the full
 swap sends exactly the shadows ``t`` moves back to their atoms, as the
-transpositions over those shadows alone would.  The result is certified by
-re-encoding it.
+transpositions over those shadows alone would.  At level 0, where the swap
+is empty, the rest of ``t`` is copied as it is.  Either way the result is
+certified by re-encoding it, which takes the same path.
 """
 
 from __future__ import annotations
@@ -89,10 +96,14 @@ def _image(s_map: dict[int, int], tab: Tableau) -> tuple[int, dict[int, int]]:
         if moved.isdisjoint(atoms):
             break
     # s moves no atom of the level, where every shadow lies, so renaming each
-    # moved atom through the swap is conjugating by the swap; the marker cycle
-    # moves only atoms of the level, disjoint from the renamed map
-    rename = tab.swaps[level].get
-    image = {rename(a, a): rename(b, b) for a, b in s_map.items()}
+    # moved atom through the swap is conjugating by the swap; level 0's swap is
+    # empty, so there the rename is a copy.  The marker cycle moves only atoms
+    # of the level, disjoint from the renamed map
+    if level:
+        rename = tab.swaps[level].get
+        image = {rename(a, a): rename(b, b) for a, b in s_map.items()}
+    else:
+        image = dict(s_map)
     image.update(tab.marker_cycles[level]._map)
     return level, image
 
@@ -100,12 +111,20 @@ def _image(s_map: dict[int, int], tab: Tableau) -> tuple[int, dict[int, int]]:
 def encode(s: FinPerm, tab: Tableau) -> tuple[FinPerm, int]:
     """The image of ``s`` and the level it was encoded at."""
     level, image = _image(s._map, tab)
-    return FinPerm._of(image), level
+    t = FinPerm._of(image)
+    if not level and s._map:
+        # level 0 is range(m - n) and s moves only atoms past it, so the canonical
+        # text is the marker cycle's followed by s's cycles, unchanged
+        t._text = tab.marker_cycles[0].to_cycles() + s.to_cycles()
+    return t, level
 
 
 def level_swap(s: FinPerm, tab: Tableau, level: int) -> FinPerm:
     """The transpositions ``x <-> shadow(x)`` over the atoms ``s`` moves below ``level``,
     the level ``s`` was encoded at."""
+    _require_int("level", level, 0)
+    if level > tab.n:
+        raise BadParametersError(f"level must be at most {tab.n}, got {level}")
     swap = tab.swaps[level]
     # s avoids the level, so the swap's keys among its atoms lie below it;
     # the swap is an involution, so these are disjoint transpositions
@@ -127,9 +146,13 @@ def decode(t: FinPerm, tab: Tableau) -> FinPerm:
     if not marker.items() <= t_map.items():
         raise NotInImageError("marker atoms do not carry the marker cycle")
     # t maps the row onto itself, so it permutes the rest of its moved set too;
-    # it moves no atom below the level, so the swap renames exactly its shadows
-    rename = tab.swaps[level].get
-    s_map = {rename(a, a): rename(b, b) for a, b in t_map.items() if a not in marker}
+    # it moves no atom below the level, so the swap renames exactly its shadows,
+    # and level 0 has none
+    if level:
+        rename = tab.swaps[level].get
+        s_map = {rename(a, a): rename(b, b) for a, b in t_map.items() if a not in marker}
+    else:
+        s_map = {a: b for a, b in t_map.items() if a not in marker}
     if len(s_map) != tab.n:
         raise NotInImageError("reconstruction has the wrong moved size")
     if _image(s_map, tab)[1] != t_map:

@@ -54,8 +54,11 @@ Operations on valid permutations wrap their results with the unchecked
   checks once as a non-negative int before it builds any seed.
 
 A permutation's hash and its canonical text are each computed on first use
-and kept on it; the one exception is ``fraenkel.perms_moving_exactly``,
-which sets each permutation's text as it builds it.  That is safe because
+and kept on it, with two exceptions that set the text as they build the
+permutation: ``fraenkel.perms_moving_exactly``, and ``inject.encode`` for
+an image at level 0, whose text is the marker cycle's text followed by the
+encoded permutation's, since level 0 is ``range(m - n)`` and the encoded
+permutation moves only atoms past it.  That is safe because
 a permutation never changes once it is built: no method writes to its map,
 and every caller of :meth:`FinPerm._of` hands its dict over and keeps no
 reference to it.  It pays where one value is asked about again and again:
@@ -80,8 +83,11 @@ class FinPerm:
 
     The hash and the canonical text are each computed on first use and
     kept, except that ``fraenkel.perms_moving_exactly`` sets the text of
-    each permutation it yields: most permutations are intermediates that
-    are never hashed or written, and a witness is both on every audit.
+    each permutation it yields, and ``inject.encode`` sets the text of a
+    level-0 image to the marker cycle's text followed by the encoded
+    permutation's, which lies wholly past the marker atoms: most
+    permutations are intermediates that are never hashed or written, and a
+    witness is both on every audit.
     Keeping them is safe because no method mutates ``_map`` and
     :meth:`_of`'s callers hand their dict over.
     """

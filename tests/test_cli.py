@@ -16,7 +16,7 @@ from fiberbound.cli import main
 from fiberbound.errors import (BadParametersError, BudgetExceededError, OracleCodomainError,
                                ParseError)
 from fiberbound.fraenkel import SupportConfig, perms_moving_exactly
-from fiberbound.inject import Tableau
+from fiberbound.inject import Tableau, level_swap
 from fiberbound.oracles import (POOL_CAP, _stable_index, from_spec, min_block_oracle,
                                 pool_perm_oracle, pool_set_oracle, truncate_oracle)
 from fiberbound.partition_engine import PartitionDiagEngine
@@ -57,7 +57,10 @@ def test_bounds(capsys):
     (3, 5, "(0;2;6)", {"image": "(14;15)(16;18;22)", "level": 3,
                        "swap": "(0;16)(2;18)(6;22)", "conjugated": "(16;18;22)",
                        "marker_cycle": "(14;15)"}),
-], ids=["level-0", "level-1", "level-2", "level-3"])
+    # n = 0: the image is the marker cycle alone, never "(0;1)()"
+    (0, 2, "()", {"image": "(0;1)", "level": 0, "swap": "()", "conjugated": "()",
+                  "marker_cycle": "(0;1)"}),
+], ids=["level-0", "level-1", "level-2", "level-3", "level-0-n0"])
 def test_inject_golden_records(n, m, perm, record, capsys, tmp_path):
     path = tmp_path / "inject.json"
     code, out, _ = run_cli(["inject", "--n", str(n), "--m", str(m), "--perm", perm,
@@ -232,6 +235,13 @@ LIBRARY_GUARDS = {
                        "m must be an int, got 1.5"),
     "family-bool-m": (lambda: build_family([], True, FamilyIndex()), BadParametersError,
                       "m must be an int, got True"),
+    # (0;2) encodes at level 2 of Tableau(2, 4); no other level is read
+    "level-swap-negative": (lambda: level_swap(FinPerm.parse("(0;2)"), Tableau(2, 4), -1),
+                            BadParametersError, "level must be non-negative"),
+    "level-swap-past-top": (lambda: level_swap(FinPerm.parse("(0;2)"), Tableau(2, 4), 3),
+                            BadParametersError, "level must be at most 2, got 3"),
+    "level-swap-bool": (lambda: level_swap(FinPerm.parse("(0;2)"), Tableau(2, 4), True),
+                        BadParametersError, "level must be an int, got True"),
     "engine-bogus-mode": (lambda: PermDiagEngine(2, 1, truncate_oracle(2), mode="bogus"),
                           BadParametersError, "unknown mode 'bogus'"),
     "atom-set-unbalanced": (lambda: parse_atom_set("{1,2"), ParseError,

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -61,12 +63,26 @@ def test_swaps_are_fixed_point_free_involutions(n, m):
         assert swap.keys() == lower | set(lower_half(tab, i).values())
 
 
-def test_encode_is_the_swap_conjugate_times_the_marker_cycle_on_the_3_5_pool():
-    tab = Tableau(3, 5)
+@pytest.mark.parametrize("n, m", [(2, 4), (2, 5), (3, 5)])
+def test_encode_is_the_swap_conjugate_times_the_marker_cycle(n, m):
+    tab = Tableau(n, m)
     for s in _codec_pool(tab):
         image, level = encode(s, tab)
         assert image == s.conjugate(level_swap(s, tab, level)).after(tab.marker_cycles[level])
+        # a level-0 image keeps the text encode wrote; it must be the walk's
+        assert image.to_cycles() == FinPerm(dict(image._map)).to_cycles()
         assert decode(image, tab) == s
+
+
+def test_encode_texts_on_the_criterion_1_pools_are_pinned():
+    # recorded before level 0 set its images' text, with each text walked
+    rows = []
+    for n, m in [(2, 4), (2, 5), (3, 5)]:
+        tab = Tableau(n, m)
+        rows += [[n, m, s.to_cycles(), encode(s, tab)[0].to_cycles()] for s in _codec_pool(tab)]
+    assert len(rows) == 12421
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "3ae1ff495c868730a2ef108492351b43f66f13c1e22f06e84ec58230ec674a4b")
 
 
 def test_encode_fresh_support():
