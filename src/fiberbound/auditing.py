@@ -9,14 +9,16 @@ always ends in one of two auditable states: a stream of pairwise distinct
 constructed witnesses, or a concrete finite refutation of the claimed bound.
 
 :class:`WitnessEngine` is the driver both witness engines share: it
-checks the seed count and the base and builds the seeds, one per atom pair
-``(base, base + 1 + j)``, hands out the next such pair when an engine needs
-a witness past its seeds, keeps the emitted witnesses and each distinct
-answer with its first index, queries the oracle once on each witness through
-the ledger, whose queries are then the emitted set, walks an engine's
-candidate stream to the first fresh witness, and turns a run into one of
-those two outcomes as a certificate.  The certificate (format 4) names in
-its header the number of seeds the run built, and its traces carry the
+checks the seed count and the base, builds seed ``j`` from its atom pair
+``(base, base + 1 + j)`` when it first asks the oracle about it, hands out
+the next such pair when an engine needs a witness past its seeds, keeps the
+steps' witnesses and each distinct answer with its first index, queries the
+oracle once on each witness through the ledger, whose queries are then the
+emitted set, walks an engine's candidate stream to the first fresh witness,
+and turns a run into one of those two outcomes as a certificate.  A run
+refuted among its seeds thus builds only the seeds it asked about.  The
+certificate (format 4) names in its header the run's seed count, and lists
+every seed's text, written from its pair; its traces carry the
 answers first seen at their step and the choices the step made, but not
 the witness, which the certificate's ``outputs`` already hold.  Every
 recorded answer is asked again on power-of-two steps and before any
@@ -151,18 +153,20 @@ class WitnessEngine:
     """Driver shared by the witness engines.
 
     An engine supplies four things: a seed constructor, passed to
-    ``__init__`` and called on each atom pair ``(base, base + 1 + j)``, for
-    ``j`` below the seed count and then for each ``_next_seed``;
+    ``__init__`` and called on the atom pair ``(base, base + 1 + j)`` of
+    seed ``j`` when ``_query_new`` first asks the oracle about it, for
+    ``j`` below the seed count, and then for each ``_next_seed``;
     ``_check_output``, the claimed codomain; ``step``, one fresh witness
     found by ``_first_fresh`` and ending in ``_emit``, which keeps the
     witness in ``g`` and its trace in ``traces``; and ``_certificate``, its
-    header fields, with ``_outputs`` as the output text.
-    The base is checked once, as a non-negative int, before any seed is
-    built, so every seed atom is one and the seed constructor checks
-    nothing again.  Each step's witness is formatted once, when the
-    certificate is built, by the writer the engine hands ``_outputs``, and
-    the seeds' text is written from their pairs through ``seed_format``,
-    without formatting a seed object.
+    header fields, with ``_outputs`` as the output text.  ``g`` holds the
+    steps' witnesses only, so ``seed_count + len(g)`` witnesses are emitted.
+    The base is checked once, as a non-negative int, in ``__init__``,
+    which builds no seed, so every seed atom is one and the seed
+    constructor checks nothing again.  Each step's witness is formatted
+    once, when the certificate is built, by the writer the engine hands
+    ``_outputs``, and the seeds' text is written from their pairs through
+    ``seed_format``, without formatting a seed object.
     ``kind`` names the certificate of a run that completes every step.
     """
 
@@ -182,7 +186,7 @@ class WitnessEngine:
         # every seed atom is at least the base, so this one check covers them all
         if base < 0:
             raise BadParametersError("atoms must be non-negative integers")
-        self.g: list = [seed((base, base + 1 + j)) for j in range(seed_count)]
+        self.g: list = []
         self.seed_count = seed_count
         self._seed = seed
         self._next_j = seed_count
@@ -195,7 +199,9 @@ class WitnessEngine:
     def _query_new(self) -> list:
         """Ask the oracle about the witnesses emitted since the last step, in
         emission order; return the ``(answer, index)`` pairs of the answers
-        recorded for the first time, in index order.
+        recorded for the first time, in index order.  Witness ``j`` below the
+        seed count is seed ``j``, built from its pair here, and witness
+        ``seed_count + i`` is ``g[i]``.
 
         On a step whose 1-based index is a power of two, ``_audit`` first
         re-asks about every recorded witness.  Only a new answer is checked
@@ -208,10 +214,12 @@ class WitnessEngine:
         queries, fibers = self.ledger.queries, self.ledger.fibers
         answers = self.answers
         start = len(answers)
-        t = len(self.g) - self.seed_count + 1
+        seed, base, count, g = self._seed, self.base, self.seed_count, self.g
+        t = len(g) + 1
         if t & (t - 1) == 0:
             self._audit()
-        for idx, x in enumerate(self.g[len(queries):], len(queries)):
+        for idx in range(len(queries), count + len(g)):
+            x = seed((base, base + 1 + idx)) if idx < count else g[idx - count]
             out = self.oracle(x)
             self._check_output(out)
             violation = self.ledger.record(x, out)
@@ -255,8 +263,9 @@ class WitnessEngine:
         The walk resumes where the last one stopped while ``key``, the data
         the candidates depend on, is unchanged: every item before the cursor
         built an emitted witness, and the emitted set only grows.  Distinct
-        items build distinct witnesses, so more than ``len(g)`` stale ones,
-        or a stream that runs out, is an inconsistency.
+        items build distinct witnesses, so more stale ones than the
+        ``seed_count + len(g)`` emitted witnesses, or a stream that runs out,
+        is an inconsistency.
         """
         walk = self._walk
         if walk is not None and walk[0] == key:
@@ -270,7 +279,7 @@ class WitnessEngine:
             if candidate not in emitted:
                 self._walk = (key, items, drawn)
                 return item, candidate, drawn
-            if drawn > len(self.g):
+            if drawn > self.seed_count + len(self.g):
                 break
         raise _Inconsistent
 
@@ -285,7 +294,7 @@ class WitnessEngine:
         must equal its ``str``."""
         fmt, base, count = self.seed_format, self.base, self.seed_count
         return ([fmt % (base, b) for b in range(base + 1, base + 1 + count)]
-                + list(map(text, self.g[count:])))
+                + list(map(text, self.g)))
 
     def run(self, steps: int) -> dict:
         _require_int("steps", steps, 1)
@@ -301,4 +310,4 @@ class WitnessEngine:
             kind = "stuck"
         # no certificate for an oracle that changed a recorded answer
         self._audit()
-        return self._certificate(kind, len(self.g) - self.seed_count, violation)
+        return self._certificate(kind, len(self.g), violation)

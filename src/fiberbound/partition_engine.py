@@ -55,7 +55,7 @@ class PartitionDiagEngine(WitnessEngine):
             raise OracleCodomainError("oracle must return finite sets of atoms")
 
     def step(self) -> dict:
-        m = len(self.g)
+        m = self.seed_count + len(self.g)
         new = [v for v, _ in self._query_new()]
         frame = self._frame = build_frame(new, self._frame)
         l = frame.l

@@ -339,7 +339,7 @@ class PermDiagEngine(WitnessEngine):
                 f"points, claimed codomain moves at most {self.n}")
 
     def step(self) -> dict:
-        m = len(self.g)
+        m = self.seed_count + len(self.g)
         new = self._query_new()
         entries, stuck = build_family(self.answers, m, self._index)
         trace: dict = {

@@ -51,7 +51,8 @@ Operations on valid permutations wrap their results with the unchecked
 - ``perm_engine.assemble``: a union of permutations with disjoint supports.
 - ``perm_engine``'s seeds and fallback transpositions: each swaps two
   distinct atoms at or above the engine's base, which ``WitnessEngine``
-  checks once as a non-negative int before it builds any seed.
+  checks once as a non-negative int at construction; it builds each seed
+  later, when it first asks the oracle about it.
 
 A permutation's hash and its canonical text are each computed on first use
 and kept on it, with two exceptions that set the text as they build the

@@ -3,6 +3,8 @@
 Each view computes from a value a structure that the library itself does
 not need: the cycles of a permutation as tuples, the membership masks of a
 quotient frame's classes, and a tableau level's marker atoms.
+:func:`seed_witnesses` reads an engine's seeds, which the driver builds
+only as it asks the oracle about them and keeps out of ``engine.g``.
 :func:`cycle_text` and :func:`partition_text` write a value's canonical
 text afresh from its map or blocks, never from the text a value keeps.
 :func:`build_family` is the permutation engine's family build as it was
@@ -56,6 +58,18 @@ def masks(frame):
         for a in v:
             membership[a] = membership.get(a, 0) | bit
     return tuple(membership[next(iter(c))] for c in frame.classes)
+
+
+def seed_witnesses(engine):
+    """The seed witnesses of the ``WitnessEngine`` ``engine``, in pair order:
+    the objects the driver built, read from its ledger once the first step
+    has asked about every seed, or else built through ``engine._seed`` on
+    the same pairs ``(base, base + 1 + j)``."""
+    count, queries = engine.seed_count, engine.ledger.queries
+    if len(queries) >= count:
+        return list(itertools.islice(queries, count))
+    base = engine.base
+    return [engine._seed((base, base + 1 + j)) for j in range(count)]
 
 
 def marker_row(tab, i):

@@ -1,19 +1,21 @@
 import collections
 import itertools
 import json
+import tracemalloc
 from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberbound.auditing import BoundParams, OracleLedger, compute_bounds
+from fiberbound.auditing import BoundParams, OracleLedger, WitnessEngine, compute_bounds
 from fiberbound.errors import BadParametersError, BudgetExceededError, InconsistentOracleError
 from fiberbound.oracles import min_block_oracle, pool_perm_oracle, pool_set_oracle, truncate_oracle
 from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
 from fiberbound.partitions import FinitaryPartition, derangement
 from fiberbound.perms import FinPerm
+from helpers import seed_witnesses
 
 
 def minimal_window_start(n, k, width=100):
@@ -109,7 +111,7 @@ def test_seed_partitions_counts():
     # test reads it from the engine
     for k, count in ((1, 73), (2, 289), (3, 649)):
         engine = PartitionDiagEngine(k, min_block_oracle)
-        seeds = engine.g[:engine.seed_count]
+        seeds = seed_witnesses(engine)
         assert len(seeds) == count
         assert len(set(seeds)) == len(seeds)
 
@@ -152,7 +154,7 @@ def test_unchecked_seeds_equal_checked_ones(name, iid):
     base = engine.base
     assert base == 1000 * (iid + 1)
     count = engine.seed_count
-    for j, seed in enumerate(engine.g[:count]):
+    for j, seed in enumerate(seed_witnesses(engine)):
         twin = _checked_twin(engine, (base, base + 1 + j))
         assert seed == twin
         assert hash(seed) == hash(twin)
@@ -161,7 +163,7 @@ def test_unchecked_seeds_equal_checked_ones(name, iid):
     twin = _checked_twin(engine, (base, base + 1 + count))
     assert (after, hash(after), str(after)) == (twin, hash(twin), str(twin))
     cert = engine.run(1)
-    assert cert["outputs"][:count] == [str(x) for x in engine.g[:count]]
+    assert cert["outputs"][:count] == [str(x) for x in seed_witnesses(engine)]
 
 
 @pytest.mark.parametrize("iid", [-2, 1.5])
@@ -180,6 +182,56 @@ def test_bad_instance_ids_are_refused(make, iid):
         make(lambda x: calls.append(x), iid).run(1)
     assert str(exc.value) == message
     assert calls == []
+
+
+@pytest.mark.parametrize("make, steps, kind, asked", [
+    (lambda: PermDiagEngine(2, 5, pool_perm_oracle(10, 2)), 1, "ledger-violation", 35),
+    (lambda: PartitionDiagEngine(3, pool_set_oracle(2), 3), 1, "ledger-violation", 7),
+    (lambda: PartitionDiagEngine(1, min_block_oracle), 3, "part-diag", 73),
+], ids=["strict-n2-k5-pool10", "part-k3-pool2", "part-k1-min-block"])
+def test_seeds_are_built_when_first_asked(monkeypatch, make, steps, kind, asked):
+    # the driver builds seed j from its pair when it first asks the oracle
+    # about it: none at construction, each asked seed once, in pair order,
+    # and none past a violation among the seeds
+    built = []
+    init = WitnessEngine.__init__
+
+    def counting_init(self, k, oracle, instance_id, seed_count, seed, serialize_output):
+        def counted(pair):
+            built.append(pair)
+            return seed(pair)
+
+        init(self, k, oracle, instance_id, seed_count, counted, serialize_output)
+
+    monkeypatch.setattr(WitnessEngine, "__init__", counting_init)
+    engine = make()
+    assert built == []
+    cert = engine.run(steps)
+    assert cert["kind"] == kind
+    assert cert["steps"] == (0 if kind == "ledger-violation" else steps)
+    base = engine.base
+    assert built == [(base, base + 1 + j) for j in range(asked)]
+    assert asked == min(engine.seed_count, len(engine.ledger.queries))
+    assert len(cert["outputs"]) == engine.seed_count + cert["steps"]
+
+
+def test_memory_of_a_run_refuted_among_its_seeds():
+    # strict n = 2, k = 5 has 35,706 seeds, and pool:10 refutes it among the
+    # first 35. Engine, run and certificate text traced a 5.64 MiB peak with
+    # seeds built as they are asked, most of it the 35,706 seed texts the
+    # certificate lists, and 16.55 MiB when every seed was built at
+    # construction (Python 3.11.7, under pytest); 8 MiB leaves 40% headroom
+    # over the first and fails the second
+    tracemalloc.start()
+    try:
+        engine = PermDiagEngine(2, 5, pool_perm_oracle(10, 2))
+        text = json.dumps(engine.run(100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (engine.seed_count, len(engine.ledger.queries)) == (35706, 35)
+    assert '"ledger-violation"' in text
+    assert peak < 8 * 2**20
 
 
 def test_ledger_serializes_only_violations_and_flips(monkeypatch):
@@ -221,7 +273,7 @@ def test_codomain_checked_once_per_record(monkeypatch, make_engine, steps):
     monkeypatch.setattr(engine, "_check_output", counted)
     cert = engine.run(steps)
     assert cert["steps"] == steps
-    assert len(checked) == len(engine.ledger.queries) == len(engine.g) - 1
+    assert len(checked) == len(engine.ledger.queries) == len(seed_witnesses(engine) + engine.g) - 1
 
 
 def shared_sets():
@@ -249,10 +301,10 @@ def test_answer_record_is_first_occurrences(make_engine, steps):
     for _ in range(steps):
         engine.step()
         want = {}
-        for idx, v in enumerate(engine.oracle(x) for x in engine.g[:-1]):
+        for idx, v in enumerate(engine.oracle(x) for x in seed_witnesses(engine) + engine.g[:-1]):
             want.setdefault(v, idx)
         assert engine.answers == list(want.items())
-    assert len(engine.answers) < len(engine.g) - 1
+    assert len(engine.answers) < len(seed_witnesses(engine) + engine.g) - 1
 
 
 @SHARED_ANSWER_ENGINES
@@ -294,7 +346,7 @@ def test_ledger_queries_are_the_emitted_set(monkeypatch, make_engine, steps):
 
     def checked(method):
         def wrapper(*args):
-            assert engine.ledger.queries.keys() == set(engine.g)
+            assert engine.ledger.queries.keys() == set(seed_witnesses(engine) + engine.g)
             entries.append(method.__name__)
             return method(*args)
         return wrapper
@@ -363,7 +415,7 @@ def test_each_witness_is_queried_once_plus_audits(make_engine, oracle, steps, wa
 
 def flip_after(monkeypatch, engine, steps, other):
     # once `steps` steps are done, the oracle answers `other` for the first seed
-    oracle, first, done = engine.oracle, engine.g[0], []
+    oracle, first, done = engine.oracle, seed_witnesses(engine)[0], []
     monkeypatch.setattr(engine, "oracle",
                         lambda x: other if len(done) >= steps and x == first else oracle(x))
     step = engine.step
@@ -428,10 +480,10 @@ def test_equal_fresh_answers_pass_every_audit(monkeypatch, make_engine, answer, 
 
     monkeypatch.setattr(engine.ledger, "record", counted)
     cert = engine.run(steps)
-    first = engine.g[0]
+    first = seed_witnesses(engine)[0]
     assert fresh(first) == fresh(first) and fresh(first) is not fresh(first)
     assert (cert["steps"], len(engine.traces)) == (steps, steps)
-    assert recorded == list(engine.ledger.queries) == engine.g[:-1]
+    assert recorded == list(engine.ledger.queries) == seed_witnesses(engine) + engine.g[:-1]
     assert json.dumps(cert) == json.dumps(make_engine(memo_oracle(answer)).run(steps))
 
 

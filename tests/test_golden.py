@@ -28,6 +28,7 @@ from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.perm_engine import PermDiagEngine
 from fiberbound.perms import FinPerm
 import format1
+from helpers import seed_witnesses
 
 
 def _perm_diag(monkeypatch):
@@ -195,6 +196,10 @@ PINS = {
     "seeds3": Pin("diag-part --k 3 --oracle pool:2 --steps 1", "ledger-violation",
                   "020e92bf1bac0bb2a7366e8bcf909a424cdb1b9d785ffd688bc7bbf50facc01b",
                   "98704a3536f1b0689876e9ab647423e6df05694b130e7af5bf96ae4afecb1fc7"),
+    # strict, violated among the first 35 of its 35,706 seeds; the record
+    # still lists every seed's text
+    "strict5-pool10": Pin("diag-perm --n 2 --k 5 --oracle pool:10 --steps 1", "ledger-violation",
+                          "b04c60c6ec04182985594809676ca6d636d1e744c45f9a1a3e4e7ad40fa531a6"),
 }
 
 IN_PROCESS = sorted(name for name, pin in PINS.items() if callable(pin.run))
@@ -244,7 +249,7 @@ def test_outputs_are_every_witness_text(name, monkeypatch):
     monkeypatch.setattr(WitnessEngine, "run", recording_run)
     cert = PINS[name].run(monkeypatch)
     [engine] = engines
-    assert cert["outputs"] == [str(x) for x in engine.g]
+    assert cert["outputs"] == [str(x) for x in seed_witnesses(engine) + engine.g]
 
 
 @pytest.mark.parametrize("make", [
@@ -257,4 +262,4 @@ def test_outputs_after_caller_steps(make):
         engine.step()
     cert = engine.run(4)
     assert cert["steps"] == 7
-    assert cert["outputs"] == [str(x) for x in engine.g]
+    assert cert["outputs"] == [str(x) for x in seed_witnesses(engine) + engine.g]

@@ -10,13 +10,12 @@ from fiberbound.partition_engine import PartitionDiagEngine
 from fiberbound.partitions import (FinitaryPartition, bell, build_frame, lift,
                                    iter_partitions_ranked)
 from format1 import expand_traces
-from helpers import partition_text
+from helpers import partition_text, seed_witnesses
 from test_golden import PINS, _grow_thirds, _perm_diag, _perm_stuck
 
 
 def driver_seeds(k):
-    engine = PartitionDiagEngine(k, min_block_oracle)
-    return engine.g[:engine.seed_count]
+    return seed_witnesses(PartitionDiagEngine(k, min_block_oracle))
 
 
 def test_seed_shapes():
@@ -67,7 +66,7 @@ def test_chosen_partition_is_rank_minimal():
     # every answer so far, and check everything below the chosen partition
     # lifts to something already emitted
     frame = build_frame([v for v, _ in engine.answers])
-    emitted = set(engine.g)
+    emitted = set(seed_witnesses(engine) + engine.g)
     stream = iter_partitions_ranked(frame.l)
     for rank in range(engine.traces[-1]["rank_checked"] - 1):
         stale = lift(next(stream), frame)
@@ -176,13 +175,13 @@ def test_certificate_writes_each_step_witness_once(make, steps, oracle_writes):
     certificate = engine._certificate
 
     def spy(*args):
-        kept.extend(w._text for w in engine.g[engine.seed_count:])
+        kept.extend(w._text for w in engine.g)
         return certificate(*args)
 
     engine._certificate = spy
     cert = engine.run(steps)
     assert (cert["kind"], cert["steps"]) == ("part-diag", steps)
-    witnesses = engine.g[engine.seed_count:]
+    witnesses = engine.g
     outputs = cert["outputs"][engine.seed_count:]
     assert outputs == [partition_text(w) for w in witnesses]
     # no step writes a witness's text; only the oracle may, and it is never
@@ -200,8 +199,8 @@ def test_audit_reasks_answer_the_recorded_objects():
     assert engine.run(60)["kind"] == "part-diag"
     queries = engine.ledger.queries
     # the last witness ends the run unasked
-    assert list(queries) == engine.g[:-1]
-    assert any(len(x._blocks) > 1 for x in engine.g[engine.seed_count:-1])
+    assert list(queries) == seed_witnesses(engine) + engine.g[:-1]
+    assert any(len(x._blocks) > 1 for x in engine.g[:-1])
     assert all(min_block_oracle(x) is answer for x, answer in queries.items())
 
 
@@ -299,7 +298,8 @@ def test_no_partition_stall_is_admitted_at_the_seed_count():
 
 def test_stale_lifts_report_stuck(monkeypatch):
     engine = PartitionDiagEngine(1, min_block_oracle)
-    monkeypatch.setattr("fiberbound.partition_engine.lift", lambda q, frame: engine.g[0])
+    first = seed_witnesses(engine)[0]
+    monkeypatch.setattr("fiberbound.partition_engine.lift", lambda q, frame: first)
     cert = engine.run(2)
     assert cert["kind"] == "stuck"
     assert cert["steps"] == 0

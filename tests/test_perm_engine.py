@@ -13,7 +13,7 @@ from fiberbound.perm_engine import (FamilyIndex, PermDiagEngine, assemble, build
                                     strict_bounds, stuck_answer_bound)
 from fiberbound.perms import FinPerm
 from format1 import expand_traces
-from helpers import build_family as reference_family
+from helpers import build_family as reference_family, seed_witnesses
 
 c = FinPerm.cycle
 
@@ -31,8 +31,7 @@ def memo_injective():
 
 
 def driver_seeds(count):
-    engine = PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic", count)
-    return engine.g[:engine.seed_count]
+    return seed_witnesses(PermDiagEngine(2, 1, truncate_oracle(2), "opportunistic", count))
 
 
 def test_seed_transpositions():
@@ -522,7 +521,7 @@ def test_pool_run_writes_each_step_witness_once():
     engine = PermDiagEngine(2, 80, pool_perm_oracle(1, 2), mode="opportunistic")
     cert = engine.run(50)
     assert cert["kind"] == "ledger-violation"
-    steps = engine.g[engine.seed_count:]
+    steps = engine.g
     assert len(steps) == len(cert["traces"]) > 0
     for text, s in zip(cert["outputs"][engine.seed_count:], steps, strict=True):
         assert text is s._text
@@ -679,18 +678,19 @@ def test_family_reads_the_driver_answer_record(monkeypatch):
 
 def test_exhausted_walk_reports_stuck(monkeypatch):
     engine = PermDiagEngine(2, 1, memo_injective(), mode="opportunistic", seed_count=8)
+    first = seed_witnesses(engine)[0]
     calls = []
 
     def stale(entries, indices):
         calls.append(indices)
-        return engine.g[0]
+        return first
 
     monkeypatch.setattr("fiberbound.perm_engine.assemble", stale)
     cert = engine.run(2)
     assert cert["kind"] == "stuck"
     assert cert["steps"] == 0
     # the stale candidates are distinct, so the walk gives up after m + 1
-    assert len(calls) <= len(engine.g) + 1
+    assert len(calls) <= len(seed_witnesses(engine) + engine.g) + 1
 
 
 @pytest.mark.parametrize("oracle, k, steps, counts_starts", [
